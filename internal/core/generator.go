@@ -206,27 +206,24 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 		if !aborted {
 			// All constraints visited; close the cycle with a nontrivial
 			// path from s′ back to t: a witness for {s′} ∧ EX E[f U {t}].
+			// The rings of E[f U {t}] are computed only up to the first
+			// one meeting succ(s′): that successor is the nearest way
+			// back to t, and the descent needs no ring beyond it.
 			g.Stats.ClosureAttempts++
 			sPrime := tr.States[len(tr.States)-1]
-			headCube := s.StateCube(cycleHead)
-			euSet, euRings := g.C.EUApprox(f, headCube)
 			succs := g.image(sPrime)
-			if m.And(succs, euSet) != bdd.False {
-				// pick the successor in the smallest ring, then descend.
-				var u kripke.State
-				ui := -1
-				for i, ring := range euRings {
-					if cand := m.And(succs, ring); cand != bdd.False {
-						u = s.PickState(cand)
-						ui = i
-						break
-					}
-				}
+			var cand bdd.Ref
+			euRings, ok := g.C.EUApproxUntil(f, s.StateCube(cycleHead), func(ring bdd.Ref) bool {
+				cand = m.And(succs, ring)
+				return cand != bdd.False
+			})
+			if ok {
+				u := s.PickState(cand)
 				st := u
 				closing := []kripke.State{}
 				if !sameState(u, cycleHead) {
 					closing = append(closing, u)
-					for j := ui - 1; j >= 0; j-- {
+					for j := len(euRings) - 2; j >= 0; j-- {
 						nst := g.succIn(st, euRings[j])
 						if nst == nil {
 							return nil, errors.New("core: closure descent stuck")

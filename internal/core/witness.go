@@ -16,33 +16,22 @@ import (
 // finite prefix is returned.
 func (gen *Generator) WitnessEU(f, g bdd.Ref, from kripke.State, extend bool) (*Trace, error) {
 	s := gen.C.S
-	m := s.M
 
-	euSet, rings := gen.C.FairEUApprox(f, g)
+	// The descent starts in the first ring holding from and needs none
+	// beyond it, so the ring computation stops there.
+	rings, ok := gen.C.FairEUApproxUntil(f, g, func(ring bdd.Ref) bool { return s.Holds(ring, from) })
+	if !ok {
+		return nil, ErrNotSatisfied
+	}
 	// The returned rings are neither protected nor registered; pause
 	// reordering while the descent walks them (image computations inside
 	// the walk are reorder safe points otherwise).
-	resume := m.PauseAutoReorder()
+	resume := s.M.PauseAutoReorder()
 	defer resume()
-	if !s.Holds(euSet, from) {
-		return nil, ErrNotSatisfied
-	}
 	tr := &Trace{S: s, CycleStart: -1, FairHits: map[int]int{}}
 	tr.States = append(tr.States, from)
-
-	// Find the minimal ring containing from, then descend.
-	idx := -1
-	for i, ring := range rings {
-		if s.Holds(ring, from) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("core: state in EU set but in no ring")
-	}
 	st := from
-	for j := idx - 1; j >= 0; j-- {
+	for j := len(rings) - 2; j >= 0; j-- {
 		nst := gen.succIn(st, rings[j])
 		if nst == nil {
 			return nil, fmt.Errorf("core: EU ring descent stuck at ring %d", j)
@@ -58,7 +47,6 @@ func (gen *Generator) WitnessEU(f, g bdd.Ref, from kripke.State, extend bool) (*
 			return nil, err
 		}
 	}
-	_ = m
 	return tr, nil
 }
 

@@ -62,6 +62,11 @@ type Checker struct {
 
 	memo map[string]bdd.Ref // formula string -> protected state set
 
+	// egSets maps f to the EG f fixpoint (fair EG under fairness
+	// constraints) computed for it, both protected: the seeds FairEG
+	// starts a witness's outer iteration from.
+	egSets map[bdd.Ref]bdd.Ref
+
 	hook int // reorder-registry id (see rewriteRefs)
 }
 
@@ -71,7 +76,7 @@ type Checker struct {
 // release the registration and the protections when discarding a
 // checker before its manager.
 func New(s *kripke.Symbolic) *Checker {
-	c := &Checker{S: s, care: bdd.True, memo: map[string]bdd.Ref{}}
+	c := &Checker{S: s, care: bdd.True, memo: map[string]bdd.Ref{}, egSets: map[bdd.Ref]bdd.Ref{}}
 	c.hook = s.M.OnReorder(c.rewriteRefs)
 	return c
 }
@@ -81,6 +86,11 @@ func (c *Checker) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
 	for k, v := range c.memo {
 		c.memo[k] = translate(v)
 	}
+	egSets := make(map[bdd.Ref]bdd.Ref, len(c.egSets))
+	for f, eg := range c.egSets {
+		egSets[translate(f)] = translate(eg)
+	}
+	c.egSets = egSets
 	if c.haveFair {
 		c.fairSet = translate(c.fairSet)
 	}
@@ -90,20 +100,32 @@ func (c *Checker) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
 // Close unregisters the checker from the reorder registry and drops its
 // protections. The checker must not be used afterwards.
 func (c *Checker) Close() {
+	c.S.M.Unregister(c.hook)
+	c.dropFixpoints()
+	if c.care != bdd.True {
+		c.S.M.Unprotect(c.care)
+	}
+	c.care = bdd.True
+}
+
+// dropFixpoints unprotects and forgets every set the checker holds for
+// the current care set: the subformula memo, the EG seeds and the fair
+// set.
+func (c *Checker) dropFixpoints() {
 	m := c.S.M
-	m.Unregister(c.hook)
 	for _, r := range c.memo {
 		m.Unprotect(r)
 	}
 	c.memo = map[string]bdd.Ref{}
+	for f, eg := range c.egSets {
+		m.Unprotect(f)
+		m.Unprotect(eg)
+	}
+	c.egSets = map[bdd.Ref]bdd.Ref{}
 	if c.haveFair {
 		m.Unprotect(c.fairSet)
 		c.haveFair = false
 	}
-	if c.care != bdd.True {
-		m.Unprotect(c.care)
-	}
-	c.care = bdd.True
 }
 
 // maybeReorder is the checker's fixpoint safe point: it lets the
@@ -137,14 +159,7 @@ func (c *Checker) UseReachableCareSet() bdd.Ref {
 // SetCareSet installs an arbitrary care set (bdd.True disables the
 // optimization).
 func (c *Checker) SetCareSet(care bdd.Ref) {
-	for _, r := range c.memo {
-		c.S.M.Unprotect(r)
-	}
-	c.memo = map[string]bdd.Ref{}
-	if c.haveFair {
-		c.S.M.Unprotect(c.fairSet)
-		c.haveFair = false
-	}
+	c.dropFixpoints()
 	c.care = c.S.M.Protect(care)
 }
 
@@ -183,7 +198,7 @@ func (c *Checker) EX(f bdd.Ref) bdd.Ref {
 // EU computes E[f U g] (no fairness) by the least fixpoint
 // lfp Z [ g ∨ (f ∧ EX Z) ].
 func (c *Checker) EU(f, g bdd.Ref) bdd.Ref {
-	res, _ := c.euApprox(f, g, false)
+	res, _, _ := c.euApprox(f, g, false, nil)
 	return res
 }
 
@@ -192,10 +207,21 @@ func (c *Checker) EU(f, g bdd.Ref) bdd.Ref {
 // state in g can be reached in i or fewer steps while satisfying f. The
 // rings are the raw material of the witness walk.
 func (c *Checker) EUApprox(f, g bdd.Ref) (bdd.Ref, []bdd.Ref) {
-	return c.euApprox(f, g, true)
+	res, rings, _ := c.euApprox(f, g, true, nil)
+	return res, rings
 }
 
-func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool) (bdd.Ref, []bdd.Ref) {
+// EUApproxUntil computes EUApprox's rings only as far as the first ring
+// for which stop reports true, and returns them with true; when stop
+// never fires it returns all of them and false. A witness walk that
+// descends from the first ring meeting some set needs no ring beyond
+// it, so it can skip the rest of the fixpoint.
+func (c *Checker) EUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]bdd.Ref, bool) {
+	_, rings, stopped := c.euApprox(f, g, true, stop)
+	return rings, stopped
+}
+
+func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool, stop func(bdd.Ref) bool) (bdd.Ref, []bdd.Ref, bool) {
 	m := c.S.M
 	c.Stats.EUFixpoints++
 	var rings []bdd.Ref
@@ -213,22 +239,22 @@ func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool) (bdd.Ref, []bdd.Ref) {
 		}
 	})
 	defer m.Unregister(id)
-	if keepRings {
-		rings = append(rings, q)
-	}
 	for {
+		if keepRings {
+			rings = append(rings, q)
+		}
+		if stop != nil && stop(q) {
+			return q, rings, true
+		}
 		c.Stats.EUIterations++
 		c.note()
 		c.maybeReorder()
 		ex := c.EX(q)
 		next := m.Or(q, m.And(f, ex))
 		if next == q {
-			return q, rings
+			return q, rings, false
 		}
 		q = next
-		if keepRings {
-			rings = append(rings, q)
-		}
 	}
 }
 
@@ -351,13 +377,16 @@ func (c *Checker) checkBasis(f *ctl.Formula) (bdd.Ref, error) {
 		if err != nil {
 			return bdd.False, err
 		}
+		// l is registered across the fixpoint: a reorder inside it
+		// would leave the local copy stale for holdEG.
+		id := m.RegisterRefs(&l)
 		if len(c.S.Fair) == 0 {
 			res = c.EG(l)
 		} else {
-			fr, rings := c.FairEG(l)
-			res = fr
-			rings.Release(m)
+			res = c.fairEGSet(l)
 		}
+		m.Unregister(id)
+		c.holdEG(l, res)
 	default:
 		return bdd.False, fmt.Errorf("mc: formula not in existential basis: %s", f)
 	}

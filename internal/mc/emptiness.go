@@ -29,6 +29,7 @@ func (c *Checker) FairEmptiness(seed bdd.Ref) (empty bool, start kripke.State) {
 		live = c.Fair()
 	} else {
 		live = c.EG(bdd.True)
+		c.holdEG(bdd.True, live) // the seed of the lasso's FairEG(true)
 	}
 	bad := m.And(m.And(c.S.Init, seed), live)
 	if bad == bdd.False {

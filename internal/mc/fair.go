@@ -16,12 +16,13 @@ import (
 //	CheckFairEU(f,g) = CheckEU(f, g ∧ fair)
 
 // Rings holds the saved approximation sequences of the inner least
-// fixpoints E[f U Z ∧ h_k] from the final outer iteration of fair EG,
-// with Z equal to the fixpoint. Rings[k][i] is the set of states from
-// which some state of (EG f) ∧ h_k is reachable in i or fewer steps
-// along f-states. This is precisely the data Section 6's witness
-// construction walks over. The rings are protected against garbage
-// collection and registered with the reorder registry until Release.
+// fixpoints E[f U Z ∧ h_k] from the outer iteration of fair EG that
+// confirms the fixpoint, so Z is the fixpoint itself. Rings[k][i] is the
+// set of states from which some state of (EG f) ∧ h_k is reachable in i
+// or fewer steps along f-states. This is precisely the data Section 6's
+// witness construction walks over. The rings are protected against
+// garbage collection and registered with the reorder registry until
+// Release.
 type Rings struct {
 	F       bdd.Ref     // the f the rings were computed for
 	Result  bdd.Ref     // the fair EG f fixpoint
@@ -45,11 +46,54 @@ func (r *Rings) register(m *bdd.Manager) {
 }
 
 // FairEG computes EG f under the structure's fairness constraints and
-// returns the saved rings. With no fairness constraints it degenerates
-// to plain EG and a single pseudo-constraint "true" so that witness
-// construction still has rings to walk (the cycle must merely return to
-// the EG set).
+// returns the rings of the outer iteration that confirms the fixpoint.
+// The iteration starts from the smallest superset of the fixpoint the
+// checker already holds (see egSeed): a greatest fixpoint iterated from
+// any superset of it reaches the same set, and from the fixpoint itself
+// the first round confirms it, so a witness for a formula the checker
+// has just decided costs one outer round. With no fairness constraints
+// it degenerates to plain EG and a single pseudo-constraint "true" so
+// that witness construction still has rings to walk (the cycle must
+// merely return to the EG set).
 func (c *Checker) FairEG(f bdd.Ref) (bdd.Ref, *Rings) {
+	return c.fairEG(f, c.egSeed(f), true)
+}
+
+// egSeed returns the smallest superset of FairEG f's fixpoint the
+// checker already holds: the EG set checkBasis or FairEmptiness computed
+// for f, the fair set for f = true (however it was installed, SeedFair
+// included), or else f itself.
+func (c *Checker) egSeed(f bdd.Ref) bdd.Ref {
+	if z, ok := c.egSets[f]; ok {
+		return z
+	}
+	if f == bdd.True && c.haveFair {
+		return c.fairSet
+	}
+	return f
+}
+
+// holdEG records eg as the EG fixpoint of f (fair EG under fairness
+// constraints) for later witness seeding. Both refs are protected until
+// the care set changes or the checker closes.
+func (c *Checker) holdEG(f, eg bdd.Ref) {
+	if _, ok := c.egSets[f]; ok {
+		return
+	}
+	c.egSets[c.S.M.Protect(f)] = c.S.M.Protect(eg)
+}
+
+// fairEGSet is the set-only fair EG fixpoint used by checkBasis and
+// Fair: the same iteration started from f, keeping no rings.
+func (c *Checker) fairEGSet(f bdd.Ref) bdd.Ref {
+	z, _ := c.fairEG(f, f, false)
+	return z
+}
+
+// fairEG iterates Z := Z ∧ f ∧ ⋀_k EX E[f U Z ∧ h_k] from z, which must
+// contain the fixpoint. With keepRings every round saves the rings of
+// its inner least fixpoints and the confirming round's are returned.
+func (c *Checker) fairEG(f, z bdd.Ref, keepRings bool) (bdd.Ref, *Rings) {
 	m := c.S.M
 	// c.S.Fair aliases the structure's slice, whose elements the
 	// structure's reorder hook rewrites in place — reading fair[k] inside
@@ -68,43 +112,42 @@ func (c *Checker) FairEG(f bdd.Ref) (bdd.Ref, *Rings) {
 		return fair[k]
 	}
 
-	z := f
 	id := m.RegisterRefs(&f, &z)
+	defer m.Unregister(id)
 	for {
 		c.Stats.FairEGOuter++
 		c.note()
 		c.maybeReorder()
+		// The round's rings are registered before its EU fixpoints so
+		// sequences already saved survive reorders triggered by the
+		// remaining ones.
+		var rings *Rings
+		if keepRings {
+			rings = &Rings{F: m.Protect(f), Result: m.Protect(z)}
+			rings.register(m)
+		}
 		next := f
 		nid := m.RegisterRefs(&next)
 		for k := 0; k < nFair; k++ {
-			target := m.And(z, h(k))
-			eu := c.EU(f, target)
-			ex := c.EX(eu)
-			next = m.And(next, ex)
+			eu, rs, _ := c.euApprox(f, m.And(z, h(k)), keepRings, nil)
+			if keepRings {
+				for _, r := range rs {
+					m.Protect(r)
+				}
+				rings.PerFair = append(rings.PerFair, rs)
+			}
+			next = m.And(next, c.EX(eu))
 		}
 		m.Unregister(nid)
 		next = m.And(next, z)
 		if next == z {
-			break
+			return z, rings
+		}
+		if keepRings {
+			rings.Release(m)
 		}
 		z = next
 	}
-	m.Unregister(id)
-
-	// Final pass with Z at the fixpoint: save the rings. The rings
-	// struct is registered before the pass so sequences already saved
-	// survive reorders triggered by the remaining EU fixpoints.
-	rings := &Rings{F: m.Protect(f), Result: m.Protect(z)}
-	rings.register(m)
-	for k := 0; k < nFair; k++ {
-		target := m.And(rings.Result, h(k))
-		_, rs := c.EUApprox(rings.F, target)
-		for _, r := range rs {
-			m.Protect(r)
-		}
-		rings.PerFair = append(rings.PerFair, rs)
-	}
-	return rings.Result, rings
 }
 
 // Release unprotects the rings' BDDs and removes their reorder
@@ -130,9 +173,7 @@ func (c *Checker) Fair() bdd.Ref {
 	if len(c.S.Fair) == 0 {
 		c.fairSet = bdd.True
 	} else {
-		res, rings := c.FairEG(bdd.True)
-		c.fairSet = c.S.M.Protect(res)
-		rings.Release(c.S.M)
+		c.fairSet = c.S.M.Protect(c.fairEGSet(bdd.True))
 	}
 	c.haveFair = true
 	return c.fairSet
@@ -177,13 +218,14 @@ func (c *Checker) FairEU(f, g bdd.Ref) bdd.Ref {
 	return c.EU(f, c.S.M.And(g, fairSet))
 }
 
-// FairEUApprox is FairEU with the approximation rings (for witnesses).
-func (c *Checker) FairEUApprox(f, g bdd.Ref) (bdd.Ref, []bdd.Ref) {
+// FairEUApproxUntil is EUApproxUntil under fairness: the rings of
+// E[f U g ∧ fair], for witnesses.
+func (c *Checker) FairEUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]bdd.Ref, bool) {
 	if len(c.S.Fair) == 0 {
-		return c.EUApprox(f, g)
+		return c.EUApproxUntil(f, g, stop)
 	}
 	id := c.S.M.RegisterRefs(&f, &g)
 	fairSet := c.Fair()
 	c.S.M.Unregister(id)
-	return c.EUApprox(f, c.S.M.And(g, fairSet))
+	return c.EUApproxUntil(f, c.S.M.And(g, fairSet), stop)
 }

@@ -3,6 +3,8 @@ package smv
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/ctl"
@@ -76,54 +78,51 @@ func (c *Compiled) Simulate(rng *rand.Rand, n int) (*core.Trace, error) {
 
 // DeltaTraceString renders a trace showing, after the first state, only
 // the declared variables whose value changed — the compact SMV style.
-func (c *Compiled) DeltaTraceString(tr *core.Trace) string {
-	if tr == nil {
-		return ""
-	}
-	out := ""
-	var prev kripke.State
-	for i, st := range tr.States {
-		if tr.CycleStart == i {
-			out += "-- loop starts here --\n"
-		}
-		out += fmt.Sprintf("state %d:", i)
-		for _, name := range c.Order {
-			v := c.StateValue(st, name)
-			if prev == nil || c.StateValue(prev, name) != v {
-				out += " " + name + "=" + v.String()
-			}
-		}
-		if i < len(tr.Notes) && tr.Notes[i] != "" {
-			out += "   (" + tr.Notes[i] + ")"
-		}
-		out += "\n"
-		prev = st
-	}
-	if tr.IsLasso() {
-		out += fmt.Sprintf("-- back to state %d --\n", tr.CycleStart)
-	}
-	return out
-}
+func (c *Compiled) DeltaTraceString(tr *core.Trace) string { return c.renderTrace(tr, true) }
 
 // TraceString renders a trace with declared-variable values (rather than
 // raw encoding bits).
-func (c *Compiled) TraceString(tr *core.Trace) string {
+func (c *Compiled) TraceString(tr *core.Trace) string { return c.renderTrace(tr, false) }
+
+// renderTrace builds TraceString's or, with delta, DeltaTraceString's
+// rendering in one buffer.
+func (c *Compiled) renderTrace(tr *core.Trace, delta bool) string {
 	if tr == nil {
 		return ""
 	}
-	out := ""
+	var b strings.Builder
+	var prev kripke.State
 	for i, st := range tr.States {
 		if tr.CycleStart == i {
-			out += "-- loop starts here --\n"
+			b.WriteString("-- loop starts here --\n")
 		}
-		out += fmt.Sprintf("state %d: %s", i, c.FormatStateByVars(st))
+		b.WriteString("state ")
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte(':')
+		if delta {
+			for _, name := range c.Order {
+				v := c.StateValue(st, name)
+				if prev == nil || c.StateValue(prev, name) != v {
+					b.WriteByte(' ')
+					b.WriteString(name)
+					b.WriteByte('=')
+					b.WriteString(v.String())
+				}
+			}
+			prev = st
+		} else {
+			b.WriteByte(' ')
+			c.writeStateByVars(&b, st)
+		}
 		if i < len(tr.Notes) && tr.Notes[i] != "" {
-			out += "   (" + tr.Notes[i] + ")"
+			b.WriteString("   (")
+			b.WriteString(tr.Notes[i])
+			b.WriteByte(')')
 		}
-		out += "\n"
+		b.WriteByte('\n')
 	}
 	if tr.IsLasso() {
-		out += fmt.Sprintf("-- back to state %d --\n", tr.CycleStart)
+		fmt.Fprintf(&b, "-- back to state %d --\n", tr.CycleStart)
 	}
-	return out
+	return b.String()
 }

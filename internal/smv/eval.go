@@ -3,6 +3,7 @@ package smv
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/bdd"
 	"repro/internal/ctl"
@@ -487,14 +488,21 @@ func parseDomainValue(info *VarInfo, s string) (Value, error) {
 // FormatStateByVars renders a state grouping the encoded bits back into
 // declared variables.
 func (c *Compiled) FormatStateByVars(st kripke.State) string {
-	out := ""
+	var b strings.Builder
+	c.writeStateByVars(&b, st)
+	return b.String()
+}
+
+// writeStateByVars appends FormatStateByVars's rendering of st to b.
+func (c *Compiled) writeStateByVars(b *strings.Builder, st kripke.State) {
 	for i, name := range c.Order {
 		if i > 0 {
-			out += " "
+			b.WriteByte(' ')
 		}
-		out += name + "=" + c.StateValue(st, name).String()
+		b.WriteString(name)
+		b.WriteByte('=')
+		b.WriteString(c.StateValue(st, name).String())
 	}
-	return out
 }
 
 // StateValue decodes the value of a declared variable in a state.

@@ -2,6 +2,7 @@ package smv
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bdd"
 	"repro/internal/core"
@@ -171,15 +172,17 @@ func (p *LTLProduct) ReplayCounterexample(tr *core.Trace) error {
 // variables (tableau bits are internal and hidden), marking the cycle
 // start.
 func (p *LTLProduct) FormatLassoByVars(tr *core.Trace) string {
-	out := ""
+	var b strings.Builder
 	for i, st := range tr.States {
 		mark := "  "
 		if i == tr.CycleStart {
 			mark = "↻ "
 		}
-		out += fmt.Sprintf("%s%2d: %s\n", mark, i, p.FormatStateByVars(st))
+		fmt.Fprintf(&b, "%s%2d: ", mark, i)
+		p.writeStateByVars(&b, st)
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }
 
 // CheckLTLSpec is the one-call path used by tests and validation
