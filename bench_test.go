@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -1368,10 +1367,8 @@ func TestRecordModelsBench(t *testing.T) {
 // TestRecordDisjunctiveBench is gated behind BENCH_DISJUNCTIVE=1 and
 // writes BENCH_disjunctive.json: for the shipped process models and a
 // scaled token ring it runs the same reachability workload under the
-// conjunctive schedule, the disjunctive image (sequential), and the
-// disjunctive image with worker goroutines on the shared parallel
-// engine, recording wall time, peak live nodes and the per-mode step
-// counters.
+// conjunctive schedule and the disjunctive image, recording wall time,
+// peak live nodes and the per-mode step counters.
 // dining.smv and mutex.smv are synchronous — they carry no disjuncts
 // and ride along as conjunctive/monolithic continuity entries so the
 // artifact covers both composition styles. Kept fast on purpose: the CI
@@ -1382,14 +1379,12 @@ type disjunctiveBenchEntry struct {
 	Model           string  `json:"model"`
 	Mode            string  `json:"mode"`
 	Workload        string  `json:"workload"`
-	Workers         int     `json:"workers"`
 	WallMS          float64 `json:"wall_ms"`
 	PeakLiveNodes   int     `json:"peak_live_nodes"`
 	ImageCalls      uint64  `json:"image_calls,omitempty"`
 	PreimageCalls   uint64  `json:"preimage_calls,omitempty"`
 	ClusterSteps    uint64  `json:"cluster_steps,omitempty"`
 	DisjunctSteps   uint64  `json:"disjunct_steps,omitempty"`
-	ParallelBatches uint64  `json:"parallel_batches,omitempty"`
 	Clusters        int     `json:"clusters,omitempty"`
 	Components      int     `json:"components,omitempty"`
 	ReachableStates float64 `json:"reachable_states,omitempty"`
@@ -1470,7 +1465,7 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 
 	// run measures the reachability fixpoint plus a short backward sweep
 	// on a fresh instance per mode, so caches never leak across modes.
-	run := func(name string, compile func() (*kripke.Symbolic, error), mode string, workers int) disjunctiveBenchEntry {
+	run := func(name string, compile func() (*kripke.Symbolic, error), mode string) disjunctiveBenchEntry {
 		s, err := compile()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -1483,7 +1478,6 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 				t.Fatalf("%s: no disjuncts for disjunctive mode", name)
 			}
 			s.EnableDisjunct(true)
-			s.SetWorkers(workers)
 		case "conjunctive":
 			if !s.HasClusters() {
 				t.Fatalf("%s: no clusters for conjunctive mode", name)
@@ -1508,14 +1502,12 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 			Model:           name,
 			Mode:            mode,
 			Workload:        "reachable+ex3",
-			Workers:         workers,
 			WallMS:          float64(wall.Microseconds()) / 1000,
 			PeakLiveNodes:   rs.PeakLiveNodes,
 			ImageCalls:      rs.ImageCalls,
 			PreimageCalls:   rs.PreimageCalls,
 			ClusterSteps:    rs.ClusterSteps,
 			DisjunctSteps:   rs.DisjunctSteps,
-			ParallelBatches: rs.ParallelBatches,
 			Clusters:        s.NumClusters(),
 			Components:      s.NumDisjuncts(),
 			ReachableStates: s.CountStates(reach),
@@ -1526,12 +1518,12 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 	// Synchronous continuity entries: no disjuncts to run.
 	for _, name := range []string{"dining.smv", "mutex.smv"} {
 		for _, mode := range []string{"conjunctive", "monolithic"} {
-			e := run(name, fromFile(name), mode, 1)
+			e := run(name, fromFile(name), mode)
 			e.Note = "synchronous model: no process components"
 			entries = append(entries, e)
 		}
 	}
-	// Interleaved models: conjunctive vs disjunctive (seq and parallel).
+	// Interleaved models: conjunctive vs disjunctive.
 	type interleaved struct {
 		name    string
 		compile func() (*kripke.Symbolic, error)
@@ -1543,10 +1535,8 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 	}
 	for _, im := range models {
 		entries = append(entries,
-			run(im.name, im.compile, "conjunctive", 1),
-			run(im.name, im.compile, "disjunctive", 1),
-			run(im.name, im.compile, "disjunctive", 2),
-			run(im.name, im.compile, "disjunctive", 4),
+			run(im.name, im.compile, "conjunctive"),
+			run(im.name, im.compile, "disjunctive"),
 		)
 	}
 
@@ -1560,225 +1550,30 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 	t.Logf("wrote BENCH_disjunctive.json with %d entries", len(entries))
 
 	// Acceptance: on the scaled interleaved model the disjunctive image
-	// with >= 2 workers must beat the conjunctive schedule on peak live
-	// nodes or wall time.
-	key := func(model, mode string, workers int) *disjunctiveBenchEntry {
+	// must beat the conjunctive schedule on peak live nodes or wall time.
+	key := func(model, mode string) *disjunctiveBenchEntry {
 		for i := range entries {
 			e := &entries[i]
-			if e.Model == model && e.Mode == mode && e.Workers == workers {
+			if e.Model == model && e.Mode == mode {
 				return e
 			}
 		}
 		return nil
 	}
 	scaled := fmt.Sprintf("scaled-ring-%d", ringN)
-	conj := key(scaled, "conjunctive", 1)
-	for _, w := range []int{2, 4} {
-		disj := key(scaled, "disjunctive", w)
-		if conj == nil || disj == nil {
-			t.Fatal("scaled-ring entries missing")
-		}
-		if disj.ParallelBatches == 0 {
-			t.Fatalf("workers=%d: no parallel batches recorded", w)
-		}
-		if disj.PeakLiveNodes >= conj.PeakLiveNodes && disj.WallMS >= conj.WallMS {
-			t.Errorf("workers=%d: disjunctive (peak %d, %.1fms) beats conjunctive (peak %d, %.1fms) on neither axis",
-				w, disj.PeakLiveNodes, disj.WallMS, conj.PeakLiveNodes, conj.WallMS)
-		}
-		if disj.ReachableStates != conj.ReachableStates {
-			t.Errorf("workers=%d: reachable count differs: %v vs %v", w, disj.ReachableStates, conj.ReachableStates)
-		}
+	conj, disj := key(scaled, "conjunctive"), key(scaled, "disjunctive")
+	if conj == nil || disj == nil {
+		t.Fatal("scaled-ring entries missing")
 	}
-}
-
-// --- BENCH_parallel.json: the shared-engine parallel-evaluation artifact
-//
-// TestRecordParallelBench is gated behind BENCH_PARALLEL=1 and writes
-// BENCH_parallel.json: the whole-reachability fixpoint on the
-// 8-station token ring (disjunctive image — components run as
-// concurrent jobs of one parallel section) and a bounded BFS frontier
-// sweep on the 8-cell scaled arbiter (conjunctive image — large
-// Apply/AndExists calls fork inside the shared engine; the full
-// fixpoint is out of reach at this size, matching the partition
-// bench's treatment of cells >= 6) for workers in {1, 2, 4, 8}.
-// workers=1 is the sequential engine and the wall-time baseline the
-// parallel rows are judged against. Peak live nodes stay directly
-// comparable across worker counts because every schedule now runs on
-// ONE shared manager — no scratch arenas to add in. The host's core
-// count goes into the note (not the benchgate identity): wall-time
-// wins are only asserted when the host can actually run goroutines in
-// parallel.
-
-type parallelBenchEntry struct {
-	Model             string  `json:"model"`
-	Mode              string  `json:"mode"`
-	Workload          string  `json:"workload"`
-	Workers           int     `json:"workers"`
-	WallMS            float64 `json:"wall_ms"`
-	PeakLiveNodes     int     `json:"peak_live_nodes"`
-	ParallelSections  uint64  `json:"parallel_sections,omitempty"`
-	ParallelJobs      uint64  `json:"parallel_jobs,omitempty"`
-	ParallelForks     uint64  `json:"parallel_forks,omitempty"`
-	PeakForksInFlight int     `json:"peak_forks_in_flight,omitempty"`
-	ReachableStates   float64 `json:"reachable_states,omitempty"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
-	Note              string  `json:"note,omitempty"`
-}
-
-func TestRecordParallelBench(t *testing.T) {
-	if os.Getenv("BENCH_PARALLEL") != "1" {
-		t.Skip("set BENCH_PARALLEL=1 to record BENCH_parallel.json")
+	if disj.DisjunctSteps == 0 {
+		t.Fatal("no disjunct steps recorded")
 	}
-	const gcThreshold = 1 << 16
-	note := fmt.Sprintf("cpus=%d gomaxprocs=%d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-
-	const boundedSteps = 10 // arbiter frontier sweep length (full fixpoint blows up)
-	type benchCase struct {
-		model    string
-		mode     string
-		workload string
-		compile  func() (*kripke.Symbolic, error)
+	if disj.PeakLiveNodes >= conj.PeakLiveNodes && disj.WallMS >= conj.WallMS {
+		t.Errorf("disjunctive (peak %d, %.1fms) beats conjunctive (peak %d, %.1fms) on neither axis",
+			disj.PeakLiveNodes, disj.WallMS, conj.PeakLiveNodes, conj.WallMS)
 	}
-	cases := []benchCase{
-		{
-			model:    "scaled-ring-8",
-			mode:     "disjunctive",
-			workload: "reachable",
-			compile: func() (*kripke.Symbolic, error) {
-				c, err := smv.CompileSource(scaledRingSource(8))
-				if err != nil {
-					return nil, err
-				}
-				c.S.EnableDisjunct(true)
-				return c.S, nil
-			},
-		},
-		{
-			model:    "scaled-arbiter-k4",
-			mode:     "conjunctive",
-			workload: fmt.Sprintf("bfs-%d", boundedSteps),
-			compile:  func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(4).Compile() },
-		},
-	}
-
-	run := func(bc benchCase, workers int) parallelBenchEntry {
-		s, err := bc.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bc.model, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		s.SetWorkers(workers)
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		var reach bdd.Ref
-		if bc.workload == "reachable" {
-			reach, _ = s.Reachable()
-		} else {
-			reached := m.Protect(s.Init)
-			frontier := m.Protect(s.Init)
-			for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
-				img := s.Image(frontier)
-				m.Unprotect(frontier)
-				frontier = m.Protect(m.Diff(img, reached))
-				m.Unprotect(reached)
-				reached = m.Protect(m.Or(reached, frontier))
-				m.MaybeGC()
-			}
-			m.Unprotect(frontier)
-			m.Unprotect(reached)
-			reach = reached
-		}
-		wall := time.Since(t0)
-		rs := s.RelStats()
-		hitRate, _ := arenaMetrics(s)
-		return parallelBenchEntry{
-			Model:             bc.model,
-			Mode:              bc.mode,
-			Workload:          bc.workload,
-			Workers:           workers,
-			WallMS:            float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:     rs.PeakLiveNodes,
-			ParallelSections:  m.Stats.ParallelSections,
-			ParallelJobs:      m.Stats.ParallelJobs,
-			ParallelForks:     m.Stats.ParallelForks,
-			PeakForksInFlight: m.Stats.ParallelPeakInFlight,
-			ReachableStates:   s.CountStates(reach),
-			CacheHitRate:      hitRate,
-			Note:              note,
-		}
-	}
-
-	var entries []parallelBenchEntry
-	for _, bc := range cases {
-		for _, w := range []int{1, 2, 4, 8} {
-			entries = append(entries, run(bc, w))
-		}
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_parallel.json with %d entries (%s)", len(entries), note)
-
-	// Acceptance. Correctness and honesty first: same reachable count at
-	// every worker count, parallel rows really ran parallel sections, and
-	// the shared-manager peak stays under the retired scratch-arena
-	// schedule's ~51k-node high-water mark on the ring.
-	byWorkers := func(model string, workers int) *parallelBenchEntry {
-		for i := range entries {
-			if entries[i].Model == model && entries[i].Workers == workers {
-				return &entries[i]
-			}
-		}
-		t.Fatalf("missing entry %s workers=%d", model, workers)
-		return nil
-	}
-	const oldScratchSchedulePeak = 51_000
-	for _, bc := range cases {
-		seq := byWorkers(bc.model, 1)
-		for _, w := range []int{2, 4, 8} {
-			par := byWorkers(bc.model, w)
-			if par.ReachableStates != seq.ReachableStates {
-				t.Errorf("%s workers=%d: reachable count differs: %v vs %v",
-					bc.model, w, par.ReachableStates, seq.ReachableStates)
-			}
-			if par.ParallelSections == 0 {
-				t.Errorf("%s workers=%d: no parallel sections ran", bc.model, w)
-			}
-			if bc.model == "scaled-ring-8" && par.PeakLiveNodes >= oldScratchSchedulePeak {
-				t.Errorf("%s workers=%d: peak %d nodes exceeds the old scratch schedule's ~%d",
-					bc.model, w, par.PeakLiveNodes, oldScratchSchedulePeak)
-			}
-		}
-	}
-	// Wall time: on a multi-core host at least one whole-reachability run
-	// must be faster with 8 workers than sequential. On a single-core
-	// host parallel cannot win wall time — the engine must merely stay
-	// within bounded overhead of the sequential baseline.
-	if runtime.NumCPU() > 1 {
-		won := false
-		for _, bc := range cases {
-			if byWorkers(bc.model, 8).WallMS < byWorkers(bc.model, 1).WallMS {
-				won = true
-			}
-		}
-		if !won {
-			t.Errorf("workers=8 beat sequential wall time on no model (cpus=%d)", runtime.NumCPU())
-		}
-	} else {
-		for _, bc := range cases {
-			seq, par := byWorkers(bc.model, 1), byWorkers(bc.model, 8)
-			if par.WallMS > 3*seq.WallMS+10 {
-				t.Errorf("%s: workers=8 wall %.1fms > 3x sequential %.1fms on a single-core host",
-					bc.model, par.WallMS, seq.WallMS)
-			}
-		}
+	if disj.ReachableStates != conj.ReachableStates {
+		t.Errorf("reachable count differs: %v vs %v", disj.ReachableStates, conj.ReachableStates)
 	}
 }
 

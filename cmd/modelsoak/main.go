@@ -2,8 +2,8 @@
 // harness for an extended period: each seed produces a well-formed SMV
 // program that is compiled through every engine configuration in the
 // lattice (monolithic/partitioned/disjunctive × complement edges on/off
-// × auto-reorder on/off × 1/4 workers), cross-checked against the
-// explicit-state oracle, and every counterexample trace is replayed.
+// × auto-reorder on/off), cross-checked against the explicit-state
+// oracle, and every counterexample trace is replayed.
 // Any divergence is shrunk to a minimal reproducer and written to the
 // -repro directory; the process exits 1 if any seed diverged.
 //

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smv [-stats] [-delta] [-reachable] [-witness] [-compact] [-tree]
-//	    [-reorder] [-disjunctive] [-workers N] [-ltl "formula"]
+//	    [-reorder] [-disjunctive] [-ltl "formula"]
 //	    [-simulate N -seed S] model.smv
 //
 // Besides SPEC (CTL) sections the input may contain LTLSPEC sections;
@@ -21,9 +21,6 @@
 //	-ltl F       check LTL formula F in addition to the model's LTLSPECs
 //	-reorder     enable dynamic variable reordering (growth-triggered sifting)
 //	-disjunctive use the disjunctive (per-process) image on interleaved models
-//	-workers N   evaluate BDD operations on N goroutines sharing one
-//	             manager (all image modes; disjunctive components also
-//	             run as concurrent jobs)
 //	-delta       print traces showing only changed variables per state
 //	-reachable   report the number of reachable states first
 //	-witness     for specs that hold and are existential, print a witness
@@ -75,7 +72,6 @@ func main() {
 	ltlSpec := flag.String("ltl", "", "check an LTL formula in addition to the model's LTLSPEC sections")
 	reorder := flag.Bool("reorder", false, "enable dynamic variable reordering")
 	disjunctive := flag.Bool("disjunctive", false, "use the disjunctive (per-process) image on interleaved models")
-	workers := flag.Int("workers", 1, "worker goroutines for parallel BDD evaluation on the shared manager (all image modes)")
 	noComplement := flag.Bool("no-complement", false, "disable complement edges (legacy structural negation)")
 	server := flag.String("server", "", "check via a running smvd at this base URL instead of locally")
 	cacheDir := flag.String("cache-dir", "", "warm-start from (and write) smvd warm records in this directory")
@@ -108,7 +104,6 @@ func main() {
 	}
 	engineCfg := smvd.Config{
 		Disjunctive:  *disjunctive,
-		Workers:      *workers,
 		Reorder:      *reorder,
 		NoComplement: *noComplement,
 	}
@@ -130,7 +125,6 @@ func main() {
 			compiled.S.EnableDisjunct(true)
 		}
 	}
-	compiled.S.SetWorkers(*workers)
 
 	// Warm start: restore a previous run's variable order and fixpoint
 	// results from the shared smvd record store, if a record exists.
@@ -266,7 +260,6 @@ func main() {
 		if *disjunctive && p.S.NumDisjuncts() > 0 {
 			p.S.EnableDisjunct(true)
 		}
-		p.S.SetWorkers(*workers)
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
 		if err != nil {
@@ -302,8 +295,11 @@ func main() {
 		fmt.Printf("\n-- statistics\n")
 		fmt.Printf("state variables:    %d (BDD variables: %d)\n", len(compiled.S.Vars), m.NumVars())
 		fmt.Printf("live BDD nodes:     %d\n", m.NumNodes())
+		// bdd.Stats.CacheHits also counts AndExists hits, whose lookups
+		// are in AndExistsLookups: subtract them to pair ITE-table hits
+		// with ITE-table lookups.
 		fmt.Printf("ITE calls:          %d (cache hits %d / lookups %d)\n",
-			m.Stats.ITECalls, m.Stats.CacheHits, m.Stats.CacheLookups)
+			m.Stats.ITECalls, m.Stats.CacheHits-m.Stats.AndExistsHits, m.Stats.CacheLookups)
 		rel := compiled.S.RelStats()
 		fmt.Printf("computed cache:     %.1f%% hit rate (%d hits / %d lookups), unique-table load %.2f, complement edges %v\n",
 			100*rel.CacheHitRate(), rel.CacheHits, rel.CacheLookups,
@@ -316,14 +312,8 @@ func main() {
 		fmt.Printf("transition clusters: %d (preimages %d, images %d, cluster steps %d, peak %d nodes in chains)\n",
 			compiled.S.NumClusters(), rel.PreimageCalls, rel.ImageCalls, rel.ClusterSteps, rel.PeakLiveNodes)
 		if n := compiled.S.NumDisjuncts(); n > 0 {
-			fmt.Printf("disjunctive components: %d (enabled %v, workers %d, disjunct steps %d, parallel batches %d)\n",
-				n, compiled.S.DisjunctEnabled(), compiled.S.Workers(),
-				rel.DisjunctSteps, rel.ParallelBatches)
-		}
-		if m.ParallelWorkers() > 1 || m.Stats.ParallelSections > 0 {
-			fmt.Printf("parallel engine:    %d workers, %d sections (%d jobs, %d forks, %d retries, peak %d forks in flight)\n",
-				m.ParallelWorkers(), m.Stats.ParallelSections, m.Stats.ParallelJobs,
-				m.Stats.ParallelForks, m.Stats.ParallelRetries, m.Stats.ParallelPeakInFlight)
+			fmt.Printf("disjunctive components: %d (enabled %v, disjunct steps %d)\n",
+				n, compiled.S.DisjunctEnabled(), rel.DisjunctSteps)
 		}
 		fmt.Printf("checker preimages:  %d (%d cluster steps, %d disjunct steps, AndExists cache hits %d / lookups %d)\n",
 			checker.Stats.PreimageCalls, checker.Stats.ClusterSteps, checker.Stats.DisjunctSteps,

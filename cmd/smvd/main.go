@@ -14,10 +14,13 @@
 // Endpoints:
 //
 //	POST /check    {"model": "...", "specs": ["AG p"], "ltl": ["G F q"],
-//	                "config": {"workers": 4}, "deadline_ms": 5000}
+//	                "config": {"disjunctive": true}, "deadline_ms": 5000}
 //	GET  /statsz   cache hit/miss counters + per-session RelStats
 //	GET  /healthz  liveness probe
 //	     /debug/pprof/  live profiling
+//
+// A /check body over smvd.MaxRequestBytes (1 MiB) is refused with 413,
+// and a client gets readHeaderTimeout to send its request headers.
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight queries
 // finish and every session's warm-start record is flushed to the cache
@@ -36,6 +39,10 @@ import (
 
 	"repro/internal/smvd"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or slow clients cannot hold connections open.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8611", "listen address")
@@ -61,7 +68,7 @@ func run(addr, cacheDir string, maxSessions, nodeBudget int, defaultDeadline, ma
 	server.DefaultDeadline = defaultDeadline
 	server.MaxDeadline = maxDeadline
 
-	hs := &http.Server{Addr: addr, Handler: server.Handler()}
+	hs := &http.Server{Addr: addr, Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("smvd listening on %s (max sessions %d, cache dir %q)\n", addr, maxSessions, cacheDir)

@@ -79,7 +79,6 @@ func runUnderRepresentation(t *testing.T, src, mode string, opts smv.CompileOpti
 			cc.S.EnablePartition(false)
 		case "disjunctive":
 			cc.S.EnableDisjunct(true)
-			cc.S.SetWorkers(2)
 		}
 	}
 	configure(c)

@@ -18,9 +18,7 @@ import (
 // counterexamples for failing specs, witnesses for satisfied
 // existential ones — must match the monolithic path, with the traces
 // from BOTH paths independently validated against the model
-// (ValidatePath, and ValidateFairLasso for fair lassos). Runs
-// sequentially and with worker goroutines; `go test -race` exercises
-// the shared-manager parallel engine's concurrency model.
+// (ValidatePath, and ValidateFairLasso for fair lassos).
 func TestDisjunctiveModelsDifferential(t *testing.T) {
 	entries, err := os.ReadDir("models")
 	if err != nil {
@@ -43,13 +41,11 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 			continue
 		}
 		processModels++
-		for _, workers := range []int{1, 3} {
-			for _, rep := range complementOptions {
-				workers, rep := workers, rep
-				t.Run(ent.Name()+"/workers="+string(rune('0'+workers))+"/"+rep.name, func(t *testing.T) {
-					compareDisjunctiveToMonolithic(t, string(src), workers, rep.opts)
-				})
-			}
+		for _, rep := range complementOptions {
+			rep := rep
+			t.Run(ent.Name()+"/"+rep.name, func(t *testing.T) {
+				compareDisjunctiveToMonolithic(t, string(src), rep.opts)
+			})
 		}
 	}
 	if processModels == 0 {
@@ -60,7 +56,7 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 // compareDisjunctiveToMonolithic compiles src twice — one copy checked
 // through the disjunctive image, one through the monolithic relation —
 // and compares everything observable.
-func compareDisjunctiveToMonolithic(t *testing.T, src string, workers int, opts smv.CompileOptions) {
+func compareDisjunctiveToMonolithic(t *testing.T, src string, opts smv.CompileOptions) {
 	dis, err := smv.CompileSourceWith(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +65,6 @@ func compareDisjunctiveToMonolithic(t *testing.T, src string, workers int, opts 
 		t.Fatal("process model compiled without disjunctive components")
 	}
 	dis.S.EnableDisjunct(true)
-	dis.S.SetWorkers(workers)
 
 	mono, err := smv.CompileSourceWith(src, opts)
 	if err != nil {
@@ -150,7 +145,6 @@ func compareDisjunctiveToMonolithic(t *testing.T, src string, workers int, opts 
 			t.Fatalf("LTLSPEC %s: product lost the disjunctive components", sp.Source)
 		}
 		pD.S.EnableDisjunct(true)
-		pD.S.SetWorkers(workers)
 		pM, err := smv.CompileLTLWith(mono.Module, sp.Formula, sp.Source, opts)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
@@ -195,8 +189,5 @@ func compareDisjunctiveToMonolithic(t *testing.T, src string, workers int, opts 
 	}
 	if dis.S.RelStats().DisjunctSteps == 0 {
 		t.Fatal("disjunctive image never ran")
-	}
-	if workers > 1 && dis.S.RelStats().ParallelBatches == 0 {
-		t.Fatal("parallel workers never ran")
 	}
 }

@@ -20,17 +20,11 @@ package bdd
 // complemented ref), and Not(f) builds ¬f node by node through the same
 // recursion.
 
-// Ite computes if-then-else: (f ∧ g) ∨ (¬f ∧ h). With the parallel
-// engine enabled (SetParallelWorkers), sufficiently large calls
-// evaluate in a fork-join parallel section; canonicity guarantees the
-// returned Ref is identical either way.
+// Ite computes if-then-else: (f ∧ g) ∨ (¬f ∧ h).
 func (m *Manager) Ite(f, g, h Ref) Ref {
 	m.checkRef(f)
 	m.checkRef(g)
 	m.checkRef(h)
-	if m.parGate(f, g, h) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parIte(c, f, g, h, 0) })
-	}
 	return m.ite3(f, g, h)
 }
 

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -158,10 +157,6 @@ type Manager struct {
 
 	gcThreshold int // run GC opportunistically above this many live nodes
 
-	// par is the shared-memory parallel engine, nil until
-	// SetParallelWorkers enables it (see parallel.go).
-	par *parState
-
 	// Stats accumulates counters since the Manager was created.
 	Stats Stats
 }
@@ -202,18 +197,16 @@ type Stats struct {
 	ReorderSavedNodes int64
 	ReorderTime       time.Duration
 
-	// Parallel-engine counters (see parallel.go). ParallelSections
-	// counts fork-join sections opened, ParallelJobs the RunParallel
-	// jobs executed inside them, ParallelForks the recursion subproblems
-	// forked onto fresh goroutines, ParallelRetries the sections
-	// re-run after arena exhaustion, and ParallelPeakInFlight the
-	// high-water mark of simultaneously forked subtasks (the queue-depth
-	// signal: it saturates at the fork cap when workers stay busy).
-	ParallelSections     uint64
-	ParallelJobs         uint64
-	ParallelForks        uint64
-	ParallelRetries      uint64
-	ParallelPeakInFlight int
+	// Deprecated: the manager is single-threaded and never opens a
+	// parallel section, so ParallelSections is always 0. It remains only
+	// for perfbench's bdd.par_sections metric.
+	ParallelSections uint64
+	// Deprecated: always 0, as ParallelSections; kept for perfbench's
+	// bdd.par_forks metric.
+	ParallelForks uint64
+	// Deprecated: always 0, as ParallelSections; kept for perfbench's
+	// bdd.par_retries metric.
+	ParallelRetries uint64
 }
 
 type iteEntry struct {
@@ -290,9 +283,6 @@ func (m *Manager) AddVar() int {
 	m.var2level = append(m.var2level, v)
 	m.level2var = append(m.level2var, v)
 	m.tables = append(m.tables, newSubtable(initialLevelBuckets))
-	if m.par != nil && len(m.par.levelMu) < len(m.tables) {
-		m.par.levelMu = append(m.par.levelMu, make([]sync.Mutex, len(m.tables)-len(m.par.levelMu))...)
-	}
 	return v
 }
 
@@ -600,7 +590,6 @@ func (m *Manager) clearCaches() {
 	for _, p := range m.perms {
 		p.cache = nil
 	}
-	m.parInvalidateCaches()
 }
 
 // cacheIndex hashes up to four words into a cache slot index.
@@ -648,9 +637,7 @@ func (m *Manager) resizeCaches(n int) {
 // maybeGrowCaches scales the computed tables with the arena: whenever
 // the live-node count outgrows the cache, the cache doubles (up to
 // maxAutoCacheSize) so the hit rate does not collapse on large models.
-// Called at safe points only (MaybeGC, GC) — never mid-recursion inside
-// a parallel section, where workers read the sequential tables' twin
-// seqlock caches instead.
+// Called at safe points only (MaybeGC, GC), never mid-recursion.
 func (m *Manager) maybeGrowCaches() {
 	if m.cachePinned || m.cacheSize >= maxAutoCacheSize {
 		return

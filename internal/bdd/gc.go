@@ -13,11 +13,6 @@ package bdd
 // GC collects every node unreachable from the protected and registered
 // roots and returns the number of nodes freed.
 func (m *Manager) GC() int {
-	if m.par != nil && m.par.inSection {
-		// Parallel workers are sharing the arena right now; collection
-		// waits for the fork-join section boundary (the safe point).
-		return 0
-	}
 	m.Stats.GCRuns++
 	// Mark.
 	for r := range m.roots {
@@ -96,11 +91,9 @@ func (m *Manager) mark(f Ref) {
 // threshold, returning the number of nodes freed (0 if no collection
 // ran). Callers must ensure every Ref they still need is protected.
 func (m *Manager) MaybeGC() int {
-	if m.par == nil || !m.par.inSection {
-		// MaybeGC is called at fixpoint safe points; scale the computed
-		// tables with the arena here even when no collection runs.
-		m.maybeGrowCaches()
-	}
+	// MaybeGC is called at fixpoint safe points; scale the computed
+	// tables with the arena here even when no collection runs.
+	m.maybeGrowCaches()
 	if m.numAlloc <= m.gcThreshold {
 		return 0
 	}

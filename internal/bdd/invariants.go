@@ -201,102 +201,3 @@ func CheckInvariants(m *Manager) error {
 	}
 	return nil
 }
-
-// CheckInvariantsConcurrent verifies the striped unique table while
-// parallel workers are actively mutating it: it may run concurrently
-// with parallel-section Apply traffic (and is race-detector clean
-// against it), locking one level stripe at a time and checking, for
-// every node chained there, the level match, hash placement,
-// reducedness, canonical else-edge form, in-arena children, strict
-// level ordering and triple uniqueness, plus the exact per-level count.
-//
-// It is NOT safe against *sequential* mutation (mk, GC, reordering,
-// sift) — those paths don't take the stripe locks; the caller must
-// ensure only parallel-routed operations run during the scan. Global
-// properties that need a quiescent manager (free-list consistency,
-// numAlloc/numFree accounting, sequential-cache staleness) are the
-// domain of CheckInvariants, between sections.
-//
-// Race-freedom argument: a node's lvl/low/high fields are written
-// exactly once, before the node is published into its level's bucket
-// chain under that level's stripe lock; we observe the node only via
-// that chain while holding the same lock, so the happens-before edge
-// through the mutex covers the plain field reads. A child ref stored in
-// a node was obtained by its creator either under the child's stripe
-// lock or from an atomic cache entry — both synchronize with the
-// child's field writes — and the creator published the parent after
-// that, extending the happens-before chain to our read of the child's
-// level. The arena slice header is pinned by the engine's arenaMu
-// (held shared here; the coordinator takes it exclusively for the
-// pre-section extension and growth).
-func CheckInvariantsConcurrent(m *Manager) error {
-	ps := m.par
-	if ps == nil {
-		return CheckInvariants(m)
-	}
-	ps.arenaMu.RLock()
-	defer ps.arenaMu.RUnlock()
-	n := len(m.nodes)
-	numLevels := uint32(len(m.level2var))
-	type pair struct{ low, high Ref }
-	for l := range m.tables {
-		ps.levelMu[l].Lock()
-		st := &m.tables[l]
-		seen := make(map[pair]uint32, st.count)
-		inLevel := 0
-		err := func() error {
-			for b := range st.buckets {
-				steps := 0
-				for i := st.buckets[b]; i != 0; i = m.nodes[i].next {
-					if int(i) >= n {
-						return fmt.Errorf("bdd: level %d bucket %d chains to node %d outside arena", l, b, i)
-					}
-					nd := m.nodes[i]
-					if nd.lvl != uint32(l) {
-						return fmt.Errorf("bdd: node %d at level %d chained in level %d's table", i, nd.lvl, l)
-					}
-					if nd.lvl >= numLevels {
-						return fmt.Errorf("bdd: node %d has level %d beyond the %d variables", i, nd.lvl, numLevels)
-					}
-					if int(nd.low&^compBit) >= n || int(nd.high&^compBit) >= n {
-						return fmt.Errorf("bdd: node %d has out-of-arena child (%d, %d)", i, nd.low, nd.high)
-					}
-					if nd.low == nd.high {
-						return fmt.Errorf("bdd: node %d is unreduced (low == high == %d)", i, nd.low)
-					}
-					if !m.noComp && nd.low&compBit != 0 {
-						return fmt.Errorf("bdd: node %d violates canonical form: complemented else edge %d", i, nd.low)
-					}
-					if m.level(nd.low) <= nd.lvl || m.level(nd.high) <= nd.lvl {
-						return fmt.Errorf("bdd: node %d at level %d has child at level <= its own "+
-							"(low %d at %d, high %d at %d)", i, nd.lvl,
-							nd.low, m.level(nd.low), nd.high, m.level(nd.high))
-					}
-					tr := pair{nd.low, nd.high}
-					if hash2(tr.low, tr.high, st.mask) != uint32(b) {
-						return fmt.Errorf("bdd: node %d (lvl %d, %d, %d) chained in bucket %d, hashes to %d",
-							i, l, tr.low, tr.high, b, hash2(tr.low, tr.high, st.mask))
-					}
-					if prev, dup := seen[tr]; dup {
-						return fmt.Errorf("bdd: duplicate unique-table triple (lvl %d, %d, %d): nodes %d and %d",
-							l, tr.low, tr.high, prev, i)
-					}
-					seen[tr] = uint32(i)
-					inLevel++
-					if steps++; steps > n {
-						return fmt.Errorf("bdd: level %d bucket %d chain does not terminate", l, b)
-					}
-				}
-			}
-			if inLevel != st.count {
-				return fmt.Errorf("bdd: level %d table chains %d nodes, count says %d", l, inLevel, st.count)
-			}
-			return nil
-		}()
-		ps.levelMu[l].Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

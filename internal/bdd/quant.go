@@ -75,15 +75,10 @@ func (m *Manager) CubeVars(cube Ref) []int {
 	return vars
 }
 
-// Exists computes ∃ vars . f where vars is a positive cube. With the
-// parallel engine enabled, sufficiently large calls evaluate in a
-// fork-join parallel section (the result Ref is identical either way).
+// Exists computes ∃ vars . f where vars is a positive cube.
 func (m *Manager) Exists(f, cube Ref) Ref {
 	m.checkRef(f)
 	m.checkRef(cube)
-	if m.parGate(f) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parExists(c, f, cube, 0) })
-	}
 	return m.exists(f, cube)
 }
 
@@ -180,9 +175,6 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	m.checkRef(g)
 	m.checkRef(cube)
 	m.Stats.AndExistsCalls++
-	if m.parGate(f, g) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parAndExists(c, f, g, cube, 0) })
-	}
 	if m.aex == nil {
 		m.aex = make([]aexEntry, m.cacheSize)
 	}

@@ -223,11 +223,6 @@ func (m *Manager) ReorderIfNeeded() bool {
 	if !m.autoReorder || m.reorderPause > 0 || m.reordering {
 		return false
 	}
-	if m.par != nil && m.par.inSection {
-		// Parallel workers share the arena right now; sifting waits for
-		// the fork-join section boundary (the stop-the-world safe point).
-		return false
-	}
 	if m.numAlloc < m.reorderOpts.MinNodes {
 		return false
 	}
@@ -460,9 +455,6 @@ func (m *Manager) Sift(roots []Ref) []Ref {
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
 		return
-	}
-	if m.par != nil && m.par.inSection {
-		return // safe point: never restructure under live parallel workers
 	}
 	m.reordering = true
 	defer func() { m.reordering = false }()

@@ -2,15 +2,11 @@ package bdd
 
 // Cross-manager transfer. CopyTo moves a function between managers —
 // isolating a sub-problem in a private arena, differential testing
-// across configurations, or persisting into a fresh manager. (The
-// parallel disjunctive image used to shard components across
-// thread-confined scratch managers this way; that schedule now runs on
-// the shared parallel engine in parallel.go, but CopyTo remains the
-// tool for deliberate isolation.) The copy is structural — every node
-// is re-created level-for-level through the destination's unique
-// table — so it is only meaningful between managers that agree on the
-// variable order; NewWithOrder exists to mint such scratch arenas from
-// a live manager's current order.
+// across configurations, or persisting into a fresh manager. The copy
+// is structural — every node is re-created level-for-level through the
+// destination's unique table — so it is only meaningful between
+// managers that agree on the variable order; NewWithOrder exists to
+// mint such scratch arenas from a live manager's current order.
 
 // NewWithOrder creates a Manager over len(order) variables whose
 // initial variable order places order[i] at level i (order must be a
@@ -39,11 +35,7 @@ func NewWithOrder(order []int, opts ...Option) *Manager {
 // copy across representations would plant complemented edges in a
 // manager whose algorithms assume there are none, so that too panics.
 //
-// CopyTo only reads m and only writes dst. That asymmetry makes
-// thread-confined sharding safe where callers want it: a coordinator
-// goroutine may copy into several scratch managers while no operation
-// runs on m, and each worker may later mutate its own scratch without
-// synchronization.
+// CopyTo only reads m and only writes dst.
 func (m *Manager) CopyTo(dst *Manager, f Ref) Ref {
 	m.checkRef(f)
 	if dst == m {

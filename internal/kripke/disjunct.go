@@ -22,22 +22,15 @@ import (
 // Tᵢ's support are quantified from the argument *before* the relational
 // product (∃x.(S ∧ T) = (∃x.S) ∧ T when x ∉ sup(T)), shrinking the
 // operand AndExists actually sees. Components are independent — no
-// chain threads an accumulator through them — which is what makes the
-// disjunctive image parallelizable: with SetWorkers(n>1) the
-// per-component AndExists calls run as independent jobs of one
-// fork-join section on the shared-memory parallel BDD engine
-// (bdd.RunParallel), all workers extending the same striped unique
-// table, and the coordinator OR-merges the results after the join.
-// There is no operand copying and no copy-back: every worker's result
-// is already a canonical ref in the main manager (see DESIGN.md §5 for
-// the concurrency model).
+// chain threads an accumulator through them — so each product runs on
+// the one manager, sharing its AndExists cache, and the results are
+// OR-merged.
 //
 // Reachability additionally tracks a per-component frontier: fed[i] is
 // the set of states already expanded through component i, so a round
-// only feeds each component the states it has not seen. Sequentially
-// the components chain — states discovered by component i feed
-// component i+1 within the same round — while the parallel schedule
-// expands all components from the same snapshot and merges.
+// only feeds each component the states it has not seen. The components
+// chain — states discovered by component i feed component i+1 within
+// the same round.
 
 // component is one disjunct Tᵢ with its precomputed quantification
 // cubes for both image directions.
@@ -179,22 +172,12 @@ func (s *Symbolic) NumDisjuncts() int {
 	return len(s.disj.comps)
 }
 
-// SetWorkers sets the number of worker goroutines used for BDD
-// evaluation (n <= 1: sequential). It configures the manager's
-// shared-memory parallel engine — so every image mode benefits from
-// large-operand parallel Apply/AndExists — and, for a disjunctive
-// partition, additionally schedules independent component products as
-// concurrent jobs of one parallel section.
-func (s *Symbolic) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-	s.M.SetParallelWorkers(n)
-}
-
-// Workers returns the configured disjunctive worker count.
-func (s *Symbolic) Workers() int { return s.workers }
+// SetWorkers does nothing: every image mode runs sequentially on the
+// one single-threaded manager.
+//
+// Deprecated: the shared-memory parallel BDD engine it configured has
+// been removed. SetWorkers remains only because perfbench calls it.
+func (s *Symbolic) SetWorkers(int) {}
 
 // imageDisjunct computes successors over the disjunctive components.
 func (s *Symbolic) imageDisjunct(from bdd.Ref) bdd.Ref {
@@ -219,18 +202,10 @@ func (s *Symbolic) preimageDisjunct(to bdd.Ref) bdd.Ref {
 // (over next-state variables for the image direction, current-state for
 // the preimage direction). args holds one argument per component —
 // identical refs for a plain image, per-component deltas for the
-// reachability sweep; bdd.False entries are skipped.
-func (s *Symbolic) disjunctApply(args []bdd.Ref, pre bool) bdd.Ref {
-	if s.workers > 1 && len(s.disj.comps) > 1 {
-		return s.disjunctApplyParallel(args, pre)
-	}
-	return s.disjunctApplySeq(args, pre)
-}
-
-// disjunctApplySeq is the sequential schedule: every component's
+// reachability sweep; bdd.False entries are skipped. Every component's
 // relational product runs on the main manager (sharing its AndExists
 // cache), with a reorder safe point between components.
-func (s *Symbolic) disjunctApplySeq(args []bdd.Ref, pre bool) bdd.Ref {
+func (s *Symbolic) disjunctApply(args []bdd.Ref, pre bool) bdd.Ref {
 	m := s.M
 	d := s.disj
 	res := bdd.False
@@ -260,87 +235,12 @@ func (s *Symbolic) disjunctApplySeq(args []bdd.Ref, pre bool) bdd.Ref {
 	return res
 }
 
-// disjunctTask is one component's unit of parallel work: the
-// pre-projected argument, the quantification cube and the component
-// relation — all refs in the shared manager — plus the result slot the
-// job fills. The coordinator computes the operands before the jobs
-// start and reads res after RunParallel joins, so no field is accessed
-// concurrently.
-type disjunctTask struct {
-	arg, rel, cube bdd.Ref
-	res            bdd.Ref
-}
-
-// disjunctApplyParallel is the shared-manager parallel schedule: the
-// coordinator pre-quantifies each component's free variables, then
-// hands the per-component relational products to bdd.RunParallel as
-// independent jobs of one fork-join section on the shared parallel
-// engine. Every worker extends the same striped unique table, so each
-// result is already a canonical ref in the main manager — there is no
-// operand copying and no copy-back, and sharing between components'
-// intermediate results is found in the shared caches rather than
-// recomputed per arena. Automatic reordering and GC wait for the
-// section boundary (the engine's safe point), so no order-alignment
-// bookkeeping is needed; the registered args translate as usual if a
-// reorder fires at the safe point before the batch.
-func (s *Symbolic) disjunctApplyParallel(args []bdd.Ref, pre bool) bdd.Ref {
-	m := s.M
-	d := s.disj
-	ptrs := make([]*bdd.Ref, 0, len(args))
-	for i := range args {
-		ptrs = append(ptrs, &args[i])
-	}
-	id := m.RegisterRefs(ptrs...)
-	m.ReorderIfNeeded()
-
-	var tasks []*disjunctTask
-	for i := range d.comps {
-		if args[i] == bdd.False {
-			continue
-		}
-		c := &d.comps[i]
-		cube, free := c.imgCube, c.imgFree
-		if pre {
-			cube, free = c.preCube, c.preFree
-		}
-		proj := m.Exists(args[i], free)
-		if proj == bdd.False {
-			continue
-		}
-		tasks = append(tasks, &disjunctTask{arg: proj, rel: c.rel, cube: cube})
-	}
-	m.Unregister(id)
-	if len(tasks) == 0 {
-		return bdd.False
-	}
-
-	jobs := make([]func(op *bdd.ParOp), len(tasks))
-	for k := range tasks {
-		t := tasks[k]
-		jobs[k] = func(op *bdd.ParOp) {
-			t.res = op.AndExists(t.arg, t.rel, t.cube)
-		}
-	}
-	m.RunParallel(jobs)
-
-	res := bdd.False
-	for _, t := range tasks {
-		res = m.Or(res, t.res)
-		s.relStats.ClusterSteps++
-		s.relStats.DisjunctSteps++
-	}
-	s.relStats.ParallelBatches++
-	s.noteLiveNodes()
-	return res
-}
-
 // reachableDisjunct is the disjunctive reachability sweep with
 // per-component frontier tracking: fed[i] is the set of states already
 // expanded through component i, and each round feeds component i only
-// reached ∖ fed[i]. Sequentially the components chain (states found by
-// an earlier component feed later components in the same round); with
-// workers the round expands every component from the same snapshot and
-// merges. Returns the reachable set and the number of rounds.
+// reached ∖ fed[i]. The components chain: states found by an earlier
+// component feed later components in the same round. Returns the
+// reachable set and the number of rounds.
 func (s *Symbolic) reachableDisjunct() (bdd.Ref, int) {
 	m := s.M
 	d := s.disj
@@ -353,43 +253,24 @@ func (s *Symbolic) reachableDisjunct() (bdd.Ref, int) {
 			fed[i] = translate(fed[i])
 		}
 	})
-	parallel := s.workers > 1 && k > 1
 	rounds := 0
 	for {
 		m.ReorderIfNeeded()
 		changed := false
-		if parallel {
+		for i := range d.comps {
+			delta := m.Diff(reached, fed[i])
+			if delta == bdd.False {
+				continue
+			}
+			fed[i] = reached
 			args := make([]bdd.Ref, k)
-			for i := range d.comps {
-				args[i] = m.Diff(reached, fed[i])
-			}
-			snapshot := reached
+			args[i] = delta
 			img := s.ToCur(s.disjunctApply(args, false))
-			for i := range fed {
-				fed[i] = snapshot
-			}
 			next := m.Or(reached, img)
 			if next != reached {
 				changed = true
 				m.Unprotect(reached)
 				reached = m.Protect(next)
-			}
-		} else {
-			for i := range d.comps {
-				delta := m.Diff(reached, fed[i])
-				if delta == bdd.False {
-					continue
-				}
-				fed[i] = reached
-				args := make([]bdd.Ref, k)
-				args[i] = delta
-				img := s.ToCur(s.disjunctApplySeq(args, false))
-				next := m.Or(reached, img)
-				if next != reached {
-					changed = true
-					m.Unprotect(reached)
-					reached = m.Protect(next)
-				}
 			}
 		}
 		if !changed {

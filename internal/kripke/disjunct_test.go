@@ -151,29 +151,10 @@ func TestDisjunctImageMatchesMonolithic(t *testing.T) {
 	}
 }
 
-func TestDisjunctImageParallelWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 10; trial++ {
-		s := buildInterleaved(r, 4, 2)
-		for _, workers := range []int{2, 3, 8} {
-			s.SetWorkers(workers)
-			for probe := 0; probe < 4; probe++ {
-				checkImageModes(t, s, randomStateSet(r, s), "par")
-			}
-		}
-		if s.RelStats().ParallelBatches == 0 {
-			t.Fatal("parallel batches not counted")
-		}
-	}
-}
-
 func TestDisjunctReachableAgrees(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 10; trial++ {
 		s := buildInterleaved(r, 5, 1+r.Intn(2))
-		if trial%2 == 1 {
-			s.SetWorkers(3)
-		}
 		s.EnableDisjunct(true)
 		reachD, _ := s.Reachable()
 		s.EnableDisjunct(false)
@@ -294,44 +275,17 @@ func TestDisjunctRelStatsTruthful(t *testing.T) {
 	if rs.PeakLiveNodes == 0 {
 		t.Fatal("peak live nodes not sampled on the disjunctive path")
 	}
-	if rs.ParallelBatches != 0 {
-		t.Fatal("no parallel batches should run with workers=1")
-	}
-
-	s.SetWorkers(4)
-	// Force every operand over the parallel engine's size gate so the
-	// batch actually runs as a shared-engine section.
-	s.M.SetParallelGranularity(1)
-	s.ResetRelStats()
-	calls0 := s.M.Stats.AndExistsCalls
-	sections0 := s.M.Stats.ParallelSections
-	s.Image(s.Init)
-	rs = s.RelStats()
-	if rs.ParallelBatches == 0 {
-		t.Fatal("parallel batch not counted")
-	}
-	if s.M.Stats.ParallelSections == sections0 {
-		t.Fatal("parallel batch did not run a shared-engine section")
-	}
-	if s.M.Stats.AndExistsCalls == calls0 {
-		t.Fatal("parallel AndExists traffic not folded into manager stats")
-	}
-	if rs.PeakLiveNodes == 0 {
-		t.Fatal("peak live nodes not sampled on the parallel path")
-	}
 }
 
 func TestDisjunctSurvivesReorder(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	s := buildInterleaved(r, 5, 1)
 	s.EnableDisjunct(true)
-	s.SetWorkers(2)
 	set := s.M.Protect(randomStateSet(r, s))
 	imgBefore := s.M.Protect(s.Image(set))
 
 	// Force a committed reorder; the hook must rewrite the components and
-	// cubes (the shared parallel engine's caches are generation-tagged,
-	// so no per-arena invalidation is needed).
+	// cubes.
 	n := s.M.NumVars()
 	order := make([]int, n)
 	for i := range order {
@@ -351,17 +305,15 @@ func TestDisjunctSurvivesReorder(t *testing.T) {
 }
 
 // FuzzImageDifferential cross-checks the three image strategies —
-// disjunctive (sequential and parallel), conjunctive, monolithic — on
-// random interleaved models.
+// disjunctive, conjunctive, monolithic — on random interleaved models.
 func FuzzImageDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(1))
-	f.Add(int64(2), uint8(2), uint8(2))
-	f.Add(int64(99), uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, nSched uint8, workers uint8) {
+	f.Add(int64(1), uint8(1))
+	f.Add(int64(2), uint8(2))
+	f.Add(int64(99), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nSched uint8) {
 		ns := int(nSched)%2 + 1 // 1 or 2 scheduler bits
 		r := rand.New(rand.NewSource(seed))
 		s := buildInterleaved(r, 3+r.Intn(3), ns)
-		s.SetWorkers(int(workers)%4 + 1)
 		for probe := 0; probe < 3; probe++ {
 			set := randomStateSet(r, s)
 			s.EnableDisjunct(true)

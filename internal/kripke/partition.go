@@ -66,19 +66,13 @@ func (p *Partition) ImageOrder() []int {
 // the monolithic, conjunctive and disjunctive paths. PeakLiveNodes is
 // the manager's live-node high-water mark sampled at every image step
 // (and at every cluster/component step on the partitioned paths), which
-// is where the intermediate-result blow-up of a bad schedule shows up;
-// parallel schedules run on the shared manager, so the same counter
-// covers them with no off-manager memory to add in.
+// is where the intermediate-result blow-up of a bad schedule shows up.
 type RelStats struct {
 	PreimageCalls uint64
 	ImageCalls    uint64
 	ClusterSteps  uint64 // AndExists steps taken: chain links (conjunctive) + component products (disjunctive); 0 on the monolithic path
 	DisjunctSteps uint64 // component products taken by the disjunctive image (subset of ClusterSteps)
-	// ParallelBatches counts disjunctive image calls whose component
-	// products ran as concurrent jobs of a shared-engine parallel
-	// section (see bdd.RunParallel).
-	ParallelBatches uint64
-	PeakLiveNodes   int
+	PeakLiveNodes int
 
 	// ReachableReuses counts Reachable calls answered from the cache
 	// (EnableReachableCache / SetReachable) without running the fixpoint —
@@ -86,12 +80,14 @@ type RelStats struct {
 	// actually skipped.
 	ReachableReuses uint64
 
-	// Computed-cache traffic of the underlying manager (ITE, binary and
-	// AndExists lookups all funnel through these counters) accumulated
-	// since the last ResetRelStats, and the unique-table load factor
-	// sampled when RelStats() is called. Together they make the
-	// normalization win of complement edges visible without a profiler:
-	// higher hit rate, same load, fewer nodes.
+	// Computed-cache traffic of the underlying manager accumulated since
+	// the last ResetRelStats, and the unique-table load factor sampled
+	// when RelStats() is called. CacheLookups and CacheHits both cover
+	// every computed table — ITE, binary and AndExists — so CacheHits
+	// never exceeds CacheLookups. (bdd.Stats keeps AndExists lookups
+	// apart, in AndExistsLookups; RelStats adds them back.) Together
+	// they make the normalization win of complement edges visible
+	// without a profiler: higher hit rate, same load, fewer nodes.
 	CacheLookups    uint64
 	CacheHits       uint64
 	UniqueTableLoad float64
@@ -109,7 +105,8 @@ func (r RelStats) CacheHitRate() float64 {
 // RelStats returns the accumulated relational-product counters.
 func (s *Symbolic) RelStats() RelStats {
 	out := s.relStats
-	out.CacheLookups = s.M.Stats.CacheLookups - s.stats0.CacheLookups
+	out.CacheLookups = s.M.Stats.CacheLookups - s.stats0.CacheLookups +
+		s.M.Stats.AndExistsLookups - s.stats0.AndExistsLookups
 	out.CacheHits = s.M.Stats.CacheHits - s.stats0.CacheHits
 	out.UniqueTableLoad = s.M.UniqueTableLoadFactor()
 	return out

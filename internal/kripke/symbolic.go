@@ -62,7 +62,6 @@ type Symbolic struct {
 	partOff  bool       // EnablePartition(false): keep it but bypass it
 	disj     *Disjunct  // optional disjunctive transition partition
 	disjOn   bool       // EnableDisjunct(true): use the disjunctive image
-	workers  int        // goroutines for the disjunctive image (<=1: sequential)
 	relStats RelStats
 	stats0   bdd.Stats // manager counters at the last ResetRelStats (cache-rate deltas)
 

@@ -37,7 +37,6 @@ type Stats struct {
 	PreimageCalls    uint64
 	ClusterSteps     uint64
 	DisjunctSteps    uint64 // component products taken by the disjunctive image
-	ParallelBatches  uint64 // disjunctive preimages evaluated on worker goroutines
 	PeakClusterNodes int
 	AndExistsLookups uint64
 	AndExistsHits    uint64
@@ -181,7 +180,6 @@ func (c *Checker) EX(f bdd.Ref) bdd.Ref {
 	c.Stats.PreimageCalls++
 	c.Stats.ClusterSteps += rel1.ClusterSteps - rel0.ClusterSteps
 	c.Stats.DisjunctSteps += rel1.DisjunctSteps - rel0.DisjunctSteps
-	c.Stats.ParallelBatches += rel1.ParallelBatches - rel0.ParallelBatches
 	if rel1.PeakLiveNodes > c.Stats.PeakClusterNodes {
 		c.Stats.PeakClusterNodes = rel1.PeakLiveNodes
 	}

@@ -12,10 +12,10 @@ import (
 
 // Differential oracle for the disjunctive transition partition: on
 // random interleaved models carrying all three transition
-// representations, the disjunctive image — sequential and parallel —
-// must be BDD-identical to the monolithic path, and CheckInit must
-// agree verdict-for-verdict and set-for-set (including fair models, so
-// FairEG runs over the disjunctive preimage).
+// representations, the disjunctive image must be BDD-identical to the
+// monolithic path, and CheckInit must agree verdict-for-verdict and
+// set-for-set (including fair models, so FairEG runs over the
+// disjunctive preimage).
 
 // randomInterleavedModel builds a random interleaved model: 2^nSched
 // processes selected by scheduler bits, each driving its own data
@@ -114,9 +114,6 @@ func testDisjunctPreimage(t *testing.T, opts []bdd.Option) {
 	r := rand.New(rand.NewSource(6823))
 	for trial := 0; trial < 100; trial++ {
 		s := randomInterleavedModel(r, 3+r.Intn(3), 1+r.Intn(2), 0, opts...)
-		if trial%2 == 1 {
-			s.SetWorkers(3)
-		}
 		for i := 0; i < 4; i++ {
 			set := randomStateSet(r, s)
 			s.EnableDisjunct(true)
@@ -155,9 +152,6 @@ func testDisjunctCheckInit(t *testing.T, opts []bdd.Option) {
 		atoms := s.VarNames()[:2]
 
 		s.EnableDisjunct(true)
-		if trial%2 == 1 {
-			s.SetWorkers(3)
-		}
 		cd := New(s) // disjunctive checker
 		type probe struct {
 			f       string

@@ -15,15 +15,14 @@ import (
 )
 
 // Cell is one point of the configuration lattice: an image mode, the
-// node representation, the reordering policy, and (for the disjunctive
-// path) the worker count. Every cell must compute the same reachable
-// set and the same verdict for every specification — they are different
-// evaluation strategies over the same transition relation.
+// node representation and the reordering policy. Every cell must
+// compute the same reachable set and the same verdict for every
+// specification — they are different evaluation strategies over the
+// same transition relation.
 type Cell struct {
 	Mode       string // "monolithic" | "partitioned" | "disjunctive"
 	Complement bool   // complement-edge manager vs structural negation
 	Reorder    bool   // growth-triggered sifting enabled
-	Workers    int    // disjunctive only: parallel image workers
 }
 
 func (c Cell) String() string {
@@ -36,29 +35,21 @@ func (c Cell) String() string {
 	if c.Reorder {
 		s += "+reorder"
 	}
-	if c.Mode == "disjunctive" {
-		s += fmt.Sprintf("/w%d", c.Workers)
-	}
 	return s
 }
 
-// Cells enumerates the lattice. Disjunctive cells (× workers 1/4) are
-// only meaningful when the compiled model has process disjuncts.
+// Cells enumerates the lattice. Disjunctive cells are only meaningful
+// when the compiled model has process disjuncts.
 func Cells(hasDisjuncts bool) []Cell {
-	var out []Cell
-	for _, mode := range []string{"partitioned", "monolithic"} {
-		for _, comp := range []bool{true, false} {
-			for _, reorder := range []bool{false, true} {
-				out = append(out, Cell{Mode: mode, Complement: comp, Reorder: reorder, Workers: 1})
-			}
-		}
-	}
+	modes := []string{"partitioned", "monolithic"}
 	if hasDisjuncts {
+		modes = append(modes, "disjunctive")
+	}
+	var out []Cell
+	for _, mode := range modes {
 		for _, comp := range []bool{true, false} {
 			for _, reorder := range []bool{false, true} {
-				for _, w := range []int{1, 4} {
-					out = append(out, Cell{Mode: "disjunctive", Complement: comp, Reorder: reorder, Workers: w})
-				}
+				out = append(out, Cell{Mode: mode, Complement: comp, Reorder: reorder})
 			}
 		}
 	}
@@ -96,7 +87,6 @@ func (r *cellRun) configure(c *smv.Compiled) {
 		c.S.EnablePartition(false)
 	case "disjunctive":
 		c.S.EnableDisjunct(true)
-		c.S.SetWorkers(r.cell.Workers)
 	}
 	if r.cell.Reorder {
 		c.S.M.EnableAutoReorder(&latticeReorder)

@@ -10,9 +10,9 @@ import (
 // TestModelGenDifferential is the tier-1 property test: 200 generated
 // models, each compiled through the full configuration lattice
 // (monolithic/partitioned/disjunctive × complement on/off × reorder
-// on/off × workers 1/4) and cross-checked against the explicit-state
-// oracle. Any divergence is shrunk to a minimal reproducer under
-// testdata/ before failing. MODELGEN_SEEDS overrides the count for
+// on/off) and cross-checked against the explicit-state oracle. Any
+// divergence is shrunk to a minimal reproducer under testdata/ before
+// failing. MODELGEN_SEEDS overrides the count for
 // longer local runs; `cmd/modelsoak` is the unbounded version.
 func TestModelGenDifferential(t *testing.T) {
 	n := int64(200)

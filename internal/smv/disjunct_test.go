@@ -82,7 +82,7 @@ ASSIGN
 }
 
 // TestDisjunctCheckAllAgrees: verdicts under the disjunctive image match
-// the conjunctive default, sequentially and with workers.
+// the conjunctive default.
 func TestDisjunctCheckAllAgrees(t *testing.T) {
 	ref, err := CompileProgram(sharedCounterSrc)
 	if err != nil {
@@ -90,28 +90,25 @@ func TestDisjunctCheckAllAgrees(t *testing.T) {
 	}
 	refResults, _ := ref.CheckAll()
 
-	for _, workers := range []int{1, 3} {
-		c, err := CompileProgram(sharedCounterSrc)
-		if err != nil {
-			t.Fatal(err)
+	c, err := CompileProgram(sharedCounterSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.S.EnableDisjunct(true)
+	results, _ := c.CheckAll()
+	if len(results) != len(refResults) {
+		t.Fatal("result count differs")
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Spec.Source, r.Err)
 		}
-		c.S.EnableDisjunct(true)
-		c.S.SetWorkers(workers)
-		results, _ := c.CheckAll()
-		if len(results) != len(refResults) {
-			t.Fatalf("workers=%d: result count differs", workers)
+		if r.Holds != refResults[i].Holds {
+			t.Fatalf("%s: disjunctive verdict %v, conjunctive %v",
+				r.Spec.Source, r.Holds, refResults[i].Holds)
 		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d: %s: %v", workers, r.Spec.Source, r.Err)
-			}
-			if r.Holds != refResults[i].Holds {
-				t.Fatalf("workers=%d: %s: disjunctive verdict %v, conjunctive %v",
-					workers, r.Spec.Source, r.Holds, refResults[i].Holds)
-			}
-		}
-		if c.S.RelStats().DisjunctSteps == 0 {
-			t.Fatalf("workers=%d: disjunctive image never ran", workers)
-		}
+	}
+	if c.S.RelStats().DisjunctSteps == 0 {
+		t.Fatal("disjunctive image never ran")
 	}
 }

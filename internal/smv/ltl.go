@@ -72,7 +72,7 @@ func (c *Compiled) ResolveLTLAtoms(f *ltl.Formula) error {
 
 // CompileLTL compiles the module in product with the tableau of
 // ¬spec. Each product owns a fresh BDD manager, so per-check settings
-// (reordering, disjunctive evaluation, workers) are configured on the
+// (reordering, disjunctive evaluation) are configured on the
 // returned product's structure exactly as for a plain Compiled.
 func CompileLTL(m *Module, spec *ltl.Formula, source string) (*LTLProduct, error) {
 	return CompileLTLWith(m, spec, source, CompileOptions{})

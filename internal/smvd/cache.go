@@ -158,21 +158,26 @@ func (c *Cache) evictOverflow() {
 // budget, returning whether it did. Called by the server after each
 // query, with the session lock already released.
 func (c *Cache) EvictOverBudget(s *Session, liveNodes int) bool {
-	if c.nodeBudget <= 0 || liveNodes <= c.nodeBudget {
+	if c.nodeBudget <= 0 || liveNodes <= c.nodeBudget || !c.unlink(s) {
 		return false
 	}
+	c.evictionsBudget.Add(1)
+	c.flushAsync(s)
+	return true
+}
+
+// unlink drops s from the map and the LRU list if it is still the
+// cached session for its key, reporting whether it was.
+func (c *Cache) unlink(s *Session) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.sessions[s.Key]
-	if ok && e.sess == s {
-		delete(c.sessions, s.Key)
-		c.order.Remove(e.elem)
+	if !ok || e.sess != s {
+		return false
 	}
-	c.mu.Unlock()
-	if ok {
-		c.evictionsBudget.Add(1)
-		c.flushAsync(s)
-	}
-	return ok
+	delete(c.sessions, s.Key)
+	c.order.Remove(e.elem)
+	return true
 }
 
 // flushAsync persists an evicted session's warm-start record without

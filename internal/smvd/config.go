@@ -18,13 +18,17 @@ import (
 
 // Config is the engine configuration a session is compiled under. Two
 // queries share a session only when both the SMV source and the config
-// agree: image mode, worker count and node representation all change
-// the BDDs a session holds, so they are part of the cache key.
+// agree: image mode, reordering and node representation all change the
+// BDDs a session holds, so they are part of the cache key.
 type Config struct {
 	// Disjunctive selects the per-process disjunctive image when the
 	// model declares processes (ignored otherwise, matching cmd/smv).
 	Disjunctive bool `json:"disjunctive,omitempty"`
-	// Workers is the parallel-engine worker count (<=1: sequential).
+	// Workers is ignored: every session runs on one single-threaded
+	// manager. normalize pins it to 1, so it never splits session keys.
+	//
+	// Deprecated: the shared-memory parallel BDD engine it configured has
+	// been removed. The field remains only because perfbench sets it.
 	Workers int `json:"workers,omitempty"`
 	// Reorder enables growth-triggered dynamic variable reordering.
 	Reorder bool `json:"reorder,omitempty"`
@@ -33,11 +37,11 @@ type Config struct {
 }
 
 // normalize maps equivalent configs onto one representative so they
-// hash identically (workers 0 and 1 are both "sequential").
+// hash identically. Workers is pinned to 1, the value every key was
+// built with before the field was retired, so existing keys and
+// warm-start records stay valid.
 func (c Config) normalize() Config {
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
+	c.Workers = 1
 	return c
 }
 

@@ -2,13 +2,27 @@ package smvd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 )
+
+// MaxRequestBytes caps a /check body. It is over 400 times the largest
+// shipped model source; a larger body is refused with 413 before any
+// session is looked up.
+const MaxRequestBytes = 1 << 20
+
+// ErrDeadlineExceeded is wrapped by every error a request's deadline
+// causes, and its text is the Error of a spec skipped for lack of time.
+var ErrDeadlineExceeded = errors.New("smvd: deadline exceeded")
+
+// ErrQueryPanicked is wrapped by the error Check returns when the query
+// panicked. The session is then discarded without writing its
+// warm-start record, since its manager may have stopped mid-operation.
+var ErrQueryPanicked = errors.New("smvd: query panicked")
 
 // Server is the HTTP face of the session cache.
 //
@@ -118,18 +132,71 @@ func (sv *Server) Check(req *CheckRequest) (*CheckResponse, error) {
 		sv.requestErrors.Add(1)
 		return nil, fmt.Errorf("smvd: empty model")
 	}
-	deadline := sv.deadline(req, start)
-	sess, err := sv.Cache.Get(req.Model, req.Config)
+	resp, err := sv.check(req, sv.deadline(req, start))
 	if err != nil {
-		sv.requestErrors.Add(1)
+		if errors.Is(err, ErrDeadlineExceeded) {
+			sv.deadlineExceeded.Add(1)
+		} else {
+			sv.requestErrors.Add(1)
+		}
 		return nil, err
 	}
+	for _, v := range resp.Verdicts {
+		sv.specsChecked.Add(1)
+		if v.Error == ErrDeadlineExceeded.Error() {
+			sv.deadlineExceeded.Add(1)
+		}
+	}
+	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
+	return resp, nil
+}
+
+// check looks up the request's session and runs the query on it. A
+// session discarded by a panicking query while this request waited for
+// its lock is replaced by a fresh one.
+func (sv *Server) check(req *CheckRequest, deadline time.Time) (*CheckResponse, error) {
+	for {
+		sess, err := sv.Cache.Get(req.Model, req.Config)
+		if err != nil {
+			return nil, err
+		}
+		resp, live, err := sv.query(sess, req, deadline)
+		if errors.Is(err, errSessionBroken) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		resp.Evicted = sv.Cache.EvictOverBudget(sess, live)
+		return resp, nil
+	}
+}
+
+// errSessionBroken reports a session a panicking query discarded.
+var errSessionBroken = errors.New("smvd: session discarded")
+
+// query runs req on sess under the session lock and returns the
+// response with the manager's live-node count. A panic comes back as an
+// error wrapping ErrQueryPanicked, and the session is marked broken,
+// which stops its warm-start record from being written, and dropped
+// from the cache.
+func (sv *Server) query(sess *Session, req *CheckRequest, deadline time.Time) (resp *CheckResponse, live int, err error) {
 	if err := sess.lock(deadline); err != nil {
-		sv.deadlineExceeded.Add(1)
-		return nil, err
+		return nil, 0, err
 	}
+	defer sess.unlock()
+	if sess.broken {
+		return nil, 0, errSessionBroken
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			sess.broken = true
+			sv.Cache.unlink(sess)
+			resp, live, err = nil, 0, fmt.Errorf("%w: %v", ErrQueryPanicked, p)
+		}
+	}()
 	wasReady, verdicts := sess.query(req.Specs, req.LTL, deadline)
-	resp := &CheckResponse{
+	resp = &CheckResponse{
 		ModelKey:        sess.Key,
 		Warm:            wasReady,
 		ReachableStates: sess.reachCount,
@@ -139,17 +206,7 @@ func (sv *Server) Check(req *CheckRequest) (*CheckResponse, error) {
 	if wasReady {
 		resp.WarmSource = sess.warmSource
 	}
-	live := sess.liveNodes()
-	sess.unlock()
-	resp.Evicted = sv.Cache.EvictOverBudget(sess, live)
-	for _, v := range verdicts {
-		sv.specsChecked.Add(1)
-		if v.Error == "smvd: deadline exceeded" {
-			sv.deadlineExceeded.Add(1)
-		}
-	}
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return resp, sess.liveNodes(), nil
 }
 
 func (sv *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -158,17 +215,26 @@ func (sv *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		sv.requestErrors.Add(1)
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), code)
 		return
 	}
 	resp, err := sv.Check(&req)
 	if err != nil {
-		// Compile/parse errors are the client's; deadline misses are 504.
+		// Compile/parse errors are the client's; deadline misses are 504
+		// and panics 500.
 		code := http.StatusUnprocessableEntity
-		if strings.HasPrefix(err.Error(), "smvd: deadline exceeded") {
+		switch {
+		case errors.Is(err, ErrDeadlineExceeded):
 			code = http.StatusGatewayTimeout
+		case errors.Is(err, ErrQueryPanicked):
+			code = http.StatusInternalServerError
 		}
 		http.Error(w, err.Error(), code)
 		return

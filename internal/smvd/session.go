@@ -31,6 +31,7 @@ type Session struct {
 	gen      *core.Generator
 
 	ready      bool   // reachable + fair sets populated
+	broken     bool   // a query panicked: never query or save again
 	warmSource string // "" (cold), "disk" (restored from a v3 record)
 	reachIters int
 	reachCount float64
@@ -90,7 +91,6 @@ func newSession(key, src string, cfg Config) (*Session, error) {
 	if cfg.Disjunctive && compiled.S.NumDisjuncts() > 0 {
 		compiled.S.EnableDisjunct(true)
 	}
-	compiled.S.SetWorkers(cfg.Workers)
 	compiled.S.EnableReachableCache()
 	checker := mc.New(compiled.S)
 	s := &Session{
@@ -121,7 +121,7 @@ func (s *Session) lock(deadline time.Time) error {
 	case s.mu <- struct{}{}:
 		return nil
 	case <-wait.C:
-		return fmt.Errorf("smvd: deadline exceeded waiting for session %.12s", s.Key)
+		return fmt.Errorf("%w waiting for session %.12s", ErrDeadlineExceeded, s.Key)
 	}
 }
 
@@ -233,7 +233,6 @@ func (s *Session) checkLTL(spec string) SpecVerdict {
 	if s.Cfg.Disjunctive && p.S.NumDisjuncts() > 0 {
 		p.S.EnableDisjunct(true)
 	}
-	p.S.SetWorkers(s.Cfg.Workers)
 	ch := mc.New(p.S)
 	defer ch.Close()
 	holds, tr, err := p.Check(ch)
@@ -269,14 +268,14 @@ func (s *Session) query(specs, ltlSpecs []string, deadline time.Time) (wasReady 
 	s.ensureReady()
 	for _, sp := range specs {
 		if expired(deadline) {
-			out = append(out, SpecVerdict{Spec: sp, Error: "smvd: deadline exceeded"})
+			out = append(out, SpecVerdict{Spec: sp, Error: ErrDeadlineExceeded.Error()})
 			continue
 		}
 		out = append(out, s.checkCTL(sp))
 	}
 	for _, sp := range ltlSpecs {
 		if expired(deadline) {
-			out = append(out, SpecVerdict{Spec: sp, Error: "smvd: deadline exceeded"})
+			out = append(out, SpecVerdict{Spec: sp, Error: ErrDeadlineExceeded.Error()})
 			continue
 		}
 		out = append(out, s.checkLTL(sp))
@@ -308,9 +307,9 @@ func (s *Session) stats() SessionStats {
 func (s *Session) liveNodes() int { return s.compiled.S.M.NumNodes() }
 
 // warmRefs returns the roots a warm-start record needs, if the session
-// has them. Caller holds the lock.
+// has them and no query broke it. Caller holds the lock.
 func (s *Session) warmRefs() (reach, fair bdd.Ref, iters int, ok bool) {
-	if !s.ready {
+	if !s.ready || s.broken {
 		return 0, 0, 0, false
 	}
 	reach, iters, ok = s.compiled.S.ReachableCached()

@@ -64,15 +64,20 @@ func TestModelKeyDistinguishesSourceAndConfig(t *testing.T) {
 	if ModelKey(counterModel+" ", Config{}) == base {
 		t.Fatal("source change did not change the key")
 	}
-	if ModelKey(counterModel, Config{Workers: 4}) == base {
-		t.Fatal("worker change did not change the key")
-	}
 	if ModelKey(counterModel, Config{NoComplement: true}) == base {
 		t.Fatal("representation change did not change the key")
 	}
-	// workers 0 and 1 are the same engine.
-	if ModelKey(counterModel, Config{Workers: 1}) != base {
-		t.Fatal("workers 0 vs 1 must share a key")
+	// Workers is ignored: every value shares the key, and that key is
+	// the one sequential configs always had, so existing warm-start
+	// records still match.
+	for _, w := range []int{0, 1, 4} {
+		if ModelKey(counterModel, Config{Workers: w}) != base {
+			t.Fatalf("workers=%d does not share the key of workers=0", w)
+		}
+	}
+	const sequentialKey = "81a088c2a2647da0e76ddb8296e9b435742d49f68fab5b1123cd5848583f2a0f"
+	if base != sequentialKey {
+		t.Fatalf("sequential key changed: %s, want %s", base, sequentialKey)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // The differential harness instantiates the templates with the boolean
 // atoms of every shipped model and demands identical verdicts from the
 // CTL checker and the tableau-product LTL checker, in every image mode
-// (monolithic, partitioned, and — on process models — disjunctive with
-// parallel workers). A divergence means one of the two pipelines is
-// wrong; the pair localizes which fixpoint to suspect.
+// (monolithic, partitioned, and — on process models — disjunctive). A
+// divergence means one of the two pipelines is wrong; the pair
+// localizes which fixpoint to suspect.
 
 // booleanAtoms collects identifiers usable as boolean atoms: DEFINEs
 // that resolve as plain atoms first (they name the interesting protocol
@@ -122,7 +122,6 @@ func TestLTLvsCTLDifferential(t *testing.T) {
 								c.S.EnablePartition(false)
 							case "disjunctive":
 								c.S.EnableDisjunct(true)
-								c.S.SetWorkers(2)
 							}
 						}
 						cc, err := smv.CompileWith(module, rep.opts)

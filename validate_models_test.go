@@ -20,7 +20,8 @@ import (
 // structures with fairness constraints, ValidateFairLasso. This is the
 // end-to-end contract of the paper: every trace the generator emits is
 // independently checkable against the model, whichever image path
-// (partitioned or monolithic) produced it.
+// (partitioned or monolithic) produced it. Each structure's cache
+// counters must also describe a hit rate: no more hits than lookups.
 func TestModelTracesValidate(t *testing.T) {
 	entries, err := os.ReadDir("models")
 	if err != nil {
@@ -97,12 +98,23 @@ func TestModelTracesValidate(t *testing.T) {
 					}
 					validated++
 				}
+				checkCacheCounters(t, "LTLSPEC "+sp.Source, p.S)
 				ch.Close()
 			}
+			checkCacheCounters(t, "model", s)
 		})
 	}
 	if validated == 0 {
 		t.Fatal("no trace was generated across all models — test is vacuous")
+	}
+}
+
+// checkCacheCounters fails the test when s's computed-cache hits exceed
+// its lookups, which would put RelStats.CacheHitRate above 1.
+func checkCacheCounters(t *testing.T, what string, s *kripke.Symbolic) {
+	t.Helper()
+	if rel := s.RelStats(); rel.CacheHits > rel.CacheLookups {
+		t.Errorf("%s: %d computed-cache hits exceed %d lookups", what, rel.CacheHits, rel.CacheLookups)
 	}
 }
 

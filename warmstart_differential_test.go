@@ -64,7 +64,7 @@ func TestWarmStartDifferentialModels(t *testing.T) {
 			cfgs = append(cfgs, struct {
 				name string
 				cfg  smvd.Config
-			}{"disjunctive", smvd.Config{Disjunctive: true, Workers: 2}})
+			}{"disjunctive", smvd.Config{Disjunctive: true}})
 		}
 		for _, c := range cfgs {
 			c := c
@@ -96,7 +96,6 @@ func warmReferenceRun(t *testing.T, src string, cfg smvd.Config) warmRefRun {
 	}
 	if cfg.Disjunctive && c.S.NumDisjuncts() > 0 {
 		c.S.EnableDisjunct(true)
-		c.S.SetWorkers(cfg.Workers)
 	}
 	out := warmRefRun{}
 	reach, _ := c.S.Reachable()
@@ -128,7 +127,6 @@ func warmReferenceRun(t *testing.T, src string, cfg smvd.Config) warmRefRun {
 		}
 		if cfg.Disjunctive && p.S.NumDisjuncts() > 0 {
 			p.S.EnableDisjunct(true)
-			p.S.SetWorkers(cfg.Workers)
 		}
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
