@@ -122,6 +122,11 @@ type Manager struct {
 	var2level []int
 	level2var []int
 
+	// varPos is scratch indexed by variable for the single-state
+	// helpers (MintermCube, PickOne): position+1 of the variable in the
+	// caller's list, 0 when absent. It is all zero between calls.
+	varPos []int32
+
 	ite   []iteEntry
 	binop []binEntry
 	aex   []aexEntry // lazily allocated by AndExists
@@ -282,6 +287,7 @@ func (m *Manager) AddVar() int {
 	v := len(m.var2level)
 	m.var2level = append(m.var2level, v)
 	m.level2var = append(m.level2var, v)
+	m.varPos = append(m.varPos, 0)
 	m.tables = append(m.tables, newSubtable(initialLevelBuckets))
 	return v
 }

@@ -327,6 +327,44 @@ func TestPickOneAndMintermCube(t *testing.T) {
 	}
 }
 
+// TestSingleStateHelpersMatchReference checks PickOne against AnySat's
+// assignment and MintermCube against the conjunction of its literals,
+// on random functions under random variable orders and for random
+// variable lists. One manager serves every trial, so scratch state
+// left over from an earlier call would show.
+func TestSingleStateHelpersMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	const n = 6
+	m := New(n)
+	for trial := 0; trial < 300; trial++ {
+		f, _ := randPair(r, m, n, 5)
+		f = m.Reorder(r.Perm(n), []Ref{f})[0]
+		vars := r.Perm(n)[:1+r.Intn(n)]
+		got := m.PickOne(f, vars)
+		if a := m.AnySat(f); a == nil {
+			if got != nil {
+				t.Fatalf("trial %d: PickOne of an unsatisfiable function = %v", trial, got)
+			}
+		} else {
+			for i, v := range vars {
+				if got[i] != (a[v] == 1) {
+					t.Fatalf("trial %d: PickOne(vars %v) = %v, AnySat = %v", trial, vars, got, a)
+				}
+			}
+		}
+		vars = r.Perm(n)[:1+r.Intn(n)]
+		vals := make([]bool, len(vars))
+		want := True
+		for i, v := range vars {
+			vals[i] = r.Intn(2) == 1
+			want = m.And(want, m.Lit(v, vals[i]))
+		}
+		if got := m.MintermCube(vars, vals); got != want {
+			t.Fatalf("trial %d: MintermCube(%v, %v) is not the conjunction of its literals", trial, vars, vals)
+		}
+	}
+}
+
 func TestAllSat(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 4

@@ -92,44 +92,59 @@ func (m *Manager) AnySat(f Ref) []int8 {
 // that satisfies f (don't-cares resolved to false), or nil if f is
 // unsatisfiable. It is the "choose an arbitrary element of the set" step
 // of the witness construction, made deterministic for reproducibility.
+// vars must be distinct variables of the manager.
 func (m *Manager) PickOne(f Ref, vars []int) []bool {
-	a := m.AnySat(f)
-	if a == nil {
+	if f == False {
 		return nil
 	}
 	out := make([]bool, len(vars))
+	pos := m.varPos
 	for i, v := range vars {
-		out[i] = v < len(a) && a[v] == 1
+		pos[v] = int32(i) + 1
+	}
+	// AnySat's descent: the low branch whenever it is satisfiable.
+	for !IsTerminal(f) {
+		n := &m.nodes[f&^compBit]
+		s := f & compBit
+		if n.low^s != False {
+			f = n.low ^ s
+			continue
+		}
+		if p := pos[m.level2var[n.lvl&^markBit]]; p > 0 {
+			out[p-1] = true
+		}
+		f = n.high ^ s
+	}
+	for _, v := range vars {
+		pos[v] = 0
 	}
 	return out
 }
 
-// MintermCube converts a full assignment over vars into the BDD cube of
-// that single state.
+// MintermCube converts a full assignment over vars, distinct variables
+// of the manager, into the BDD cube of that single state. It conjoins
+// the literals bottom-up, in decreasing level order, so each mk is
+// constant time.
 func (m *Manager) MintermCube(vars []int, vals []bool) Ref {
 	if len(vars) != len(vals) {
 		panic("bdd: MintermCube length mismatch")
 	}
-	// Conjoin in decreasing level order for linear construction.
-	type lv struct {
-		lvl int
-		val bool
-	}
-	lits := make([]lv, len(vars))
+	pos := m.varPos
 	for i, v := range vars {
-		lits[i] = lv{m.var2level[v], vals[i]}
-	}
-	for i := 1; i < len(lits); i++ {
-		for j := i; j > 0 && lits[j].lvl > lits[j-1].lvl; j-- {
-			lits[j], lits[j-1] = lits[j-1], lits[j]
-		}
+		pos[v] = int32(i) + 1
 	}
 	res := True
-	for _, l := range lits {
-		if l.val {
-			res = m.mk(uint32(l.lvl), False, res)
+	for l := len(m.level2var) - 1; l >= 0; l-- {
+		v := m.level2var[l]
+		p := pos[v]
+		if p == 0 {
+			continue
+		}
+		pos[v] = 0
+		if vals[p-1] {
+			res = m.mk(uint32(l), False, res)
 		} else {
-			res = m.mk(uint32(l.lvl), res, False)
+			res = m.mk(uint32(l), res, False)
 		}
 	}
 	return res

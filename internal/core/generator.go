@@ -45,18 +45,17 @@ type Generator struct {
 	C        *mc.Checker
 	Strategy Strategy
 	Stats    GenStats
-
-	// MaxRestarts bounds the SCC-descent restarts as a safety net; the
-	// construction provably terminates, so hitting the bound indicates a
-	// model bug. 0 means the number of structure states is used... since
-	// that is unknown cheaply, a large constant default applies.
-	MaxRestarts int
 }
+
+// maxRestarts bounds the SCC-descent restarts of one EG witness as a
+// safety net: the construction provably terminates, so hitting the
+// bound indicates a model or generator bug.
+const maxRestarts = 1 << 20
 
 // NewGenerator creates a witness generator with the simple restart
 // strategy.
 func NewGenerator(c *mc.Checker) *Generator {
-	return &Generator{C: c, MaxRestarts: 1 << 20}
+	return &Generator{C: c}
 }
 
 // ErrNotSatisfied is returned when a witness is requested from a state
@@ -85,10 +84,7 @@ func (g *Generator) succIn(st kripke.State, set bdd.Ref) kripke.State {
 // constraint. f is given as the BDD of its satisfaction set.
 func (g *Generator) WitnessEG(f bdd.Ref, from kripke.State) (*Trace, error) {
 	s := g.C.S
-	m := s.M
-
 	egf, rings := g.C.FairEG(f)
-	defer rings.Release(m)
 	if !s.Holds(egf, from) {
 		return nil, ErrNotSatisfied
 	}
@@ -253,7 +249,7 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 			g.Stats.Restarts++
 		}
 		restarts++
-		if restarts > g.MaxRestarts {
+		if restarts > maxRestarts {
 			return nil, errors.New("core: restart bound exceeded (model or generator bug)")
 		}
 	}

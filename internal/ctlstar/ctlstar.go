@@ -290,8 +290,7 @@ func (sc *Checker) splitSet(split *Split) bdd.Ref {
 	view := sc.C.S.WithFairness(split.FairSets, split.FairNames)
 	vc := mc.New(view)
 	defer vc.Close()
-	eg, rings := vc.FairEG(split.Invariant)
-	rings.Release(view.M)
+	eg, _ := vc.FairEG(split.Invariant)
 	// The prefix is unconstrained: plain EF (no ambient fairness — it is
 	// already folded into the clauses).
 	plain := mc.New(sc.C.S.WithFairness(nil, nil))
@@ -326,8 +325,7 @@ func (sc *Checker) Witness(f Formula, from kripke.State) (*core.Trace, error) {
 	view := s.WithFairness(split.FairSets, split.FairNames)
 	vc := mc.New(view)
 	defer vc.Close()
-	eg, rings := vc.FairEG(split.Invariant)
-	defer rings.Release(view.M)
+	eg, _ := vc.FairEG(split.Invariant)
 
 	// Finite prefix: EU(true, eg) with no fairness on the prefix.
 	plain := mc.New(s.WithFairness(nil, nil))

@@ -68,6 +68,12 @@ func TestHasEdgeAndSuccessors(t *testing.T) {
 	if s.HasEdge(State{false, false}, State{false, true}) {
 		t.Fatal("bogus edge 00->10 present")
 	}
+	// Holds reads next-state variables as false, whatever the edges
+	// HasEdge evaluated before it.
+	s.HasEdge(State{true, true}, State{true, true})
+	if s.Holds(s.M.Var(s.Vars[0].Next), State{false, false}) {
+		t.Fatal("HasEdge left a next-state value behind for Holds")
+	}
 	succ := s.Successors(State{true, true}, 0)
 	if len(succ) != 1 || succ[0][0] || succ[0][1] {
 		t.Fatalf("successor of 11 = %v, want 00", succ)

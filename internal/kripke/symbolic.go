@@ -58,6 +58,13 @@ type Symbolic struct {
 	toNext   *bdd.Permutation
 	toCur    *bdd.Permutation
 
+	// curVars is CurVars' result, kept for the single-state helpers;
+	// env is Holds' and HasEdge's scratch assignment, indexed by BDD
+	// variable and false everywhere but the current-state entries
+	// between calls.
+	curVars []int
+	env     []bool
+
 	part     *Partition // optional conjunctive transition partition
 	partOff  bool       // EnablePartition(false): keep it but bypass it
 	disj     *Disjunct  // optional disjunctive transition partition
@@ -172,6 +179,8 @@ func (s *Symbolic) finishVars() {
 		perm[v.Cur] = v.Next
 		perm[v.Next] = v.Cur
 	}
+	s.curVars = cur
+	s.env = make([]bool, s.M.NumVars())
 	s.curCube = s.M.Protect(s.M.Cube(cur))
 	s.nextCube = s.M.Protect(s.M.Cube(next))
 	p := s.M.NewPermutation(perm)
@@ -183,13 +192,7 @@ func (s *Symbolic) finishVars() {
 func (s *Symbolic) NumVars() int { return len(s.Vars) }
 
 // CurVars returns the BDD variable indices of the current-state copy.
-func (s *Symbolic) CurVars() []int {
-	out := make([]int, len(s.Vars))
-	for i, v := range s.Vars {
-		out[i] = v.Cur
-	}
-	return out
-}
+func (s *Symbolic) CurVars() []int { return append([]int(nil), s.curVars...) }
 
 // NextVars returns the BDD variable indices of the next-state copy.
 func (s *Symbolic) NextVars() []int {
@@ -488,7 +491,7 @@ func (st State) Key() string {
 // PickState extracts one concrete state from a non-empty set,
 // deterministically. Returns nil if the set is empty.
 func (s *Symbolic) PickState(set bdd.Ref) State {
-	vals := s.M.PickOne(set, s.CurVars())
+	vals := s.M.PickOne(set, s.curVars)
 	if vals == nil {
 		return nil
 	}
@@ -498,12 +501,12 @@ func (s *Symbolic) PickState(set bdd.Ref) State {
 // StateCube returns the BDD cube (over current variables) of a single
 // concrete state.
 func (s *Symbolic) StateCube(st State) bdd.Ref {
-	return s.M.MintermCube(s.CurVars(), st)
+	return s.M.MintermCube(s.curVars, st)
 }
 
 // Holds reports whether the concrete state st belongs to the set.
 func (s *Symbolic) Holds(set bdd.Ref, st State) bool {
-	env := make([]bool, s.M.NumVars())
+	env := s.env
 	for i, v := range s.Vars {
 		env[v.Cur] = st[i]
 	}
@@ -513,14 +516,23 @@ func (s *Symbolic) Holds(set bdd.Ref, st State) bool {
 // HasEdge reports whether the transition relation contains the edge
 // from -> to.
 func (s *Symbolic) HasEdge(from, to State) bool {
-	env := make([]bool, s.M.NumVars())
+	env := s.env
 	for i, v := range s.Vars {
 		env[v.Cur] = from[i]
 		env[v.Next] = to[i]
 	}
-	// With a partition installed, evaluate the factors pointwise — every
-	// conjunct must accept the edge, or some disjunct must — so trace
-	// validation never forces the monolithic BDD into existence.
+	ok := s.evalEdge(env)
+	for _, v := range s.Vars {
+		env[v.Next] = false
+	}
+	return ok
+}
+
+// evalEdge evaluates the transition relation under env. With a
+// partition installed it evaluates the factors pointwise — every
+// conjunct must accept the edge, or some disjunct must — so trace
+// validation never forces the monolithic BDD into existence.
+func (s *Symbolic) evalEdge(env []bool) bool {
 	if !s.transValid {
 		if s.part != nil {
 			for _, c := range s.part.clusters {
@@ -553,7 +565,7 @@ func (s *Symbolic) Successors(st State, limit int) []State {
 // (limit <= 0 means no limit). The order is deterministic.
 func (s *Symbolic) EnumStates(set bdd.Ref, limit int) []State {
 	var out []State
-	s.M.AllSat(set, s.CurVars(), func(a []bool) bool {
+	s.M.AllSat(set, s.curVars, func(a []bool) bool {
 		st := make(State, len(a))
 		copy(st, a)
 		out = append(out, st)

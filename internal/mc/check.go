@@ -34,6 +34,10 @@ type Stats struct {
 	// gets when overlapping specs are checked against one structure.
 	MemoHits uint64
 
+	// RingReuses counts EUApproxUntil and FairEG calls answered from the
+	// witness ring caches without a fixpoint iteration.
+	RingReuses uint64
+
 	PreimageCalls    uint64
 	ClusterSteps     uint64
 	DisjunctSteps    uint64 // component products taken by the disjunctive image
@@ -66,7 +70,26 @@ type Checker struct {
 	// starts a witness's outer iteration from.
 	egSets map[bdd.Ref]bdd.Ref
 
+	// The witness ring caches: the rings of E[f U g] computed so far,
+	// keyed by (f, g), and FairEG's confirming-round rings, keyed by f.
+	// Like the manager's computed tables they hold plain refs, neither
+	// protected nor registered, and are dropped when the manager's
+	// collection-and-reorder epoch moves past ringEpoch (see syncRings).
+	euRings   map[euKey]euPrefix
+	egRings   map[bdd.Ref]*Rings
+	ringEpoch uint64
+
 	hook int // reorder-registry id (see rewriteRefs)
+}
+
+// euKey identifies the ring sequence of E[f U g].
+type euKey struct{ f, g bdd.Ref }
+
+// euPrefix is a cached prefix of E[f U g]'s ring sequence; done marks
+// the whole sequence, ending at the fixpoint.
+type euPrefix struct {
+	rings []bdd.Ref
+	done  bool
 }
 
 // New creates a checker for the structure. The checker registers with
@@ -108,10 +131,11 @@ func (c *Checker) Close() {
 }
 
 // dropFixpoints unprotects and forgets every set the checker holds for
-// the current care set: the subformula memo, the EG seeds and the fair
-// set.
+// the current care set: the subformula memo, the EG seeds, the fair set
+// and the witness ring caches.
 func (c *Checker) dropFixpoints() {
 	m := c.S.M
+	c.euRings, c.egRings = nil, nil
 	for _, r := range c.memo {
 		m.Unprotect(r)
 	}
@@ -124,6 +148,19 @@ func (c *Checker) dropFixpoints() {
 	if c.haveFair {
 		m.Unprotect(c.fairSet)
 		c.haveFair = false
+	}
+}
+
+// syncRings drops the witness ring caches if a collection or reorder
+// has run since they were filled, then makes sure they exist. Those are
+// the only events after which an unprotected ref may stop denoting the
+// node it named, so within one epoch a cached ring is the very BDD a
+// recomputation returns: the unique table still holds its node.
+func (c *Checker) syncRings() {
+	if e := c.S.M.Stats.GCRuns + c.S.M.Stats.Reorderings; e != c.ringEpoch || c.euRings == nil {
+		c.euRings = map[euKey]euPrefix{}
+		c.egRings = map[bdd.Ref]*Rings{}
+		c.ringEpoch = e
 	}
 }
 
@@ -196,7 +233,7 @@ func (c *Checker) EX(f bdd.Ref) bdd.Ref {
 // EU computes E[f U g] (no fairness) by the least fixpoint
 // lfp Z [ g ∨ (f ∧ EX Z) ].
 func (c *Checker) EU(f, g bdd.Ref) bdd.Ref {
-	res, _, _ := c.euApprox(f, g, false, nil)
+	res, _, _ := c.euApprox(f, g, nil, false, nil)
 	return res
 }
 
@@ -205,7 +242,7 @@ func (c *Checker) EU(f, g bdd.Ref) bdd.Ref {
 // state in g can be reached in i or fewer steps while satisfying f. The
 // rings are the raw material of the witness walk.
 func (c *Checker) EUApprox(f, g bdd.Ref) (bdd.Ref, []bdd.Ref) {
-	res, rings, _ := c.euApprox(f, g, true, nil)
+	res, rings, _ := c.euApprox(f, g, nil, true, nil)
 	return res, rings
 }
 
@@ -214,21 +251,63 @@ func (c *Checker) EUApprox(f, g bdd.Ref) (bdd.Ref, []bdd.Ref) {
 // never fires it returns all of them and false. A witness walk that
 // descends from the first ring meeting some set needs no ring beyond
 // it, so it can skip the rest of the fixpoint.
+//
+// The rings computed so far are cached until the next collection or
+// reorder: stop runs over the cached prefix first, and the fixpoint
+// iterates only past its end. The returned slice belongs to the cache
+// and is read-only; like every unprotected ref, its rings are valid
+// until the caller's next collection or reorder safe point.
 func (c *Checker) EUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]bdd.Ref, bool) {
-	_, rings, stopped := c.euApprox(f, g, true, stop)
+	c.syncRings()
+	cached := c.euRings[euKey{f, g}]
+	for i, q := range cached.rings {
+		if stop(q) {
+			c.Stats.RingReuses++
+			return cached.rings[: i+1 : i+1], true
+		}
+	}
+	if cached.done {
+		c.Stats.RingReuses++
+		return cached.rings, false
+	}
+	// Extending the prefix hits reorder safe points, and WitnessEU calls
+	// in before it pauses reordering. The prefix is registered inside
+	// euApprox and the key here, so both survive any collection or sift
+	// the extension triggers and are valid in whatever epoch it ends.
+	m := c.S.M
+	id := m.RegisterRefs(&f, &g)
+	_, rings, stopped := c.euApprox(f, g, cached.rings, true, stop)
+	m.Unregister(id)
+	c.syncRings()
+	c.euRings[euKey{f, g}] = euPrefix{rings: rings, done: !stopped}
 	return rings, stopped
 }
 
-func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool, stop func(bdd.Ref) bool) (bdd.Ref, []bdd.Ref, bool) {
+// euApprox iterates Q_{i+1} = Q_i ∨ (f ∧ EX Q_i) to the least fixpoint,
+// starting from the last ring of prefix, or from Q_0 = g when prefix is
+// empty. With keepRings it returns prefix extended by every ring it
+// computes. stop is consulted on each new ring (prefix rings are the
+// caller's), and ends the iteration early when it fires.
+func (c *Checker) euApprox(f, g bdd.Ref, prefix []bdd.Ref, keepRings bool, stop func(bdd.Ref) bool) (bdd.Ref, []bdd.Ref, bool) {
 	m := c.S.M
 	c.Stats.EUFixpoints++
-	var rings []bdd.Ref
+	rings := prefix
 	q := g
+	if n := len(prefix); n > 0 {
+		q = prefix[n-1]
+	} else {
+		if keepRings {
+			rings = append(rings, q)
+		}
+		if stop != nil && stop(q) {
+			return q, rings, true
+		}
+	}
 	// The loop's refs are registered so the per-iteration reorder safe
 	// point (and any reorder inside EX's cluster chain) rewrites them.
 	// The returned rings are only guaranteed until the caller's next
-	// operation: callers keeping them must protect and register them
-	// (FairEG does) or pause reordering (the witness generator does).
+	// safe point: callers keeping them across one register them (FairEG
+	// does) or pause reordering (the witness generator does).
 	id := m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
 		f = translate(f)
 		q = translate(q)
@@ -238,12 +317,6 @@ func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool, stop func(bdd.Ref) bool
 	})
 	defer m.Unregister(id)
 	for {
-		if keepRings {
-			rings = append(rings, q)
-		}
-		if stop != nil && stop(q) {
-			return q, rings, true
-		}
 		c.Stats.EUIterations++
 		c.note()
 		c.maybeReorder()
@@ -253,6 +326,12 @@ func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool, stop func(bdd.Ref) bool
 			return q, rings, false
 		}
 		q = next
+		if keepRings {
+			rings = append(rings, q)
+		}
+		if stop != nil && stop(q) {
+			return q, rings, true
+		}
 	}
 }
 

@@ -20,21 +20,18 @@ import (
 // confirms the fixpoint, so Z is the fixpoint itself. Rings[k][i] is the
 // set of states from which some state of (EG f) ∧ h_k is reachable in i
 // or fewer steps along f-states. This is precisely the data Section 6's
-// witness construction walks over. The rings are protected against
-// garbage collection and registered with the reorder registry until
-// Release.
+// witness construction walks over.
 type Rings struct {
 	F       bdd.Ref     // the f the rings were computed for
 	Result  bdd.Ref     // the fair EG f fixpoint
 	PerFair [][]bdd.Ref // PerFair[k] = rings for fairness constraint k
-
-	hook int // reorder-registry id
 }
 
-// register installs the rings' reorder hook. PerFair may still grow
-// afterwards; the hook reads the current slices on every invocation.
-func (r *Rings) register(m *bdd.Manager) {
-	r.hook = m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
+// register installs the rings' reorder hook and returns its id. PerFair
+// may still grow afterwards; the hook reads the current slices on every
+// invocation.
+func (r *Rings) register(m *bdd.Manager) int {
+	return m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
 		r.F = translate(r.F)
 		r.Result = translate(r.Result)
 		for _, rs := range r.PerFair {
@@ -55,8 +52,23 @@ func (r *Rings) register(m *bdd.Manager) {
 // it degenerates to plain EG and a single pseudo-constraint "true" so
 // that witness construction still has rings to walk (the cycle must
 // merely return to the EG set).
+//
+// The checker owns the rings: they are cached, keyed by f, and a repeat
+// call before the next collection or reorder returns them without
+// iterating. They are read-only, neither protected nor registered, and
+// valid until the next collection or reorder.
 func (c *Checker) FairEG(f bdd.Ref) (bdd.Ref, *Rings) {
-	return c.fairEG(f, c.egSeed(f), true)
+	c.syncRings()
+	if r, ok := c.egRings[f]; ok {
+		c.Stats.RingReuses++
+		return r.Result, r
+	}
+	// The rings stay registered while fairEG computes them, so they are
+	// valid in whatever epoch it ends in; rings.F is f in that epoch.
+	res, rings := c.fairEG(f, c.egSeed(f), true)
+	c.syncRings()
+	c.egRings[rings.F] = rings
+	return res, rings
 }
 
 // egSeed returns the smallest superset of FairEG f's fixpoint the
@@ -118,48 +130,33 @@ func (c *Checker) fairEG(f, z bdd.Ref, keepRings bool) (bdd.Ref, *Rings) {
 		c.Stats.FairEGOuter++
 		c.note()
 		c.maybeReorder()
-		// The round's rings are registered before its EU fixpoints so
-		// sequences already saved survive reorders triggered by the
-		// remaining ones.
+		// The round's rings are registered for the round so sequences
+		// already saved survive collections and reorders triggered by
+		// the remaining EU fixpoints.
 		var rings *Rings
+		var rid int
 		if keepRings {
-			rings = &Rings{F: m.Protect(f), Result: m.Protect(z)}
-			rings.register(m)
+			rings = &Rings{F: f, Result: z}
+			rid = rings.register(m)
 		}
 		next := f
 		nid := m.RegisterRefs(&next)
 		for k := 0; k < nFair; k++ {
-			eu, rs, _ := c.euApprox(f, m.And(z, h(k)), keepRings, nil)
+			eu, rs, _ := c.euApprox(f, m.And(z, h(k)), nil, keepRings, nil)
 			if keepRings {
-				for _, r := range rs {
-					m.Protect(r)
-				}
 				rings.PerFair = append(rings.PerFair, rs)
 			}
 			next = m.And(next, c.EX(eu))
 		}
 		m.Unregister(nid)
+		if keepRings {
+			m.Unregister(rid)
+		}
 		next = m.And(next, z)
 		if next == z {
 			return z, rings
 		}
-		if keepRings {
-			rings.Release(m)
-		}
 		z = next
-	}
-}
-
-// Release unprotects the rings' BDDs and removes their reorder
-// registration. Call when witness construction is done with them.
-func (r *Rings) Release(m *bdd.Manager) {
-	m.Unregister(r.hook)
-	m.Unprotect(r.F)
-	m.Unprotect(r.Result)
-	for _, rs := range r.PerFair {
-		for _, q := range rs {
-			m.Unprotect(q)
-		}
 	}
 }
 

@@ -53,7 +53,6 @@ func TestFairEGFixpointInvariants(t *testing.T) {
 					t.Fatalf("trial %d: fixpoint property violated for constraint %d", trial, k)
 				}
 			}
-			rings.Release(s.M)
 		}
 	}
 }
@@ -77,8 +76,7 @@ func TestFairDefinitionalLaws(t *testing.T) {
 			t.Fatal("CheckFairEU law broken")
 		}
 		// fair = FairEG(True)
-		res, rings := c.FairEG(bdd.True)
-		rings.Release(s.M)
+		res, _ := c.FairEG(bdd.True)
 		if res != fair {
 			t.Fatal("Fair() != FairEG(True)")
 		}

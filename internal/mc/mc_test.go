@@ -171,7 +171,6 @@ func TestFairEGRings(t *testing.T) {
 	s := kripke.FromExplicit(e)
 	c := New(s)
 	res, rings := c.FairEG(bdd.True)
-	defer rings.Release(s.M)
 	// every state is fair
 	for st := 0; st < 3; st++ {
 		if !s.Holds(res, kripke.IndexState(st, len(s.Vars))) {

@@ -12,8 +12,9 @@ import (
 // TestEUApproxUntilIsPrefix checks the early stop against the full ring
 // sequence: EUApproxUntil returns exactly EUApprox's rings up to the
 // first one satisfying stop (and true), or all of them and false when
-// stop never fires, and it runs one fixpoint iteration per ring it
-// adds beyond the first.
+// stop never fires. One checker serves every start state, so each call
+// finds the rings earlier calls cached: it runs one fixpoint iteration
+// per ring beyond the cached prefix, and a repeat runs none.
 func TestEUApproxUntilIsPrefix(t *testing.T) {
 	r := rand.New(rand.NewSource(4669))
 	for trial := 0; trial < 40; trial++ {
@@ -32,27 +33,47 @@ func TestEUApproxUntilIsPrefix(t *testing.T) {
 					break
 				}
 			}
-			calls := 0
-			before := c.Stats.EUIterations
-			rings, stopped := c.EUApproxUntil(pset, qset, func(ring bdd.Ref) bool {
-				calls++
-				return s.Holds(ring, state)
-			})
-			if stopped != (want >= 0) {
-				t.Fatalf("trial %d state %d: stopped = %v, first ring holding it = %d", trial, st, stopped, want)
-			}
 			prefix := full
 			if want >= 0 {
 				prefix = full[:want+1]
-				if iters := c.Stats.EUIterations - before; iters != uint64(want) {
-					t.Fatalf("trial %d state %d: %d iterations to reach ring %d", trial, st, iters, want)
+			}
+			for repeat := 0; repeat < 2; repeat++ {
+				cached := c.euRings[euKey{pset, qset}]
+				calls := 0
+				before := c.Stats.EUIterations
+				rings, stopped := c.EUApproxUntil(pset, qset, func(ring bdd.Ref) bool {
+					calls++
+					return s.Holds(ring, state)
+				})
+				if stopped != (want >= 0) {
+					t.Fatalf("trial %d state %d: stopped = %v, first ring holding it = %d", trial, st, stopped, want)
 				}
-			}
-			if !equalRefs(rings, prefix) {
-				t.Fatalf("trial %d state %d: rings %v, want the prefix %v", trial, st, rings, prefix)
-			}
-			if calls != len(rings) {
-				t.Fatalf("trial %d state %d: stop called %d times for %d rings", trial, st, calls, len(rings))
+				if !equalRefs(rings, prefix) {
+					t.Fatalf("trial %d state %d: rings %v, want the prefix %v", trial, st, rings, prefix)
+				}
+				if calls != len(rings) {
+					t.Fatalf("trial %d state %d: stop called %d times for %d rings", trial, st, calls, len(rings))
+				}
+				// From the last cached ring, each ring takes one
+				// iteration, and the full sequence one more to find that
+				// the last ring is the fixpoint.
+				wantIters := 0
+				switch n := len(cached.rings); {
+				case len(rings) > n:
+					wantIters = len(rings) - max(n, 1)
+					if !stopped {
+						wantIters++
+					}
+				case !stopped && !cached.done:
+					wantIters = 1
+				}
+				if iters := c.Stats.EUIterations - before; iters != uint64(wantIters) {
+					t.Fatalf("trial %d state %d call %d: %d iterations past a cached prefix of %d rings to return %d, want %d",
+						trial, st, repeat, iters, len(cached.rings), len(rings), wantIters)
+				}
+				if repeat == 1 && wantIters != 0 {
+					t.Fatalf("trial %d state %d: a repeated call iterates", trial, st)
+				}
 			}
 		}
 		c.Close()
@@ -90,18 +111,21 @@ func TestSeededFairEGMatchesUnseeded(t *testing.T) {
 			for name, seed := range seeds {
 				c := New(s)
 				seed(c)
-				before := c.Stats.FairEGOuter
-				got, rings := c.FairEG(tc.f)
-				if rounds := c.Stats.FairEGOuter - before; rounds != 1 {
-					t.Fatalf("trial %d, %s seed of %s: %d outer rounds, want 1", trial, name, tc.spec, rounds)
+				for _, wantRounds := range []uint64{1, 0} {
+					before, reuses := c.Stats.FairEGOuter, c.Stats.RingReuses
+					got, rings := c.FairEG(tc.f)
+					if rounds := c.Stats.FairEGOuter - before; rounds != wantRounds {
+						t.Fatalf("trial %d, %s seed of %s: %d outer rounds, want %d", trial, name, tc.spec, rounds, wantRounds)
+					}
+					if reused := c.Stats.RingReuses - reuses; reused != 1-wantRounds {
+						t.Fatalf("trial %d, %s seed of %s: %d ring reuses in a call of %d rounds", trial, name, tc.spec, reused, wantRounds)
+					}
+					if got != want || !equalRings(rings, wantRings) {
+						t.Fatalf("trial %d, %s seed of %s: seeded result or rings differ from the unseeded run", trial, name, tc.spec)
+					}
 				}
-				if got != want || !equalRings(rings, wantRings) {
-					t.Fatalf("trial %d, %s seed of %s: seeded result or rings differ from the unseeded run", trial, name, tc.spec)
-				}
-				rings.Release(s.M)
 				c.Close()
 			}
-			wantRings.Release(s.M)
 			unseeded.Close()
 		}
 	}
@@ -131,12 +155,107 @@ func TestFairEGFromSupersetConverges(t *testing.T) {
 		if got != want || !equalRings(rings, wantRings) {
 			t.Fatalf("trial %d: iteration from EG p differs from the one from p", trial)
 		}
-		rings.Release(s.M)
-		wantRings.Release(s.M)
 		c.Close()
 	}
 	if strict == 0 {
 		t.Fatal("no trial seeded from a strict superset")
+	}
+}
+
+// TestSetCareSetDropsRingCaches checks that installing a care set drops
+// the ring caches: rings cached without one would otherwise answer the
+// restricted checker's calls. After SetCareSet the checker must return
+// the rings a checker built with that care set computes.
+func TestSetCareSetDropsRingCaches(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	never := func(bdd.Ref) bool { return false }
+	differ := 0
+	for trial := 0; trial < 30; trial++ {
+		e := kripke.RandomExplicit(r, 8+r.Intn(8), 1.5, []string{"p", "q"}, trial%2, 0.3)
+		s := kripke.FromExplicit(e)
+		pset, _ := s.AtomSet(ctl.Atom("p"))
+		qset, _ := s.AtomSet(ctl.Atom("q"))
+		reach, _ := s.Reachable()
+		c := New(s)
+		free, _ := c.EUApproxUntil(pset, qset, never)
+		_, freeEG := c.FairEG(pset)
+		c.SetCareSet(reach)
+		got, _ := c.EUApproxUntil(pset, qset, never)
+		_, gotEG := c.FairEG(pset)
+
+		ref := New(s)
+		ref.SetCareSet(reach)
+		want, _ := ref.EUApproxUntil(pset, qset, never)
+		_, wantEG := ref.FairEG(pset)
+		if !equalRefs(got, want) || !equalRings(gotEG, wantEG) {
+			t.Fatalf("trial %d: rings after SetCareSet differ from a checker built with the care set", trial)
+		}
+		if !equalRefs(free, want) || !equalRings(freeEG, wantEG) {
+			differ++
+		}
+		c.Close()
+		ref.Close()
+	}
+	if differ == 0 {
+		t.Fatal("no trial's care set changed the rings")
+	}
+}
+
+// TestRingsCachedAcrossRebuildSifts extends a cached one-ring EU prefix,
+// and computes FairEG's rings, while the rebuild sift engine, which
+// renumbers every ref, fires at each fixpoint safe point. The rings must
+// be the ones a fresh checker computes afterwards, cached under the
+// keys' current refs: a repeat call with them runs no iteration.
+func TestRingsCachedAcrossRebuildSifts(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	never := func(bdd.Ref) bool { return false }
+	aggressive := &bdd.ReorderOptions{GrowthTrigger: 1.0001, MinNodes: 1, MaxPasses: 1, MaxBlocks: 2, Window: 1, UseRebuildSift: true}
+	siftedEU, siftedEG := 0, 0
+	for trial := 0; trial < 10; trial++ {
+		e := kripke.RandomExplicit(r, 12+r.Intn(8), 1.5, []string{"p", "q"}, trial%2, 0.3)
+		s := kripke.FromExplicit(e)
+		m := s.M
+		pset, _ := s.AtomSet(ctl.Atom("p"))
+		qset, _ := s.AtomSet(ctl.Atom("q"))
+		id := m.RegisterRefs(&pset, &qset)
+		c := New(s)
+		ref := New(s)
+		work := func() uint64 { return c.Stats.EUIterations + c.Stats.FairEGOuter }
+
+		c.EUApproxUntil(pset, qset, func(bdd.Ref) bool { return true })
+		m.EnableAutoReorder(aggressive)
+		before := m.Stats.Reorderings
+		rings, _ := c.EUApproxUntil(pset, qset, never)
+		m.DisableAutoReorder()
+		if m.Stats.Reorderings != before {
+			siftedEU++
+			_, want := ref.EUApprox(pset, qset)
+			w := work()
+			again, _ := c.EUApproxUntil(pset, qset, never)
+			if !equalRefs(rings, want) || !equalRefs(again, want) || work() != w {
+				t.Fatalf("trial %d: EU rings extended across sifts are wrong or not cached under the key's current refs", trial)
+			}
+		}
+
+		m.EnableAutoReorder(aggressive)
+		before = m.Stats.Reorderings
+		_, egRings := c.FairEG(pset)
+		m.DisableAutoReorder()
+		if m.Stats.Reorderings != before {
+			siftedEG++
+			_, want := ref.FairEG(pset)
+			w := work()
+			_, again := c.FairEG(pset)
+			if !equalRings(egRings, want) || !equalRings(again, want) || work() != w {
+				t.Fatalf("trial %d: FairEG rings computed across sifts are wrong or not cached under f's current ref", trial)
+			}
+		}
+		ref.Close()
+		c.Close()
+		m.Unregister(id)
+	}
+	if siftedEU == 0 || siftedEG == 0 {
+		t.Fatalf("sifts fired inside %d EU extensions and %d FairEG computations, want both > 0", siftedEU, siftedEG)
 	}
 }
 

@@ -238,15 +238,41 @@ func (p *parser) typeDecl() (*Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		loV, _ := strconv.Atoi(lo.text)
-		hiV, _ := strconv.Atoi(hi.text)
+		loV, err := intLit(lo)
+		if err != nil {
+			return nil, err
+		}
+		hiV, err := intLit(hi)
+		if err != nil {
+			return nil, err
+		}
 		if hiV < loV {
 			return nil, errAt(hi, "empty range %d..%d", loV, hiV)
+		}
+		// Compiling a range costs time quadratic in its size, and a huge
+		// one exhausts memory outright; the bound is non-negative, so
+		// the difference cannot overflow.
+		if hiV-loV >= maxRangeValues {
+			return nil, errAt(hi, "range %d..%d has more than %d values", loV, hiV, maxRangeValues)
 		}
 		return &Type{Kind: TypeRange, Lo: loV, Hi: hiV}, nil
 	default:
 		return nil, errAt(t, "expected type, found %s", t)
 	}
+}
+
+// maxRangeValues caps the size of a range type. Every shipped or
+// generated model's ranges have at most 16 values.
+const maxRangeValues = 4096
+
+// intLit converts a number token, rejecting one that does not fit in an
+// int.
+func intLit(t token) (int, error) {
+	v, err := strconv.Atoi(t.text)
+	if err != nil {
+		return 0, errAt(t, "number %s does not fit in an int", t.text)
+	}
+	return v, nil
 }
 
 func (p *parser) assignSection(m *Module) error {
@@ -571,7 +597,10 @@ func (p *parser) atomExpr() (Expr, error) {
 		return &SetLit{Elems: elems, tok: t}, nil
 	case tNumber:
 		p.next()
-		v, _ := strconv.Atoi(t.text)
+		v, err := intLit(t)
+		if err != nil {
+			return nil, err
+		}
 		return &Num{Val: v, tok: t}, nil
 	case tIdent:
 		switch t.text {

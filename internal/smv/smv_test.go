@@ -36,6 +36,26 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNumberLimits checks that a number beyond int, as a range bound or
+// in an expression, and a range above the value cap are parse errors at
+// the offending token, while a range exactly at the cap parses.
+func TestNumberLimits(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"MODULE main VAR x : 0..3; ASSIGN init(x) := 99999999999999999999;", "line 1:45: number 99999999999999999999 does not fit in an int"},
+		{"MODULE main VAR x : 0..99999999999999999999;", "line 1:24: number 99999999999999999999 does not fit in an int"},
+		{"MODULE main\nVAR x : 0..100000000;", "line 2:12: range 0..100000000 has more than 4096 values"},
+		{"MODULE main VAR x : 1..4097;", "line 1:24: range 1..4097 has more than 4096 values"},
+	} {
+		_, err := ParseModule(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseModule(%q) = %v, want an error containing %q", tc.src, err, tc.want)
+		}
+	}
+	if _, err := ParseModule("MODULE main VAR x : 1..4096;"); err != nil {
+		t.Errorf("a range of exactly %d values: %v", maxRangeValues, err)
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	bad := []struct{ name, src string }{
 		{"dup var", "MODULE main VAR x : boolean; x : boolean;"},

@@ -151,6 +151,24 @@ func TestHTTPWorkersShareSession(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedRangeRejected sends the two range declarations that
+// used to crash or exhaust the compiler: each gets 422, and the server
+// answers the next valid request.
+func TestHTTPOversizedRangeRejected(t *testing.T) {
+	sv := newTestServer(t, 8, 0, "")
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	for _, bound := range []string{"99999999999999999999", "100000000"} {
+		model := jsonString("MODULE main\nVAR x : 0.." + bound + ";\nSPEC AG x = 0\n")
+		if code := post(t, ts, `{"model": `+model+`}`); code != http.StatusUnprocessableEntity {
+			t.Fatalf("range 0..%s: status %d, want 422", bound, code)
+		}
+	}
+	if code := post(t, ts, `{"model": `+jsonString(counterModel)+`, "specs": ["AG n = 0"]}`); code != http.StatusOK {
+		t.Fatalf("valid request after the rejected ones: status %d", code)
+	}
+}
+
 // jsonString quotes s as a JSON string literal.
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)

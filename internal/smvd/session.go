@@ -63,6 +63,7 @@ type SessionStats struct {
 	LiveNodes       int     `json:"live_nodes"`
 	CacheSize       int     `json:"cache_size"`
 	MemoHits        uint64  `json:"memo_hits"`
+	RingReuses      uint64  `json:"ring_reuses"`
 	ReachableReuses uint64  `json:"reachable_reuses"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 
@@ -296,6 +297,7 @@ func (s *Session) stats() SessionStats {
 		LiveNodes:       s.compiled.S.M.NumNodes(),
 		CacheSize:       s.compiled.S.M.CacheSize(),
 		MemoHits:        s.checker.Stats.MemoHits,
+		RingReuses:      s.checker.Stats.RingReuses,
 		ReachableReuses: rel.ReachableReuses,
 		CacheHitRate:    rel.CacheHitRate(),
 		Rel:             rel,
