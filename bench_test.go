@@ -471,10 +471,10 @@ func BenchmarkBDDSerialization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := model.M.Save(&buf, []bdd.Ref{reach}); err != nil {
+		if err := model.M.SaveNamed(&buf, []bdd.NamedRoot{{Name: "reach", Ref: reach}}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := model.M.Load(&buf); err != nil {
+		if _, err := model.M.LoadNamed(&buf, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +556,7 @@ func partitionBenchModels() []benchModel {
 			if err != nil {
 				return nil, err
 			}
-			c, err := smv.CompileSource(string(src))
+			c, err := smv.CompileSource(string(src), smv.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -1020,7 +1020,7 @@ func TestRecordSiftBench(t *testing.T) {
 		name:  "scaled-ring-8",
 		cells: 8,
 		compile: func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(ringSrc)
+			c, err := smv.CompileSource(ringSrc, smv.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -1115,16 +1115,16 @@ func TestRecordLTLBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		module, err := smv.ParseModule(string(src))
+		base, err := smv.CompileSource(string(src), smv.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := scenarioVerdicts[name]
-		if len(module.LTLSpecs) != len(want.ltl) {
-			t.Fatalf("%s: %d LTLSPECs but %d expected verdicts", name, len(module.LTLSpecs), len(want.ltl))
+		if len(base.Module.LTLSpecs) != len(want.ltl) {
+			t.Fatalf("%s: %d LTLSPECs but %d expected verdicts", name, len(base.Module.LTLSpecs), len(want.ltl))
 		}
-		for i, sp := range module.LTLSpecs {
-			p, err := smv.CompileLTL(module, sp.Formula, sp.Source)
+		for i, sp := range base.Module.LTLSpecs {
+			p, err := base.Product(sp.Formula, sp.Source)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, sp.Source, err)
 			}
@@ -1249,15 +1249,16 @@ func TestRecordModelsBench(t *testing.T) {
 
 	var entries []modelsBenchEntry
 	for _, sc := range scenarios {
-		module, err := smv.ParseModule(sc.src)
+		base, err := smv.CompileSource(sc.src, smv.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
+		module := base.Module
 		if len(module.Specs) != len(sc.verdicts.ctl) || len(module.LTLSpecs) != len(sc.verdicts.ltl) {
 			t.Fatalf("%s: spec counts do not match the verdict table", sc.name)
 		}
 		for i, sp := range module.Specs {
-			c, err := smv.CompileSource(sc.src)
+			c, err := smv.CompileSource(sc.src, smv.Config{})
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
@@ -1298,7 +1299,7 @@ func TestRecordModelsBench(t *testing.T) {
 			entries = append(entries, e)
 		}
 		for i, sp := range module.LTLSpecs {
-			p, err := smv.CompileLTL(module, sp.Formula, sp.Source)
+			p, err := base.Product(sp.Formula, sp.Source)
 			if err != nil {
 				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
 			}
@@ -1446,7 +1447,7 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			c, err := smv.CompileSource(string(src))
+			c, err := smv.CompileSource(string(src), smv.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -1455,7 +1456,7 @@ func TestRecordDisjunctiveBench(t *testing.T) {
 	}
 	fromSource := func(src string) func() (*kripke.Symbolic, error) {
 		return func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(src)
+			c, err := smv.CompileSource(src, smv.Config{})
 			if err != nil {
 				return nil, err
 			}

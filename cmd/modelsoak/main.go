@@ -52,7 +52,7 @@ func main() {
 		}
 		m := modelgen.Generate(s)
 		src := m.Source()
-		if _, err := smv.CompileSource(src); err != nil {
+		if _, err := smv.CompileSource(src, smv.Config{}); err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: generated model does not compile: %v\n", s, err)
 			diverged++
 			ran++

@@ -98,32 +98,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	module, err := smv.ParseModule(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	engineCfg := smvd.Config{
+	cfg := smv.Config{
 		Disjunctive:  *disjunctive,
 		Reorder:      *reorder,
 		NoComplement: *noComplement,
 	}
 	if *server != "" {
-		exit(checkRemote(*server, string(src), module, engineCfg, *ltlSpec))
+		module, err := smv.ParseModule(string(src))
+		if err != nil {
+			fatal(err)
+		}
+		exit(checkRemote(*server, string(src), module, cfg, *ltlSpec))
 	}
-	copts := smv.CompileOptions{DisableComplementEdges: *noComplement}
-	compiled, err := smv.CompileWith(module, copts)
+	compiled, err := smv.CompileSource(string(src), cfg)
 	if err != nil {
 		fatal(err)
 	}
-	if *reorder {
-		compiled.S.M.EnableAutoReorder(nil)
-	}
-	if *disjunctive {
-		if compiled.S.NumDisjuncts() == 0 {
-			fmt.Fprintln(os.Stderr, "warning: -disjunctive has no effect: model declares no processes")
-		} else {
-			compiled.S.EnableDisjunct(true)
-		}
+	if *disjunctive && compiled.S.NumDisjuncts() == 0 {
+		fmt.Fprintln(os.Stderr, "warning: -disjunctive has no effect: model declares no processes")
 	}
 
 	// Warm start: restore a previous run's variable order and fixpoint
@@ -138,7 +130,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		modelKey = smvd.ModelKey(string(src), engineCfg)
+		modelKey = smvd.ModelKey(string(src), cfg)
 		warmReach, warmFair, warmIters, warm, err = store.Load(modelKey, compiled.S.M)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "warning: warm-start load failed: %v\n", err)
@@ -236,9 +228,9 @@ func main() {
 	}
 
 	// LTL specifications: each check compiles a fresh product of the
-	// model with the tableau of the negated formula (own BDD manager, so
-	// the per-check flags apply independently).
-	ltlSpecs := append([]*smv.LTLSpec(nil), module.LTLSpecs...)
+	// model with the tableau of the negated formula, on its own BDD
+	// manager under the model's config.
+	ltlSpecs := append([]*smv.LTLSpec(nil), compiled.Module.LTLSpecs...)
 	if *ltlSpec != "" {
 		f, err := ltl.Parse(*ltlSpec)
 		if err != nil {
@@ -248,17 +240,11 @@ func main() {
 	}
 	for _, sp := range ltlSpecs {
 		fmt.Printf("-- LTL specification %s ", sp.Source)
-		p, err := smv.CompileLTLWith(module, sp.Formula, sp.Source, copts)
+		p, err := compiled.Product(sp.Formula, sp.Source)
 		if err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			exitCode = 2
 			continue
-		}
-		if *reorder {
-			p.S.M.EnableAutoReorder(nil)
-		}
-		if *disjunctive && p.S.NumDisjuncts() > 0 {
-			p.S.EnableDisjunct(true)
 		}
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
@@ -338,7 +324,7 @@ func main() {
 	if store != nil && !warm {
 		if reach, iters, ok := compiled.S.ReachableCached(); ok {
 			if fair, okFair := checker.CachedFair(); okFair {
-				if err := store.Save(modelKey, engineCfg, compiled.S.M, reach, fair, iters); err != nil {
+				if err := store.Save(modelKey, cfg, compiled.S.M, reach, fair, iters); err != nil {
 					fmt.Fprintf(os.Stderr, "warning: warm-record save failed: %v\n", err)
 				}
 			}
@@ -351,7 +337,7 @@ func main() {
 // running smvd, whose session cache (shared reachable/fair sets,
 // subformula memo, warm-start records) answers repeated checks of an
 // unchanged model without recompiling it. Output mirrors local mode.
-func checkRemote(base, src string, module *smv.Module, cfg smvd.Config, extraLTL string) int {
+func checkRemote(base, src string, module *smv.Module, cfg smv.Config, extraLTL string) int {
 	req := smvd.CheckRequest{Model: src, Config: cfg}
 	for _, sp := range module.Specs {
 		req.Specs = append(req.Specs, sp.Source)

@@ -35,7 +35,7 @@ func TestComplementDifferentialModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe, err := smv.CompileSource(string(src))
+		probe, err := smv.CompileSource(string(src), smv.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,18 +67,16 @@ type repRun struct {
 	products  []*smv.LTLProduct
 }
 
-func runUnderRepresentation(t *testing.T, src, mode string, opts smv.CompileOptions) repRun {
+func runUnderRepresentation(t *testing.T, src, mode string, cfg smv.Config) repRun {
 	t.Helper()
-	c, err := smv.CompileSourceWith(src, opts)
+	cfg.Disjunctive = mode == "disjunctive"
+	c, err := smv.CompileSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	configure := func(cc *smv.Compiled) {
-		switch mode {
-		case "monolithic":
+		if mode == "monolithic" {
 			cc.S.EnablePartition(false)
-		case "disjunctive":
-			cc.S.EnableDisjunct(true)
 		}
 	}
 	configure(c)
@@ -105,7 +103,7 @@ func runUnderRepresentation(t *testing.T, src, mode string, opts smv.CompileOpti
 		out.traces = append(out.traces, tr)
 	}
 	for _, sp := range c.Module.LTLSpecs {
-		p, err := smv.CompileLTLWith(c.Module, sp.Formula, sp.Source, opts)
+		p, err := c.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
 		}
@@ -131,8 +129,8 @@ func runUnderRepresentation(t *testing.T, src, mode string, opts smv.CompileOpti
 
 func compareRepresentations(t *testing.T, src, mode string) int {
 	t.Helper()
-	comp := runUnderRepresentation(t, src, mode, smv.CompileOptions{})
-	ref := runUnderRepresentation(t, src, mode, smv.CompileOptions{DisableComplementEdges: true})
+	comp := runUnderRepresentation(t, src, mode, smv.Config{})
+	ref := runUnderRepresentation(t, src, mode, smv.Config{NoComplement: true})
 
 	if comp.reachable != ref.reachable {
 		t.Errorf("reachable states differ: %v (complement) vs %v (reference)",

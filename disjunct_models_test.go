@@ -33,7 +33,7 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe, err := smv.CompileSource(string(src))
+		probe, err := smv.CompileSource(string(src), smv.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,10 +41,10 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 			continue
 		}
 		processModels++
-		for _, rep := range complementOptions {
+		for _, rep := range representations {
 			rep := rep
 			t.Run(ent.Name()+"/"+rep.name, func(t *testing.T) {
-				compareDisjunctiveToMonolithic(t, string(src), rep.opts)
+				compareDisjunctiveToMonolithic(t, string(src), rep.cfg)
 			})
 		}
 	}
@@ -56,17 +56,18 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 // compareDisjunctiveToMonolithic compiles src twice — one copy checked
 // through the disjunctive image, one through the monolithic relation —
 // and compares everything observable.
-func compareDisjunctiveToMonolithic(t *testing.T, src string, opts smv.CompileOptions) {
-	dis, err := smv.CompileSourceWith(src, opts)
+func compareDisjunctiveToMonolithic(t *testing.T, src string, cfg smv.Config) {
+	disCfg := cfg
+	disCfg.Disjunctive = true
+	dis, err := smv.CompileSource(src, disCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dis.S.NumDisjuncts() == 0 {
 		t.Fatal("process model compiled without disjunctive components")
 	}
-	dis.S.EnableDisjunct(true)
 
-	mono, err := smv.CompileSourceWith(src, opts)
+	mono, err := smv.CompileSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +138,14 @@ func compareDisjunctiveToMonolithic(t *testing.T, src string, opts smv.CompileOp
 	// against the other path's product structure and falsify the
 	// formula under the explicit-state replay oracle.
 	for _, sp := range dis.Module.LTLSpecs {
-		pD, err := smv.CompileLTLWith(dis.Module, sp.Formula, sp.Source, opts)
+		pD, err := dis.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
 		}
 		if pD.S.NumDisjuncts() == 0 {
 			t.Fatalf("LTLSPEC %s: product lost the disjunctive components", sp.Source)
 		}
-		pD.S.EnableDisjunct(true)
-		pM, err := smv.CompileLTLWith(mono.Module, sp.Formula, sp.Source, opts)
+		pM, err := mono.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
 		}

@@ -54,7 +54,7 @@ SPEC AG (p1 = critical -> AX p1 = idle) -- the section is released
 `
 
 func main() {
-	compiled, err := smv.CompileSource(model)
+	compiled, err := smv.CompileSource(model, smv.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,7 @@ ASSIGN init(sem) := FALSE;
 `
 
 func main() {
-	compiled, err := smv.CompileSource(model)
+	compiled, err := smv.CompileSource(model, smv.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ SPEC AG EF serving
 `
 
 func main() {
-	compiled, err := smv.CompileSource(model)
+	compiled, err := smv.CompileSource(model, smv.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,10 +34,10 @@ func TestGoldenCounterexamples(t *testing.T) {
 	}
 	for _, cfg := range []struct {
 		name string
-		smvd smvd.Config
+		smvd smv.Config
 	}{
-		{"default", smvd.Config{}},
-		{"disjunctive", smvd.Config{Disjunctive: true}},
+		{"default", smv.Config{}},
+		{"disjunctive", smv.Config{Disjunctive: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			var out strings.Builder
@@ -80,12 +80,9 @@ func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src stri
 		flags = " -disjunctive"
 	}
 	fmt.Fprintf(out, "== smv%s %s\n", flags, path)
-	compiled, err := smv.CompileSource(src)
+	compiled, err := smv.CompileSource(src, smv.Config{Disjunctive: disjunctive})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if disjunctive && compiled.S.NumDisjuncts() > 0 {
-		compiled.S.EnableDisjunct(true)
 	}
 	checker := mc.New(compiled.S)
 	defer checker.Close()
@@ -105,12 +102,9 @@ func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src stri
 			sp.Source, compiled.TraceString(tr), compiled.DeltaTraceString(tr))
 	}
 	for _, sp := range compiled.Module.LTLSpecs {
-		p, err := smv.CompileLTL(compiled.Module, sp.Formula, sp.Source)
+		p, err := compiled.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", path, sp.Source, err)
-		}
-		if disjunctive && p.S.NumDisjuncts() > 0 {
-			p.S.EnableDisjunct(true)
 		}
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
@@ -129,7 +123,7 @@ func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src stri
 // server twice: the first request compiles the session and computes its
 // fixpoints, the second is answered from the session's memo. Both must
 // return the same counterexamples.
-func renderSmvdCounterexamples(t *testing.T, out *strings.Builder, path, src string, cfg smvd.Config) {
+func renderSmvdCounterexamples(t *testing.T, out *strings.Builder, path, src string, cfg smv.Config) {
 	t.Helper()
 	fmt.Fprintf(out, "== smvd %+v %s\n", cfg, path)
 	module, err := smv.ParseModule(src)

@@ -1,28 +1,21 @@
 package bdd
 
 // Serialization of BDDs in a compact binary format, so that computed
-// transition relations and reachable-state sets can be checkpointed and
-// shared between runs. The format stores the variable order and the
-// node triples of the reachable subgraph in topological order; loading
-// replays mk() so the result is canonical in the target manager even if
-// its arena layout differs.
+// reachable-state and fair-state sets can be checkpointed and shared
+// between runs (smvd's warm-start records). A file ("GOBDD3\n") holds
+// the variable order, the node triples of the roots' reachable subgraph
+// in topological order, and the named roots (length-prefixed UTF-8 name
+// plus root edge). The node table holds plain nodes only (table index 0
+// is the terminal False) and every edge and root is encoded as
+// (tableIndex << 1) | complementBit, decoded through Not on load — which
+// works whether the target manager uses complement edges or the
+// structural representation. Loading replays mk() so the result is
+// canonical in the target manager even if its arena layout differs.
 //
-// Format v2 ("GOBDD2\n") carries complement edges: the node table holds
-// plain nodes only (table index 0 is the terminal False) and every edge
-// and root is encoded as (tableIndex << 1) | complementBit, decoded
-// through Not on load — which works whether the target manager uses
-// complement edges or the structural representation. Files written by
-// the v1 format ("GOBDD1\n", two-terminal, no complement bits) are
-// still read; Save always writes v2.
-//
-// Format v3 ("GOBDD3\n") is the warm-start record: the v2 body followed
-// by *named* roots (length-prefixed UTF-8 name + sign-encoded root per
-// entry), written by SaveNamed and read by LoadNamed. Because the saved
-// variable order travels with every version, a v3 reader can also adopt
-// it — reordering the target manager to the saved (sifted) order before
-// decoding — so a restarted process pays the dynamic-reordering work of
-// a model once, ever. Load accepts v3 files too, dropping the names;
-// LoadNamed accepts v1/v2 files, returning empty names.
+// Because the saved variable order travels with the file, a reader can
+// also adopt it — reordering the target manager to the saved (sifted)
+// order before decoding — so a restarted process pays the
+// dynamic-reordering work of a model once, ever.
 
 import (
 	"bufio"
@@ -32,14 +25,14 @@ import (
 	"io"
 )
 
-const (
-	serialMagicV1 = "GOBDD1\n"
-	serialMagicV2 = "GOBDD2\n"
-	serialMagicV3 = "GOBDD3\n"
-)
+const serialMagic = "GOBDD3\n"
 
-// maxSavedNameLen bounds the name records of a v3 file; anything longer
-// is a corrupt record, not a legitimate root name.
+// errBadMagic rejects a stream that does not start with serialMagic,
+// including files of the retired v1 and v2 formats.
+var errBadMagic = errors.New("bdd: bad magic (not a saved BDD)")
+
+// maxSavedNameLen bounds the name records of a file; anything longer is
+// a corrupt record, not a legitimate root name.
 const maxSavedNameLen = 1 << 12
 
 // NamedRoot pairs a root BDD with a symbolic name, for warm-start
@@ -50,84 +43,9 @@ type NamedRoot struct {
 	Ref  Ref
 }
 
-// Save writes the given roots (and the manager's variable order) to w
-// in format v2.
-func (m *Manager) Save(w io.Writer, roots []Ref) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(serialMagicV2); err != nil {
-		return err
-	}
-	enc, err := m.writeOrderAndNodes(bw, roots)
-	if err != nil {
-		return err
-	}
-	if err := writeU32To(bw, uint32(len(roots))); err != nil {
-		return err
-	}
-	for _, r := range roots {
-		if err := writeU32To(bw, enc(r)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveNamed writes the named roots (and the manager's variable order)
-// to w in format v3.
+// SaveNamed writes the named roots and the manager's variable order to
+// w.
 func (m *Manager) SaveNamed(w io.Writer, roots []NamedRoot) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(serialMagicV3); err != nil {
-		return err
-	}
-	refs := make([]Ref, len(roots))
-	for i, r := range roots {
-		if len(r.Name) > maxSavedNameLen {
-			return fmt.Errorf("bdd: root name %q too long to save", r.Name[:32]+"...")
-		}
-		refs[i] = r.Ref
-	}
-	enc, err := m.writeOrderAndNodes(bw, refs)
-	if err != nil {
-		return err
-	}
-	if err := writeU32To(bw, uint32(len(roots))); err != nil {
-		return err
-	}
-	for _, r := range roots {
-		if err := writeU32To(bw, uint32(len(r.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(r.Name); err != nil {
-			return err
-		}
-		if err := writeU32To(bw, enc(r.Ref)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func writeU32To(bw *bufio.Writer, x uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], x)
-	_, err := bw.Write(buf[:])
-	return err
-}
-
-// writeOrderAndNodes writes the variable order and the topologically
-// ordered node table of the given roots — the body shared by v2 and v3
-// — and returns the edge encoder ((tableIndex << 1) | complementBit)
-// for the trailing root records.
-func (m *Manager) writeOrderAndNodes(bw *bufio.Writer, roots []Ref) (func(Ref) uint32, error) {
-	if err := writeU32To(bw, uint32(m.NumVars())); err != nil {
-		return nil, err
-	}
-	for _, v := range m.level2var {
-		if err := writeU32To(bw, uint32(v)); err != nil {
-			return nil, err
-		}
-	}
-
 	// Topological order over plain refs: children before parents. Table
 	// index 0 is the terminal; stored nodes start at 1.
 	index := map[Ref]uint32{0: 0}
@@ -145,8 +63,11 @@ func (m *Manager) writeOrderAndNodes(bw *bufio.Writer, roots []Ref) (func(Ref) u
 		order = append(order, f)
 	}
 	for _, r := range roots {
-		m.checkRef(r)
-		visit(r)
+		if len(r.Name) > maxSavedNameLen {
+			return fmt.Errorf("bdd: root name %q too long to save", r.Name[:32]+"...")
+		}
+		m.checkRef(r.Ref)
+		visit(r.Ref)
 	}
 	enc := func(f Ref) uint32 {
 		e := index[f&^compBit] << 1
@@ -156,77 +77,154 @@ func (m *Manager) writeOrderAndNodes(bw *bufio.Writer, roots []Ref) (func(Ref) u
 		return e
 	}
 
-	if err := writeU32To(bw, uint32(len(order))); err != nil {
-		return nil, err
+	// A bufio.Writer keeps its first write error and returns it from
+	// Flush, so the individual writes' errors are dropped.
+	bw := bufio.NewWriter(w)
+	_, _ = bw.WriteString(serialMagic)
+	writeU32To(bw, uint32(m.NumVars()))
+	for _, v := range m.level2var {
+		writeU32To(bw, uint32(v))
 	}
+	writeU32To(bw, uint32(len(order)))
 	for _, f := range order {
 		n := &m.nodes[f]
-		if err := writeU32To(bw, n.lvl&^markBit); err != nil {
-			return nil, err
-		}
-		if err := writeU32To(bw, enc(n.low)); err != nil {
-			return nil, err
-		}
-		if err := writeU32To(bw, enc(n.high)); err != nil {
-			return nil, err
-		}
+		writeU32To(bw, n.lvl&^markBit)
+		writeU32To(bw, enc(n.low))
+		writeU32To(bw, enc(n.high))
 	}
-	return enc, nil
+	writeU32To(bw, uint32(len(roots)))
+	for _, r := range roots {
+		writeU32To(bw, uint32(len(r.Name)))
+		_, _ = bw.WriteString(r.Name)
+		writeU32To(bw, enc(r.Ref))
+	}
+	return bw.Flush()
 }
 
-// Load reads roots previously written by Save into the manager,
-// accepting both the current v2 format and legacy v1 files. The
-// manager must have at least as many variables as the saved order; the
-// saved levels are interpreted through the *saved* order, i.e. the
-// function is reconstructed over the same variable indices it was
-// built over (levels follow the target manager's current order).
-func (m *Manager) Load(r io.Reader) ([]Ref, error) {
-	named, err := m.LoadNamed(r, false)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]Ref, len(named))
-	for i, nr := range named {
-		roots[i] = nr.Ref
-	}
-	return roots, nil
+func writeU32To(bw *bufio.Writer, x uint32) {
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], x)
+	_, _ = bw.Write(buf[:]) // kept by bw for Flush
 }
 
-// LoadNamed reads a saved BDD file of any version and returns its roots
-// with their names (v1/v2 files carry no names; theirs are empty). When
-// adoptOrder is true the manager is reordered to the saved variable
-// order before the nodes are decoded — the warm-start path: the sifted
-// order computed by a previous process is restored instead of being
-// re-derived by dynamic reordering. Adoption requires the saved order
-// to cover exactly the manager's variables.
+// LoadNamed reads a file written by SaveNamed into the manager and
+// returns its roots with their names, in record order. The manager must
+// have at least as many variables as the saved order; the saved levels
+// are interpreted through the *saved* order, i.e. each function is
+// reconstructed over the same variable indices it was built over
+// (levels follow the target manager's current order). When adoptOrder
+// is true the manager is first reordered to the saved variable order —
+// the warm-start path: the sifted order computed by a previous process
+// is restored instead of being re-derived by dynamic reordering.
+// Adoption requires the saved order to cover exactly the manager's
+// variables.
 func (m *Manager) LoadNamed(r io.Reader, adoptOrder bool) ([]NamedRoot, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(serialMagicV2))
+	magic := make([]byte, len(serialMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	switch string(magic) {
-	case serialMagicV3:
-		return m.loadV3(br, adoptOrder)
-	case serialMagicV2:
-		roots, err := m.loadV2(br, adoptOrder)
-		return anonRoots(roots), err
-	case serialMagicV1:
-		roots, err := m.loadV1(br, adoptOrder)
-		return anonRoots(roots), err
+	if string(magic) != serialMagic {
+		return nil, errBadMagic
 	}
-	return nil, errors.New("bdd: bad magic (not a saved BDD)")
-}
 
-func anonRoots(roots []Ref) []NamedRoot {
-	if roots == nil {
-		return nil
+	nvars, err := readU32From(br)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]NamedRoot, len(roots))
-	for i, r := range roots {
-		out[i] = NamedRoot{Ref: r}
+	if int(nvars) > m.NumVars() {
+		return nil, fmt.Errorf("bdd: saved BDD uses %d variables, manager has %d", nvars, m.NumVars())
 	}
-	return out
+	savedLevel2Var := make([]int, nvars)
+	for i := range savedLevel2Var {
+		v, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		if int(v) >= m.NumVars() {
+			return nil, fmt.Errorf("bdd: saved variable %d out of range", v)
+		}
+		savedLevel2Var[i] = int(v)
+	}
+	if adoptOrder {
+		if err := m.adoptSavedOrder(savedLevel2Var); err != nil {
+			return nil, err
+		}
+	}
+
+	nnodes, err := readU32From(br)
+	if err != nil {
+		return nil, err
+	}
+	// Grown incrementally: a corrupt count must fail at the first short
+	// read, not preallocate gigabytes.
+	table := make([]Ref, 1, 1+clampPrealloc(nnodes))
+	table[0] = False
+	// dec resolves a sign-encoded edge against the already-built prefix.
+	dec := func(e uint32) (Ref, bool) {
+		if e>>1 >= uint32(len(table)) {
+			return 0, false
+		}
+		f := table[e>>1]
+		if e&1 != 0 {
+			f = m.Not(f)
+		}
+		return f, true
+	}
+	for i := uint32(0); i < nnodes; i++ {
+		lvl, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		lowEnc, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		highEnc, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		if lvl >= nvars {
+			return nil, errors.New("bdd: corrupt node record")
+		}
+		low, okLow := dec(lowEnc)
+		high, okHigh := dec(highEnc)
+		if !okLow || !okHigh {
+			return nil, errors.New("bdd: corrupt edge record")
+		}
+		// Rebuild through ITE so a different variable order in the
+		// target manager still yields the correct (canonical) function.
+		table = append(table, m.ite3(m.Var(savedLevel2Var[lvl]), high, low))
+	}
+
+	nroots, err := readU32From(br)
+	if err != nil {
+		return nil, err
+	}
+	roots := make([]NamedRoot, 0, clampPrealloc(nroots))
+	for i := uint32(0); i < nroots; i++ {
+		nameLen, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		if nameLen > maxSavedNameLen {
+			return nil, errors.New("bdd: corrupt name record")
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, err
+		}
+		e, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		f, ok := dec(e)
+		if !ok {
+			return nil, errors.New("bdd: corrupt root record")
+		}
+		roots = append(roots, NamedRoot{Name: string(name), Ref: f})
+	}
+	return roots, nil
 }
 
 // adoptSavedOrder reorders the manager to the saved level-to-variable
@@ -256,159 +254,6 @@ func readU32From(br *bufio.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-// loadOrder reads the variable count and saved level-to-variable map
-// shared by both format versions.
-func (m *Manager) loadOrder(br *bufio.Reader) ([]int, error) {
-	nvars, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	if int(nvars) > m.NumVars() {
-		return nil, fmt.Errorf("bdd: saved BDD uses %d variables, manager has %d", nvars, m.NumVars())
-	}
-	savedLevel2Var := make([]int, nvars)
-	for i := range savedLevel2Var {
-		v, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(v) >= m.NumVars() {
-			return nil, fmt.Errorf("bdd: saved variable %d out of range", v)
-		}
-		savedLevel2Var[i] = int(v)
-	}
-	return savedLevel2Var, nil
-}
-
-// loadNodeTable reads the saved order and the node table — the body
-// shared by v2 and v3 — optionally adopting the saved variable order
-// first, and returns the decoded table plus the edge decoder.
-func (m *Manager) loadNodeTable(br *bufio.Reader, adoptOrder bool) ([]Ref, func(e, limit uint32) (Ref, error), error) {
-	savedLevel2Var, err := m.loadOrder(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	if adoptOrder {
-		if err := m.adoptSavedOrder(savedLevel2Var); err != nil {
-			return nil, nil, err
-		}
-	}
-	nvars := uint32(len(savedLevel2Var))
-
-	nnodes, err := readU32From(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Grown incrementally: a corrupt count must fail at the first short
-	// read, not preallocate gigabytes.
-	table := make([]Ref, 1, clampPrealloc(nnodes+1))
-	table[0] = False
-	// dec resolves a sign-encoded edge against the already-built prefix.
-	dec := func(e, limit uint32) (Ref, error) {
-		if e>>1 >= limit {
-			return 0, errors.New("bdd: corrupt edge record")
-		}
-		f := table[e>>1]
-		if e&1 != 0 {
-			f = m.Not(f)
-		}
-		return f, nil
-	}
-	for i := uint32(0); i < nnodes; i++ {
-		lvl, err := readU32From(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		lowEnc, err := readU32From(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		highEnc, err := readU32From(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lvl >= nvars {
-			return nil, nil, errors.New("bdd: corrupt node record")
-		}
-		low, err := dec(lowEnc, i+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		high, err := dec(highEnc, i+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := savedLevel2Var[lvl]
-		// Rebuild through ITE so a different variable order in the
-		// target manager still yields the correct (canonical) function.
-		table = append(table, m.ite3(m.Var(v), high, low))
-	}
-	return table, dec, nil
-}
-
-// loadV2 reads the body of a v2 file: plain node triples with
-// sign-encoded edges and roots.
-func (m *Manager) loadV2(br *bufio.Reader, adoptOrder bool) ([]Ref, error) {
-	table, dec, err := m.loadNodeTable(br, adoptOrder)
-	if err != nil {
-		return nil, err
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]Ref, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		e, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		f, err := dec(e, uint32(len(table)))
-		if err != nil {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, f)
-	}
-	return roots, nil
-}
-
-// loadV3 reads the body of a v3 file: the shared node table followed by
-// named roots.
-func (m *Manager) loadV3(br *bufio.Reader, adoptOrder bool) ([]NamedRoot, error) {
-	table, dec, err := m.loadNodeTable(br, adoptOrder)
-	if err != nil {
-		return nil, err
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]NamedRoot, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		nameLen, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > maxSavedNameLen {
-			return nil, errors.New("bdd: corrupt name record")
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
-		}
-		e, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		f, err := dec(e, uint32(len(table)))
-		if err != nil {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, NamedRoot{Name: string(name), Ref: f})
-	}
-	return roots, nil
-}
-
 // clampPrealloc bounds slice preallocation from untrusted counts; the
 // slices grow past it by appending, after the stream has actually
 // delivered that many records.
@@ -418,63 +263,4 @@ func clampPrealloc(n uint32) int {
 		return maxPrealloc
 	}
 	return int(n)
-}
-
-// loadV1 reads the body of a legacy v1 file: two-terminal node table
-// (indices 0 and 1 are False and True), no complement bits.
-func (m *Manager) loadV1(br *bufio.Reader, adoptOrder bool) ([]Ref, error) {
-	savedLevel2Var, err := m.loadOrder(br)
-	if err != nil {
-		return nil, err
-	}
-	if adoptOrder {
-		if err := m.adoptSavedOrder(savedLevel2Var); err != nil {
-			return nil, err
-		}
-	}
-	nvars := uint32(len(savedLevel2Var))
-
-	nnodes, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	table := make([]Ref, 2, clampPrealloc(nnodes+2))
-	table[0] = False
-	table[1] = True
-	for i := uint32(0); i < nnodes; i++ {
-		lvl, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		lowIdx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		highIdx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if lvl >= nvars || lowIdx >= i+2 || highIdx >= i+2 {
-			return nil, errors.New("bdd: corrupt node record")
-		}
-		v := savedLevel2Var[lvl]
-		low, high := table[lowIdx], table[highIdx]
-		table = append(table, m.ite3(m.Var(v), high, low))
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]Ref, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		idx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if idx >= uint32(len(table)) {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, table[idx])
-	}
-	return roots, nil
 }

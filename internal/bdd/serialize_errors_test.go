@@ -6,29 +6,18 @@ import (
 	"testing"
 )
 
-// goldenV2 saves a nontrivial function pair (including a complemented
-// root) and returns the raw v2 bytes.
-func goldenV2(t *testing.T) []byte {
+// golden saves a nontrivial function family — a named pair f/¬f (so one
+// root is complemented) and an unnamed root sharing f's subgraph — from
+// a manager with the given options, and returns the raw stream.
+func golden(t testing.TB, opts ...Option) []byte {
 	t.Helper()
-	m := New(4)
-	f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
-	var buf bytes.Buffer
-	if err := m.Save(&buf, []Ref{f, m.Not(f), m.Or(m.Var(2), f)}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// goldenV3 saves the same function family as named warm-start roots and
-// returns the raw v3 bytes.
-func goldenV3(t *testing.T) []byte {
-	t.Helper()
-	m := New(4)
+	m := New(4, opts...)
 	f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
 	var buf bytes.Buffer
 	err := m.SaveNamed(&buf, []NamedRoot{
 		{Name: "reach", Ref: f},
 		{Name: "fair", Ref: m.Not(f)},
+		{Name: "", Ref: m.Or(m.Var(2), f)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,57 +25,77 @@ func goldenV3(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// goldenV1 hand-assembles a legacy v1 stream (Save only writes v2):
-// the two-variable xor from TestLoadV1Legacy.
-func goldenV1(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("GOBDD1\n")
-	u32 := func(xs ...uint32) {
-		for _, x := range xs {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], x)
-			buf.Write(b[:])
-		}
+// goldens are the streams the sweeps mutate: one from each node
+// representation.
+func goldens(t *testing.T) []struct {
+	name string
+	data []byte
+} {
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"v3", golden(t)},
+		{"nocomp", golden(t, DisableComplementEdges())},
 	}
-	u32(2)       // nvars
-	u32(0, 1)    // saved order
-	u32(3)       // node count
-	u32(1, 0, 1) // idx 2: x1
-	u32(1, 1, 0) // idx 3: ¬x1
-	u32(0, 2, 3) // idx 4: x0 ⊕ x1
-	u32(2)       // root count
-	u32(4, 1)    // roots
-	return buf.Bytes()
 }
 
-// loadNoPanic runs Load and converts any panic into a test failure that
-// names the mutated input, so one bad offset doesn't mask the rest of
-// the sweep.
+// layout locates the records of a valid stream: the node count, the
+// first node triple, the root count, and each root's name-length and
+// edge words.
+type layout struct {
+	count, nodes, nnodes, rootCount int
+	nameLens, rootEdges             []int
+}
+
+func parseLayout(data []byte) layout {
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(data[off:])) }
+	var l layout
+	l.count = len(serialMagic) + 4 + 4*u32(len(serialMagic))
+	l.nnodes = u32(l.count)
+	l.nodes = l.count + 4
+	l.rootCount = l.nodes + 12*l.nnodes
+	off := l.rootCount + 4
+	for i := 0; i < u32(l.rootCount); i++ {
+		l.nameLens = append(l.nameLens, off)
+		off += 4 + u32(off)
+		l.rootEdges = append(l.rootEdges, off)
+		off += 4
+	}
+	return l
+}
+
+// u32at returns a copy of data with the little-endian word at off set to v.
+func u32at(data []byte, off int, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[off:], v)
+	return out
+}
+
+// loadNoPanic runs LoadNamed and converts any panic into a test failure
+// that names the mutated input, so one bad offset doesn't mask the rest
+// of the sweep.
 func loadNoPanic(t *testing.T, m *Manager, data []byte, what string) (roots []Ref, err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Errorf("%s: Load panicked: %v", what, r)
+			t.Errorf("%s: LoadNamed panicked: %v", what, r)
 			err = nil
 			roots = nil
 		}
 	}()
-	return m.Load(bytes.NewReader(data))
+	named, err := m.LoadNamed(bytes.NewReader(data), false)
+	for _, nr := range named {
+		roots = append(roots, nr.Ref)
+	}
+	return roots, err
 }
 
-// TestLoadTruncatedEveryPrefix feeds every strict prefix of a valid v1
-// and v2 stream to Load: each must return an error — there is no prefix
-// of a saved BDD that is itself a complete file — and none may panic.
+// TestLoadTruncatedEveryPrefix feeds every strict prefix of a valid
+// stream to LoadNamed: each must return an error — there is no prefix of
+// a saved BDD that is itself a complete file — and none may panic.
 func TestLoadTruncatedEveryPrefix(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"v2", goldenV2(t)},
-		{"v1", goldenV1(t)},
-		{"v3", goldenV3(t)},
-	} {
+	for _, tc := range goldens(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for cut := 0; cut < len(tc.data); cut++ {
 				m := New(4)
@@ -99,19 +108,13 @@ func TestLoadTruncatedEveryPrefix(t *testing.T) {
 }
 
 // TestLoadBitFlipSweep mutates every byte of the golden streams (each
-// of the 8 bit flips, one at a time). Load may reject the mutant or may
-// accept it — a flipped sign bit, say, decodes to the complement, which
-// is a perfectly valid file — but it must never panic, and any roots it
-// does return must be structurally sound in the target manager.
+// of the 8 bit flips, one at a time). LoadNamed may reject the mutant or
+// may accept it — a flipped sign bit, say, decodes to the complement,
+// which is a perfectly valid file — but it must never panic, and any
+// roots it does return must be structurally sound in the target
+// manager.
 func TestLoadBitFlipSweep(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"v2", goldenV2(t)},
-		{"v1", goldenV1(t)},
-		{"v3", goldenV3(t)},
-	} {
+	for _, tc := range goldens(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for pos := 0; pos < len(tc.data); pos++ {
 				for bit := 0; bit < 8; bit++ {
@@ -138,36 +141,32 @@ func TestLoadBitFlipSweep(t *testing.T) {
 }
 
 // TestLoadCorruptRecords exercises each explicit rejection path of the
-// v2 loader with targeted corruptions of a known-good stream, checking
-// the error (not a panic, not a silent success) surfaces.
+// reader with targeted corruptions of a known-good stream, checking the
+// error (not a panic, not a silent success) surfaces.
 func TestLoadCorruptRecords(t *testing.T) {
-	base := goldenV2(t)
-	u32at := func(data []byte, off int, v uint32) []byte {
-		out := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint32(out[off:], v)
-		return out
-	}
+	base := golden(t)
+	l := parseLayout(base)
 	const (
-		hdr      = 7       // magic
+		hdr      = len(serialMagic)
 		offNvars = hdr     // nvars (4)
 		offOrder = hdr + 4 // 4 vars × 4 bytes
-		offCount = offOrder + 16
-		offNodes = offCount + 4 // first node triple
 	)
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"wrong magic", append([]byte("NOTBDD!"), base[hdr:]...)},
-		{"v3 magic", append([]byte("GOBDD3\n"), base[hdr:]...)},
+		{"v1 magic", append([]byte("GOBDD1\n"), base[hdr:]...)},
+		{"v2 magic", append([]byte("GOBDD2\n"), base[hdr:]...)},
 		{"empty", nil},
 		{"magic only", base[:hdr]},
 		{"variable overflow", u32at(base, offNvars, 99)},
 		{"order entry out of range", u32at(base, offOrder, 7)},
-		{"node level out of range", u32at(base, offNodes, 12)},
-		{"forward edge reference", u32at(base, offNodes+4, 500<<1)},
-		{"huge node count, truncated body", u32at(base, offCount, 0xFFFFFFF0)},
-		{"huge root count, truncated body", u32at(base, len(base)-12, 0xFFFFFFF0)},
+		{"node level out of range", u32at(base, l.nodes, 12)},
+		{"forward edge reference", u32at(base, l.nodes+4, 500<<1)},
+		{"huge node count, truncated body", u32at(base, l.count, 0xFFFFFFF0)},
+		{"all-ones node count", u32at(base, l.count, 0xFFFFFFFF)},
+		{"huge root count, truncated body", u32at(base, l.rootCount, 0xFFFFFFF0)},
 		{"root index out of range", u32at(base, len(base)-4, 500<<1)},
 	}
 	for _, tc := range cases {
@@ -181,70 +180,49 @@ func TestLoadCorruptRecords(t *testing.T) {
 }
 
 // TestLoadV3CorruptRecords exercises the rejection paths specific to
-// the v3 named-root trailer: name lengths beyond the record bound,
-// names longer than the remaining stream, and out-of-range root edges.
+// the named-root trailer: name lengths beyond the record bound, names
+// longer than the remaining stream, and out-of-range root edges.
 func TestLoadV3CorruptRecords(t *testing.T) {
-	base := goldenV3(t)
-	const hdr = 7
-	nnodes := binary.LittleEndian.Uint32(base[hdr+4+16:])
-	// Offset of the root count, then of the first root's name-length word.
-	rootCountOff := hdr + 4 + 16 + 4 + int(nnodes)*12
-	nameLenOff := rootCountOff + 4
-	firstName := int(binary.LittleEndian.Uint32(base[nameLenOff:]))
-	firstRootOff := nameLenOff + 4 + firstName
-	u32at := func(data []byte, off int, v uint32) []byte {
-		out := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint32(out[off:], v)
-		return out
-	}
+	base := golden(t)
+	l := parseLayout(base)
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"huge name length", u32at(base, nameLenOff, 0xFFFFFFF0)},
-		{"name length over bound", u32at(base, nameLenOff, maxSavedNameLen+1)},
-		{"name longer than stream", u32at(base, nameLenOff, maxSavedNameLen)},
-		{"root edge out of range", u32at(base, firstRootOff, 500<<1)},
-		{"huge root count, truncated trailer", u32at(base, rootCountOff, 0xFFFFFFF0)},
+		{"huge name length", u32at(base, l.nameLens[0], 0xFFFFFFF0)},
+		{"name length over bound", u32at(base, l.nameLens[0], maxSavedNameLen+1)},
+		{"name longer than stream", u32at(base, l.nameLens[0], maxSavedNameLen)},
+		{"root edge out of range", u32at(base, l.rootEdges[0], 500<<1)},
+		{"huge root count, truncated trailer", u32at(base, l.rootCount, 0xFFFFFFF0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(4)
 			if _, err := loadNoPanic(t, m, tc.data, tc.name); err == nil {
-				t.Fatalf("corrupt v3 stream loaded without error")
+				t.Fatalf("corrupt stream loaded without error")
 			}
 		})
 	}
 }
 
 // TestLoadSignBitCorruption flips exactly the complement bit of every
-// edge and root record in the v2 stream: each mutant is a VALID file
-// denoting different functions, so Load must succeed and the loaded
+// edge and root record in a stream: each mutant is a VALID file
+// denoting different functions, so LoadNamed must succeed and the loaded
 // roots must still be canonical (involutive complements, consistent
 // with a fresh evaluation).
 func TestLoadSignBitCorruption(t *testing.T) {
 	m := New(4)
 	f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
-	var buf bytes.Buffer
-	if err := m.Save(&buf, []Ref{f, m.Not(f)}); err != nil {
-		t.Fatal(err)
-	}
-	base := buf.Bytes()
-	// Record layout after the 7-byte magic: nvars, order×4, nnodes, then
-	// triples (lvl, low, high) and finally nroots + roots. Edge fields
-	// are the 2nd and 3rd word of each triple, and every root word.
-	var nnodes uint32 = binary.LittleEndian.Uint32(base[7+4+16:])
-	edgeOffsets := []int{}
-	nodeBase := 7 + 4 + 16 + 4
-	for i := uint32(0); i < nnodes; i++ {
-		off := nodeBase + int(i)*12
+	base := saveRoots(t, m, f, m.Not(f))
+	// Edge fields are the 2nd and 3rd word of each node triple, and the
+	// edge word of every root record.
+	l := parseLayout(base)
+	var edgeOffsets []int
+	for i := 0; i < l.nnodes; i++ {
+		off := l.nodes + i*12
 		edgeOffsets = append(edgeOffsets, off+4, off+8)
 	}
-	rootBase := nodeBase + int(nnodes)*12 + 4
-	nroots := binary.LittleEndian.Uint32(base[rootBase-4:])
-	for i := uint32(0); i < nroots; i++ {
-		edgeOffsets = append(edgeOffsets, rootBase+int(i)*4)
-	}
+	edgeOffsets = append(edgeOffsets, l.rootEdges...)
 	for _, off := range edgeOffsets {
 		mutant := append([]byte(nil), base...)
 		mutant[off] ^= 1 // complement bit of the little-endian word
@@ -262,5 +240,52 @@ func TestLoadSignBitCorruption(t *testing.T) {
 				t.Fatalf("offset %d: root not involutive under Not", off)
 			}
 		}
+	}
+}
+
+// FuzzLoadNamed feeds arbitrary bytes to the reader, with order adoption
+// on and off, into a manager of each representation. The reader takes
+// untrusted disk bytes (smv -cache-dir, smvd warm-start records), so it
+// must never panic, and a stream it accepts must leave the manager
+// sound: every root a live ref of the target representation and
+// CheckInvariants clean.
+func FuzzLoadNamed(f *testing.F) {
+	for _, rep := range representations {
+		data := golden(f, rep.opts...)
+		f.Add(data, false)
+		f.Add(data, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, adopt bool) {
+		for _, rep := range representations {
+			m := New(4, rep.opts...)
+			roots, err := m.LoadNamed(bytes.NewReader(data), adopt)
+			if err != nil {
+				continue
+			}
+			for _, r := range roots {
+				checkLiveRef(t, m, r.Ref)
+			}
+			if err := CheckInvariants(m); err != nil {
+				t.Fatalf("%s: invariants after load: %v", rep.name, err)
+			}
+		}
+	})
+}
+
+// checkLiveRef fails unless r is a ref of m: inside the arena, not on
+// the free list, and signed only as m's representation allows.
+func checkLiveRef(t *testing.T, m *Manager, r Ref) {
+	t.Helper()
+	i := uint32(r &^ compBit)
+	if int(i) >= len(m.nodes) {
+		t.Fatalf("root %d outside the arena of %d nodes", r, len(m.nodes))
+	}
+	for f := m.free; f != 0; f = m.nodes[f].next {
+		if f == i {
+			t.Fatalf("root %d is a freed node", r)
+		}
+	}
+	if m.noComp && i != 0 && r&compBit != 0 {
+		t.Fatalf("root %d carries a complement bit in a no-complement manager", r)
 	}
 }

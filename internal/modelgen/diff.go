@@ -14,23 +14,29 @@ import (
 	"repro/internal/smv"
 )
 
-// Cell is one point of the configuration lattice: an image mode, the
-// node representation and the reordering policy. Every cell must
-// compute the same reachable set and the same verdict for every
+// Cell is one point of the configuration lattice: an engine config plus
+// the monolithic image, a test-only oracle that evaluates images over
+// the conjoined relation instead of the cluster partition. Every cell
+// must compute the same reachable set and the same verdict for every
 // specification — they are different evaluation strategies over the
 // same transition relation.
 type Cell struct {
-	Mode       string // "monolithic" | "partitioned" | "disjunctive"
-	Complement bool   // complement-edge manager vs structural negation
-	Reorder    bool   // growth-triggered sifting enabled
+	smv.Config
+	Monolithic bool
 }
 
 func (c Cell) String() string {
-	s := c.Mode
-	if c.Complement {
-		s += "+comp"
-	} else {
+	s := "partitioned"
+	switch {
+	case c.Monolithic:
+		s = "monolithic"
+	case c.Disjunctive:
+		s = "disjunctive"
+	}
+	if c.NoComplement {
 		s += "-comp"
+	} else {
+		s += "+comp"
 	}
 	if c.Reorder {
 		s += "+reorder"
@@ -41,15 +47,18 @@ func (c Cell) String() string {
 // Cells enumerates the lattice. Disjunctive cells are only meaningful
 // when the compiled model has process disjuncts.
 func Cells(hasDisjuncts bool) []Cell {
-	modes := []string{"partitioned", "monolithic"}
+	modes := []Cell{{}, {Monolithic: true}}
 	if hasDisjuncts {
-		modes = append(modes, "disjunctive")
+		modes = append(modes, Cell{Config: smv.Config{Disjunctive: true}})
 	}
 	var out []Cell
 	for _, mode := range modes {
-		for _, comp := range []bool{true, false} {
+		for _, noComp := range []bool{false, true} {
 			for _, reorder := range []bool{false, true} {
-				out = append(out, Cell{Mode: mode, Complement: comp, Reorder: reorder})
+				cell := mode
+				cell.NoComplement = noComp
+				cell.Reorder = reorder
+				out = append(out, cell)
 			}
 		}
 	}
@@ -81,12 +90,12 @@ type cellRun struct {
 	products  []*smv.LTLProduct
 }
 
+// configure applies the cell's test-only settings on top of its config:
+// the monolithic image, and the small-model sift options in place of
+// the defaults the config switched on.
 func (r *cellRun) configure(c *smv.Compiled) {
-	switch r.cell.Mode {
-	case "monolithic":
+	if r.cell.Monolithic {
 		c.S.EnablePartition(false)
-	case "disjunctive":
-		c.S.EnableDisjunct(true)
 	}
 	if r.cell.Reorder {
 		c.S.M.EnableAutoReorder(&latticeReorder)
@@ -99,8 +108,7 @@ func (r *cellRun) configure(c *smv.Compiled) {
 // counterexample) is an error — those are engine bugs, not divergences
 // between cells, but the soak reports them the same way.
 func runCell(src string, cell Cell) (*cellRun, error) {
-	opts := smv.CompileOptions{DisableComplementEdges: !cell.Complement}
-	c, err := smv.CompileSourceWith(src, opts)
+	c, err := smv.CompileSource(src, cell.Config)
 	if err != nil {
 		return nil, fmt.Errorf("%s: compile: %w", cell, err)
 	}
@@ -131,7 +139,7 @@ func runCell(src string, cell Cell) (*cellRun, error) {
 		run.ctlTraces = append(run.ctlTraces, tr)
 	}
 	for _, sp := range c.Module.LTLSpecs {
-		p, err := smv.CompileLTLWith(c.Module, sp.Formula, sp.Source, opts)
+		p, err := c.Product(sp.Formula, sp.Source)
 		if err != nil {
 			return nil, fmt.Errorf("%s: LTLSPEC %s: %w", cell, sp.Source, err)
 		}
@@ -358,7 +366,7 @@ func diverge(where, format string, args ...any) error {
 // the predicate the property test, the fuzz target, the soak binary,
 // and the shrinker all share.
 func CheckModel(src string) error {
-	probe, err := smv.CompileSource(src)
+	probe, err := smv.CompileSource(src, smv.Config{})
 	if err != nil {
 		return fmt.Errorf("modelgen: generated model does not compile: %w", err)
 	}

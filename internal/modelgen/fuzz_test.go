@@ -20,7 +20,7 @@ func FuzzModelGen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		m := Generate(seed)
 		src := m.Source()
-		if _, err := smv.CompileSource(src); err != nil {
+		if _, err := smv.CompileSource(src, smv.Config{}); err != nil {
 			t.Fatalf("seed %d: generated model does not compile: %v\n%s", seed, err, src)
 		}
 		if err := CheckModel(src); err != nil {

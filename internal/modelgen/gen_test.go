@@ -27,7 +27,7 @@ func TestGeneratedModelsCompile(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		m := Generate(seed)
 		src := m.Source()
-		c, err := smv.CompileSource(src)
+		c, err := smv.CompileSource(src, smv.Config{})
 		if err != nil {
 			t.Fatalf("seed %d does not compile: %v\n%s", seed, err, src)
 		}
@@ -76,7 +76,7 @@ func TestShrinkDropUses(t *testing.T) {
 			// Best-effort textual check only; compilation is the contract.
 			_ = src
 		}
-		if _, err := smv.CompileSource(src); err != nil {
+		if _, err := smv.CompileSource(src, smv.Config{}); err != nil {
 			t.Fatalf("seed %d: dropping %s broke the model: %v\n%s", seed, v.Name, err, src)
 		}
 	}

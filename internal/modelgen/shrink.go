@@ -49,7 +49,7 @@ func (m *Model) clone() *Model {
 // compilation is rejected, never reported.
 func stillFailing(m *Model) bool {
 	src := m.Source()
-	if _, err := smv.CompileSource(src); err != nil {
+	if _, err := smv.CompileSource(src, smv.Config{}); err != nil {
 		return false
 	}
 	return CheckModel(src) != nil

@@ -57,6 +57,7 @@ type Compiled struct {
 	Vars   map[string]*VarInfo
 	Order  []string // variable declaration order
 
+	cfg     Config // engine configuration; LTL products inherit it
 	defines map[string]*Define
 	defMemo map[string]*result
 	defBusy map[string]bool
@@ -76,36 +77,51 @@ type valCase struct {
 	cond bdd.Ref
 }
 
-// CompileOptions carries engine settings that must be fixed before the
-// symbolic structure's BDD manager exists.
-type CompileOptions struct {
-	// DisableComplementEdges compiles onto a manager using the legacy
-	// structural node representation (bdd.DisableComplementEdges). Used
-	// by the differential suites as the oracle for the complement-edge
-	// engine; verdicts and traces must not depend on it.
-	DisableComplementEdges bool
+// Config is the engine configuration a model is compiled under: image
+// mode, reordering and node representation. Verdicts and traces must not
+// depend on it — the settings are different evaluation strategies over
+// the same transition relation — but each changes the BDDs a compiled
+// structure holds, so smvd keys sessions and warm-start records by it.
+// The JSON keys are smvd's request and record format.
+type Config struct {
+	// Disjunctive selects the per-process disjunctive image when the
+	// model declares processes (ignored otherwise).
+	Disjunctive bool `json:"disjunctive,omitempty"`
+	// Workers is ignored: every structure runs on one single-threaded
+	// manager.
+	//
+	// Deprecated: the shared-memory parallel BDD engine it configured has
+	// been removed. The field remains only because perfbench sets it.
+	Workers int `json:"workers,omitempty"`
+	// Reorder enables growth-triggered dynamic variable reordering with
+	// the default options.
+	Reorder bool `json:"reorder,omitempty"`
+	// NoComplement compiles onto the legacy structural node
+	// representation (bdd.DisableComplementEdges), the oracle the
+	// differential suites hold the complement-edge engine against.
+	NoComplement bool `json:"no_complement,omitempty"`
 }
 
-// bddOptions lowers the compile options to manager options.
-func (o CompileOptions) bddOptions() []bdd.Option {
-	var opts []bdd.Option
-	if o.DisableComplementEdges {
-		opts = append(opts, bdd.DisableComplementEdges())
+// CompileSource parses src and compiles it under cfg. The manager is
+// created with cfg's node representation; reordering and the
+// disjunctive image are switched on once the relation is built.
+func CompileSource(src string, cfg Config) (*Compiled, error) {
+	m, err := ParseModule(src)
+	if err != nil {
+		return nil, err
 	}
-	return opts
+	return compile(m, nil, cfg)
 }
 
-// Compile type-checks and compiles the module into a symbolic structure.
+// Compile compiles a parsed module under the zero Config.
+//
+// Deprecated: use CompileSource. Compile remains only because perfbench
+// calls it.
 func Compile(m *Module) (*Compiled, error) {
-	return compile(m, nil, CompileOptions{})
+	return compile(m, nil, Config{})
 }
 
-// CompileWith is Compile with explicit engine options.
-func CompileWith(m *Module, opts CompileOptions) (*Compiled, error) {
-	return compile(m, nil, opts)
-}
-
-// compile is the engine behind Compile and CompileLTL. When la is
+// compile is the engine behind CompileSource and Product. When la is
 // non-nil it interleaves the tableau product construction (see ltl.go)
 // into the normal compile: the tableau variables are appended after the
 // model's bit allocation, the tableau clusters join the conjunctive
@@ -113,9 +129,10 @@ func CompileWith(m *Module, opts CompileOptions) (*Compiled, error) {
 // product flows through the same early-quantified and Shannon-expanded
 // image paths as the model relation — and the generalized-Büchi sets
 // are appended after the model's FAIRNESS constraints.
-func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, error) {
+func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 	c := &Compiled{
 		Module:  m,
+		cfg:     cfg,
 		Vars:    map[string]*VarInfo{},
 		defines: map[string]*Define{},
 		defMemo: map[string]*result{},
@@ -125,7 +142,7 @@ func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, erro
 	for _, vd := range m.Vars {
 		if vd.Type.Kind == TypeInstance {
 			return nil, &Error{Line: vd.line,
-				Msg: fmt.Sprintf("variable %q instantiates a module; flatten the program first (CompileProgram)", vd.Name)}
+				Msg: fmt.Sprintf("variable %q instantiates a module; flatten the program first (ParseModule)", vd.Name)}
 		}
 		if c.Vars[vd.Name] != nil {
 			return nil, &Error{Line: vd.line, Msg: fmt.Sprintf("variable %q redeclared", vd.Name)}
@@ -170,7 +187,11 @@ func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, erro
 		}
 	}
 
-	c.S = kripke.NewSymbolic(names, opts.bddOptions()...)
+	var opts []bdd.Option
+	if cfg.NoComplement {
+		opts = append(opts, bdd.DisableComplementEdges())
+	}
+	c.S = kripke.NewSymbolic(names, opts...)
 	mgr := c.S.M
 
 	// Domain-validity invariant for domains that are not powers of two.
@@ -311,6 +332,12 @@ func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, erro
 	// evaluation read; register them so dynamic reordering rewrites them
 	// in place (the structure's own hook covers everything else).
 	mgr.OnReorder(c.rewriteRefs)
+	if cfg.Reorder {
+		mgr.EnableAutoReorder(nil)
+	}
+	if cfg.Disjunctive && c.S.NumDisjuncts() > 0 {
+		c.S.EnableDisjunct(true)
+	}
 	return c, nil
 }
 
@@ -327,8 +354,8 @@ func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, erro
 // forms, so the union equals the conjunction exactly. Under a fixed
 // scheduler value every other process's assignment collapses to its
 // TRUE:v frame, which is what makes each component small. The
-// disjunctive path stays disabled until EnableDisjunct(true) (cmd/smv
-// -disjunctive); installation is cheap — k restricted products.
+// disjunctive path stays disabled unless Config.Disjunctive is set;
+// installation is cheap — k restricted products.
 func (c *Compiled) emitDisjuncts(transClusters []bdd.Ref) error {
 	info := c.Vars[schedulerVar]
 	if info == nil {
@@ -363,20 +390,6 @@ func (c *Compiled) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
 			r.cases[i].cond = translate(r.cases[i].cond)
 		}
 	}
-}
-
-// CompileSource parses and compiles in one step.
-func CompileSource(src string) (*Compiled, error) {
-	return CompileSourceWith(src, CompileOptions{})
-}
-
-// CompileSourceWith is CompileSource with explicit engine options.
-func CompileSourceWith(src string, opts CompileOptions) (*Compiled, error) {
-	m, err := ParseModule(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileWith(m, opts)
 }
 
 func bitsFor(n int) int {

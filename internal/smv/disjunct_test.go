@@ -31,7 +31,7 @@ SPEC EF g
 // process), named after the scheduler's enum, and their union is
 // exactly the monolithic transition relation.
 func TestProcessEmitsDisjuncts(t *testing.T) {
-	c, err := CompileProgram(sharedCounterSrc)
+	c, err := CompileSource(sharedCounterSrc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ ASSIGN
   init(x) := FALSE;
   next(x) := !x;
   next(y) := x;
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +84,16 @@ ASSIGN
 // TestDisjunctCheckAllAgrees: verdicts under the disjunctive image match
 // the conjunctive default.
 func TestDisjunctCheckAllAgrees(t *testing.T) {
-	ref, err := CompileProgram(sharedCounterSrc)
+	ref, err := CompileSource(sharedCounterSrc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refResults, _ := ref.CheckAll()
 
-	c, err := CompileProgram(sharedCounterSrc)
+	c, err := CompileSource(sharedCounterSrc, Config{Disjunctive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.S.EnableDisjunct(true)
 	results, _ := c.CheckAll()
 	if len(results) != len(refResults) {
 		t.Fatal("result count differs")

@@ -51,24 +51,6 @@ func ParseProgram(src string) (Program, error) {
 	return prog, nil
 }
 
-// CompileProgram parses, flattens and compiles a multi-module source.
-func CompileProgram(src string) (*Compiled, error) {
-	return CompileProgramWith(src, CompileOptions{})
-}
-
-// CompileProgramWith is CompileProgram with explicit engine options.
-func CompileProgramWith(src string, opts CompileOptions) (*Compiled, error) {
-	prog, err := ParseProgram(src)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := prog.Flatten()
-	if err != nil {
-		return nil, err
-	}
-	return CompileWith(flat, opts)
-}
-
 // schedulerVar is the fresh variable Flatten introduces when the model
 // declares `process` instances: it ranges over {main, <process paths>}
 // and selects which process's next-assignments fire this step

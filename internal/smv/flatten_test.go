@@ -6,7 +6,7 @@ import (
 )
 
 func TestFlattenSimpleInstance(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE cell(inp)
 VAR q : boolean;
 ASSIGN
@@ -19,7 +19,7 @@ VAR x : boolean; c0 : cell(x);
 ASSIGN init(x) := TRUE; next(x) := x;
 SPEC AF c0.q
 SPEC AG (c0.changed -> AX !c0.changed)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ SPEC AG (c0.changed -> AX !c0.changed)
 }
 
 func TestFlattenNestedInstances(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE bit(carryIn)
 VAR v : boolean;
 ASSIGN
@@ -51,7 +51,7 @@ VAR p : pair(go); go : boolean;
 ASSIGN next(go) := TRUE; init(go) := TRUE;
 SPEC AG (p.lo.v & p.hi.v -> AX !p.lo.v)
 SPEC EF (p.hi.v)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ SPEC EF (p.hi.v)
 
 func TestFlattenCounterChain(t *testing.T) {
 	// two chained 2-bit counters: the second ticks when the first wraps.
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE counter(tick)
 VAR n : 0..3;
 ASSIGN
@@ -81,7 +81,7 @@ VAR c0 : counter(TRUE); c1 : counter(c0.wrap);
 SPEC AG (c0.n = 3 & c1.n = 3 -> AX (c0.n = 0 & c1.n = 0))
 SPEC AG AF c1.n = 2
 SPEC AG (c1.n = 1 -> c1.n != 2)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ SPEC AG (c1.n = 1 -> c1.n != 2)
 
 func TestFlattenSharedState(t *testing.T) {
 	// two observers of the same variable through parameters
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE watcher(sig)
 VAR seen : boolean;
 ASSIGN
@@ -111,7 +111,7 @@ VAR s : boolean; w1 : watcher(s); w2 : watcher(!s);
 ASSIGN init(s) := FALSE; next(s) := {TRUE, FALSE};
 SPEC AG (w1.seen & w2.seen -> AX (w1.seen & w2.seen))  -- latching
 SPEC EF (w1.seen & w2.seen)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ SPEC EF (w1.seen & w2.seen)
 
 func TestFlattenModuleFairness(t *testing.T) {
 	// FAIRNESS declared inside a module applies to the instance.
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE flipper
 VAR b : boolean;
 ASSIGN next(b) := {TRUE, FALSE};
@@ -134,7 +134,7 @@ FAIRNESS b
 MODULE main
 VAR f : flipper;
 SPEC AG AF f.b
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ SPEC AG AF f.b
 }
 
 func TestFlattenNextOfParameter(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE follower(x)
 VAR y : boolean;
 ASSIGN init(y) := FALSE;
@@ -155,7 +155,7 @@ MODULE main
 VAR a : boolean; f : follower(a);
 ASSIGN init(a) := FALSE; next(a) := !a;
 SPEC AG (f.y = a)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +188,14 @@ MODULE main
 VAR q : boolean; i : m(!q);`},
 	}
 	for _, c := range bad {
-		if _, err := CompileProgram(c.src); err == nil {
+		if _, err := CompileSource(c.src, Config{}); err == nil {
 			t.Errorf("%s: should fail:\n%s", c.name, c.src)
 		}
 	}
 }
 
 func TestFlattenPreservesEnumLiterals(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE proc
 VAR st : {idle, busy};
 ASSIGN
@@ -205,7 +205,7 @@ ASSIGN
 MODULE main
 VAR p : proc;
 SPEC AG (p.st = idle -> AX p.st = busy)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type LTLProduct struct {
 	ElemVars []int        // indices into S.Vars of the tableau variables
 }
 
-// ResolveLTLAtoms verifies that all atoms of an LTL formula name
+// resolveLTLAtoms verifies that all atoms of an LTL formula name
 // declared variables or DEFINEs of the module.
 func resolveLTLAtoms(m *Module, f *ltl.Formula) error {
 	names := map[string]bool{}
@@ -59,32 +59,28 @@ func resolveLTLAtoms(m *Module, f *ltl.Formula) error {
 	return nil
 }
 
-// ResolveLTLAtoms verifies that all atoms of an LTL formula resolve
-// against this compiled module (returns the first error, if any).
-func (c *Compiled) ResolveLTLAtoms(f *ltl.Formula) error {
-	for _, a := range ltl.Atoms(f) {
-		if c.Vars[a] == nil && c.defines[a] == nil {
-			return fmt.Errorf("smv: LTLSPEC mentions unknown identifier %q", a)
-		}
-	}
-	return nil
+// Product compiles c's module in product with the tableau of ¬spec,
+// under c's Config. Each product owns a fresh BDD manager: its tableau
+// variables and fairness sets are per-formula.
+func (c *Compiled) Product(spec *ltl.Formula, source string) (*LTLProduct, error) {
+	return product(c.Module, spec, source, c.cfg)
 }
 
-// CompileLTL compiles the module in product with the tableau of
-// ¬spec. Each product owns a fresh BDD manager, so per-check settings
-// (reordering, disjunctive evaluation) are configured on the
-// returned product's structure exactly as for a plain Compiled.
+// CompileLTL compiles the module in product with the tableau of ¬spec
+// under the zero Config.
+//
+// Deprecated: use (*Compiled).Product. CompileLTL remains only because
+// perfbench calls it.
 func CompileLTL(m *Module, spec *ltl.Formula, source string) (*LTLProduct, error) {
-	return CompileLTLWith(m, spec, source, CompileOptions{})
+	return product(m, spec, source, Config{})
 }
 
-// CompileLTLWith is CompileLTL with explicit engine options.
-func CompileLTLWith(m *Module, spec *ltl.Formula, source string, opts CompileOptions) (*LTLProduct, error) {
+func product(m *Module, spec *ltl.Formula, source string, cfg Config) (*LTLProduct, error) {
 	if err := resolveLTLAtoms(m, spec); err != nil {
 		return nil, err
 	}
 	la := &ltlAttachment{tab: ltl.Translate(spec)}
-	c, err := compile(m, la, opts)
+	c, err := compile(m, la, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -99,26 +95,6 @@ func CompileLTLWith(m *Module, spec *ltl.Formula, source string, opts CompileOpt
 	// Accept must survive GC and follow dynamic reordering.
 	c.S.M.RegisterRefs(&p.Accept)
 	return p, nil
-}
-
-// CompileLTLSource parses module source and compiles the product with
-// one ad-hoc LTL specification (convenience for tests and cmd/smv
-// -ltl).
-func CompileLTLSource(src, spec string) (*LTLProduct, error) {
-	return CompileLTLSourceWith(src, spec, CompileOptions{})
-}
-
-// CompileLTLSourceWith is CompileLTLSource with explicit engine options.
-func CompileLTLSourceWith(src, spec string, opts CompileOptions) (*LTLProduct, error) {
-	m, err := ParseModule(src)
-	if err != nil {
-		return nil, err
-	}
-	f, err := ltl.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return CompileLTLWith(m, f, spec, opts)
 }
 
 // Check decides M ⊨ Spec as emptiness of the fair product, using a
@@ -186,11 +162,11 @@ func (p *LTLProduct) FormatLassoByVars(tr *core.Trace) string {
 }
 
 // CheckLTLSpec is the one-call path used by tests and validation
-// harnesses: compile the product, run the emptiness check, replay any
-// counterexample, and release the checker. The returned trace (if any)
-// remains decodable through the returned product.
-func CheckLTLSpec(m *Module, spec *ltl.Formula, source string) (holds bool, p *LTLProduct, cex *core.Trace, err error) {
-	p, err = CompileLTL(m, spec, source)
+// harnesses: build c's product with spec, run the emptiness check,
+// replay any counterexample, and release the checker. The returned
+// trace (if any) remains decodable through the returned product.
+func (c *Compiled) CheckLTLSpec(spec *ltl.Formula, source string) (holds bool, p *LTLProduct, cex *core.Trace, err error) {
+	p, err = c.Product(spec, source)
 	if err != nil {
 		return false, nil, nil, err
 	}

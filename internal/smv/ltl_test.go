@@ -21,12 +21,12 @@ func parseOK(t *testing.T, src string) *Module {
 // (including counterexample replay failures).
 func checkLTL(t *testing.T, src, spec string) (bool, *LTLProduct) {
 	t.Helper()
-	m := parseOK(t, src)
+	c := compileOK(t, src)
 	f, err := ltl.Parse(spec)
 	if err != nil {
 		t.Fatalf("ltl parse %q: %v", spec, err)
 	}
-	holds, p, _, err := CheckLTLSpec(m, f, spec)
+	holds, p, _, err := c.CheckLTLSpec(f, spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
@@ -84,14 +84,14 @@ func TestLTLSpecParseError(t *testing.T) {
 }
 
 func TestLTLSpecOnlyInMain(t *testing.T) {
-	_, err := CompileProgram(`
+	_, err := CompileSource(`
 MODULE main
 VAR c : counter;
 MODULE counter
 VAR x : boolean;
 ASSIGN next(x) := !x;
 LTLSPEC G F x
-`)
+`, Config{})
 	if err == nil || !strings.Contains(err.Error(), "LTLSPEC is only allowed in main") {
 		t.Fatalf("want LTLSPEC-in-submodule error, got %v", err)
 	}
@@ -122,9 +122,9 @@ func TestLTLToggleVerdicts(t *testing.T) {
 }
 
 func TestLTLCounterexampleIsLasso(t *testing.T) {
-	m := parseOK(t, toggleSrc)
+	c := compileOK(t, toggleSrc)
 	f := ltl.MustParse("F G x")
-	holds, p, cex, err := CheckLTLSpec(m, f, "F G x")
+	holds, p, cex, err := c.CheckLTLSpec(f, "F G x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +199,13 @@ ASSIGN
 }
 
 func TestLTLUnknownAtom(t *testing.T) {
-	m := parseOK(t, toggleSrc)
-	_, err := CompileLTL(m, ltl.MustParse("G y"), "G y")
+	c := compileOK(t, toggleSrc)
+	_, err := c.Product(ltl.MustParse("G y"), "G y")
 	if err == nil || !strings.Contains(err.Error(), "unknown identifier") {
 		t.Fatalf("want unknown-identifier error, got %v", err)
 	}
-	c := compileOK(t, toggleSrc)
-	if err := c.ResolveLTLAtoms(ltl.MustParse("G y")); err == nil {
-		t.Fatal("ResolveLTLAtoms should reject unknown atom")
-	}
-	if err := c.ResolveLTLAtoms(ltl.MustParse("G x")); err != nil {
-		t.Fatalf("ResolveLTLAtoms rejects declared atom: %v", err)
+	if _, err := c.Product(ltl.MustParse("G x"), "G x"); err != nil {
+		t.Fatalf("product rejects declared atom: %v", err)
 	}
 }
 
@@ -246,8 +242,7 @@ ASSIGN
   init(y) := FALSE; next(y) := x;
 `
 	c := compileOK(t, src)
-	m := parseOK(t, src)
-	p, err := CompileLTL(m, ltl.MustParse("G (x -> F y)"), "")
+	p, err := c.Product(ltl.MustParse("G (x -> F y)"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,27 +281,26 @@ ASSIGN
   next(turn) := case turn = id : 1 - id; TRUE : turn; esac;
 FAIRNESS running
 `
-	prog, err := ParseProgram(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := prog.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat.LTLSpecs) != 1 {
-		t.Fatalf("want 1 LTL spec after flatten, got %d", len(flat.LTLSpecs))
-	}
 	var verdicts []bool
 	for _, disj := range []bool{false, true} {
-		p, err := CompileLTL(flat, flat.LTLSpecs[0].Formula, flat.LTLSpecs[0].Source)
+		c, err := CompileSource(src, Config{Disjunctive: disj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Module.LTLSpecs) != 1 {
+			t.Fatalf("want 1 LTL spec after flatten, got %d", len(c.Module.LTLSpecs))
+		}
+		sp := c.Module.LTLSpecs[0]
+		p, err := c.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.S.NumDisjuncts() == 0 {
 			t.Fatal("process product did not emit disjuncts")
 		}
-		p.S.EnableDisjunct(disj)
+		if p.S.DisjunctEnabled() != disj {
+			t.Fatalf("product disjunctive image enabled = %v, want the model's %v", p.S.DisjunctEnabled(), disj)
+		}
 		ch := mc.New(p.S)
 		holds, cex, err := p.Check(ch)
 		if err != nil {

@@ -38,7 +38,7 @@ func TestShippedModelsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := CompileSource(string(src))
+		c, err := CompileSource(string(src), Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", ent.Name(), err)
 		}
@@ -75,7 +75,7 @@ func TestSeitzModelMatchesCircuitPipeline(t *testing.T) {
 	if err != nil {
 		t.Skipf("seitz.smv not found: %v", err)
 	}
-	c, err := CompileSource(string(src))
+	c, err := CompileSource(string(src), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

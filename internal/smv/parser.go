@@ -213,11 +213,21 @@ func (p *parser) typeDecl() (*Type, error) {
 	case p.at(tLBrace):
 		p.next()
 		var vals []string
+		seen := map[string]bool{}
 		for {
 			v, err := p.expect(tIdent)
 			if err != nil {
 				return nil, err
 			}
+			// A repeated symbol would get a second code that prints as the
+			// symbol but fails every comparison with it.
+			if seen[v.text] {
+				return nil, errAt(v, "enum symbol %s repeated", v.text)
+			}
+			if len(vals) == maxDomainValues {
+				return nil, errAt(v, "enum has more than %d symbols", maxDomainValues)
+			}
+			seen[v.text] = true
 			vals = append(vals, v.text)
 			if p.at(tComma) {
 				p.next()
@@ -249,11 +259,9 @@ func (p *parser) typeDecl() (*Type, error) {
 		if hiV < loV {
 			return nil, errAt(hi, "empty range %d..%d", loV, hiV)
 		}
-		// Compiling a range costs time quadratic in its size, and a huge
-		// one exhausts memory outright; the bound is non-negative, so
-		// the difference cannot overflow.
-		if hiV-loV >= maxRangeValues {
-			return nil, errAt(hi, "range %d..%d has more than %d values", loV, hiV, maxRangeValues)
+		// The bound is non-negative, so the difference cannot overflow.
+		if hiV-loV >= maxDomainValues {
+			return nil, errAt(hi, "range %d..%d has more than %d values", loV, hiV, maxDomainValues)
 		}
 		return &Type{Kind: TypeRange, Lo: loV, Hi: hiV}, nil
 	default:
@@ -261,9 +269,11 @@ func (p *parser) typeDecl() (*Type, error) {
 	}
 }
 
-// maxRangeValues caps the size of a range type. Every shipped or
-// generated model's ranges have at most 16 values.
-const maxRangeValues = 4096
+// maxDomainValues caps the size of a range or enum type. Compiling a
+// domain costs time quadratic in its size, and a huge one exhausts
+// memory outright; every shipped or generated model's domains have at
+// most 16 values.
+const maxDomainValues = 4096
 
 // intLit converts a number token, rejecting one that does not fit in an
 // int.

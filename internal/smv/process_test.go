@@ -5,7 +5,7 @@ import "testing"
 // TestProcessInterleaving: two process counters sharing nothing; with
 // interleaving, exactly one advances per step.
 func TestProcessInterleaving(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE counter
 VAR n : 0..3;
 ASSIGN
@@ -19,7 +19,7 @@ VAR
 SPEC AG !(a.n = 1 & b.n = 1 & EX (a.n = 2 & b.n = 2))
 SPEC EF (a.n = 3 & b.n = 3)
 SPEC AG (a.n = 0 & b.n = 0 -> AX ((a.n = 1 & b.n = 0) | (a.n = 0 & b.n = 1) | (a.n = 0 & b.n = 0)))
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ SPEC AG (a.n = 0 & b.n = 0 -> AX ((a.n = 1 & b.n = 0) | (a.n = 0 & b.n = 1) | (a
 // TestProcessRunningKeyword: `running` inside a process resolves to the
 // scheduler test, enabling the standard FAIRNESS running idiom.
 func TestProcessRunningKeyword(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE ticker
 VAR x : boolean;
 ASSIGN
@@ -50,7 +50,7 @@ VAR t1 : process ticker; t2 : process ticker;
 SPEC AG AF t1.x
 SPEC AG AF t2.x
 SPEC AG AF !t1.x
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ SPEC AG AF !t1.x
 // TestProcessStarvationWithoutFairness: without FAIRNESS running, one
 // process can be starved forever.
 func TestProcessStarvationWithoutFairness(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE ticker
 VAR x : boolean;
 ASSIGN
@@ -75,7 +75,7 @@ ASSIGN
 MODULE main
 VAR t1 : process ticker; t2 : process ticker;
 SPEC AG AF t1.x
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ SPEC AG AF t1.x
 // TestProcessSharedVariable: interleaved access to a shared counter via
 // parameters — the classic lost-update shape is visible to the checker.
 func TestProcessSharedVariable(t *testing.T) {
-	c, err := CompileProgram(`
+	c, err := CompileSource(`
 MODULE incrementer(shared)
 VAR mine : boolean;
 ASSIGN
@@ -108,7 +108,7 @@ ASSIGN
 SPEC AG ((p.mine -> AX (p.mine | !p.mine)))   -- sanity
 SPEC EF (p.mine & q.mine)
 SPEC EF (p.mine & !q.mine)
-`)
+`, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ MODULE main
 VAR i : process ghost;`},
 	}
 	for _, c := range bad {
-		if _, err := CompileProgram(c.src); err == nil {
+		if _, err := CompileSource(c.src, Config{}); err == nil {
 			t.Errorf("%s: should fail", c.name)
 		}
 	}

@@ -1,6 +1,7 @@
 package smv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func compileOK(t *testing.T, src string) *Compiled {
 	t.Helper()
-	c, err := CompileSource(src)
+	c, err := CompileSource(src, Config{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -52,7 +53,22 @@ func TestNumberLimits(t *testing.T) {
 		}
 	}
 	if _, err := ParseModule("MODULE main VAR x : 1..4096;"); err != nil {
-		t.Errorf("a range of exactly %d values: %v", maxRangeValues, err)
+		t.Errorf("a range of exactly %d values: %v", maxDomainValues, err)
+	}
+	enum := func(n int) string {
+		syms := make([]string, n)
+		for i := range syms {
+			syms[i] = fmt.Sprintf("e%d", i)
+		}
+		return "MODULE main VAR s : {" + strings.Join(syms, ", ") + "};"
+	}
+	over := enum(maxDomainValues + 1)
+	want := fmt.Sprintf("line 1:%d: enum has more than %d symbols", strings.LastIndex(over, "e")+1, maxDomainValues)
+	if _, err := ParseModule(over); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a %d-symbol enum: %v, want an error containing %q", maxDomainValues+1, err, want)
+	}
+	if _, err := ParseModule(enum(maxDomainValues)); err != nil {
+		t.Errorf("an enum of exactly %d symbols: %v", maxDomainValues, err)
 	}
 }
 
@@ -68,9 +84,10 @@ func TestCompileErrors(t *testing.T) {
 		{"set compare", "MODULE main VAR n : 0..3; INIT {1,2} = n;"},
 		{"div by zero", "MODULE main VAR n : 0..3; INIT n / 0 = 1;"},
 		{"order on enum", "MODULE main VAR s : {a, b}; INIT s < b;"},
+		{"repeated enum symbol", "MODULE main VAR s : {a, b, a}; SPEC AG (s = a | s = b)"},
 	}
 	for _, c := range bad {
-		if _, err := CompileSource(c.src); err == nil {
+		if _, err := CompileSource(c.src, Config{}); err == nil {
 			t.Errorf("%s: should fail to compile:\n%s", c.name, c.src)
 		}
 	}
@@ -446,7 +463,7 @@ func TestInWithSetOnLeftFails(t *testing.T) {
 MODULE main
 VAR n : 0..3;
 INIT {1,2} in {1,2,3}
-`); err == nil {
+`, Config{}); err == nil {
 		t.Fatal("set on the left of 'in' must fail")
 	}
 }

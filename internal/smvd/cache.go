@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/smv"
 )
 
 // Cache is the bounded in-memory session cache: a map from model key to
@@ -74,7 +76,7 @@ func NewCache(max, nodeBudget int, diskDir string) (*Cache, error) {
 // (and consulting the disk cache) on miss. Concurrent requests for the
 // same key share one compilation; requests for different keys compile
 // in parallel.
-func (c *Cache) Get(src string, cfg Config) (*Session, error) {
+func (c *Cache) Get(src string, cfg smv.Config) (*Session, error) {
 	key := ModelKey(src, cfg)
 	c.mu.Lock()
 	e, ok := c.sessions[key]

@@ -14,46 +14,35 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+
+	"repro/internal/smv"
 )
 
-// Config is the engine configuration a session is compiled under. Two
-// queries share a session only when both the SMV source and the config
-// agree: image mode, reordering and node representation all change the
-// BDDs a session holds, so they are part of the cache key.
-type Config struct {
-	// Disjunctive selects the per-process disjunctive image when the
-	// model declares processes (ignored otherwise, matching cmd/smv).
-	Disjunctive bool `json:"disjunctive,omitempty"`
-	// Workers is ignored: every session runs on one single-threaded
-	// manager. normalize pins it to 1, so it never splits session keys.
-	//
-	// Deprecated: the shared-memory parallel BDD engine it configured has
-	// been removed. The field remains only because perfbench sets it.
-	Workers int `json:"workers,omitempty"`
-	// Reorder enables growth-triggered dynamic variable reordering.
-	Reorder bool `json:"reorder,omitempty"`
-	// NoComplement compiles onto the legacy structural representation.
-	NoComplement bool `json:"no_complement,omitempty"`
-}
+// Config is the engine configuration a session is compiled under.
+//
+// Deprecated: use smv.Config. The alias remains only because perfbench
+// names it.
+type Config = smv.Config
 
-// normalize maps equivalent configs onto one representative so they
-// hash identically. Workers is pinned to 1, the value every key was
-// built with before the field was retired, so existing keys and
-// warm-start records stay valid.
-func (c Config) normalize() Config {
-	c.Workers = 1
-	return c
+// normalize maps configs that differ only in the retired workers field
+// onto one representative, so a session's config and its warm-start
+// record do not depend on which request built it.
+func normalize(cfg smv.Config) smv.Config {
+	return smv.Config{Disjunctive: cfg.Disjunctive, Reorder: cfg.Reorder, NoComplement: cfg.NoComplement}
 }
 
 // ModelKey is the content hash identifying a session: SHA-256 over the
-// SMV source and the normalized engine configuration. Any edit to the
-// model text — including comments — yields a new key; specs do not
-// participate, since they arrive with queries, not with the model.
-func ModelKey(src string, cfg Config) string {
-	cfg = cfg.normalize()
+// SMV source and the engine configuration. Image mode, reordering and
+// node representation all change the BDDs a session holds, so they are
+// part of the key; the retired workers field is written as the
+// "workers=1" every key was built with while it was live, so existing
+// keys and warm-start records stay valid. Any edit to the model text —
+// including comments — yields a new key; specs do not participate,
+// since they arrive with queries, not with the model.
+func ModelKey(src string, cfg smv.Config) string {
 	h := sha256.New()
 	h.Write([]byte(src))
-	fmt.Fprintf(h, "\x00disj=%v workers=%d reorder=%v nocomp=%v",
-		cfg.Disjunctive, cfg.Workers, cfg.Reorder, cfg.NoComplement)
+	fmt.Fprintf(h, "\x00disj=%v workers=1 reorder=%v nocomp=%v",
+		cfg.Disjunctive, cfg.Reorder, cfg.NoComplement)
 	return hex.EncodeToString(h.Sum(nil))
 }

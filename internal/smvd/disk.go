@@ -7,8 +7,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"repro/internal/bdd"
 	"time"
+
+	"repro/internal/bdd"
+	"repro/internal/smv"
 )
 
 // On-disk warm-start cache. A model's record is two files keyed by its
@@ -27,10 +29,10 @@ const (
 )
 
 type diskMeta struct {
-	Key        string `json:"key"`
-	Config     Config `json:"config"`
-	ReachIters int    `json:"reach_iters"`
-	SavedAt    int64  `json:"saved_at_unix"`
+	Key        string     `json:"key"`
+	Config     smv.Config `json:"config"`
+	ReachIters int        `json:"reach_iters"`
+	SavedAt    int64      `json:"saved_at_unix"`
 }
 
 type diskCache struct {
@@ -65,7 +67,7 @@ func (d *diskCache) save(s *Session) error {
 }
 
 // saveRefs writes one warm-start record from raw roots.
-func (d *diskCache) saveRefs(key string, cfg Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
+func (d *diskCache) saveRefs(key string, cfg smv.Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
 	if err := writeAtomic(d.bddPath(key), func(f *os.File) error {
 		return m.SaveNamed(f, []bdd.NamedRoot{
 			{Name: rootReach, Ref: reach},
@@ -168,7 +170,7 @@ func (st *DiskStore) Load(key string, m *bdd.Manager) (reach, fair bdd.Ref, iter
 }
 
 // Save writes (or refreshes) the warm-start record for key.
-func (st *DiskStore) Save(key string, cfg Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
+func (st *DiskStore) Save(key string, cfg smv.Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
 	return st.d.saveRefs(key, cfg, m, reach, fair, iters)
 }
 

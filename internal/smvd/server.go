@@ -8,6 +8,8 @@ import (
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/smv"
 )
 
 // MaxRequestBytes caps a /check body. It is over 400 times the largest
@@ -49,10 +51,10 @@ type Server struct {
 // each request, so re-checking edited specs against an unchanged model
 // hits the session's cached reachable/fair sets and subformula memo.
 type CheckRequest struct {
-	Model  string   `json:"model"`
-	Config Config   `json:"config"`
-	Specs  []string `json:"specs,omitempty"`
-	LTL    []string `json:"ltl,omitempty"`
+	Model  string     `json:"model"`
+	Config smv.Config `json:"config"`
+	Specs  []string   `json:"specs,omitempty"`
+	LTL    []string   `json:"ltl,omitempty"`
 	// DeadlineMs bounds the whole request, including waiting for the
 	// session to come free. 0: server default.
 	DeadlineMs int `json:"deadline_ms,omitempty"`

@@ -9,11 +9,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/smv"
 )
 
 // cachedSession returns the cached session for src under cfg without
 // touching the hit/miss counters.
-func cachedSession(t *testing.T, c *Cache, src string, cfg Config) *Session {
+func cachedSession(t *testing.T, c *Cache, src string, cfg smv.Config) *Session {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -41,7 +43,7 @@ func TestPanickingQueryReleasesSession(t *testing.T) {
 	if _, err := sv.Check(&req); err != nil {
 		t.Fatal(err)
 	}
-	broken := cachedSession(t, sv.Cache, counterModel, Config{})
+	broken := cachedSession(t, sv.Cache, counterModel, smv.Config{})
 	broken.gen = nil // the failing spec's counterexample now panics
 
 	// Hold the session until every request has looked it up, so all of
@@ -83,7 +85,7 @@ func TestPanickingQueryReleasesSession(t *testing.T) {
 	if _, _, _, ok := broken.warmRefs(); ok {
 		t.Fatal("broken session still offers a warm-start record")
 	}
-	if cachedSession(t, sv.Cache, counterModel, Config{}) == broken {
+	if cachedSession(t, sv.Cache, counterModel, smv.Config{}) == broken {
 		t.Fatal("broken session still cached")
 	}
 
@@ -120,7 +122,7 @@ func TestHTTPLockWaitPastDeadline(t *testing.T) {
 	if _, err := sv.Check(&CheckRequest{Model: counterModel}); err != nil {
 		t.Fatal(err)
 	}
-	sess := cachedSession(t, sv.Cache, counterModel, Config{})
+	sess := cachedSession(t, sv.Cache, counterModel, smv.Config{})
 	if err := sess.lock(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +154,9 @@ func TestHTTPWorkersShareSession(t *testing.T) {
 }
 
 // TestHTTPOversizedRangeRejected sends the two range declarations that
-// used to crash or exhaust the compiler: each gets 422, and the server
-// answers the next valid request.
+// used to crash or exhaust the compiler, an enum over the symbol cap and
+// an enum with a repeated symbol: each gets 422, and the server answers
+// the next valid request.
 func TestHTTPOversizedRangeRejected(t *testing.T) {
 	sv := newTestServer(t, 8, 0, "")
 	ts := httptest.NewServer(sv.Handler())
@@ -162,6 +165,19 @@ func TestHTTPOversizedRangeRejected(t *testing.T) {
 		model := jsonString("MODULE main\nVAR x : 0.." + bound + ";\nSPEC AG x = 0\n")
 		if code := post(t, ts, `{"model": `+model+`}`); code != http.StatusUnprocessableEntity {
 			t.Fatalf("range 0..%s: status %d, want 422", bound, code)
+		}
+	}
+	syms := make([]string, 4097)
+	for i := range syms {
+		syms[i] = fmt.Sprintf("e%d", i)
+	}
+	for name, decl := range map[string]string{
+		"4097-symbol enum":     "{" + strings.Join(syms, ", ") + "}",
+		"repeated enum symbol": "{e0, e1, e0}",
+	} {
+		model := jsonString("MODULE main\nVAR s : " + decl + ";\nSPEC AG s = e0\n")
+		if code := post(t, ts, `{"model": `+model+`}`); code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", name, code)
 		}
 	}
 	if code := post(t, ts, `{"model": `+jsonString(counterModel)+`, "specs": ["AG n = 0"]}`); code != http.StatusOK {

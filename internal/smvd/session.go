@@ -21,11 +21,9 @@ import (
 // run in parallel.
 type Session struct {
 	Key string
-	Cfg Config
+	Cfg smv.Config
 
 	mu       chan struct{} // 1-slot semaphore: lockable with a deadline
-	src      string
-	module   *smv.Module
 	compiled *smv.Compiled
 	checker  *mc.Checker
 	gen      *core.Generator
@@ -74,23 +72,11 @@ type SessionStats struct {
 // configuration. The expensive fixpoints (reachability, fair states)
 // are NOT run here; they are populated by the first query (ensureReady)
 // or seeded from a disk record (warmStart).
-func newSession(key, src string, cfg Config) (*Session, error) {
-	cfg = cfg.normalize()
-	module, err := smv.ParseModule(src)
+func newSession(key, src string, cfg smv.Config) (*Session, error) {
+	cfg = normalize(cfg)
+	compiled, err := smv.CompileSource(src, cfg)
 	if err != nil {
 		return nil, err
-	}
-	compiled, err := smv.CompileWith(module, smv.CompileOptions{
-		DisableComplementEdges: cfg.NoComplement,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Reorder {
-		compiled.S.M.EnableAutoReorder(nil)
-	}
-	if cfg.Disjunctive && compiled.S.NumDisjuncts() > 0 {
-		compiled.S.EnableDisjunct(true)
 	}
 	compiled.S.EnableReachableCache()
 	checker := mc.New(compiled.S)
@@ -98,8 +84,6 @@ func newSession(key, src string, cfg Config) (*Session, error) {
 		Key:       key,
 		Cfg:       cfg,
 		mu:        make(chan struct{}, 1),
-		src:       src,
-		module:    module,
 		compiled:  compiled,
 		checker:   checker,
 		gen:       core.NewGenerator(checker),
@@ -211,9 +195,10 @@ func (s *Session) checkCTL(spec string) SpecVerdict {
 }
 
 // checkLTL evaluates one LTL spec by compiling the Büchi tableau
-// product on a fresh manager — the product's variables and fairness
-// sets are per-formula, so it cannot share the session manager — and
-// replaying any counterexample against the formula's semantics.
+// product on a fresh manager under the session's config — the product's
+// variables and fairness sets are per-formula, so it cannot share the
+// session manager — and replaying any counterexample against the
+// formula's semantics.
 func (s *Session) checkLTL(spec string) SpecVerdict {
 	v := SpecVerdict{Spec: spec}
 	f, err := ltl.Parse(spec)
@@ -221,18 +206,10 @@ func (s *Session) checkLTL(spec string) SpecVerdict {
 		v.Error = err.Error()
 		return v
 	}
-	p, err := smv.CompileLTLWith(s.module, f, spec, smv.CompileOptions{
-		DisableComplementEdges: s.Cfg.NoComplement,
-	})
+	p, err := s.compiled.Product(f, spec)
 	if err != nil {
 		v.Error = err.Error()
 		return v
-	}
-	if s.Cfg.Reorder {
-		p.S.M.EnableAutoReorder(nil)
-	}
-	if s.Cfg.Disjunctive && p.S.NumDisjuncts() > 0 {
-		p.S.EnableDisjunct(true)
 	}
 	ch := mc.New(p.S)
 	defer ch.Close()

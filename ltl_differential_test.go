@@ -84,11 +84,7 @@ func TestLTLvsCTLDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			module, err := smv.ParseModule(string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := smv.Compile(module)
+			base, err := smv.CompileSource(string(src), smv.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,18 +109,17 @@ func TestLTLvsCTLDifferential(t *testing.T) {
 				if !mode.on {
 					continue
 				}
-				for _, rep := range complementOptions {
+				for _, rep := range representations {
 					mode, rep := mode, rep
 					t.Run(mode.name+"/"+rep.name, func(t *testing.T) {
 						configure := func(c *smv.Compiled) {
-							switch mode.name {
-							case "monolithic":
+							if mode.name == "monolithic" {
 								c.S.EnablePartition(false)
-							case "disjunctive":
-								c.S.EnableDisjunct(true)
 							}
 						}
-						cc, err := smv.CompileWith(module, rep.opts)
+						cfg := rep.cfg
+						cfg.Disjunctive = mode.name == "disjunctive"
+						cc, err := smv.CompileSource(string(src), cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -143,7 +138,7 @@ func TestLTLvsCTLDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%q: %v", pr.ctlSrc, err)
 							}
-							p, err := smv.CompileLTLWith(module, lf, pr.ltlSrc, rep.opts)
+							p, err := cc.Product(lf, pr.ltlSrc)
 							if err != nil {
 								t.Fatalf("%q: %v", pr.ltlSrc, err)
 							}

@@ -81,15 +81,15 @@ func compareVerdicts(t *testing.T, off, on []specVerdict) {
 	}
 }
 
-// complementOptions parametrizes the root differential suites by node
+// representations parametrizes the root differential suites by node
 // representation; the structural (nocomp) runs are the oracle for the
 // complement-edge engine.
-var complementOptions = []struct {
+var representations = []struct {
 	name string
-	opts smv.CompileOptions
+	cfg  smv.Config
 }{
-	{"comp", smv.CompileOptions{}},
-	{"nocomp", smv.CompileOptions{DisableComplementEdges: true}},
+	{"comp", smv.Config{}},
+	{"nocomp", smv.Config{NoComplement: true}},
 }
 
 func TestReorderDifferentialModels(t *testing.T) {
@@ -102,7 +102,7 @@ func TestReorderDifferentialModels(t *testing.T) {
 		if !strings.HasSuffix(ent.Name(), ".smv") {
 			continue
 		}
-		for _, rep := range complementOptions {
+		for _, rep := range representations {
 			rep := rep
 			t.Run(ent.Name()+"/"+rep.name, func(t *testing.T) {
 				src, err := os.ReadFile(filepath.Join("models", ent.Name()))
@@ -110,7 +110,7 @@ func TestReorderDifferentialModels(t *testing.T) {
 					t.Fatal(err)
 				}
 				run := func(reorder bool) []specVerdict {
-					compiled, err := smv.CompileSourceWith(string(src), rep.opts)
+					compiled, err := smv.CompileSource(string(src), rep.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

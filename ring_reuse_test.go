@@ -48,7 +48,7 @@ func TestWitnessRingReuse(t *testing.T) {
 	for _, disjunctive := range []bool{false, true} {
 		ringSpecs, sifted := 0, uint64(0)
 		for _, md := range models {
-			compiled, err := smv.CompileSource(md.src)
+			compiled, err := smv.CompileSource(md.src, smv.Config{})
 			if err != nil {
 				t.Fatalf("%s: %v", md.name, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/modelgen"
+	"repro/internal/smv"
 	"repro/internal/smvd"
 )
 
@@ -40,7 +41,7 @@ func TestSmvdConcurrencySmoke(t *testing.T) {
 	for _, sp := range specs {
 		refSrc += "SPEC " + sp + "\n"
 	}
-	ref := warmReferenceRun(t, refSrc, smvd.Config{})
+	ref := warmReferenceRun(t, refSrc, smv.Config{})
 	if len(ref.holds) != len(specs) {
 		t.Fatalf("reference checked %d specs, want %d", len(ref.holds), len(specs))
 	}

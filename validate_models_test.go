@@ -37,7 +37,7 @@ func TestModelTracesValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := smv.CompileSource(string(src))
+			compiled, err := smv.CompileSource(string(src), smv.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestModelTracesValidate(t *testing.T) {
 			// tableau product that validates against the product and,
 			// projected onto the model, falsifies the formula.
 			for _, sp := range compiled.Module.LTLSpecs {
-				p, err := smv.CompileLTL(compiled.Module, sp.Formula, sp.Source)
+				p, err := compiled.Product(sp.Formula, sp.Source)
 				if err != nil {
 					t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
 				}
@@ -153,7 +153,7 @@ func TestScenarioModelVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := smv.CompileSource(string(src))
+			compiled, err := smv.CompileSource(string(src), smv.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestScenarioModelVerdicts(t *testing.T) {
 				}
 			}
 			for i, sp := range compiled.Module.LTLSpecs {
-				holds, _, _, err := smv.CheckLTLSpec(compiled.Module, sp.Formula, sp.Source)
+				holds, _, _, err := compiled.CheckLTLSpec(sp.Formula, sp.Source)
 				if err != nil {
 					t.Fatalf("%s: %v", sp.Source, err)
 				}

@@ -49,22 +49,22 @@ func TestWarmStartDifferentialModels(t *testing.T) {
 		if len(module.Specs) == 0 && len(module.LTLSpecs) == 0 {
 			continue
 		}
-		probe, err := smv.CompileSource(string(src))
+		probe, err := smv.CompileSource(string(src), smv.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfgs := []struct {
 			name string
-			cfg  smvd.Config
+			cfg  smv.Config
 		}{
-			{"default", smvd.Config{}},
-			{"nocomp", smvd.Config{NoComplement: true}},
+			{"default", smv.Config{}},
+			{"nocomp", smv.Config{NoComplement: true}},
 		}
 		if probe.S.NumDisjuncts() > 0 {
 			cfgs = append(cfgs, struct {
 				name string
-				cfg  smvd.Config
-			}{"disjunctive", smvd.Config{Disjunctive: true}})
+				cfg  smv.Config
+			}{"disjunctive", smv.Config{Disjunctive: true}})
 		}
 		for _, c := range cfgs {
 			c := c
@@ -86,16 +86,11 @@ type warmRefRun struct {
 	specs     []string
 }
 
-func warmReferenceRun(t *testing.T, src string, cfg smvd.Config) warmRefRun {
+func warmReferenceRun(t *testing.T, src string, cfg smv.Config) warmRefRun {
 	t.Helper()
-	c, err := smv.CompileSourceWith(src, smv.CompileOptions{
-		DisableComplementEdges: cfg.NoComplement,
-	})
+	c, err := smv.CompileSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Disjunctive && c.S.NumDisjuncts() > 0 {
-		c.S.EnableDisjunct(true)
 	}
 	out := warmRefRun{}
 	reach, _ := c.S.Reachable()
@@ -119,14 +114,9 @@ func warmReferenceRun(t *testing.T, src string, cfg smvd.Config) warmRefRun {
 		out.specs = append(out.specs, sp.Source)
 	}
 	for _, sp := range c.Module.LTLSpecs {
-		p, err := smv.CompileLTLWith(c.Module, sp.Formula, sp.Source, smv.CompileOptions{
-			DisableComplementEdges: cfg.NoComplement,
-		})
+		p, err := c.Product(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
-		}
-		if cfg.Disjunctive && p.S.NumDisjuncts() > 0 {
-			p.S.EnableDisjunct(true)
 		}
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
@@ -167,7 +157,7 @@ func checkAgainstReference(t *testing.T, label string, ref warmRefRun, resp *smv
 	}
 }
 
-func compareWarmPaths(t *testing.T, src string, module *smv.Module, cfg smvd.Config) int {
+func compareWarmPaths(t *testing.T, src string, module *smv.Module, cfg smv.Config) int {
 	t.Helper()
 	req := &smvd.CheckRequest{Model: src, Config: cfg}
 	for _, sp := range module.Specs {
