@@ -28,9 +28,9 @@
 //
 // The artifact format is an array of flat JSON objects. An entry's
 // identity is the concatenation of its string- and bool-valued fields
-// plus the numeric fields "cells" and "workers" — which covers every
-// recorder in this repo (model/mode/workload/cells/workers/completed) —
-// and the gated metric is any numeric field (default peak_live_nodes).
+// plus the numeric field "cells" — which covers every recorder in this
+// repo (model/mode/workload/cells/reorder/completed) — and the gated
+// metric is any numeric field (default peak_live_nodes).
 // Entries present in the baseline but missing from the current run fail
 // the gate too: silently dropping a configuration is a coverage
 // regression, not a pass.
@@ -47,7 +47,7 @@ import (
 
 // identityNumeric names the numeric fields that parameterize an entry
 // rather than measure it.
-var identityNumeric = map[string]bool{"cells": true, "workers": true}
+var identityNumeric = map[string]bool{"cells": true}
 
 type entry map[string]any
 
@@ -230,7 +230,7 @@ func gateRate(baseline []entry, byKey map[string]entry, metric string, maxDrop f
 // describe renders the human-readable identity of an entry.
 func describe(e entry) string {
 	parts := []string{}
-	for _, k := range []string{"model", "spec", "mode", "workload", "cells", "workers"} {
+	for _, k := range []string{"model", "spec", "mode", "workload", "cells"} {
 		switch v := e[k].(type) {
 		case string:
 			parts = append(parts, v)

@@ -185,12 +185,13 @@ type Stats struct {
 
 	// Dynamic-reordering counters (see reorder.go and swap.go).
 	// Reorderings counts committed order changes: every arena rebuild
-	// (explicit Reorder and rebuild-engine sift trials) plus every
-	// in-place sift event that ends on a different order than it
-	// started. AutoReorders counts growth-triggered sift events.
-	// SiftTrials counts candidate block positions evaluated, SiftSwaps
-	// the adjacent-level swaps executed, SiftTimeouts the sift events
-	// cut short by ReorderOptions.SiftMaxTime. ReorderSavedNodes sums
+	// (explicit Reorder and a sift's group normalization) plus every
+	// sift event that ends on a different order than it started.
+	// AutoReorders counts growth-triggered sift events. SiftTrials
+	// counts candidate block positions evaluated, SiftSwaps the
+	// adjacent-level swaps executed, SiftAborts the block walks cut
+	// short by the growth budget, SiftTimeouts the sift events cut
+	// short by ReorderOptions.SiftMaxTime. ReorderSavedNodes sums
 	// the live-node reduction over all sifts and ReorderTime the wall
 	// time spent sifting.
 	AutoReorders      uint64

@@ -2,25 +2,27 @@ package bdd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
 
 // Variable reordering.
 //
-// Two engines share this file's policy layer:
+// Two mechanisms change the variable order:
 //
-//   - The rebuild engine (reorderTo) translates every root it must
-//     preserve into a fresh arena under the new order and swaps the
-//     arena in. It serves explicit Reorder(order) calls, group-adjacency
-//     normalization, and acts as the differential oracle for the swap
-//     engine. A rebuild is O(arena).
+//   - Sifting (SiftNow, EnableAutoReorder) runs the in-place engine of
+//     swap.go: every placement trial is a run of adjacent-level swaps,
+//     each touching only the nodes at the two swapped levels and
+//     preserving every other Ref bit-for-bit.
 //
-//   - The in-place engine (swap.go) realizes sifting as sequences of
-//     adjacent-level swaps, each touching only the nodes at the two
-//     swapped levels and preserving every other Ref bit-for-bit. It is
-//     the default behind SiftNow/EnableAutoReorder; set
-//     ReorderOptions.UseRebuildSift to fall back to the rebuild engine.
+//   - reorderTo translates every root it must preserve into a fresh
+//     arena under a given order and swaps the arena in, renumbering
+//     every Ref. It serves explicit Reorder(order) calls (order
+//     adoption in LoadNamed among them) and the group-adjacency
+//     normalization that opens each sift. A rebuild is O(arena). Since
+//     order and roots fix a canonical arena, it is also the oracle the
+//     swap engine's tests compare node counts against.
 //
 // What makes reordering *dynamic* (usable mid-computation rather than
 // only offline) is the live-root registry: long-lived holders of Refs —
@@ -35,9 +37,8 @@ import (
 // Sifting moves one block at a time: each GroupVars block (typically a
 // current/next state-variable pair) travels as a unit, tried at every
 // candidate position with the placement minimizing the live-node count
-// kept. Trials growing past MaxGrowth times the best size so far are
-// abandoned (the rebuild engine aborts mid-translation; the swap engine
-// stops walking in that direction and returns to the best position).
+// kept. A walk that grows past maxGrowth times the best size so far
+// stops in that direction and returns to the best position.
 //
 // Automatic reordering is growth-triggered: ReorderIfNeeded — called at
 // safe points where every needed Ref is registered or protected — sifts
@@ -112,14 +113,14 @@ func (m *Manager) GroupVars(vars ...int) {
 	m.groups = append(m.groups, append([]int(nil), vars...))
 }
 
-// Groups returns a copy of the registered sifting blocks.
-func (m *Manager) Groups() [][]int {
-	out := make([][]int, len(m.groups))
-	for i, g := range m.groups {
-		out[i] = append([]int(nil), g...)
-	}
-	return out
-}
+// Fixed sifting policy: a block's walk in one direction stops once the
+// live count exceeds maxGrowth times the best size seen (plus a small
+// slack for tiny managers), and passes stop once one shrinks the live
+// count by less than the minImprove fraction.
+const (
+	maxGrowth  = 1.2
+	minImprove = 0.03
+)
 
 // ReorderOptions tunes the automatic sifting policy.
 type ReorderOptions struct {
@@ -128,29 +129,19 @@ type ReorderOptions struct {
 	GrowthTrigger float64
 	// MinNodes: never auto-sift below this many live nodes (default 16k).
 	MinNodes int
-	// MaxGrowth: abort a placement trial whose rebuilt arena exceeds this
-	// multiple of the best size found so far (default 1.2).
-	MaxGrowth float64
 	// MaxPasses bounds the converging sift passes per event (default 3).
 	MaxPasses int
-	// MinImprove: stop passes early once a pass shrinks the live count by
-	// less than this fraction (default 0.03).
-	MinImprove float64
 	// MaxBlocks: sift only the top-contributing blocks per pass
 	// (0 = all blocks).
 	MaxBlocks int
 	// Window: try positions at most this far from a block's current one
 	// (0 = every position).
 	Window int
-	// SiftMaxTime bounds the wall time of one sift event. The in-place
-	// engine checks it at swap granularity: when the budget runs out the
-	// block being sifted still returns to its best position, the event
-	// ends cleanly, and Stats.SiftTimeouts is bumped. 0 = no bound.
+	// SiftMaxTime bounds the wall time of one sift event. It is checked
+	// at swap granularity: when the budget runs out the block being
+	// sifted still returns to its best position, the event ends
+	// cleanly, and Stats.SiftTimeouts is bumped. 0 = no bound.
 	SiftMaxTime time.Duration
-	// UseRebuildSift routes SiftNow through the legacy rebuild engine
-	// (every trial re-translates the arena) instead of in-place swaps.
-	// Kept as a differential oracle and benchmark baseline.
-	UseRebuildSift bool
 }
 
 // DefaultReorderOptions returns the default automatic-sifting policy.
@@ -158,9 +149,7 @@ func DefaultReorderOptions() ReorderOptions {
 	return ReorderOptions{
 		GrowthTrigger: 2.0,
 		MinNodes:      1 << 14,
-		MaxGrowth:     1.2,
 		MaxPasses:     3,
-		MinImprove:    0.03,
 	}
 }
 
@@ -172,14 +161,8 @@ func (o *ReorderOptions) fillDefaults() {
 	if o.MinNodes <= 0 {
 		o.MinNodes = d.MinNodes
 	}
-	if o.MaxGrowth <= 1 {
-		o.MaxGrowth = d.MaxGrowth
-	}
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = d.MaxPasses
-	}
-	if o.MinImprove <= 0 {
-		o.MinImprove = d.MinImprove
 	}
 }
 
@@ -245,8 +228,7 @@ func (m *Manager) Reorder(order []int, roots []Ref) []Ref {
 	for _, r := range roots {
 		m.checkRef(r)
 	}
-	out, _ := m.reorderTo(order, roots, 0)
-	return out
+	return m.reorderTo(order, roots)
 }
 
 func (m *Manager) validateOrder(order []int) {
@@ -265,8 +247,7 @@ func (m *Manager) validateOrder(order []int) {
 // freshForReorder allocates a bare arena for a rebuild under the given
 // order: per-level subtables pre-sized to the mean level population, a
 // small ITE cache for composeVar's out-of-order fallback, and nothing
-// else — trial rebuilds during sifting are frequent and must not
-// allocate the full caches.
+// else — the full caches are rebuilt on demand after the commit.
 func (m *Manager) freshForReorder(order []int) *Manager {
 	per := 1 << 4
 	if len(order) > 0 {
@@ -279,7 +260,7 @@ func (m *Manager) freshForReorder(order []int) *Manager {
 		var2level: make([]int, len(order)),
 		level2var: make([]int, len(order)),
 		tables:    make([]subtable, len(order)),
-		noComp:    m.noComp, // trial arenas must share the representation
+		noComp:    m.noComp, // the fresh arena must share the representation
 	}
 	for l := range fresh.tables {
 		fresh.tables[l] = newSubtable(per)
@@ -294,19 +275,17 @@ func (m *Manager) freshForReorder(order []int) *Manager {
 	return fresh
 }
 
-// reorderTo is the rebuild engine behind Reorder and sifting. It runs in
-// three phases so a budget abort cannot leave clients inconsistent:
+// reorderTo rebuilds the arena under order, behind Reorder and the
+// group normalization of SiftNow. It runs in three phases:
 //
-//  1. collect: every root the swap must preserve — extra, the protected
-//     roots, and each registered rewriter's refs (gathered by invoking
-//     the rewriter with an identity collector);
-//  2. translate: rebuild the collected roots in a fresh arena; if budget
-//     is non-zero and the fresh arena outgrows it, abandon the arena and
-//     return (nil, false) with the manager untouched;
+//  1. collect: every root the rebuild must preserve — extra, the
+//     protected roots, and each registered rewriter's refs (gathered by
+//     invoking the rewriter with an identity collector);
+//  2. translate: rebuild the collected roots in a fresh arena;
 //  3. commit: swap the arena in, remap the protected-root table, clear
 //     the operation caches, and invoke every rewriter with the memoized
 //     translation so clients see the new Refs.
-func (m *Manager) reorderTo(order []int, extra []Ref, budget int) ([]Ref, bool) {
+func (m *Manager) reorderTo(order []int, extra []Ref) []Ref {
 	// Phase 1: collect.
 	collected := make([]Ref, 0, len(extra)+len(m.roots))
 	collected = append(collected, extra...)
@@ -330,10 +309,9 @@ func (m *Manager) reorderTo(order []int, extra []Ref, budget int) ([]Ref, bool) 
 	// the translation of a plain non-terminal ref is always plain and
 	// non-zero — the 0 sentinel stays unambiguous.
 	memo := make([]Ref, len(m.nodes))
-	aborted := false
 	var translate func(Ref) Ref
 	translate = func(f Ref) Ref {
-		if IsTerminal(f) || aborted {
+		if IsTerminal(f) {
 			return f
 		}
 		s := f & compBit
@@ -344,23 +322,13 @@ func (m *Manager) reorderTo(order []int, extra []Ref, budget int) ([]Ref, bool) 
 		n := m.nodes[fp]
 		low := translate(n.low)
 		high := translate(n.high)
-		if aborted {
-			return False
-		}
 		v := m.level2var[n.lvl&^markBit]
 		res := fresh.composeVar(v, low, high)
-		if budget > 0 && fresh.numAlloc > budget {
-			aborted = true
-			return False
-		}
 		memo[fp] = res
 		return res ^ s
 	}
 	for _, r := range collected {
 		translate(r)
-		if aborted {
-			return nil, false
-		}
 	}
 
 	// Phase 3: commit.
@@ -396,32 +364,7 @@ func (m *Manager) reorderTo(order []int, extra []Ref, budget int) ([]Ref, bool) 
 		rw.fn(lookup)
 	}
 	m.Stats.Reorderings++
-	return out, true
-}
-
-// TotalSize returns the number of distinct nodes used by all roots
-// together (shared nodes counted once; a root and its complement share
-// everything).
-func (m *Manager) TotalSize(roots []Ref) int {
-	seen := make(map[Ref]bool)
-	var walk func(Ref)
-	walk = func(g Ref) {
-		g &^= compBit
-		if seen[g] {
-			return
-		}
-		seen[g] = true
-		if g == 0 {
-			return
-		}
-		n := &m.nodes[g]
-		walk(n.low)
-		walk(n.high)
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return len(seen)
+	return out
 }
 
 // Sift runs a full sifting pass over the manager and returns the given
@@ -447,11 +390,10 @@ func (m *Manager) Sift(roots []Ref) []Ref {
 	return out
 }
 
-// SiftNow runs converging block-sifting passes until the improvement
-// drops below MinImprove or MaxPasses is reached. Garbage is collected
-// first, so every Ref the caller needs must be protected or registered.
-// The in-place swap engine runs unless UseRebuildSift selects the
-// legacy rebuild engine.
+// SiftNow runs converging block-sifting passes of the in-place swap
+// engine until a pass improves by less than minImprove or MaxPasses is
+// reached. Garbage is collected first, so every Ref the caller needs
+// must be protected or registered.
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
 		return
@@ -465,33 +407,13 @@ func (m *Manager) SiftNow() {
 
 	// Normalize: force every group's variables adjacent so blocks are
 	// contiguous level ranges from here on.
-	if norm := flattenBlocks(m.blockOrder()); !equalOrder(norm, m.level2var) {
-		m.reorderTo(norm, nil, 0)
+	if norm := flattenBlocks(m.blockOrder()); !slices.Equal(norm, m.level2var) {
+		m.reorderTo(norm, nil)
 	}
-	if opts.UseRebuildSift {
-		m.siftNowRebuild(&opts)
-	} else {
-		m.siftNowSwap(&opts)
-	}
+	m.siftInPlace(&opts)
 	m.lastSiftSize = m.numAlloc
 	m.Stats.ReorderTime += time.Since(start)
 	m.Stats.ReorderSavedNodes += int64(before - m.numAlloc)
-}
-
-// siftNowRebuild is the legacy engine: every placement trial rebuilds
-// the arena under the candidate order. O(arena × trials); kept behind
-// UseRebuildSift as differential oracle and benchmark baseline. It
-// ignores SiftMaxTime (its trial granularity is a whole rebuild).
-func (m *Manager) siftNowRebuild(opts *ReorderOptions) {
-	size := m.numAlloc
-	for pass := 0; pass < opts.MaxPasses; pass++ {
-		m.Stats.SiftPasses++
-		prev := size
-		size = m.siftPass(opts)
-		if prev-size < int(opts.MinImprove*float64(prev)) {
-			break
-		}
-	}
 }
 
 // blockOrder returns the sifting blocks in current level order: each
@@ -528,127 +450,5 @@ func flattenBlocks(blocks [][]int) []int {
 	for _, b := range blocks {
 		out = append(out, b...)
 	}
-	return out
-}
-
-func equalOrder(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// siftPass sifts the blocks in decreasing order of contribution (live
-// nodes labeled with the block's variables) and returns the resulting
-// live-node count.
-func (m *Manager) siftPass(opts *ReorderOptions) int {
-	blocks := m.blockOrder()
-	if len(blocks) <= 1 {
-		return m.numAlloc
-	}
-	blockOf := make(map[int]int)
-	for bi, b := range blocks {
-		for _, v := range b {
-			blockOf[v] = bi
-		}
-	}
-	contrib := make([]int, len(blocks))
-	for i := 1; i < len(m.nodes); i++ {
-		lvl := m.nodes[i].lvl &^ markBit
-		if lvl == terminalLevel { // free-list node
-			continue
-		}
-		contrib[blockOf[m.level2var[lvl]]]++
-	}
-	byContrib := make([]int, len(blocks))
-	for i := range byContrib {
-		byContrib[i] = i
-	}
-	sort.Slice(byContrib, func(i, j int) bool { return contrib[byContrib[i]] > contrib[byContrib[j]] })
-	limit := len(byContrib)
-	if opts.MaxBlocks > 0 && opts.MaxBlocks < limit {
-		limit = opts.MaxBlocks
-	}
-	for _, bi := range byContrib[:limit] {
-		if contrib[bi] == 0 {
-			continue
-		}
-		m.siftBlock(blocks[bi], opts)
-	}
-	return m.numAlloc
-}
-
-// siftBlock tries the block at every candidate position (all of them, or
-// within Window of the current one) and leaves the manager at the best
-// placement found. Trials growing past MaxGrowth times the best size so
-// far abort without effect.
-func (m *Manager) siftBlock(block []int, opts *ReorderOptions) {
-	cur := m.blockOrder()
-	pos := -1
-	for i, b := range cur {
-		if b[0] == block[0] {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 || len(cur) <= 1 {
-		return
-	}
-	bestSize := m.numAlloc
-	bestOrder := flattenBlocks(cur)
-	budget := growthBudget(opts, bestSize)
-	lo, hi := 0, len(cur)-1
-	if opts.Window > 0 {
-		if l := pos - opts.Window; l > lo {
-			lo = l
-		}
-		if h := pos + opts.Window; h < hi {
-			hi = h
-		}
-	}
-	for t := lo; t <= hi; t++ {
-		if t == pos {
-			continue
-		}
-		cand := flattenBlocks(moveBlock(cur, pos, t))
-		m.Stats.SiftTrials++
-		if _, ok := m.reorderTo(cand, nil, budget); !ok {
-			m.Stats.SiftAborts++
-			continue
-		}
-		if m.numAlloc < bestSize {
-			bestSize = m.numAlloc
-			bestOrder = cand
-			budget = growthBudget(opts, bestSize)
-		}
-	}
-	if !equalOrder(bestOrder, m.level2var) {
-		m.reorderTo(bestOrder, nil, 0)
-	}
-}
-
-func growthBudget(opts *ReorderOptions, size int) int {
-	return int(opts.MaxGrowth*float64(size)) + 64
-}
-
-// moveBlock returns a copy of blocks with the element at from moved to
-// position to.
-func moveBlock(blocks [][]int, from, to int) [][]int {
-	out := make([][]int, 0, len(blocks))
-	b := blocks[from]
-	for i, x := range blocks {
-		if i == from {
-			continue
-		}
-		out = append(out, x)
-	}
-	out = append(out, nil)
-	copy(out[to+1:], out[to:])
-	out[to] = b
 	return out
 }

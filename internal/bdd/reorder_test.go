@@ -314,25 +314,30 @@ func TestReorderStatsAccounting(t *testing.T) {
 
 // FuzzSift: arbitrary truth tables over 6 variables, optional pair
 // grouping, one auto plus one explicit sift; roots must survive
-// semantically and the manager structurally.
+// semantically, the manager structurally, and the arena must match a
+// second manager Reordered to the sifted order.
 func FuzzSift(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafe), uint64(0x0123456789ab), true)
 	f.Add(uint64(0), uint64(^uint64(0)), false)
 	f.Add(uint64(0xaaaaaaaaaaaaaaaa), uint64(0x5555555555555555), true)
 	f.Fuzz(func(t *testing.T, bitsA, bitsB uint64, group bool) {
 		const n = 6
-		m := New(n)
-		if group {
-			for v := 0; v < n; v += 2 {
-				m.GroupVars(v, v+1)
+		// seed builds and registers a, b and ¬(a ∧ b) in m.
+		seed := func(m *Manager) []Ref {
+			if group {
+				for v := 0; v < n; v += 2 {
+					m.GroupVars(v, v+1)
+				}
 			}
+			a := fromTruthTable(m, n, bitsA)
+			b := fromTruthTable(m, n, bitsB)
+			roots := []Ref{a, b, m.Not(m.And(a, b))}
+			m.RegisterRefs(&roots[0], &roots[1], &roots[2])
+			return roots
 		}
+		m := New(n)
 		m.EnableAutoReorder(&ReorderOptions{GrowthTrigger: 1.01, MinNodes: 1})
-		a := fromTruthTable(m, n, bitsA)
-		b := fromTruthTable(m, n, bitsB)
-		c := m.Not(m.And(a, b))
-		id := m.RegisterRefs(&a, &b, &c)
-		defer m.Unregister(id)
+		roots := seed(m)
 		m.ReorderIfNeeded()
 		m.SiftNow()
 		if err := CheckInvariants(m); err != nil {
@@ -342,15 +347,17 @@ func FuzzSift(f *testing.F) {
 			env := envFor(n, asg)
 			va := bitsA>>asg&1 == 1
 			vb := bitsB>>asg&1 == 1
-			if m.Eval(a, env) != va {
+			if m.Eval(roots[0], env) != va {
 				t.Fatalf("root a wrong at %b", asg)
 			}
-			if m.Eval(b, env) != vb {
+			if m.Eval(roots[1], env) != vb {
 				t.Fatalf("root b wrong at %b", asg)
 			}
-			if m.Eval(c, env) != !(va && vb) {
+			if m.Eval(roots[2], env) != !(va && vb) {
 				t.Fatalf("root c wrong at %b", asg)
 			}
 		}
+		oracle := New(n)
+		requireReorderOracle(t, m, roots, oracle, seed(oracle))
 	})
 }

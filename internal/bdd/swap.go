@@ -1,11 +1,14 @@
 package bdd
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
 
-// In-place adjacent-level swap: the O(two levels) reordering primitive.
+// In-place adjacent-level swap: the O(two levels) reordering primitive,
+// and the sifting engine built on it (siftInPlace), which is all
+// SiftNow runs after its group normalization.
 //
 // Exchanging the variables at levels l and l+1 rewrites only the nodes
 // stored in those two levels' subtables. Every node keeps its arena
@@ -277,10 +280,10 @@ func (m *Manager) exchangeAdjacentBlocks(s, w1, w2 int) {
 	}
 }
 
-// siftNowSwap is the default SiftNow engine: converging passes of block
-// sifting in which every placement trial is a run of in-place swaps.
-// SiftNow has already collected garbage and normalized group adjacency.
-func (m *Manager) siftNowSwap(opts *ReorderOptions) {
+// siftInPlace is SiftNow's engine: converging passes of block sifting
+// in which every placement trial is a run of in-place swaps. SiftNow
+// has already collected garbage and normalized group adjacency.
+func (m *Manager) siftInPlace(opts *ReorderOptions) {
 	startOrder := append([]int(nil), m.level2var...)
 	var deadline time.Time
 	if opts.SiftMaxTime > 0 {
@@ -291,8 +294,8 @@ func (m *Manager) siftNowSwap(opts *ReorderOptions) {
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		m.Stats.SiftPasses++
 		prev := size
-		size = m.siftPassSwap(opts, deadline)
-		if m.sift.timedOut || prev-size < int(opts.MinImprove*float64(prev)) {
+		size = m.sweepBlocks(opts, deadline)
+		if m.sift.timedOut || prev-size < int(minImprove*float64(prev)) {
 			break
 		}
 	}
@@ -301,7 +304,7 @@ func (m *Manager) siftNowSwap(opts *ReorderOptions) {
 		m.Stats.SiftTimeouts++
 	}
 	m.endSwapSession()
-	if !equalOrder(startOrder, m.level2var) {
+	if !slices.Equal(startOrder, m.level2var) {
 		m.Stats.Reorderings++
 	}
 	if swapped {
@@ -314,10 +317,10 @@ func (m *Manager) siftNowSwap(opts *ReorderOptions) {
 	}
 }
 
-// siftPassSwap sifts the blocks in decreasing order of contribution and
-// returns the resulting live-node count. Contribution is read off the
-// per-level counts — O(levels), where the rebuild pass scans the arena.
-func (m *Manager) siftPassSwap(opts *ReorderOptions, deadline time.Time) int {
+// sweepBlocks is one sift pass: it places the blocks in decreasing order
+// of contribution and returns the resulting live-node count.
+// Contribution is read off the per-level counts, in O(levels).
+func (m *Manager) sweepBlocks(opts *ReorderOptions, deadline time.Time) int {
 	blocks := m.blockOrder()
 	if len(blocks) <= 1 {
 		return m.numAlloc
@@ -341,18 +344,18 @@ func (m *Manager) siftPassSwap(opts *ReorderOptions, deadline time.Time) int {
 		if contrib[bi] == 0 || m.sift.timedOut {
 			continue
 		}
-		m.siftBlockSwap(blocks[bi][0], opts, deadline)
+		m.placeBlock(blocks[bi][0], opts, deadline)
 	}
 	return m.numAlloc
 }
 
-// siftBlockSwap walks the block (identified by its lead variable) to
-// the nearer end of the order and then the far end via adjacent block
+// placeBlock walks the block (identified by its lead variable) to the
+// nearer end of the order and then the far end via adjacent block
 // exchanges, measuring the live count after each position, and finishes
 // at the best position seen. Directions abort early past the growth
 // budget; the timeout is honored between swap runs, but the final walk
 // back to the best position always completes.
-func (m *Manager) siftBlockSwap(lead int, opts *ReorderOptions, deadline time.Time) {
+func (m *Manager) placeBlock(lead int, opts *ReorderOptions, deadline time.Time) {
 	cur := m.blockOrder()
 	if len(cur) <= 1 {
 		return
@@ -386,7 +389,7 @@ func (m *Manager) siftBlockSwap(lead int, opts *ReorderOptions, deadline time.Ti
 	}
 	bestSize := m.numAlloc
 	bestPos := pos
-	budget := growthBudget(opts, bestSize)
+	budget := growthBudget(bestSize)
 
 	moveDown := func() {
 		w, w2 := widths[pos], widths[pos+1]
@@ -426,7 +429,7 @@ func (m *Manager) siftBlockSwap(lead int, opts *ReorderOptions, deadline time.Ti
 			if m.numAlloc < bestSize {
 				bestSize = m.numAlloc
 				bestPos = pos
-				budget = growthBudget(opts, bestSize)
+				budget = growthBudget(bestSize)
 			} else if m.numAlloc > budget {
 				m.Stats.SiftAborts++
 				return
@@ -446,4 +449,10 @@ func (m *Manager) siftBlockSwap(lead int, opts *ReorderOptions, deadline time.Ti
 	for pos < bestPos {
 		moveDown()
 	}
+}
+
+// growthBudget is the live count past which a block's walk in one
+// direction gives up.
+func growthBudget(size int) int {
+	return int(maxGrowth*float64(size)) + 64
 }

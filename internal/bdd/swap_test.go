@@ -8,8 +8,8 @@ import (
 
 // Tests for the in-place adjacent-level swap engine (swap.go): the swap
 // primitive against a truth-table oracle with invariants checked after
-// every swap, the in-place driver against the rebuild driver from
-// identical seeds, Ref stability outside a swapped pair, the lazy
+// every swap, sifting against an explicit Reorder to the order it
+// settles on, Ref stability outside a swapped pair, the lazy
 // cache-invalidation granularity, and the SiftMaxTime budget.
 
 // sessionFor protects the roots and opens a swap session the way
@@ -134,46 +134,75 @@ func TestSwapRefStability(t *testing.T) {
 	}
 }
 
-// TestInPlaceVsRebuildSiftDifferential seeds two managers identically,
-// sifts one in place and one through the rebuild oracle, and requires
-// semantically equal roots and clean invariants from both.
-func TestInPlaceVsRebuildSiftDifferential(t *testing.T) {
+// TestSiftMatchesReorderOracle seeds two managers identically, sifts
+// one in place and Reorders the other to the order the sift settled on.
+// Order and roots fix a canonical arena, so the two must hold the same
+// functions in the same number of nodes: a swap that leaks an orphaned
+// node or frees a live one breaks the count even when every root still
+// evaluates correctly.
+func TestSiftMatchesReorderOracle(t *testing.T) {
 	const n = 6
 	for seed := int64(0); seed < 15; seed++ {
-		mgrs := [2]*Manager{}
-		roots := [2][]Ref{}
+		var mgrs [2]*Manager
+		var roots [2][]Ref
 		var tables []bitTable
-		for e := 0; e < 2; e++ {
-			r := rand.New(rand.NewSource(1000 + seed)) // same stream for both engines
+		for e := range mgrs {
+			r := rand.New(rand.NewSource(1000 + seed)) // same stream for both managers
 			m := New(n)
 			if seed%2 == 0 {
 				m.GroupVars(0, 1)
 				m.GroupVars(2, 3)
 			}
-			var tts []bitTable
+			tables = tables[:0]
 			for i := 0; i < 4; i++ {
 				f, tt := randTracked(r, m, n, 4)
 				roots[e] = append(roots[e], f)
-				tts = append(tts, tt)
+				tables = append(tables, tt)
 			}
-			tables = tts
 			m.RegisterRefs(&roots[e][0], &roots[e][1], &roots[e][2], &roots[e][3])
-			m.EnableAutoReorder(&ReorderOptions{MinNodes: 1, UseRebuildSift: e == 1})
 			mgrs[e] = m
 		}
-		for e, m := range mgrs {
-			m.SiftNow()
-			if err := CheckInvariants(m); err != nil {
-				t.Fatalf("seed %d engine %d: %v", seed, e, err)
-			}
-			for i, f := range roots[e] {
-				checkRootTable(t, m, f, tables[i], "after sift")
+		sifted, oracle := mgrs[0], mgrs[1]
+		sifted.EnableAutoReorder(&ReorderOptions{MinNodes: 1})
+		sifted.SiftNow()
+		if err := CheckInvariants(sifted); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, f := range roots[0] {
+			checkRootTable(t, sifted, f, tables[i], "after sift")
+		}
+		if sifted.Stats.SiftSwaps == 0 && sifted.Stats.SiftTrials > 0 {
+			t.Fatalf("seed %d: sift ran %d trials without a single swap",
+				seed, sifted.Stats.SiftTrials)
+		}
+		requireReorderOracle(t, sifted, roots[0], oracle, roots[1])
+	}
+}
+
+// requireReorderOracle reorders oracle — a manager seeded like m, with
+// oracleRoots its copies of roots and nothing else live — to m's order
+// and requires the same functions in the same number of live nodes.
+// The oracle alone is collected afterwards: composeVar's out-of-order
+// fallback can leave garbage in a rebuilt arena, while a sift must
+// leave none in m.
+func requireReorderOracle(t *testing.T, m *Manager, roots []Ref, oracle *Manager, oracleRoots []Ref) {
+	t.Helper()
+	oracle.Reorder(m.Order(), nil)
+	oracle.GC()
+	if err := CheckInvariants(oracle); err != nil {
+		t.Fatalf("reorder oracle: %v", err)
+	}
+	n := m.NumVars()
+	for i := range roots {
+		for a := 0; a < 1<<n; a++ {
+			env := envFor(n, a)
+			if m.Eval(roots[i], env) != oracle.Eval(oracleRoots[i], env) {
+				t.Fatalf("root %d differs from the reorder oracle at assignment %b", i, a)
 			}
 		}
-		if mgrs[0].Stats.SiftSwaps == 0 && mgrs[0].Stats.SiftTrials > 0 {
-			t.Fatalf("seed %d: in-place engine ran %d trials without a single swap",
-				seed, mgrs[0].Stats.SiftTrials)
-		}
+	}
+	if got, want := m.NumNodes(), oracle.NumNodes(); got != want {
+		t.Fatalf("sifted manager holds %d live nodes, the reorder oracle %d under the same order", got, want)
 	}
 }
 

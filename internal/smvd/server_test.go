@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -189,4 +190,44 @@ func TestHTTPOversizedRangeRejected(t *testing.T) {
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// TestSiftBoundClearedWithoutDeadline: a request with a deadline bounds
+// the sift time by a share of what it has left. A later request with no
+// deadline must sift unbounded again, not under the bound the earlier
+// request left in the manager.
+func TestSiftBoundClearedWithoutDeadline(t *testing.T) {
+	raw, err := os.ReadFile("../../models/seitz.smv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	cfg := smv.Config{Reorder: true}
+	sv := newTestServer(t, 8, 0, "")
+	check := func(maxDeadline time.Duration) {
+		t.Helper()
+		sv.MaxDeadline = maxDeadline
+		if _, err := sv.Check(&CheckRequest{Model: src, Config: cfg}); err != nil && !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatal(err)
+		}
+	}
+	check(0)                // compile and run the fixpoints unbounded
+	check(time.Millisecond) // bounds sifting to a quarter of what is left
+	check(0)
+
+	sess := cachedSession(t, sv.Cache, src, cfg)
+	if err := sess.lock(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	defer sess.unlock()
+	m := sess.compiled.S.M
+	before := m.Stats
+	m.SiftNow()
+	if m.Stats.SiftTimeouts != before.SiftTimeouts {
+		t.Fatalf("sift after a request without a deadline timed out after %d swaps: the previous request's bound is still in force",
+			m.Stats.SiftSwaps-before.SiftSwaps)
+	}
+	if m.Stats.SiftSwaps == before.SiftSwaps {
+		t.Fatal("sift made no swap; the model no longer exercises the bound")
+	}
 }

@@ -34,6 +34,8 @@ type Session struct {
 	reachIters int
 	reachCount float64
 
+	siftBounded bool // a deadline left a SiftMaxTime in the sift options
+
 	queries   uint64
 	createdAt time.Time
 	lastUsed  time.Time
@@ -149,18 +151,25 @@ func expired(deadline time.Time) bool {
 
 // budgetReorder maps the remaining request budget onto the sifting
 // engine's own time bound, so a reorder triggered mid-query cannot
-// consume the whole deadline.
+// consume the whole deadline. A request without a deadline lifts the
+// bound an earlier request set; while no bound is set, it leaves the
+// options, and so the growth baseline, alone.
 func (s *Session) budgetReorder(deadline time.Time) {
-	if !s.Cfg.Reorder || deadline.IsZero() {
-		return
-	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
+	if !s.Cfg.Reorder {
 		return
 	}
 	opts := bdd.DefaultReorderOptions()
-	opts.SiftMaxTime = remaining / 4
+	if !deadline.IsZero() {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return
+		}
+		opts.SiftMaxTime = remaining / 4
+	} else if !s.siftBounded {
+		return
+	}
 	s.compiled.S.M.EnableAutoReorder(&opts)
+	s.siftBounded = opts.SiftMaxTime > 0
 }
 
 // checkCTL evaluates one CTL spec, producing a validated trace for
