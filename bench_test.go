@@ -1043,8 +1043,13 @@ func TestRecordLTLBench(t *testing.T) {
 // are size-independent by construction), so a wrong run is never
 // recorded. The scaled LTL products are sized to actually trip the
 // auto-reorder trigger; the assertion at the bottom keeps that true.
-// The CI bench-smoke job replays this and gates peak live nodes (25%)
-// plus wall time (2x) against the committed baseline (cmd/benchgate).
+// Each failing CTL row also records the BDD lookups (see lookups) its
+// Check and its CounterexampleInit took: witness_lookups over
+// check_lookups is the deterministic twin of perfbench's
+// core.witness_over_check.
+// The CI bench-smoke job replays this and gates peak live nodes (25%),
+// wall time (2x) and witness_lookups (25%) against the committed
+// baseline (cmd/benchgate).
 
 type modelsBenchEntry struct {
 	Model         string  `json:"model"`
@@ -1059,6 +1064,9 @@ type modelsBenchEntry struct {
 	LassoCycle    int     `json:"lasso_cycle,omitempty"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 	BytesPerNode  float64 `json:"bytes_per_node"`
+
+	CheckLookups   uint64 `json:"check_lookups,omitempty"`
+	WitnessLookups uint64 `json:"witness_lookups,omitempty"`
 }
 
 func TestRecordModelsBench(t *testing.T) {
@@ -1116,9 +1124,17 @@ func TestRecordModelsBench(t *testing.T) {
 			c.S.M.EnableAutoReorder(&reorderOpts)
 			c.S.ResetRelStats()
 			t0 := time.Now()
-			gen := core.NewGenerator(mc.New(c.S))
-			holds, tr, err := gen.CounterexampleInit(c.Module.Specs[i].Formula)
+			checker := mc.New(c.S)
+			gen := core.NewGenerator(checker)
+			f := c.Module.Specs[i].Formula
+			before := lookups(c.S.M)
+			if _, err := checker.Check(f); err != nil {
+				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
+			}
+			checked := lookups(c.S.M)
+			holds, tr, err := gen.CounterexampleInit(f)
 			wall := time.Since(t0)
+			witnessed := lookups(c.S.M)
 			if err != nil {
 				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
 			}
@@ -1145,6 +1161,8 @@ func TestRecordModelsBench(t *testing.T) {
 				if !tr.IsLasso() {
 					e.LassoStem, e.LassoCycle = len(tr.States), 0
 				}
+				e.CheckLookups = checked - before
+				e.WitnessLookups = witnessed - checked
 			}
 			entries = append(entries, e)
 		}

@@ -71,6 +71,7 @@ func main() {
 	}
 	fmt.Printf("\ntotal wall time: %.2fs (paper: \"a few minutes\" on 1994 hardware)\n",
 		time.Since(start).Seconds())
-	fmt.Printf("witness generator: ring steps %d, restarts %d, closure attempts %d\n",
-		gen.Stats.RingSteps, gen.Stats.Restarts, gen.Stats.ClosureAttempts)
+	fmt.Printf("witness generator: ring steps %d, restarts %d, closure attempts %d, walk closures %d, walk fallbacks %d\n",
+		gen.Stats.RingSteps, gen.Stats.Restarts, gen.Stats.ClosureAttempts,
+		gen.Stats.WalkClosures, gen.Stats.WalkFallbacks)
 }

@@ -304,8 +304,10 @@ func main() {
 		fmt.Printf("checker preimages:  %d (%d cluster steps, %d disjunct steps, AndExists cache hits %d / lookups %d)\n",
 			checker.Stats.PreimageCalls, checker.Stats.ClusterSteps, checker.Stats.DisjunctSteps,
 			checker.Stats.AndExistsHits, checker.Stats.AndExistsLookups)
-		fmt.Printf("witness ring steps: %d (restarts %d, %d single-state images, %d ring reuses)\n",
-			gen.Stats.RingSteps, gen.Stats.Restarts, gen.Stats.ImageCalls, checker.Stats.RingReuses)
+		fmt.Printf("witness ring steps: %d (restarts %d, %d single-state images, %d ring reuses, "+
+			"%d walk closures, %d walk fallbacks)\n",
+			gen.Stats.RingSteps, gen.Stats.Restarts, gen.Stats.ImageCalls, checker.Stats.RingReuses,
+			gen.Stats.WalkClosures, gen.Stats.WalkFallbacks)
 		fmt.Printf("dynamic reordering: %d sift events (%d passes, %d trials, %d swaps, %d aborted, %d timed out), "+
 			"%d nodes saved, %v total\n",
 			m.Stats.AutoReorders, m.Stats.SiftPasses, m.Stats.SiftTrials, m.Stats.SiftSwaps,

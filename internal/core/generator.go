@@ -37,6 +37,8 @@ type GenStats struct {
 	RingSteps       uint64 // states appended by ring walks
 	EarlyExits      uint64 // precompute-strategy early restarts
 	ImageCalls      uint64 // single-state successor images taken
+	WalkClosures    uint64 // unfair EG lassos closed by the forward walk
+	WalkFallbacks   uint64 // forward walks that ran out of budget
 }
 
 // Generator produces witnesses and counterexamples over a checker's
@@ -46,6 +48,14 @@ type Generator struct {
 	Strategy Strategy
 	Stats    GenStats
 }
+
+// walkBudget is the number of single-state images the forward walk of
+// an unfair EG witness may take before the ring construction runs
+// instead. A sweep over the shipped models, hanoi-7, chase-16 and
+// arbiter-8 chose it: 4 never closes arbiter-8's walks, and 16 or more
+// grows chase's lasso past the ring construction's (DESIGN.md §5,
+// *Unfair EG lassos*).
+const walkBudget = 8
 
 // maxRestarts bounds the SCC-descent restarts of one EG witness as a
 // safety net: the construction provably terminates, so hitting the
@@ -82,26 +92,70 @@ func (g *Generator) succIn(st kripke.State, set bdd.Ref) kripke.State {
 // every state of the trace satisfies f, the cycle is reachable from
 // `from`, closes, and contains at least one state from every fairness
 // constraint. f is given as the BDD of its satisfaction set.
+//
+// Without fairness constraints any cycle inside the EG set will do, so
+// a short forward walk (walkLasso) is tried first; the ring
+// construction runs only when the walk finds no closing edge.
 func (g *Generator) WitnessEG(f bdd.Ref, from kripke.State) (*Trace, error) {
 	s := g.C.S
 	egf, rings := g.C.FairEG(f)
 	if !s.Holds(egf, from) {
 		return nil, ErrNotSatisfied
 	}
+	// The walks hold many unregistered refs (the EG set and rings,
+	// successor sets, closure sets, EU rings) across image computations;
+	// dynamic reordering is paused for their duration. The expensive
+	// fixpoints already ran.
+	resume := s.M.PauseAutoReorder()
+	defer resume()
+	if len(s.Fair) == 0 {
+		if tr := g.walkLasso(egf, from); tr != nil {
+			return tr, nil
+		}
+	}
 	return g.witnessEGRings(egf, rings, from)
 }
 
-// witnessEGRings is the ring-walk construction proper; egf is the fair
-// EG fixpoint and rings the saved inner approximations.
+// walkLasso closes an EG lasso on a structure without fairness
+// constraints by walking forward from `from` inside egf, the EG set:
+// each step takes the last state's successor image, closes the cycle at
+// the first trace state the image contains, and otherwise moves to a
+// successor in egf. It returns nil, leaving the witness to the ring
+// construction, when walkBudget images pass without a closing edge.
+func (g *Generator) walkLasso(egf bdd.Ref, from kripke.State) *Trace {
+	s := g.C.S
+	tr := &Trace{S: s, CycleStart: -1, FairHits: map[int]int{}}
+	tr.States = append(tr.States, from)
+	for {
+		succs := g.image(tr.Last())
+		for i, st := range tr.States {
+			if s.Holds(succs, st) {
+				tr.CycleStart = i
+				g.Stats.WalkClosures++
+				return tr
+			}
+		}
+		if len(tr.States) == walkBudget {
+			break
+		}
+		// An EG state has a successor in the EG set; should a care set
+		// break that, the ring construction reports it.
+		next := s.PickState(s.M.And(succs, egf))
+		if next == nil {
+			break
+		}
+		tr.States = append(tr.States, next)
+	}
+	g.Stats.WalkFallbacks++
+	return nil
+}
+
+// witnessEGRings is the ring-walk construction proper (the caller
+// pauses reordering); egf is the fair EG fixpoint and rings the saved
+// inner approximations.
 func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.State) (*Trace, error) {
 	s := g.C.S
 	m := s.M
-
-	// The walk holds many unregistered refs (successor sets, closure
-	// sets, EU rings) across image computations; dynamic reordering is
-	// paused for its duration. The expensive fixpoints already ran.
-	resume := m.PauseAutoReorder()
-	defer resume()
 	f := rings.F
 
 	tr := &Trace{S: s, CycleStart: -1, FairHits: map[int]int{}}
@@ -237,10 +291,14 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 				tr.States = append(tr.States, closing...)
 				g.Stats.RingSteps += uint64(len(closing))
 				tr.CycleStart = cycleHeadIdx
-				for h, idx := range hits {
-					tr.FairHits[h] = idx
+				// Without fairness constraints the one hit is FairEG's
+				// pseudo-constraint "true", which is no constraint.
+				if len(s.Fair) > 0 {
+					for h, idx := range hits {
+						tr.FairHits[h] = idx
+					}
+					g.annotateFairHits(tr)
 				}
-				g.annotateFairHits(tr)
 				return tr, nil
 			}
 			// Cannot close: restart from s′ (descend the SCC DAG).

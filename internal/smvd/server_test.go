@@ -231,3 +231,34 @@ func TestSiftBoundClearedWithoutDeadline(t *testing.T) {
 		t.Fatal("sift made no swap; the model no longer exercises the bound")
 	}
 }
+
+// TestStatszWalkCounters: a counterexample on a model without FAIRNESS
+// closes its EG lasso by the forward walk, and /statsz reports the walk
+// per session next to ring_reuses.
+func TestStatszWalkCounters(t *testing.T) {
+	sv := newTestServer(t, 8, 0, "")
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	if code := post(t, ts, `{"model": `+jsonString(mutexModel)+`, "specs": ["AG AF p1 = critical"]}`); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Sessions []map[string]any `json:"sessions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Sessions) != 1 {
+		t.Fatalf("%d sessions in /statsz, want 1", len(st.Sessions))
+	}
+	ss := st.Sessions[0]
+	if ss["walk_closures"] != 1.0 || ss["walk_fallbacks"] != 0.0 || ss["ring_reuses"] == nil {
+		t.Fatalf("walk_closures %v, walk_fallbacks %v, ring_reuses %v; want 1, 0 and present",
+			ss["walk_closures"], ss["walk_fallbacks"], ss["ring_reuses"])
+	}
+}

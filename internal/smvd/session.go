@@ -64,6 +64,8 @@ type SessionStats struct {
 	CacheSize       int     `json:"cache_size"`
 	MemoHits        uint64  `json:"memo_hits"`
 	RingReuses      uint64  `json:"ring_reuses"`
+	WalkClosures    uint64  `json:"walk_closures"`
+	WalkFallbacks   uint64  `json:"walk_fallbacks"`
 	ReachableReuses uint64  `json:"reachable_reuses"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 
@@ -284,6 +286,8 @@ func (s *Session) stats() SessionStats {
 		CacheSize:       s.compiled.S.M.CacheSize(),
 		MemoHits:        s.checker.Stats.MemoHits,
 		RingReuses:      s.checker.Stats.RingReuses,
+		WalkClosures:    s.gen.Stats.WalkClosures,
+		WalkFallbacks:   s.gen.Stats.WalkFallbacks,
 		ReachableReuses: rel.ReachableReuses,
 		CacheHitRate:    rel.CacheHitRate(),
 		Rel:             rel,
