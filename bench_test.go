@@ -498,97 +498,425 @@ func BenchmarkReorder(b *testing.B) {
 	}
 }
 
-// --- BENCH_partition.json: the partitioning before/after artifact -----
+// --- BENCH_engine.json: the engine artifact ---------------------------
 //
-// TestRecordPartitionBench is gated behind BENCH_PARTITION=1 (it runs
-// minutes of wall time) and writes BENCH_partition.json: for the Seitz
-// arbiter and the scaled-arbiter family it records wall time, peak live
-// BDD nodes, relational-product counters and AndExists cache behavior
-// for the partitioned and the monolithic transition relation. At 6 and
-// 8 cells the monolithic BDD cannot even be materialized within the
-// node budget — those entries record the capped build attempt, which is
-// the paper's point: the conjunction is the object partitioning avoids.
+// TestRecordBench is gated behind BENCH_RECORD=1 and writes
+// BENCH_engine.json, the artifact the CI bench-smoke job gates with
+// cmd/benchgate. Each row of benchRows runs one model under one image
+// (monolithic, conjunctive or disjunctive), one reordering profile (off;
+// default, bdd.DefaultReorderOptions; eager, modelgen.LatticeReorder)
+// and one workload:
+//
+//	reach+ex3    the reachability fixpoint, then three preimages of it
+//	bfs-10       ten frontier steps, for sizes whose reachable set is
+//	             itself out of reach
+//	trans-build  conjoining the clusters into the monolithic relation
+//	             under a node budget; at 6 and 8 arbiter cells it gives
+//	             out, which is the paper's point: the conjunction is the
+//	             object partitioning avoids
+//	specs        every SPEC (kind ctl: check, then counterexample) or
+//	             LTLSPEC (kind ltl: the tableau product) of the model
+//	smvd         the session cache: cold compile, warm query, sustained
+//	             load, and a restart from the on-disk record
+//
+// A specs row expands to one entry per spec and the smvd row to one per
+// phase. Every verdict is held to its truth table and every trace is
+// validated or replayed, so a fast but wrong run is never recorded, and
+// benchChecks holds the rows to the claims the artifact exists to show.
 
-type partitionBenchEntry struct {
-	Model            string  `json:"model"`
-	Cells            int     `json:"cells"`
-	Mode             string  `json:"mode"`
-	Workload         string  `json:"workload"`
-	Completed        bool    `json:"completed"`
-	WallMS           float64 `json:"wall_ms"`
-	PeakLiveNodes    int     `json:"peak_live_nodes"`
-	ImageCalls       uint64  `json:"image_calls,omitempty"`
-	PreimageCalls    uint64  `json:"preimage_calls,omitempty"`
-	ClusterSteps     uint64  `json:"cluster_steps,omitempty"`
-	AndExistsLookups uint64  `json:"and_exists_lookups,omitempty"`
-	AndExistsHits    uint64  `json:"and_exists_hits,omitempty"`
-	Clusters         int     `json:"clusters,omitempty"`
-	SumClusterNodes  int     `json:"sum_cluster_nodes,omitempty"`
-	TransNodes       int     `json:"trans_nodes,omitempty"`
-	ReachableStates  float64 `json:"reachable_states,omitempty"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	BytesPerNode     float64 `json:"bytes_per_node"`
-	Note             string  `json:"note,omitempty"`
+// benchRow is one row of the bench table. Its fields, with an entry's
+// spec and phase, are the identity cmd/benchgate keys entries by.
+type benchRow struct {
+	Model    string `json:"model"`
+	Image    string `json:"image"`
+	Reorder  string `json:"reorder"`
+	Workload string `json:"workload"`
+	Kind     string `json:"kind,omitempty"` // specs rows: ctl | ltl
 }
 
-// arenaMetrics returns the computed-cache hit rate since the last
-// ResetRelStats and the arena footprint per live node, recorded in
-// every artifact so benchgate can gate hit-rate regressions.
-func arenaMetrics(s *kripke.Symbolic) (hitRate, bytesPerNode float64) {
-	rs := s.RelStats()
-	return rs.CacheHitRate(), float64(s.M.ArenaBytes()) / float64(s.M.NumNodes())
+type benchEntry struct {
+	benchRow
+	Spec  string `json:"spec,omitempty"`
+	Phase string `json:"phase,omitempty"`
+
+	Holds           *bool   `json:"holds,omitempty"`
+	Completed       bool    `json:"completed"`
+	WallMS          float64 `json:"wall_ms"`
+	PeakLiveNodes   int     `json:"peak_live_nodes,omitempty"`
+	FinalLiveNodes  int     `json:"final_live_nodes,omitempty"`
+	ReachableStates float64 `json:"reachable_states,omitempty"`
+	ReachIters      int     `json:"reach_iters,omitempty"`
+
+	ImageCalls       uint64 `json:"image_calls,omitempty"`
+	PreimageCalls    uint64 `json:"preimage_calls,omitempty"`
+	ClusterSteps     uint64 `json:"cluster_steps,omitempty"`
+	DisjunctSteps    uint64 `json:"disjunct_steps,omitempty"`
+	AndExistsLookups uint64 `json:"and_exists_lookups,omitempty"`
+	AndExistsHits    uint64 `json:"and_exists_hits,omitempty"`
+	Clusters         int    `json:"clusters,omitempty"`
+	SumClusterNodes  int    `json:"sum_cluster_nodes,omitempty"`
+	Components       int    `json:"components,omitempty"`
+	TransNodes       int    `json:"trans_nodes,omitempty"`
+
+	SiftEvents   uint64  `json:"sift_events,omitempty"`
+	SiftPasses   uint64  `json:"sift_passes,omitempty"`
+	SiftTrials   uint64  `json:"sift_trials,omitempty"`
+	SiftSwaps    uint64  `json:"sift_swaps,omitempty"`
+	SiftAborts   uint64  `json:"sift_aborts,omitempty"`
+	SiftTimeouts uint64  `json:"sift_timeouts,omitempty"`
+	ReorderMS    float64 `json:"reorder_ms,omitempty"`
+	NodesSaved   int64   `json:"nodes_saved,omitempty"`
+
+	TableauVars  int `json:"tableau_vars,omitempty"`
+	FairnessSets int `json:"fairness_sets,omitempty"`
+	LassoStem    int `json:"lasso_stem,omitempty"`
+	LassoCycle   int `json:"lasso_cycle,omitempty"`
+	// On failing CTL specs: the BDD lookups (see lookups) of the check
+	// and of CounterexampleInit after it. witness_lookups over
+	// check_lookups is the deterministic twin of perfbench's
+	// core.witness_over_check.
+	CheckLookups   uint64 `json:"check_lookups,omitempty"`
+	WitnessLookups uint64 `json:"witness_lookups,omitempty"`
+
+	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
+	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
+	WarmSpeedup  float64 `json:"warm_speedup,omitempty"`
+	QPS          float64 `json:"qps,omitempty"`
+	Queries      int     `json:"queries,omitempty"`
+	Note         string  `json:"note,omitempty"`
 }
 
-// benchModel compiles a fresh instance so cache and node-table state
-// never leaks between measured modes.
-type benchModel struct {
-	name    string
-	cells   int
-	compile func() (*kripke.Symbolic, error)
-}
-
-func partitionBenchModels() []benchModel {
-	models := []benchModel{{
-		name:  "seitz.smv",
-		cells: 2,
-		compile: func() (*kripke.Symbolic, error) {
-			src, err := os.ReadFile("models/seitz.smv")
-			if err != nil {
-				return nil, err
-			}
-			c, err := smv.CompileSource(string(src), smv.Config{})
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		},
-	}}
-	for _, k := range []int{2, 3, 4} {
-		k := k
-		models = append(models, benchModel{
-			name:    fmt.Sprintf("scaled-arbiter-k%d", k),
-			cells:   2 * k,
-			compile: func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(k).Compile() },
-		})
+// benchRows is the bench table.
+func benchRows() []benchRow {
+	var rows []benchRow
+	add := func(model, image, reorder, workload string) {
+		rows = append(rows, benchRow{Model: model, Image: image, Reorder: reorder, Workload: workload})
 	}
-	return models
+	// Conjunctive partitioning against the monolithic relation: on the
+	// full fixpoint where both fit, on the capped build where only the
+	// partition does.
+	for _, m := range []string{"seitz.smv", "scaled-arbiter-k2"} {
+		add(m, "conjunctive", "off", "reach+ex3")
+		add(m, "monolithic", "off", "reach+ex3")
+	}
+	for _, m := range []string{"scaled-arbiter-k3", "scaled-arbiter-k4"} {
+		add(m, "monolithic", "off", "trans-build")
+	}
+	// Dynamic reordering on the bounded sweep.
+	for _, m := range []string{"scaled-arbiter-k2", "scaled-arbiter-k3", "scaled-arbiter-k4", "scaled-ring-8"} {
+		add(m, "conjunctive", "off", "bfs-10")
+		add(m, "conjunctive", "default", "bfs-10")
+	}
+	// The disjunctive image on interleaved models; the synchronous ones
+	// carry no process components and keep the monolithic comparison.
+	for _, m := range []string{"dining.smv", "mutex.smv"} {
+		add(m, "conjunctive", "off", "reach+ex3")
+		add(m, "monolithic", "off", "reach+ex3")
+	}
+	for _, m := range []string{"ring.smv", "scaled-ring-8"} {
+		add(m, "conjunctive", "off", "reach+ex3")
+		add(m, "disjunctive", "off", "reach+ex3")
+	}
+	// Specs: the LTL tableau products of the protocol models, and the
+	// scenario corpus (shipped and scaled) under eager sifting.
+	specs := func(model, reorder string, kinds ...string) {
+		for _, k := range kinds {
+			rows = append(rows, benchRow{Model: model, Image: "conjunctive", Reorder: reorder, Workload: "specs", Kind: k})
+		}
+	}
+	for _, m := range []string{"abp.smv", "peterson.smv"} {
+		specs(m, "off", "ltl")
+	}
+	for _, m := range []string{"hanoi.smv", "chase.smv", "hanoi-7", "chase-16"} {
+		specs(m, "eager", "ctl", "ltl")
+	}
+	add("arbiter-8", "conjunctive", "off", "smvd")
+	return rows
 }
 
-// boundedSteps is the length of the bfs workload the partition and
-// reorder recorders share.
-const boundedSteps = 10
+// smvdPhases names the smvd row's entries, in the order recordSmvd
+// fills them.
+var smvdPhases = []string{"cold_compile", "warm_query", "sustained", "warm_restart"}
 
-// boundedBFS runs up to boundedSteps frontier steps from s.Init and
-// returns their wall time. The reached and frontier sets are protected
-// and registered, so a sift fired inside Image keeps them and rewrites
-// them in place; both are released, uncollected, on return.
-func boundedBFS(s *kripke.Symbolic) time.Duration {
-	m := s.M
+// benchSource returns a bench model's SMV source: the generated ones by
+// name, the rest from models/.
+func benchSource(model string) (string, error) {
+	switch model {
+	case "hanoi-7":
+		return modelgen.HanoiSource(7), nil
+	case "chase-16":
+		return modelgen.ChaseSource(16), nil
+	case "scaled-ring-8":
+		return scaledRingSource(8), nil
+	case "arbiter-8":
+		return modelgen.ArbiterSource(8), nil
+	}
+	src, err := os.ReadFile("models/" + model)
+	return string(src), err
+}
+
+// benchTruth returns the verdict table a specs model is held to. The
+// scaled instances keep their shipped model's verdicts: the puzzle
+// stays solvable and the evader still escapes.
+func benchTruth(model string) struct{ ctl, ltl []bool } {
+	switch model {
+	case "hanoi-7":
+		model = "hanoi.smv"
+	case "chase-16":
+		model = "chase.smv"
+	}
+	return scenarioVerdicts[model]
+}
+
+// compileBench compiles a fresh instance of a bench model, so cache and
+// node-table state never leak between rows.
+func compileBench(model string) (*kripke.Symbolic, error) {
+	var k int
+	if _, err := fmt.Sscanf(model, "scaled-arbiter-k%d", &k); err == nil {
+		return circuit.ScaledArbiter(k).Compile()
+	}
+	src, err := benchSource(model)
+	if err != nil {
+		return nil, err
+	}
+	c, err := smv.CompileSource(src, smv.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return c.S, nil
+}
+
+// entries returns the row's entries with only their identity set: one
+// per spec of the row's kind, in declaration order, for a specs row;
+// one per phase for the smvd row; one otherwise. Specs are enumerated
+// by parsing alone.
+func (r benchRow) entries() ([]benchEntry, error) {
+	switch r.Workload {
+	case "specs":
+		src, err := benchSource(r.Model)
+		if err != nil {
+			return nil, err
+		}
+		mod, err := smv.ParseModule(src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", r.Model, err)
+		}
+		var out []benchEntry
+		if r.Kind == "ctl" {
+			for _, sp := range mod.Specs {
+				out = append(out, benchEntry{benchRow: r, Spec: sp.Formula.String()})
+			}
+		} else {
+			for _, sp := range mod.LTLSpecs {
+				out = append(out, benchEntry{benchRow: r, Spec: sp.Formula.String()})
+			}
+		}
+		return out, nil
+	case "smvd":
+		out := make([]benchEntry, len(smvdPhases))
+		for i, p := range smvdPhases {
+			out[i] = benchEntry{benchRow: r, Phase: p}
+		}
+		return out, nil
+	}
+	return []benchEntry{{benchRow: r}}, nil
+}
+
+const (
+	benchGCThreshold  = 1 << 16 // tight threshold: peaks reflect live sets
+	bfsSteps          = 10
+	transNodeBudget   = 6_000_000
+	transBuildTimeout = 30 * time.Second
+)
+
+func TestRecordBench(t *testing.T) {
+	if os.Getenv("BENCH_RECORD") != "1" {
+		t.Skip("set BENCH_RECORD=1 to record BENCH_engine.json")
+	}
 	t0 := time.Now()
+	var entries []benchEntry
+	for _, r := range benchRows() {
+		runs := make([][]benchEntry, benchRepeats)
+		for i := range runs {
+			es, err := r.entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch r.Workload {
+			case "reach+ex3", "bfs-10":
+				recordImages(t, r, &es[0])
+			case "trans-build":
+				recordTransBuild(t, r, &es[0])
+			case "specs":
+				recordSpecs(t, r, es)
+			case "smvd":
+				recordSmvd(t, es)
+			default:
+				t.Fatalf("%s: unknown workload %q", r.Model, r.Workload)
+			}
+			runs[i] = es
+		}
+		entries = append(entries, medianRun(t, runs)...)
+	}
+	for _, v := range benchChecks(entries) {
+		t.Error(v)
+	}
+	if t.Failed() {
+		t.Fatal("refusing to record a run that breaks the artifact's claims")
+	}
+	out, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_engine.json", append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote BENCH_engine.json with %d entries in %v", len(entries), time.Since(t0).Round(time.Millisecond))
+}
+
+// benchRepeats is how many times every row runs. Wall and reordering
+// times, and the smvd ratios built from them, are the median of the
+// runs; every other field must come out the same in each.
+const benchRepeats = 3
+
+// medianRun folds a row's repeated runs into one: the first run's
+// counters, which every run must repeat, with median times.
+func medianRun(t *testing.T, runs [][]benchEntry) []benchEntry {
+	t.Helper()
+	untimed := func(e benchEntry) string {
+		e.WallMS, e.ReorderMS, e.WarmSpeedup, e.QPS, e.Note = 0, 0, 0, 0, ""
+		b, _ := json.Marshal(e)
+		return string(b)
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	out := runs[0]
+	for j := range out {
+		var wall, reorder, speedup, qps []float64
+		for _, es := range runs {
+			if a, b := untimed(out[j]), untimed(es[j]); a != b {
+				t.Fatalf("repeated runs disagree beyond their times:\n%s\n%s", a, b)
+			}
+			wall, reorder = append(wall, es[j].WallMS), append(reorder, es[j].ReorderMS)
+			speedup, qps = append(speedup, es[j].WarmSpeedup), append(qps, es[j].QPS)
+		}
+		out[j].WallMS, out[j].ReorderMS = median(wall), median(reorder)
+		out[j].WarmSpeedup, out[j].QPS = median(speedup), median(qps)
+	}
+	return out
+}
+
+// startRow switches s to the row's image and reordering profile and
+// opens the measured window, returning the manager counters the window
+// starts from. Rows off the eager profile collect the compile's garbage
+// first, so their peaks reflect live sets; eager rows keep it, as the
+// modelgen lattice does, so their growth trigger counts from the arena
+// the compile left.
+func startRow(t *testing.T, s *kripke.Symbolic, r benchRow) bdd.Stats {
+	t.Helper()
+	s.M.SetGCThreshold(benchGCThreshold)
+	switch r.Image {
+	case "monolithic":
+		s.EnablePartition(false)
+	case "conjunctive":
+		if !s.HasClusters() {
+			t.Fatalf("%s: no clusters for the conjunctive image", r.Model)
+		}
+	case "disjunctive":
+		if s.NumDisjuncts() == 0 {
+			t.Fatalf("%s: no disjuncts for the disjunctive image", r.Model)
+		}
+		s.EnableDisjunct(true)
+	default:
+		t.Fatalf("%s: unknown image %q", r.Model, r.Image)
+	}
+	switch r.Reorder {
+	case "off":
+	case "default":
+		s.M.EnableAutoReorder(nil)
+	case "eager":
+		opts := modelgen.LatticeReorder
+		s.M.EnableAutoReorder(&opts)
+	default:
+		t.Fatalf("%s: unknown reordering profile %q", r.Model, r.Reorder)
+	}
+	if r.Reorder != "eager" {
+		s.M.GC()
+	}
+	s.ResetRelStats()
+	return s.M.Stats
+}
+
+// measure fills e's counters from the window startRow opened.
+func measure(e *benchEntry, s *kripke.Symbolic, st0 bdd.Stats, wall time.Duration) {
+	m := s.M
+	rs, st := s.RelStats(), m.Stats
+	e.Completed = true
+	e.WallMS = float64(wall.Microseconds()) / 1000
+	e.PeakLiveNodes = rs.PeakLiveNodes
+	e.FinalLiveNodes = m.NumNodes()
+	e.ImageCalls, e.PreimageCalls = rs.ImageCalls, rs.PreimageCalls
+	e.ClusterSteps, e.DisjunctSteps = rs.ClusterSteps, rs.DisjunctSteps
+	e.AndExistsLookups = st.AndExistsLookups - st0.AndExistsLookups
+	e.AndExistsHits = st.AndExistsHits - st0.AndExistsHits
+	e.Clusters, e.Components = s.NumClusters(), s.NumDisjuncts()
+	if p := s.Partition(); p != nil {
+		for _, c := range p.Clusters() {
+			e.SumClusterNodes += m.Size(c)
+		}
+	}
+	e.SiftEvents = st.AutoReorders - st0.AutoReorders
+	e.SiftPasses = st.SiftPasses - st0.SiftPasses
+	e.SiftTrials = st.SiftTrials - st0.SiftTrials
+	e.SiftSwaps = st.SiftSwaps - st0.SiftSwaps
+	e.SiftAborts = st.SiftAborts - st0.SiftAborts
+	e.SiftTimeouts = st.SiftTimeouts - st0.SiftTimeouts
+	e.ReorderMS = float64((st.ReorderTime - st0.ReorderTime).Microseconds()) / 1000
+	e.NodesSaved = st.ReorderSavedNodes - st0.ReorderSavedNodes
+	e.CacheHitRate = rs.CacheHitRate()
+	e.BytesPerNode = float64(m.ArenaBytes()) / float64(m.NumNodes())
+}
+
+// recordImages runs the reach+ex3 or bfs-10 workload. A monolithic row
+// builds its relation inside the window, on the first image.
+func recordImages(t *testing.T, r benchRow, e *benchEntry) {
+	s, err := compileBench(r.Model)
+	if err != nil {
+		t.Fatalf("%s: %v", r.Model, err)
+	}
+	st0 := startRow(t, s, r)
+	t0 := time.Now()
+	var reach bdd.Ref
+	if r.Workload == "bfs-10" {
+		boundedBFS(s)
+	} else {
+		reach, _ = s.Reachable()
+		pre := reach
+		for i := 0; i < 3; i++ {
+			pre = s.Preimage(pre)
+		}
+	}
+	measure(e, s, st0, time.Since(t0))
+	if r.Workload == "reach+ex3" {
+		e.ReachableStates = s.CountStates(reach)
+	}
+	if r.Image == "monolithic" {
+		e.TransNodes = s.M.Size(s.Trans())
+	}
+}
+
+// boundedBFS runs up to bfsSteps frontier steps from s.Init. The
+// reached and frontier sets are protected and registered, so a sift
+// fired inside Image keeps them and rewrites them in place; both are
+// released, uncollected, on return.
+func boundedBFS(s *kripke.Symbolic) {
+	m := s.M
 	reached := m.Protect(s.Init)
 	frontier := m.Protect(s.Init)
 	id := m.RegisterRefs(&reached, &frontier)
-	for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
+	for i := 0; i < bfsSteps && frontier != bdd.False; i++ {
 		img := s.Image(frontier)
 		m.Unprotect(frontier)
 		frontier = m.Protect(m.Diff(img, reached))
@@ -596,675 +924,484 @@ func boundedBFS(s *kripke.Symbolic) time.Duration {
 		reached = m.Protect(m.Or(reached, frontier))
 		m.MaybeGC()
 	}
-	wall := time.Since(t0)
 	m.Unregister(id)
 	m.Unprotect(frontier)
 	m.Unprotect(reached)
-	return wall
 }
 
-func TestRecordPartitionBench(t *testing.T) {
-	if os.Getenv("BENCH_PARTITION") != "1" {
-		t.Skip("set BENCH_PARTITION=1 to record BENCH_partition.json")
+// recordTransBuild conjoins the clusters into the monolithic relation
+// under the node and time budget, recording where it gives out. It
+// takes no image, so it skips startRow: the budget counts every node
+// the arena holds, the compile's garbage included.
+func recordTransBuild(t *testing.T, r benchRow, e *benchEntry) {
+	s, err := compileBench(r.Model)
+	if err != nil {
+		t.Fatalf("%s: %v", r.Model, err)
 	}
-	const (
-		gcThreshold  = 1 << 16   // tight threshold: peaks reflect live sets
-		nodeBudget   = 6_000_000 // cap for the monolithic build attempt
-		buildTimeout = 30 * time.Second
-	)
-	var entries []partitionBenchEntry
-
-	baseEntry := func(bm benchModel, s *kripke.Symbolic, mode, workload string, wall time.Duration, ae0 bdd.Stats) partitionBenchEntry {
-		rs := s.RelStats()
-		p := s.Partition()
-		e := partitionBenchEntry{
-			Model:            bm.name,
-			Cells:            bm.cells,
-			Mode:             mode,
-			Workload:         workload,
-			Completed:        true,
-			WallMS:           float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:    rs.PeakLiveNodes,
-			ImageCalls:       rs.ImageCalls,
-			PreimageCalls:    rs.PreimageCalls,
-			ClusterSteps:     rs.ClusterSteps,
-			AndExistsLookups: s.M.Stats.AndExistsLookups - ae0.AndExistsLookups,
-			AndExistsHits:    s.M.Stats.AndExistsHits - ae0.AndExistsHits,
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-		if p != nil {
-			e.Clusters = p.NumClusters()
-			for _, c := range p.Clusters() {
-				e.SumClusterNodes += s.M.Size(c)
-			}
-		}
-		return e
-	}
-
-	// fullWorkload: the complete reachability fixpoint followed by a
-	// short backward EX sweep, exercising both quantification schedules.
-	fullWorkload := func(bm benchModel, s *kripke.Symbolic, mode string) partitionBenchEntry {
-		s.M.GC()
-		s.ResetRelStats()
-		ae0 := s.M.Stats
-		t0 := time.Now()
-		reach, _ := s.Reachable()
-		pre := reach
-		for i := 0; i < 3; i++ {
-			pre = s.Preimage(pre)
-		}
-		e := baseEntry(bm, s, mode, "reachable+ex3", time.Since(t0), ae0)
-		e.ReachableStates = s.CountStates(reach)
-		return e
-	}
-
-	// boundedWorkload: a fixed number of frontier steps for sizes where
-	// the full reachable set is itself out of reach.
-	boundedWorkload := func(bm benchModel, s *kripke.Symbolic, mode string) partitionBenchEntry {
-		s.M.GC()
-		s.ResetRelStats()
-		ae0 := s.M.Stats
-		wall := boundedBFS(s)
-		return baseEntry(bm, s, mode, fmt.Sprintf("bfs-%d", boundedSteps), wall, ae0)
-	}
-
-	// cappedMonolithicBuild: try to materialize the monolithic relation
-	// under a node and time budget, recording where it gives out.
-	cappedMonolithicBuild := func(bm benchModel, s *kripke.Symbolic) partitionBenchEntry {
-		m := s.M
-		p := s.Partition()
-		t0 := time.Now()
-		acc := m.Protect(bdd.True)
-		for i, c := range p.Clusters() {
-			next := m.Protect(m.And(acc, c))
-			m.Unprotect(acc)
-			acc = next
-			if m.NumNodes() > nodeBudget || time.Since(t0) > buildTimeout {
-				e := partitionBenchEntry{
-					Model:         bm.name,
-					Cells:         bm.cells,
-					Mode:          "monolithic",
-					Workload:      "trans-materialization",
-					Completed:     false,
-					WallMS:        float64(time.Since(t0).Microseconds()) / 1000,
-					PeakLiveNodes: m.NumNodes(),
-					Clusters:      p.NumClusters(),
-					Note: fmt.Sprintf(
-						"monolithic Trans BDD aborted at cluster %d/%d: node budget %d exceeded; partial conjunction already %d nodes",
-						i+1, p.NumClusters(), nodeBudget, m.Size(acc)),
-				}
-				e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-				m.Unprotect(acc)
-				return e
-			}
-		}
-		e := partitionBenchEntry{
-			Model: bm.name, Cells: bm.cells, Mode: "monolithic",
-			Workload: "trans-materialization", Completed: true,
-			WallMS:        float64(time.Since(t0).Microseconds()) / 1000,
-			PeakLiveNodes: m.NumNodes(),
-			TransNodes:    m.Size(acc),
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
+	m, p := s.M, s.Partition()
+	m.SetGCThreshold(benchGCThreshold)
+	st0 := m.Stats
+	t0 := time.Now()
+	acc := m.Protect(bdd.True)
+	aborted := 0
+	for i, c := range p.Clusters() {
+		next := m.Protect(m.And(acc, c))
 		m.Unprotect(acc)
-		return e
+		acc = next
+		if m.NumNodes() > transNodeBudget || time.Since(t0) > transBuildTimeout {
+			aborted = i + 1
+			break
+		}
 	}
-
-	for _, bm := range partitionBenchModels() {
-		// Partitioned run.
-		s, err := bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		s.M.SetGCThreshold(gcThreshold)
-		bounded := bm.cells >= 6
-		if bounded {
-			entries = append(entries, boundedWorkload(bm, s, "partitioned"))
-		} else {
-			entries = append(entries, fullWorkload(bm, s, "partitioned"))
-		}
-
-		// Monolithic run, on a fresh instance.
-		s, err = bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		s.M.SetGCThreshold(gcThreshold)
-		if bounded {
-			// The full monolithic relation does not fit the node budget
-			// at these sizes; record the capped build attempt.
-			entries = append(entries, cappedMonolithicBuild(bm, s))
-			continue
-		}
-		s.EnablePartition(false)
-		buildStart := time.Now()
-		transNodes := s.M.Size(s.Trans()) // materialization is part of the story
-		buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
-		e := fullWorkload(bm, s, "monolithic")
-		e.TransNodes = transNodes
-		e.Note = fmt.Sprintf("monolithic Trans materialized in %.1fms", buildMS)
-		entries = append(entries, e)
+	measure(e, s, st0, time.Since(t0))
+	e.PeakLiveNodes = m.NumNodes()
+	if aborted > 0 {
+		e.Completed = false
+		e.Note = fmt.Sprintf("monolithic Trans BDD aborted at cluster %d/%d: node budget %d exceeded; partial conjunction already %d nodes",
+			aborted, p.NumClusters(), transNodeBudget, m.Size(acc))
+	} else {
+		e.TransNodes = m.Size(acc)
 	}
+	m.Unprotect(acc)
+}
 
-	out, err := json.MarshalIndent(entries, "", "  ")
+// recordSpecs checks every spec of the row's kind on its own manager:
+// a fresh compile per SPEC, a fresh tableau product per LTLSPEC.
+func recordSpecs(t *testing.T, r benchRow, es []benchEntry) {
+	src, err := benchSource(r.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_partition.json", append(out, '\n'), 0o644); err != nil {
+	truth := benchTruth(r.Model)
+	want := truth.ctl
+	if r.Kind == "ltl" {
+		want = truth.ltl
+	}
+	if len(es) != len(want) {
+		t.Fatalf("%s: %d %s specs but %d expected verdicts", r.Model, len(es), r.Kind, len(want))
+	}
+	var base *smv.Compiled
+	if r.Kind == "ltl" {
+		if base, err = smv.CompileSource(src, smv.Config{}); err != nil {
+			t.Fatalf("%s: %v", r.Model, err)
+		}
+	}
+	for i := range es {
+		e := &es[i]
+		var holds bool
+		if r.Kind == "ctl" {
+			holds = recordCTL(t, r, e, src, i)
+		} else {
+			holds = recordLTL(t, r, e, base, i)
+		}
+		if holds != want[i] {
+			t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run", r.Model, e.Spec, holds, want[i])
+		}
+		e.Holds = &holds
+	}
+}
+
+func recordCTL(t *testing.T, r benchRow, e *benchEntry, src string, i int) bool {
+	c, err := smv.CompileSource(src, smv.Config{})
+	if err != nil {
+		t.Fatalf("%s: %v", r.Model, err)
+	}
+	st0 := startRow(t, c.S, r)
+	f := c.Module.Specs[i].Formula
+	t0 := time.Now()
+	checker := mc.New(c.S)
+	gen := core.NewGenerator(checker)
+	before := lookups(c.S.M)
+	if _, err := checker.Check(f); err != nil {
+		t.Fatalf("%s %s: %v", r.Model, e.Spec, err)
+	}
+	checked := lookups(c.S.M)
+	holds, tr, err := gen.CounterexampleInit(f)
+	wall := time.Since(t0)
+	witnessed := lookups(c.S.M)
+	if err != nil {
+		t.Fatalf("%s %s: %v", r.Model, e.Spec, err)
+	}
+	measure(e, c.S, st0, wall)
+	e.FairnessSets = len(c.S.Fair)
+	if tr != nil {
+		if err := core.ValidatePath(c.S, tr); err != nil {
+			t.Fatalf("%s %s: invalid trace: %v", r.Model, e.Spec, err)
+		}
+		e.LassoStem, e.LassoCycle = tr.CycleStart, len(tr.States)-tr.CycleStart
+		if !tr.IsLasso() {
+			e.LassoStem, e.LassoCycle = len(tr.States), 0
+		}
+		e.CheckLookups = checked - before
+		e.WitnessLookups = witnessed - checked
+	}
+	checker.Close()
+	return holds
+}
+
+func recordLTL(t *testing.T, r benchRow, e *benchEntry, base *smv.Compiled, i int) bool {
+	sp := base.Module.LTLSpecs[i]
+	p, err := base.Product(sp.Formula, sp.Source)
+	if err != nil {
+		t.Fatalf("%s %s: %v", r.Model, sp.Source, err)
+	}
+	st0 := startRow(t, p.S, r)
+	t0 := time.Now()
+	ch := mc.New(p.S)
+	holds, tr, err := p.Check(ch)
+	wall := time.Since(t0)
+	if err != nil {
+		t.Fatalf("%s %s: %v", r.Model, sp.Source, err)
+	}
+	measure(e, p.S, st0, wall)
+	e.TableauVars = len(p.ElemVars)
+	e.FairnessSets = len(p.S.Fair)
+	if tr != nil {
+		if err := p.ReplayCounterexample(tr); err != nil {
+			t.Fatalf("%s %s: %v", r.Model, sp.Source, err)
+		}
+		e.LassoStem, e.LassoCycle = tr.CycleStart, len(tr.States)-tr.CycleStart
+	}
+	ch.Close()
+	return holds
+}
+
+// recordSmvd drives the session cache through its four phases on the
+// 8-client arbiter: the first query on a fresh server; the median of
+// seven repeats on the hot session (cached reachable and fair sets,
+// subformula memo); concurrent hot queries; and the first query after a
+// restart seeded from the on-disk record, which must skip the
+// reachability fixpoint.
+func recordSmvd(t *testing.T, es []benchEntry) {
+	const clients = 8
+	src := modelgen.ArbiterSource(clients)
+	specs, truth := modelgen.ArbiterSpecs(clients)
+	passing := specs[:2] // the skipped-fixpoint proof needs specs without counterexamples
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	check := func(sv *smvd.Server, req *smvd.CheckRequest, want []bool) (*smvd.CheckResponse, time.Duration) {
+		t.Helper()
+		t0 := time.Now()
+		resp, err := sv.Check(req)
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range resp.Verdicts {
+			if v.Error != "" {
+				t.Fatalf("%q: %s", v.Spec, v.Error)
+			}
+			if v.Holds != want[i] {
+				t.Fatalf("%q: holds=%v want %v — refusing to record a wrong run", v.Spec, v.Holds, want[i])
+			}
+		}
+		return resp, wall
+	}
+	for i := range es {
+		es[i].Completed = true
+	}
+	cold, warm, sustained, restart := &es[0], &es[1], &es[2], &es[3]
+
+	dir := t.TempDir()
+	cache, err := smvd.NewCache(8, 0, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote BENCH_partition.json with %d entries", len(entries))
+	sv := smvd.NewServer(cache)
+	req := &smvd.CheckRequest{Model: src, Specs: specs}
 
-	// The artifact must actually demonstrate the claim: at >= 8 cells the
-	// partitioned run completes while the monolithic attempt exhausts its
-	// node budget, and at sizes where both complete the partitioned run
-	// is faster with a lower peak.
-	byKey := map[string]partitionBenchEntry{}
-	for _, e := range entries {
-		byKey[e.Model+"/"+e.Mode] = e
+	resp, coldWall := check(sv, req, truth)
+	if resp.Warm {
+		t.Fatal("cold query reported warm")
 	}
-	part8 := byKey["scaled-arbiter-k4/partitioned"]
-	mono8 := byKey["scaled-arbiter-k4/monolithic"]
-	if !part8.Completed || mono8.Completed {
-		t.Fatalf("8-cell separation not demonstrated: partitioned=%+v monolithic=%+v", part8, mono8)
+	ss := sv.Cache.Sessions()
+	if len(ss) != 1 {
+		t.Fatalf("got %d sessions", len(ss))
 	}
-	if part8.PeakLiveNodes >= mono8.PeakLiveNodes {
-		t.Fatalf("8 cells: partitioned peak %d not below monolithic peak %d",
-			part8.PeakLiveNodes, mono8.PeakLiveNodes)
+	cold.WallMS = ms(coldWall)
+	cold.PeakLiveNodes = ss[0].Rel.PeakLiveNodes
+	cold.CacheHitRate = ss[0].CacheHitRate
+	cold.ReachableStates, cold.ReachIters = resp.ReachableStates, resp.ReachIters
+	cold.ImageCalls = ss[0].Rel.ImageCalls
+
+	var warmWalls []time.Duration
+	for i := 0; i < 7; i++ {
+		resp, wall := check(sv, req, truth)
+		if !resp.Warm {
+			t.Fatal("repeat query not warm")
+		}
+		warmWalls = append(warmWalls, wall)
 	}
-	part4, mono4 := byKey["scaled-arbiter-k2/partitioned"], byKey["scaled-arbiter-k2/monolithic"]
-	if part4.WallMS >= mono4.WallMS || part4.PeakLiveNodes >= mono4.PeakLiveNodes {
-		t.Fatalf("4 cells: partitioned (%.1fms, %d nodes) not below monolithic (%.1fms, %d nodes)",
+	sort.Slice(warmWalls, func(i, j int) bool { return warmWalls[i] < warmWalls[j] })
+	warm.WallMS = ms(warmWalls[len(warmWalls)/2])
+	warm.WarmSpeedup = float64(coldWall) / float64(warmWalls[len(warmWalls)/2])
+
+	const hammerWorkers, perWorker = 4, 100
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for w := 0; w < hammerWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := sv.Check(req); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hammer := time.Since(t0)
+	sustained.WallMS = ms(hammer)
+	sustained.Queries = hammerWorkers * perWorker
+	sustained.QPS = float64(sustained.Queries) / hammer.Seconds()
+
+	if err := sv.Cache.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	cache2, err := smvd.NewCache(8, 0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv2 := smvd.NewServer(cache2)
+	resp, restartWall := check(sv2, &smvd.CheckRequest{Model: src, Specs: passing}, truth[:2])
+	if !resp.Warm || resp.WarmSource != "disk" {
+		t.Fatalf("restart not disk-warm: warm=%v source=%q", resp.Warm, resp.WarmSource)
+	}
+	ss2 := sv2.Cache.Sessions()
+	if len(ss2) != 1 {
+		t.Fatalf("got %d sessions after restart", len(ss2))
+	}
+	restart.WallMS = ms(restartWall)
+	restart.ReachableStates, restart.ReachIters = resp.ReachableStates, resp.ReachIters
+	restart.ImageCalls = ss2[0].Rel.ImageCalls
+	restart.WarmSpeedup = float64(coldWall) / float64(restartWall)
+	restart.Note = "compile re-runs on restart; reach/fair/sift restored from disk"
+}
+
+// findEntry returns the entry of a row that is not a specs row, by its
+// identity, or nil.
+func findEntry(es []benchEntry, model, image, reorder, workload, phase string) *benchEntry {
+	for i := range es {
+		e := &es[i]
+		if e.Model == model && e.Image == image && e.Reorder == reorder && e.Workload == workload && e.Phase == phase {
+			return e
+		}
+	}
+	return nil
+}
+
+// benchChecks holds recorded entries to the claims the artifact exists
+// to show and returns each claim they break.
+func benchChecks(entries []benchEntry) []string {
+	var out []string
+	fail := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	find := func(model, image, reorder, workload, phase string) *benchEntry {
+		e := findEntry(entries, model, image, reorder, workload, phase)
+		if e == nil {
+			fail("%s %s %s %s %s: row missing", model, image, reorder, workload, phase)
+		}
+		return e
+	}
+
+	// At 8 cells the partition finishes the sweep under a lower peak than
+	// the monolithic build reaches before it gives out.
+	part8 := find("scaled-arbiter-k4", "conjunctive", "off", "bfs-10", "")
+	mono8 := find("scaled-arbiter-k4", "monolithic", "off", "trans-build", "")
+	if part8 != nil && mono8 != nil {
+		if !part8.Completed || mono8.Completed {
+			fail("8 cells: conjunctive completed=%v, monolithic build completed=%v", part8.Completed, mono8.Completed)
+		}
+		if part8.PeakLiveNodes >= mono8.PeakLiveNodes {
+			fail("8 cells: conjunctive peak %d not below the monolithic build's %d", part8.PeakLiveNodes, mono8.PeakLiveNodes)
+		}
+	}
+	// At 4 cells, where both finish, the partition is faster and smaller.
+	part4 := find("scaled-arbiter-k2", "conjunctive", "off", "reach+ex3", "")
+	mono4 := find("scaled-arbiter-k2", "monolithic", "off", "reach+ex3", "")
+	if part4 != nil && mono4 != nil && (part4.WallMS >= mono4.WallMS || part4.PeakLiveNodes >= mono4.PeakLiveNodes) {
+		fail("4 cells: conjunctive (%.1fms, %d nodes) not below monolithic (%.1fms, %d nodes)",
 			part4.WallMS, part4.PeakLiveNodes, mono4.WallMS, mono4.PeakLiveNodes)
 	}
-}
-
-// --- BENCH_reorder.json: the dynamic-reordering artifact --------------
-//
-// TestRecordReorderBench is gated behind BENCH_REORDER=1 and writes
-// BENCH_reorder.json: the scaled-arbiter family at 4..8 cells and the
-// 8-station token ring run the same bounded bfs-10 partitioned workload
-// as the partition benchmark, once with reordering off and once with
-// growth-triggered sifting on, recording wall time, peak and final live
-// nodes, sift-event, swap, abort and timeout counts and total
-// reordering time. The partitioned bfs-10 peak from
-// BENCH_partition.json rides along in each off entry so the artifact is
-// self-contained. The CI bench-smoke job replays it and gates peak live
-// nodes (25%) and reordering wall time (2x, cmd/benchgate -time-metric)
-// against this baseline.
-
-type reorderBenchEntry struct {
-	Model          string  `json:"model"`
-	Cells          int     `json:"cells"`
-	Reorder        bool    `json:"reorder"`
-	Workload       string  `json:"workload"`
-	WallMS         float64 `json:"wall_ms"`
-	PeakLiveNodes  int     `json:"peak_live_nodes"`
-	FinalLiveNodes int     `json:"final_live_nodes"`
-	SiftEvents     uint64  `json:"sift_events"`
-	SiftPasses     uint64  `json:"sift_passes,omitempty"`
-	SiftTrials     uint64  `json:"sift_trials,omitempty"`
-	SiftSwaps      uint64  `json:"sift_swaps,omitempty"`
-	SiftAborts     uint64  `json:"sift_aborts,omitempty"`
-	SiftTimeouts   uint64  `json:"sift_timeouts,omitempty"`
-	ReorderMS      float64 `json:"reorder_ms,omitempty"`
-	NodesSaved     int64   `json:"nodes_saved,omitempty"`
-	BaselinePeak   int     `json:"pr1_baseline_peak,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	BytesPerNode   float64 `json:"bytes_per_node"`
-	Note           string  `json:"note,omitempty"`
-}
-
-func TestRecordReorderBench(t *testing.T) {
-	if os.Getenv("BENCH_REORDER") != "1" {
-		t.Skip("set BENCH_REORDER=1 to record BENCH_reorder.json")
-	}
-	const gcThreshold = 1 << 16 // same as the partition benchmark
-
-	// PR-1 partitioned bfs-10 peaks from BENCH_partition.json, keyed by
-	// model name, for side-by-side comparison in the artifact.
-	baseline := map[string]int{}
-	if raw, err := os.ReadFile("BENCH_partition.json"); err == nil {
-		var prev []partitionBenchEntry
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			for _, e := range prev {
-				if e.Mode == "partitioned" && strings.HasPrefix(e.Workload, "bfs-") {
-					baseline[e.Model] = e.PeakLiveNodes
-				}
-			}
+	// At 8 cells sifting swaps and lowers the sweep's peak.
+	sifted8 := find("scaled-arbiter-k4", "conjunctive", "default", "bfs-10", "")
+	if sifted8 != nil && part8 != nil {
+		if sifted8.SiftEvents == 0 || sifted8.SiftSwaps == 0 {
+			fail("8 cells: reordering enabled but no sift work recorded (events=%d swaps=%d)", sifted8.SiftEvents, sifted8.SiftSwaps)
+		}
+		if sifted8.PeakLiveNodes >= part8.PeakLiveNodes {
+			fail("8 cells: reordered peak %d not below the unreordered %d", sifted8.PeakLiveNodes, part8.PeakLiveNodes)
 		}
 	}
-
-	run := func(bm benchModel, reorder bool) reorderBenchEntry {
-		s, err := bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		if reorder {
-			m.EnableAutoReorder(nil)
-		}
-		m.GC()
-		s.ResetRelStats()
-		wall := boundedBFS(s)
-		rs := s.RelStats()
-		e := reorderBenchEntry{
-			Model:          bm.name,
-			Cells:          bm.cells,
-			Reorder:        reorder,
-			Workload:       fmt.Sprintf("bfs-%d", boundedSteps),
-			WallMS:         float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:  rs.PeakLiveNodes,
-			FinalLiveNodes: m.NumNodes(),
-			SiftEvents:     m.Stats.AutoReorders,
-			SiftPasses:     m.Stats.SiftPasses,
-			SiftTrials:     m.Stats.SiftTrials,
-			SiftSwaps:      m.Stats.SiftSwaps,
-			SiftAborts:     m.Stats.SiftAborts,
-			SiftTimeouts:   m.Stats.SiftTimeouts,
-			ReorderMS:      float64(m.Stats.ReorderTime.Microseconds()) / 1000,
-			NodesSaved:     m.Stats.ReorderSavedNodes,
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-		if !reorder {
-			e.BaselinePeak = baseline[bm.name]
-		}
-		return e
-	}
-
-	var models []benchModel
-	for _, k := range []int{2, 3, 4} {
-		models = append(models, benchModel{
-			name:    fmt.Sprintf("scaled-arbiter-k%d", k),
-			cells:   2 * k,
-			compile: func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(k).Compile() },
-		})
-	}
-	ringSrc := scaledRingSource(8)
-	models = append(models, benchModel{
-		name:  "scaled-ring-8",
-		cells: 8,
-		compile: func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(ringSrc, smv.Config{})
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		},
-	})
-
-	var entries []reorderBenchEntry
-	for _, bm := range models {
-		off := run(bm, false)
-		on := run(bm, true)
-		entries = append(entries, off, on)
-		t.Logf("%s: peak %d -> %d (%d sift events, %d swaps, %.1fms reordering)",
-			bm.name, off.PeakLiveNodes, on.PeakLiveNodes, on.SiftEvents, on.SiftSwaps, on.ReorderMS)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_reorder.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Acceptance: at 8 cells the reordered run must sift by swapping and
-	// finish the bounded sweep with a lower peak than the partitioned
-	// baseline (the BENCH_partition.json peak when that file is present).
-	const partitionedPeak = 1_403_708
-	want := partitionedPeak
-	if b, ok := baseline["scaled-arbiter-k4"]; ok {
-		want = b
-	}
-	for _, e := range entries {
-		if e.Model == "scaled-arbiter-k4" && e.Reorder {
-			if e.SiftEvents == 0 || e.SiftSwaps == 0 {
-				t.Errorf("8 cells: reordering enabled but no sift work recorded (events=%d swaps=%d)",
-					e.SiftEvents, e.SiftSwaps)
-			}
-			if e.PeakLiveNodes >= want {
-				t.Errorf("8 cells: reordered peak %d not below the partitioned baseline %d",
-					e.PeakLiveNodes, want)
-			}
-		}
-	}
-}
-
-// --- BENCH_ltl.json: the LTL tableau-product artifact -----------------
-//
-// TestRecordLTLBench is gated behind BENCH_LTL=1 and writes
-// BENCH_ltl.json: every LTLSPEC of the ABP and Peterson scenario models
-// is checked through the tableau product, recording wall time, peak
-// live BDD nodes, tableau size (promise variables, generalized-Büchi
-// sets, clusters) and counterexample lasso lengths. Verdicts are
-// asserted against the scenarioVerdicts tables so a broken product
-// cannot silently record a fast-but-wrong run. Kept fast on purpose:
-// the CI bench-smoke job replays it on every push and gates peak live
-// nodes against this baseline (cmd/benchgate).
-
-type ltlBenchEntry struct {
-	Model         string  `json:"model"`
-	Spec          string  `json:"spec"`
-	Holds         bool    `json:"holds"`
-	WallMS        float64 `json:"wall_ms"`
-	PeakLiveNodes int     `json:"peak_live_nodes"`
-	TableauVars   int     `json:"tableau_vars"`
-	FairnessSets  int     `json:"fairness_sets"`
-	Clusters      int     `json:"clusters"`
-	LassoStem     int     `json:"lasso_stem,omitempty"`
-	LassoCycle    int     `json:"lasso_cycle,omitempty"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	BytesPerNode  float64 `json:"bytes_per_node"`
-}
-
-func TestRecordLTLBench(t *testing.T) {
-	if os.Getenv("BENCH_LTL") != "1" {
-		t.Skip("set BENCH_LTL=1 to record BENCH_ltl.json")
-	}
-	const gcThreshold = 1 << 16 // same schedule as the other artifacts
-
-	var entries []ltlBenchEntry
-	for _, name := range []string{"abp.smv", "peterson.smv"} {
-		src, err := os.ReadFile("models/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := smv.CompileSource(string(src), smv.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := scenarioVerdicts[name]
-		if len(base.Module.LTLSpecs) != len(want.ltl) {
-			t.Fatalf("%s: %d LTLSPECs but %d expected verdicts", name, len(base.Module.LTLSpecs), len(want.ltl))
-		}
-		for i, sp := range base.Module.LTLSpecs {
-			p, err := base.Product(sp.Formula, sp.Source)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, sp.Source, err)
-			}
-			p.S.M.SetGCThreshold(gcThreshold)
-			p.S.M.GC()
-			p.S.ResetRelStats()
-			t0 := time.Now()
-			ch := mc.New(p.S)
-			holds, tr, err := p.Check(ch)
-			wall := time.Since(t0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, sp.Source, err)
-			}
-			if holds != want.ltl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					name, sp.Source, holds, want.ltl[i])
-			}
-			e := ltlBenchEntry{
-				Model:         name,
-				Spec:          sp.Formula.String(),
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: p.S.RelStats().PeakLiveNodes,
-				TableauVars:   len(p.ElemVars),
-				FairnessSets:  len(p.S.Fair),
-				Clusters:      p.S.NumClusters(),
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(p.S)
-			if tr != nil {
-				if err := p.ReplayCounterexample(tr); err != nil {
-					t.Fatalf("%s %s: %v", name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-			}
-			ch.Close()
-			entries = append(entries, e)
-		}
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ltl.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_ltl.json with %d entries", len(entries))
-}
-
-// --- BENCH_models.json: the scenario-corpus artifact ------------------
-//
-// TestRecordModelsBench is gated behind BENCH_MODELS=1 and writes
-// BENCH_models.json: every SPEC and LTLSPEC of the hanoi and chase
-// scenario models — the shipped sizes plus scaled instances rendered by
-// the modelgen generators — is checked with growth-triggered sifting
-// enabled, recording wall time, peak live nodes, sift events and lasso
-// shapes. Verdicts are asserted against scenarioVerdicts (the tables
-// are size-independent by construction), so a wrong run is never
-// recorded. The scaled LTL products are sized to actually trip the
-// auto-reorder trigger; the assertion at the bottom keeps that true.
-// Each failing CTL row also records the BDD lookups (see lookups) its
-// Check and its CounterexampleInit took: witness_lookups over
-// check_lookups is the deterministic twin of perfbench's
-// core.witness_over_check.
-// The CI bench-smoke job replays this and gates peak live nodes (25%),
-// wall time (2x) and witness_lookups (25%) against the committed
-// baseline (cmd/benchgate).
-
-type modelsBenchEntry struct {
-	Model         string  `json:"model"`
-	Spec          string  `json:"spec"`
-	Kind          string  `json:"kind"` // "ctl" | "ltl"
-	Holds         bool    `json:"holds"`
-	WallMS        float64 `json:"wall_ms"`
-	PeakLiveNodes int     `json:"peak_live_nodes"`
-	SiftEvents    uint64  `json:"sift_events,omitempty"`
-	TableauVars   int     `json:"tableau_vars,omitempty"`
-	LassoStem     int     `json:"lasso_stem,omitempty"`
-	LassoCycle    int     `json:"lasso_cycle,omitempty"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	BytesPerNode  float64 `json:"bytes_per_node"`
-
-	CheckLookups   uint64 `json:"check_lookups,omitempty"`
-	WitnessLookups uint64 `json:"witness_lookups,omitempty"`
-}
-
-func TestRecordModelsBench(t *testing.T) {
-	if os.Getenv("BENCH_MODELS") != "1" {
-		t.Skip("set BENCH_MODELS=1 to record BENCH_models.json")
-	}
-	const gcThreshold = 1 << 16 // same schedule as the other artifacts
-	// Same trigger profile the modelgen lattice uses: MinNodes low
-	// enough that scenario-sized products actually sift.
-	reorderOpts := bdd.ReorderOptions{
-		GrowthTrigger: 1.5,
-		MinNodes:      256,
-		MaxPasses:     1,
-		Window:        4,
-		MaxBlocks:     16,
-	}
-
-	type scenario struct {
-		name     string
-		src      string
-		verdicts struct{ ctl, ltl []bool }
-	}
-	mustRead := func(name string) string {
-		src, err := os.ReadFile("models/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(src)
-	}
-	scenarios := []scenario{
-		{name: "hanoi.smv", src: mustRead("hanoi.smv"), verdicts: scenarioVerdicts["hanoi.smv"]},
-		{name: "chase.smv", src: mustRead("chase.smv"), verdicts: scenarioVerdicts["chase.smv"]},
-		// Scaled instances: verdicts are size-independent (the puzzle
-		// stays solvable, the evader still escapes).
-		{name: "hanoi-7", src: modelgen.HanoiSource(7), verdicts: scenarioVerdicts["hanoi.smv"]},
-		{name: "chase-16", src: modelgen.ChaseSource(16), verdicts: scenarioVerdicts["chase.smv"]},
-	}
-
-	var entries []modelsBenchEntry
-	for _, sc := range scenarios {
-		base, err := smv.CompileSource(sc.src, smv.Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		module := base.Module
-		if len(module.Specs) != len(sc.verdicts.ctl) || len(module.LTLSpecs) != len(sc.verdicts.ltl) {
-			t.Fatalf("%s: spec counts do not match the verdict table", sc.name)
-		}
-		for i, sp := range module.Specs {
-			c, err := smv.CompileSource(sc.src, smv.Config{})
-			if err != nil {
-				t.Fatalf("%s: %v", sc.name, err)
-			}
-			c.S.M.SetGCThreshold(gcThreshold)
-			c.S.M.EnableAutoReorder(&reorderOpts)
-			c.S.ResetRelStats()
-			t0 := time.Now()
-			checker := mc.New(c.S)
-			gen := core.NewGenerator(checker)
-			f := c.Module.Specs[i].Formula
-			before := lookups(c.S.M)
-			if _, err := checker.Check(f); err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			checked := lookups(c.S.M)
-			holds, tr, err := gen.CounterexampleInit(f)
-			wall := time.Since(t0)
-			witnessed := lookups(c.S.M)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			if holds != sc.verdicts.ctl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					sc.name, sp.Source, holds, sc.verdicts.ctl[i])
-			}
-			e := modelsBenchEntry{
-				Model:         sc.name,
-				Spec:          sp.Formula.String(),
-				Kind:          "ctl",
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: c.S.RelStats().PeakLiveNodes,
-				SiftEvents:    c.S.M.Stats.AutoReorders,
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(c.S)
-			if tr != nil {
-				if err := core.ValidatePath(c.S, tr); err != nil {
-					t.Fatalf("%s %s: invalid trace: %v", sc.name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-				if !tr.IsLasso() {
-					e.LassoStem, e.LassoCycle = len(tr.States), 0
-				}
-				e.CheckLookups = checked - before
-				e.WitnessLookups = witnessed - checked
-			}
-			entries = append(entries, e)
-		}
-		for i, sp := range module.LTLSpecs {
-			p, err := base.Product(sp.Formula, sp.Source)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			p.S.M.SetGCThreshold(gcThreshold)
-			p.S.M.EnableAutoReorder(&reorderOpts)
-			p.S.ResetRelStats()
-			t0 := time.Now()
-			ch := mc.New(p.S)
-			holds, tr, err := p.Check(ch)
-			wall := time.Since(t0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			if holds != sc.verdicts.ltl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					sc.name, sp.Source, holds, sc.verdicts.ltl[i])
-			}
-			e := modelsBenchEntry{
-				Model:         sc.name,
-				Spec:          sp.Formula.String(),
-				Kind:          "ltl",
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: p.S.RelStats().PeakLiveNodes,
-				SiftEvents:    p.S.M.Stats.AutoReorders,
-				TableauVars:   len(p.ElemVars),
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(p.S)
-			if tr != nil {
-				if err := p.ReplayCounterexample(tr); err != nil {
-					t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-			}
-			ch.Close()
-			entries = append(entries, e)
-		}
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_models.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_models.json with %d entries", len(entries))
-
-	// Acceptance: the scaled LTL products must be big enough to trip
-	// growth-triggered sifting — otherwise the corpus is not exercising
-	// the reordering path it exists to cover.
-	var sifted bool
+	// The scaled LTL products are big enough to trip eager sifting.
+	sifted := false
 	for _, e := range entries {
 		if e.Kind == "ltl" && (e.Model == "hanoi-7" || e.Model == "chase-16") && e.SiftEvents > 0 {
 			sifted = true
 		}
 	}
 	if !sifted {
-		t.Error("no scaled LTL product triggered auto-reordering")
+		fail("no scaled LTL product triggered auto-reordering")
+	}
+	// On the scaled ring the disjunctive image wins on peak or time and
+	// reaches the same states.
+	conj := find("scaled-ring-8", "conjunctive", "off", "reach+ex3", "")
+	disj := find("scaled-ring-8", "disjunctive", "off", "reach+ex3", "")
+	if conj != nil && disj != nil {
+		if disj.DisjunctSteps == 0 {
+			fail("scaled-ring-8: no disjunct steps recorded")
+		}
+		if disj.PeakLiveNodes >= conj.PeakLiveNodes && disj.WallMS >= conj.WallMS {
+			fail("scaled-ring-8: disjunctive (peak %d, %.1fms) beats conjunctive (peak %d, %.1fms) on neither axis",
+				disj.PeakLiveNodes, disj.WallMS, conj.PeakLiveNodes, conj.WallMS)
+		}
+		if disj.ReachableStates != conj.ReachableStates {
+			fail("scaled-ring-8: reachable count differs: %v vs %v", disj.ReachableStates, conj.ReachableStates)
+		}
+	}
+	// The hot session answers at least 5x faster than the cold compile,
+	// and the restart skips the reachability fixpoint yet reaches as far.
+	cold := find("arbiter-8", "conjunctive", "off", "smvd", "cold_compile")
+	warm := find("arbiter-8", "conjunctive", "off", "smvd", "warm_query")
+	restart := find("arbiter-8", "conjunctive", "off", "smvd", "warm_restart")
+	if warm != nil && warm.WarmSpeedup < 5 {
+		fail("smvd: warm query only %.1fx faster than cold — below the 5x floor", warm.WarmSpeedup)
+	}
+	if cold != nil && restart != nil {
+		if restart.ImageCalls != 0 {
+			fail("smvd: warm restart ran %d image calls — reachability was not skipped", restart.ImageCalls)
+		}
+		if restart.ReachableStates != cold.ReachableStates || restart.ReachIters != cold.ReachIters {
+			fail("smvd: warm restart changed reachability: %v/%d vs %v/%d",
+				restart.ReachableStates, restart.ReachIters, cold.ReachableStates, cold.ReachIters)
+		}
+	}
+	return out
+}
+
+func committedEntries(t *testing.T) []benchEntry {
+	t.Helper()
+	raw, err := os.ReadFile("BENCH_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []benchEntry
+	if err := json.Unmarshal(raw, &es); err != nil {
+		t.Fatal(err)
+	}
+	return es
+}
+
+// TestBenchRowsMatchArtifact holds the committed BENCH_engine.json to
+// the row table, enumerating specs by parsing alone: both must carry
+// the same entry identities, and the recorded rows must keep the
+// artifact's claims. benchgate only looks for baseline entries in the
+// current run, so without this a row added to the table but never
+// recorded would pass CI unseen.
+func TestBenchRowsMatchArtifact(t *testing.T) {
+	id := func(e benchEntry) string { return fmt.Sprintf("%+v spec=%q phase=%q", e.benchRow, e.Spec, e.Phase) }
+	want := map[string]bool{}
+	for _, r := range benchRows() {
+		es, err := r.entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range es {
+			if want[id(e)] {
+				t.Errorf("row table repeats %s", id(e))
+			}
+			want[id(e)] = true
+		}
+	}
+	recorded := committedEntries(t)
+	got := map[string]bool{}
+	for _, e := range recorded {
+		if got[id(e)] {
+			t.Errorf("BENCH_engine.json repeats %s", id(e))
+		}
+		got[id(e)] = true
+		if !want[id(e)] {
+			t.Errorf("BENCH_engine.json has %s, which the row table does not", id(e))
+		}
+	}
+	for k := range want {
+		if !got[k] {
+			t.Errorf("row table has %s, which BENCH_engine.json does not: re-record it", k)
+		}
+	}
+	for _, v := range benchChecks(recorded) {
+		t.Errorf("BENCH_engine.json: %s", v)
 	}
 }
 
-// --- BENCH_disjunctive.json: the disjunctive-partitioning artifact ----
-//
-// TestRecordDisjunctiveBench is gated behind BENCH_DISJUNCTIVE=1 and
-// writes BENCH_disjunctive.json: for the shipped process models and a
-// scaled token ring it runs the same reachability workload under the
-// conjunctive schedule and the disjunctive image, recording wall time,
-// peak live nodes and the per-mode step counters.
-// dining.smv and mutex.smv are synchronous — they carry no disjuncts
-// and ride along as conjunctive/monolithic continuity entries so the
-// artifact covers both composition styles. Kept fast on purpose: the CI
-// bench-smoke job replays it on every push and gates peak-live-node
-// regressions against the committed baseline (cmd/benchgate).
-
-type disjunctiveBenchEntry struct {
-	Model           string  `json:"model"`
-	Mode            string  `json:"mode"`
-	Workload        string  `json:"workload"`
-	WallMS          float64 `json:"wall_ms"`
-	PeakLiveNodes   int     `json:"peak_live_nodes"`
-	ImageCalls      uint64  `json:"image_calls,omitempty"`
-	PreimageCalls   uint64  `json:"preimage_calls,omitempty"`
-	ClusterSteps    uint64  `json:"cluster_steps,omitempty"`
-	DisjunctSteps   uint64  `json:"disjunct_steps,omitempty"`
-	Clusters        int     `json:"clusters,omitempty"`
-	Components      int     `json:"components,omitempty"`
-	ReachableStates float64 `json:"reachable_states,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	BytesPerNode    float64 `json:"bytes_per_node"`
-	Note            string  `json:"note,omitempty"`
+// TestBenchChecksCatchViolations breaks each claim of the committed
+// artifact in turn: benchChecks must report every one, so the recorder
+// refuses such a run.
+func TestBenchChecksCatchViolations(t *testing.T) {
+	recorded := committedEntries(t)
+	at := func(es []benchEntry, model, image, reorder, workload, phase string) *benchEntry {
+		e := findEntry(es, model, image, reorder, workload, phase)
+		if e == nil {
+			t.Fatalf("%s %s %s %s %s: no such row", model, image, reorder, workload, phase)
+		}
+		return e
+	}
+	k4 := func(es []benchEntry) *benchEntry {
+		return at(es, "scaled-arbiter-k4", "conjunctive", "off", "bfs-10", "")
+	}
+	k4build := func(es []benchEntry) *benchEntry {
+		return at(es, "scaled-arbiter-k4", "monolithic", "off", "trans-build", "")
+	}
+	k4sift := func(es []benchEntry) *benchEntry {
+		return at(es, "scaled-arbiter-k4", "conjunctive", "default", "bfs-10", "")
+	}
+	k2 := func(es []benchEntry) *benchEntry {
+		return at(es, "scaled-arbiter-k2", "conjunctive", "off", "reach+ex3", "")
+	}
+	ringDisj := func(es []benchEntry) *benchEntry {
+		return at(es, "scaled-ring-8", "disjunctive", "off", "reach+ex3", "")
+	}
+	smvdPhase := func(es []benchEntry, phase string) *benchEntry {
+		return at(es, "arbiter-8", "conjunctive", "off", "smvd", phase)
+	}
+	for name, breakIt := range map[string]func(es []benchEntry){
+		"k4 monolithic build completes": func(es []benchEntry) { k4build(es).Completed = true },
+		"k4 conjunctive sweep aborts":   func(es []benchEntry) { k4(es).Completed = false },
+		"k4 conjunctive peak not lower": func(es []benchEntry) { k4(es).PeakLiveNodes = k4build(es).PeakLiveNodes },
+		"k2 conjunctive not faster":     func(es []benchEntry) { k2(es).WallMS = 1e9 },
+		"k2 conjunctive peak not lower": func(es []benchEntry) { k2(es).PeakLiveNodes = 1 << 30 },
+		"k4 sifting never fires":        func(es []benchEntry) { k4sift(es).SiftEvents = 0 },
+		"k4 sifting never swaps":        func(es []benchEntry) { k4sift(es).SiftSwaps = 0 },
+		"k4 sifted peak not lower":      func(es []benchEntry) { k4sift(es).PeakLiveNodes = k4(es).PeakLiveNodes },
+		"no scaled LTL product sifts": func(es []benchEntry) {
+			for i := range es {
+				if es[i].Kind == "ltl" {
+					es[i].SiftEvents = 0
+				}
+			}
+		},
+		"no disjunct steps": func(es []benchEntry) { ringDisj(es).DisjunctSteps = 0 },
+		"disjunctive wins on neither axis": func(es []benchEntry) {
+			ringDisj(es).PeakLiveNodes, ringDisj(es).WallMS = 1<<30, 1e9
+		},
+		"disjunctive reaches other states": func(es []benchEntry) { ringDisj(es).ReachableStates++ },
+		"warm query below 5x":              func(es []benchEntry) { smvdPhase(es, "warm_query").WarmSpeedup = 4.9 },
+		"restart runs images":              func(es []benchEntry) { smvdPhase(es, "warm_restart").ImageCalls = 1 },
+		"restart reaches other states":     func(es []benchEntry) { smvdPhase(es, "warm_restart").ReachableStates++ },
+		"restart takes other iterations":   func(es []benchEntry) { smvdPhase(es, "warm_restart").ReachIters++ },
+		"row missing":                      func(es []benchEntry) { k2(es).Model = "gone" },
+	} {
+		es := append([]benchEntry(nil), recorded...)
+		breakIt(es)
+		if len(benchChecks(es)) == 0 {
+			t.Errorf("%s: not reported", name)
+		}
+	}
 }
 
 // scaledRingSource generates an n-station token ring in the SMV input
-// language — the scaled interleaved model of the disjunctive benchmark
-// (models/ring.smv is the shipped 3-station instance).
+// language — the scaled interleaved model of the disjunctive and
+// reordering rows (models/ring.smv is the shipped 3-station instance).
 func scaledRingSource(n int) string {
 	var b strings.Builder
 	b.WriteString(`MODULE station(token, me, succ)
@@ -1301,350 +1438,4 @@ VAR
 	}
 	b.WriteString("ASSIGN\n  init(token) := s1;\n")
 	return b.String()
-}
-
-func TestRecordDisjunctiveBench(t *testing.T) {
-	if os.Getenv("BENCH_DISJUNCTIVE") != "1" {
-		t.Skip("set BENCH_DISJUNCTIVE=1 to record BENCH_disjunctive.json")
-	}
-	const gcThreshold = 1 << 16 // tight threshold: peaks reflect live sets
-
-	fromFile := func(name string) func() (*kripke.Symbolic, error) {
-		return func() (*kripke.Symbolic, error) {
-			src, err := os.ReadFile("models/" + name)
-			if err != nil {
-				return nil, err
-			}
-			c, err := smv.CompileSource(string(src), smv.Config{})
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		}
-	}
-	fromSource := func(src string) func() (*kripke.Symbolic, error) {
-		return func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(src, smv.Config{})
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		}
-	}
-
-	// run measures the reachability fixpoint plus a short backward sweep
-	// on a fresh instance per mode, so caches never leak across modes.
-	run := func(name string, compile func() (*kripke.Symbolic, error), mode string) disjunctiveBenchEntry {
-		s, err := compile()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		switch mode {
-		case "disjunctive":
-			if s.NumDisjuncts() == 0 {
-				t.Fatalf("%s: no disjuncts for disjunctive mode", name)
-			}
-			s.EnableDisjunct(true)
-		case "conjunctive":
-			if !s.HasClusters() {
-				t.Fatalf("%s: no clusters for conjunctive mode", name)
-			}
-		case "monolithic":
-			s.EnablePartition(false)
-		}
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		reach, _ := s.Reachable()
-		pre := reach
-		for i := 0; i < 3; i++ {
-			pre = s.Preimage(pre)
-		}
-		wall := time.Since(t0)
-		rs := s.RelStats()
-		hitRate, bpn := arenaMetrics(s)
-		return disjunctiveBenchEntry{
-			CacheHitRate:    hitRate,
-			BytesPerNode:    bpn,
-			Model:           name,
-			Mode:            mode,
-			Workload:        "reachable+ex3",
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:   rs.PeakLiveNodes,
-			ImageCalls:      rs.ImageCalls,
-			PreimageCalls:   rs.PreimageCalls,
-			ClusterSteps:    rs.ClusterSteps,
-			DisjunctSteps:   rs.DisjunctSteps,
-			Clusters:        s.NumClusters(),
-			Components:      s.NumDisjuncts(),
-			ReachableStates: s.CountStates(reach),
-		}
-	}
-
-	var entries []disjunctiveBenchEntry
-	// Synchronous continuity entries: no disjuncts to run.
-	for _, name := range []string{"dining.smv", "mutex.smv"} {
-		for _, mode := range []string{"conjunctive", "monolithic"} {
-			e := run(name, fromFile(name), mode)
-			e.Note = "synchronous model: no process components"
-			entries = append(entries, e)
-		}
-	}
-	// Interleaved models: conjunctive vs disjunctive.
-	type interleaved struct {
-		name    string
-		compile func() (*kripke.Symbolic, error)
-	}
-	ringN := 8
-	models := []interleaved{
-		{"ring.smv", fromFile("ring.smv")},
-		{fmt.Sprintf("scaled-ring-%d", ringN), fromSource(scaledRingSource(ringN))},
-	}
-	for _, im := range models {
-		entries = append(entries,
-			run(im.name, im.compile, "conjunctive"),
-			run(im.name, im.compile, "disjunctive"),
-		)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_disjunctive.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_disjunctive.json with %d entries", len(entries))
-
-	// Acceptance: on the scaled interleaved model the disjunctive image
-	// must beat the conjunctive schedule on peak live nodes or wall time.
-	key := func(model, mode string) *disjunctiveBenchEntry {
-		for i := range entries {
-			e := &entries[i]
-			if e.Model == model && e.Mode == mode {
-				return e
-			}
-		}
-		return nil
-	}
-	scaled := fmt.Sprintf("scaled-ring-%d", ringN)
-	conj, disj := key(scaled, "conjunctive"), key(scaled, "disjunctive")
-	if conj == nil || disj == nil {
-		t.Fatal("scaled-ring entries missing")
-	}
-	if disj.DisjunctSteps == 0 {
-		t.Fatal("no disjunct steps recorded")
-	}
-	if disj.PeakLiveNodes >= conj.PeakLiveNodes && disj.WallMS >= conj.WallMS {
-		t.Errorf("disjunctive (peak %d, %.1fms) beats conjunctive (peak %d, %.1fms) on neither axis",
-			disj.PeakLiveNodes, disj.WallMS, conj.PeakLiveNodes, conj.WallMS)
-	}
-	if disj.ReachableStates != conj.ReachableStates {
-		t.Errorf("reachable count differs: %v vs %v", disj.ReachableStates, conj.ReachableStates)
-	}
-}
-
-// --- BENCH_smvd.json: the persistent-server cache artifact ------------
-//
-// TestRecordSmvdBench is gated behind BENCH_SMVD=1 and writes
-// BENCH_smvd.json, the artifact for the smvd session cache:
-//
-//	cold_compile  first query on a fresh server: parse + compile +
-//	              reachability + fair set + all specs
-//	warm_query    median repeat query on the same session (cached
-//	              reachable/fair sets + subformula memo); its
-//	              warm_speedup over cold is the headline number and
-//	              must be at least 5x — the recorder refuses to write
-//	              a run below that
-//	warm_restart  first query after a simulated restart, seeded from
-//	              the on-disk serialize-v3 record; image_calls is
-//	              asserted zero (the reachability frontier is the only
-//	              Image user in CTL checking, so zero proves the
-//	              fixpoint was skipped)
-//	sustained     concurrent hot-query throughput
-//
-// The CI bench-smoke job gates peak_live_nodes (deterministic for a
-// fixed model) at 25% and warm_speedup — a same-machine ratio, so
-// runner speed cancels out — with a wide 90% band against the
-// committed baseline.
-
-type smvdBenchEntry struct {
-	Model           string  `json:"model"`
-	Phase           string  `json:"phase"`
-	WallMS          float64 `json:"wall_ms"`
-	PeakLiveNodes   int     `json:"peak_live_nodes,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
-	ReachableStates float64 `json:"reachable_states,omitempty"`
-	ReachIters      int     `json:"reach_iters,omitempty"`
-	WarmSpeedup     float64 `json:"warm_speedup,omitempty"`
-	ImageCalls      uint64  `json:"image_calls"`
-	QPS             float64 `json:"qps,omitempty"`
-	Queries         uint64  `json:"queries,omitempty"`
-	Note            string  `json:"note,omitempty"`
-}
-
-func TestRecordSmvdBench(t *testing.T) {
-	if os.Getenv("BENCH_SMVD") != "1" {
-		t.Skip("set BENCH_SMVD=1 to record BENCH_smvd.json")
-	}
-	const clients = 8
-	src := modelgen.ArbiterSource(clients)
-	specs, truth := modelgen.ArbiterSpecs(clients)
-	passing := specs[:2] // the ImageCalls==0 proof needs specs without counterexamples
-
-	verify := func(resp *smvd.CheckResponse, want []bool) {
-		t.Helper()
-		for i, v := range resp.Verdicts {
-			if v.Error != "" {
-				t.Fatalf("%q: %s", v.Spec, v.Error)
-			}
-			if v.Holds != want[i] {
-				t.Fatalf("%q: holds=%v want %v — refusing to record a wrong run",
-					v.Spec, v.Holds, want[i])
-			}
-		}
-	}
-
-	dir := t.TempDir()
-	cache, err := smvd.NewCache(8, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := smvd.NewServer(cache)
-	req := &smvd.CheckRequest{Model: src, Specs: specs}
-
-	// Phase 1: cold.
-	t0 := time.Now()
-	cold, err := sv.Check(req)
-	coldWall := time.Since(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Warm {
-		t.Fatal("cold query reported warm")
-	}
-	verify(cold, truth)
-	ss := sv.Cache.Sessions()
-	if len(ss) != 1 {
-		t.Fatalf("got %d sessions", len(ss))
-	}
-	entries := []smvdBenchEntry{{
-		Model:           fmt.Sprintf("arbiter-%d", clients),
-		Phase:           "cold_compile",
-		WallMS:          float64(coldWall.Microseconds()) / 1000,
-		PeakLiveNodes:   ss[0].Rel.PeakLiveNodes,
-		CacheHitRate:    ss[0].CacheHitRate,
-		ReachableStates: cold.ReachableStates,
-		ReachIters:      cold.ReachIters,
-		ImageCalls:      ss[0].Rel.ImageCalls,
-	}}
-
-	// Phase 2: warm queries on the hot session; median of several runs.
-	var warmWalls []time.Duration
-	for i := 0; i < 7; i++ {
-		t0 = time.Now()
-		warm, err := sv.Check(req)
-		warmWalls = append(warmWalls, time.Since(t0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Warm {
-			t.Fatal("repeat query not warm")
-		}
-		verify(warm, truth)
-	}
-	sort.Slice(warmWalls, func(i, j int) bool { return warmWalls[i] < warmWalls[j] })
-	warmWall := warmWalls[len(warmWalls)/2]
-	speedup := float64(coldWall) / float64(warmWall)
-	if speedup < 5 {
-		t.Fatalf("warm query only %.1fx faster than cold (%v vs %v) — below the 5x floor",
-			speedup, warmWall, coldWall)
-	}
-	entries = append(entries, smvdBenchEntry{
-		Model:       fmt.Sprintf("arbiter-%d", clients),
-		Phase:       "warm_query",
-		WallMS:      float64(warmWall.Microseconds()) / 1000,
-		WarmSpeedup: speedup,
-	})
-
-	// Phase 3: sustained concurrent hot-query throughput.
-	const hammerWorkers, perWorker = 4, 100
-	var wg sync.WaitGroup
-	t0 = time.Now()
-	for w := 0; w < hammerWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if _, err := sv.Check(req); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	hammer := time.Since(t0)
-	entries = append(entries, smvdBenchEntry{
-		Model:   fmt.Sprintf("arbiter-%d", clients),
-		Phase:   "sustained",
-		WallMS:  float64(hammer.Microseconds()) / 1000,
-		QPS:     hammerWorkers * perWorker / hammer.Seconds(),
-		Queries: hammerWorkers * perWorker,
-	})
-
-	// Phase 4: warm restart from the serialize-v3 record.
-	if err := sv.Cache.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	cache2, err := smvd.NewCache(8, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv2 := smvd.NewServer(cache2)
-	t0 = time.Now()
-	restart, err := sv2.Check(&smvd.CheckRequest{Model: src, Specs: passing})
-	restartWall := time.Since(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !restart.Warm || restart.WarmSource != "disk" {
-		t.Fatalf("restart not disk-warm: warm=%v source=%q", restart.Warm, restart.WarmSource)
-	}
-	verify(restart, truth[:2])
-	if restart.ReachableStates != cold.ReachableStates || restart.ReachIters != cold.ReachIters {
-		t.Fatalf("warm restart changed reachability: %v/%d vs %v/%d",
-			restart.ReachableStates, restart.ReachIters, cold.ReachableStates, cold.ReachIters)
-	}
-	ss2 := sv2.Cache.Sessions()
-	if len(ss2) != 1 {
-		t.Fatalf("got %d sessions after restart", len(ss2))
-	}
-	if ss2[0].Rel.ImageCalls != 0 {
-		t.Fatalf("warm restart ran %d image calls — reachability was not skipped", ss2[0].Rel.ImageCalls)
-	}
-	entries = append(entries, smvdBenchEntry{
-		Model:           fmt.Sprintf("arbiter-%d", clients),
-		Phase:           "warm_restart",
-		WallMS:          float64(restartWall.Microseconds()) / 1000,
-		ReachableStates: restart.ReachableStates,
-		ReachIters:      restart.ReachIters,
-		ImageCalls:      ss2[0].Rel.ImageCalls,
-		WarmSpeedup:     float64(coldWall) / float64(restartWall),
-		Note:            "compile re-runs on restart; reach/fair/sift restored from disk",
-	})
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_smvd.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_smvd.json with %d entries (cold %.2fms, warm %.3fms, %.0fx, restart %.2fms)",
-		len(entries), float64(coldWall.Microseconds())/1000,
-		float64(warmWall.Microseconds())/1000, speedup,
-		float64(restartWall.Microseconds())/1000)
 }

@@ -1,36 +1,27 @@
-// Command benchgate compares a freshly recorded BENCH_*.json artifact
-// against the committed baseline and fails (exit 1) when any entry's
-// gated metric regressed beyond the allowed percentage. It is the
-// quality gate behind the CI bench-smoke job: wall-clock numbers are
-// recorded for humans but never gated (shared runners make them noisy);
-// peak live BDD nodes are deterministic for a fixed model and schedule,
-// so a >25% jump means an algorithmic regression, not jitter.
+// Command benchgate compares a freshly recorded BENCH_engine.json
+// against the committed baseline and fails (exit 1) when any entry
+// breaks the rule of a metric it carries. It is the quality gate behind
+// the CI bench-smoke job.
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_disjunctive.json -current new.json \
-//	          [-metric peak_live_nodes] [-max-regress 25] \
-//	          [-time-metric reorder_ms] [-max-time-regress 100]
+//	benchgate -baseline old/BENCH_engine.json -current BENCH_engine.json
 //
-// -time-metric adds a second, simultaneous gate on a wall-time field.
-// Wall time on shared runners is noisy, so its default threshold is a
-// generous 2x (-max-time-regress 100) — the gate exists to catch
-// algorithmic collapses (an O(two levels) path regressing to O(arena)),
-// not percent-level jitter — and baselines under timeGateFloorMS are
-// skipped entirely, since a ratio over a near-zero baseline is all
-// noise.
+// There is one rule per metric kind, fixed in rules below. Node counts,
+// lookup counts and cache hit rates are deterministic for a fixed model
+// and schedule, so a 25% move is an algorithmic regression, not jitter.
+// Wall time on shared runners is noisy, so it fails only past 2x — the
+// gate exists to catch algorithmic collapses (an O(two levels) sift
+// trial regressing to O(arena)), not percent-level jitter — and only
+// over baselines of at least 5 ms, since a ratio over a near-zero
+// baseline is all noise. warm_speedup is a same-machine ratio, so
+// runner speed cancels out, but it divides by a sub-millisecond warm
+// query; its 90% band catches a session cache that stopped reusing its
+// sets. A flipped verdict or a build that stopped completing fails
+// outright.
 //
-// -rate-metric adds an inverted gate on a higher-is-better field (e.g.
-// cache_hit_rate): the entry fails when the current value DROPS more
-// than -max-rate-drop percent below the baseline. Rates are
-// deterministic for a fixed model and schedule, like node counts, so a
-// large drop means the computed-cache normalization regressed.
-//
-// The artifact format is an array of flat JSON objects. An entry's
-// identity is the concatenation of its string- and bool-valued fields
-// plus the numeric field "cells" — which covers every recorder in this
-// repo (model/mode/workload/cells/reorder/completed) — and the gated
-// metric is any numeric field (default peak_live_nodes).
+// The artifact is an array of flat JSON objects. An entry's identity is
+// its parameter fields (see identity); everything else is measured.
 // Entries present in the baseline but missing from the current run fail
 // the gate too: silently dropping a configuration is a coverage
 // regression, not a pass.
@@ -40,45 +31,63 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 )
 
-// identityNumeric names the numeric fields that parameterize an entry
-// rather than measure it.
-var identityNumeric = map[string]bool{"cells": true}
+// identity names the fields that parameterize an entry rather than
+// measure it.
+var identity = []string{"model", "image", "reorder", "workload", "kind", "spec", "phase"}
+
+type check int
+
+const (
+	above check = iota // fails above baseline × (1 + bound)
+	below              // fails below baseline × (1 − bound)
+	equal              // fails unless equal to the baseline
+)
+
+type rule struct {
+	metric string
+	check  check
+	bound  float64
+	floor  float64 // baselines below this are skipped
+}
+
+var rules = []rule{
+	{metric: "peak_live_nodes", check: above, bound: 0.25},
+	{metric: "witness_lookups", check: above, bound: 0.25},
+	{metric: "cache_hit_rate", check: below, bound: 0.25},
+	{metric: "warm_speedup", check: below, bound: 0.90},
+	{metric: "wall_ms", check: above, bound: 1, floor: 5},
+	{metric: "reorder_ms", check: above, bound: 1, floor: 5},
+	{metric: "holds", check: equal},
+	{metric: "completed", check: equal},
+}
 
 type entry map[string]any
 
-// key builds the identity string for an entry: every string and bool
-// field plus the allowlisted numeric parameters, in sorted field order.
-// The "note" field is excluded: recorders embed measurements in it
-// (wall times, node counts at abort), so keying on it would turn every
-// timing wobble into a spurious MISSING.
+// key builds the identity string for an entry from its parameter fields.
 func key(e entry) string {
-	fields := make([]string, 0, len(e))
-	for k := range e {
-		fields = append(fields, k)
-	}
-	sort.Strings(fields)
 	var b strings.Builder
-	for _, k := range fields {
-		if k == "note" {
-			continue
-		}
-		switch v := e[k].(type) {
-		case string:
-			fmt.Fprintf(&b, "%s=%s|", k, v)
-		case bool:
+	for _, k := range identity {
+		if v, ok := e[k]; ok {
 			fmt.Fprintf(&b, "%s=%v|", k, v)
-		case float64:
-			if identityNumeric[k] {
-				fmt.Fprintf(&b, "%s=%g|", k, v)
-			}
 		}
 	}
 	return b.String()
+}
+
+// describe renders the human-readable identity of an entry.
+func describe(e entry) string {
+	var parts []string
+	for _, k := range identity {
+		if v, ok := e[k].(string); ok {
+			parts = append(parts, v)
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 func load(path string) ([]entry, error) {
@@ -93,27 +102,14 @@ func load(path string) ([]entry, error) {
 	return out, nil
 }
 
-// timeGateFloorMS: baselines faster than this are not time-gated; the
-// relative error of a couple of milliseconds of scheduler noise would
-// dominate any real signal.
-const timeGateFloorMS = 5.0
-
 func main() {
-	baselinePath := flag.String("baseline", "", "committed baseline BENCH_*.json")
-	currentPath := flag.String("current", "", "freshly recorded BENCH_*.json")
-	metric := flag.String("metric", "peak_live_nodes", "numeric field to gate on")
-	maxRegress := flag.Float64("max-regress", 25, "allowed regression in percent")
-	timeMetric := flag.String("time-metric", "", "optional wall-time field for a second gate (e.g. reorder_ms)")
-	maxTimeRegress := flag.Float64("max-time-regress", 100, "allowed regression on -time-metric in percent")
-	rateMetric := flag.String("rate-metric", "", "optional higher-is-better field for an inverted gate (e.g. cache_hit_rate)")
-	maxRateDrop := flag.Float64("max-rate-drop", 25, "allowed drop on -rate-metric in percent")
+	baselinePath := flag.String("baseline", "", "committed baseline BENCH_engine.json")
+	currentPath := flag.String("current", "", "freshly recorded BENCH_engine.json")
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchgate -baseline old.json -current new.json "+
-			"[-metric f] [-max-regress pct] [-time-metric f] [-max-time-regress pct]")
+		fmt.Fprintln(os.Stderr, "usage: benchgate -baseline old.json -current new.json")
 		os.Exit(2)
 	}
-
 	baseline, err := load(*baselinePath)
 	if err != nil {
 		fatal(err)
@@ -122,130 +118,90 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	byKey := make(map[string]entry, len(current))
-	for _, e := range current {
-		byKey[key(e)] = e
-	}
-
-	failures := gate(baseline, byKey, *metric, *maxRegress, 0)
-	if *timeMetric != "" {
-		failures += gate(baseline, byKey, *timeMetric, *maxTimeRegress, timeGateFloorMS)
-	}
-	if *rateMetric != "" {
-		failures += gateRate(baseline, byKey, *rateMetric, *maxRateDrop)
-	}
-	if failures > 0 {
-		fmt.Printf("\nbenchgate: %d entr%s regressed\n", failures, plural(failures))
+	if failures := gate(os.Stdout, baseline, index(current)); failures > 0 {
+		fmt.Printf("\nbenchgate: %d failure%s\n", failures, plural(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchgate: %d entries within %.0f%% of baseline on %s\n",
-		len(baseline), *maxRegress, *metric)
+	fmt.Printf("\nbenchgate: %d entries within their rules\n", len(baseline))
 }
 
-// gate compares one numeric field across all baseline entries and
-// returns the number of failures. Baseline values below floor are
-// skipped (0 = gate everything carrying the field).
-func gate(baseline []entry, byKey map[string]entry, metric string, maxRegress, floor float64) int {
-	failures := 0
-	for _, base := range baseline {
-		k := key(base)
-		baseVal, ok := base[metric].(float64)
-		if !ok {
-			continue // entry does not carry the gated metric (e.g. a note-only row)
-		}
-		cur, ok := byKey[k]
-		if !ok {
-			fmt.Printf("MISSING  %s — entry absent from current run\n", describe(base))
-			failures++
-			continue
-		}
-		if floor > 0 && baseVal < floor {
-			fmt.Printf("skipped  %s — %s baseline %.2f below gate floor %.0f\n",
-				describe(base), metric, baseVal, floor)
-			continue
-		}
-		curVal, ok := cur[metric].(float64)
-		if !ok {
-			fmt.Printf("MISSING  %s — current entry lost field %q\n", describe(base), metric)
-			failures++
-			continue
-		}
-		limit := baseVal * (1 + maxRegress/100)
-		switch {
-		case curVal > limit:
-			fmt.Printf("REGRESS  %s — %s %.0f -> %.0f (limit %.0f, +%.1f%%)\n",
-				describe(base), metric, baseVal, curVal, limit, 100*(curVal-baseVal)/baseVal)
-			failures++
-		case curVal < baseVal:
-			fmt.Printf("improved %s — %s %.0f -> %.0f\n", describe(base), metric, baseVal, curVal)
-		default:
-			fmt.Printf("ok       %s — %s %.0f -> %.0f\n", describe(base), metric, baseVal, curVal)
-		}
+func index(es []entry) map[string]entry {
+	out := make(map[string]entry, len(es))
+	for _, e := range es {
+		out[key(e)] = e
 	}
-	return failures
+	return out
 }
 
-// gateRate is the inverted gate for higher-is-better metrics: the
-// entry fails when the current value drops more than maxDrop percent
-// below the baseline. Zero baselines are skipped (nothing to preserve);
-// a current entry missing the field still fails, as with gate.
-func gateRate(baseline []entry, byKey map[string]entry, metric string, maxDrop float64) int {
+// gate applies every rule to every baseline entry carrying its metric,
+// writes one line per comparison and the worst ratio seen per rule to
+// w, and returns the number of failures.
+func gate(w io.Writer, baseline []entry, byKey map[string]entry) int {
 	failures := 0
+	worst := make([]float64, len(rules))
+	worstAt := make([]string, len(rules))
 	for _, base := range baseline {
-		baseVal, ok := base[metric].(float64)
-		if !ok {
-			continue
-		}
 		cur, ok := byKey[key(base)]
 		if !ok {
-			fmt.Printf("MISSING  %s — entry absent from current run\n", describe(base))
+			fmt.Fprintf(w, "MISSING  %s — entry absent from current run\n", describe(base))
 			failures++
 			continue
 		}
-		curVal, ok := cur[metric].(float64)
-		if !ok {
-			fmt.Printf("MISSING  %s — current entry lost field %q\n", describe(base), metric)
-			failures++
-			continue
+		for i, r := range rules {
+			bv, ok := base[r.metric]
+			if !ok {
+				continue // the entry does not carry this metric
+			}
+			cv, ok := cur[r.metric]
+			if !ok {
+				fmt.Fprintf(w, "MISSING  %s — current entry lost field %q\n", describe(base), r.metric)
+				failures++
+				continue
+			}
+			if r.check == equal {
+				if bv != cv {
+					fmt.Fprintf(w, "FLIPPED  %s — %s %v -> %v\n", describe(base), r.metric, bv, cv)
+					failures++
+				}
+				continue
+			}
+			b, _ := bv.(float64)
+			c, _ := cv.(float64)
+			if b <= 0 || b < r.floor {
+				fmt.Fprintf(w, "skipped  %s — %s baseline %.3f below the gate floor\n", describe(base), r.metric, b)
+				continue
+			}
+			ratio := c / b
+			bad := ratio > 1+r.bound
+			if r.check == below {
+				ratio = b / max(c, 1e-9) // a drop shows as a ratio above 1
+				bad = c < b*(1-r.bound)
+			}
+			if ratio > worst[i] {
+				worst[i], worstAt[i] = ratio, describe(base)
+			}
+			status := "ok      "
+			if bad {
+				status = "REGRESS "
+				failures++
+			}
+			fmt.Fprintf(w, "%s %s — %s %.3f -> %.3f\n", status, describe(base), r.metric, b, c)
 		}
-		if baseVal <= 0 {
-			fmt.Printf("skipped  %s — %s baseline %.3f carries no signal\n", describe(base), metric, baseVal)
-			continue
-		}
-		limit := baseVal * (1 - maxDrop/100)
-		switch {
-		case curVal < limit:
-			fmt.Printf("REGRESS  %s — %s %.3f -> %.3f (limit %.3f, %.1f%% drop)\n",
-				describe(base), metric, baseVal, curVal, limit, 100*(baseVal-curVal)/baseVal)
-			failures++
-		case curVal > baseVal:
-			fmt.Printf("improved %s — %s %.3f -> %.3f\n", describe(base), metric, baseVal, curVal)
-		default:
-			fmt.Printf("ok       %s — %s %.3f -> %.3f\n", describe(base), metric, baseVal, curVal)
+	}
+	fmt.Fprintln(w)
+	for i, r := range rules {
+		if worstAt[i] != "" {
+			fmt.Fprintf(w, "worst %-16s %.2fx  %s\n", r.metric, worst[i], worstAt[i])
 		}
 	}
 	return failures
-}
-
-// describe renders the human-readable identity of an entry.
-func describe(e entry) string {
-	parts := []string{}
-	for _, k := range []string{"model", "spec", "mode", "workload", "cells"} {
-		switch v := e[k].(type) {
-		case string:
-			parts = append(parts, v)
-		case float64:
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
-		}
-	}
-	return strings.Join(parts, " ")
 }
 
 func plural(n int) string {
 	if n == 1 {
-		return "y"
+		return ""
 	}
-	return "ies"
+	return "s"
 }
 
 func fatal(err error) {

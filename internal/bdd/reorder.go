@@ -299,6 +299,11 @@ func (m *Manager) reorderTo(order []int, extra []Ref) []Ref {
 			return r
 		})
 	}
+	// The protected roots come out of a map in random order, and the
+	// order of translation fixes the fresh arena's node numbering.
+	// Sorting makes the numbering, and every computed-table hit pattern
+	// after it, the same from run to run.
+	slices.Sort(collected)
 
 	// Phase 2: translate.
 	fresh := m.freshForReorder(order)

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -360,4 +361,30 @@ func FuzzSift(f *testing.F) {
 		oracle := New(n)
 		requireReorderOracle(t, m, roots, oracle, seed(oracle))
 	})
+}
+
+// TestReorderNumberingIsDeterministic: two managers built by the same
+// operations and reordered to the same order hold the same node array.
+// The protected roots live in a map, so a rebuild that translated them
+// in iteration order would number the fresh arena differently on every
+// run, and every computed-table lookup counter would move with it.
+func TestReorderNumberingIsDeterministic(t *testing.T) {
+	const n = 10
+	build := func() *Manager {
+		r := rand.New(rand.NewSource(7))
+		m := New(n)
+		for i := 0; i < 200; i++ {
+			f, _ := randTracked(r, m, n, 6)
+			m.Protect(f)
+		}
+		return m
+	}
+	order := rand.New(rand.NewSource(8)).Perm(n)
+	a, b := build(), build()
+	a.Reorder(order, nil)
+	b.Reorder(order, nil)
+	if !slices.Equal(a.nodes, b.nodes) {
+		t.Fatalf("identical managers reordered to one order numbered their nodes differently (%d vs %d nodes)",
+			a.NumNodes(), b.NumNodes())
+	}
 }

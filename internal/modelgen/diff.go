@@ -65,10 +65,11 @@ func Cells(hasDisjuncts bool) []Cell {
 	return out
 }
 
-// latticeReorder makes growth-triggered sifting fire on generator-sized
-// models (default MinNodes is 16k live nodes, far above anything a
-// 4-variable model allocates) while keeping each sift one cheap pass.
-var latticeReorder = bdd.ReorderOptions{
+// LatticeReorder is the lattice's sifting profile: it makes
+// growth-triggered sifting fire on generator-sized models (default
+// MinNodes is 16k live nodes, far above anything a 4-variable model
+// allocates) while keeping each sift one cheap pass.
+var LatticeReorder = bdd.ReorderOptions{
 	GrowthTrigger: 1.5,
 	MinNodes:      256,
 	MaxPasses:     1,
@@ -98,7 +99,7 @@ func (r *cellRun) configure(c *smv.Compiled) {
 		c.S.EnablePartition(false)
 	}
 	if r.cell.Reorder {
-		c.S.M.EnableAutoReorder(&latticeReorder)
+		c.S.M.EnableAutoReorder(&LatticeReorder)
 	}
 }
 

@@ -429,8 +429,10 @@ func (c *Compiled) registerAtoms() error {
 			return c.encodeValue(info, idx, false), nil
 		})
 	}
-	for name := range c.defines {
-		name := name
+	// Declaration order, not map order: the order DEFINEs are built in
+	// fixes their node numbering, and with it every lookup counter.
+	for _, d := range c.Module.Defines {
+		name := d.Name
 		// DEFINEs act as boolean atoms and as eq-atoms when valued.
 		// Evaluate through the memo (evalIdent) so the eq-atom closure
 		// below aliases the case slice the reorder hook rewrites in place.

@@ -2,9 +2,13 @@ package smv
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/ctl"
 	"repro/internal/kripke"
 )
@@ -323,6 +327,39 @@ SPEC AG (n = 0 -> m = 2)
 	results, _ := c.CheckAll()
 	if results[0].Err != nil || !results[0].Holds {
 		t.Fatalf("valued DEFINE atom: %+v", results[0])
+	}
+}
+
+// TestDefineRefsAreDeterministic compiles hanoi.smv ten times: its six
+// DEFINE atoms must resolve to the same refs every time. DEFINEs built
+// in map order would get differently numbered nodes from run to run.
+func TestDefineRefsAreDeterministic(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "models", "hanoi.smv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []bdd.Ref
+	for run := 0; run < 10; run++ {
+		c, err := CompileSource(string(src), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Module.Defines) != 6 {
+			t.Fatalf("hanoi.smv has %d DEFINEs, want 6", len(c.Module.Defines))
+		}
+		var refs []bdd.Ref
+		for _, d := range c.Module.Defines {
+			r, err := c.S.AtomSet(&ctl.Formula{Kind: ctl.KAtom, Name: d.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs = append(refs, r)
+		}
+		if run == 0 {
+			first = refs
+		} else if !slices.Equal(refs, first) {
+			t.Fatalf("compile %d resolved the DEFINE atoms to %v, compile 0 to %v", run, refs, first)
+		}
 	}
 }
 
