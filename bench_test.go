@@ -725,7 +725,7 @@ func (r benchRow) entries() ([]benchEntry, error) {
 const (
 	benchGCThreshold  = 1 << 16 // tight threshold: peaks reflect live sets
 	bfsSteps          = 10
-	transNodeBudget   = 6_000_000
+	transNodeBudget   = 2_000_000
 	transBuildTimeout = 30 * time.Second
 )
 

@@ -54,7 +54,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/kripke"
-	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/smv"
 	"repro/internal/smvd"
@@ -196,6 +195,11 @@ func main() {
 			continue
 		}
 		holds, tr, err := gen.CounterexampleInit(sp.Formula)
+		if err == nil && tr != nil {
+			if verr := core.ValidatePath(compiled.S, tr); verr != nil {
+				err = fmt.Errorf("counterexample failed validation: %w", verr)
+			}
+		}
 		if err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			exitCode = 2
@@ -232,7 +236,7 @@ func main() {
 	// manager under the model's config.
 	ltlSpecs := append([]*smv.LTLSpec(nil), compiled.Module.LTLSpecs...)
 	if *ltlSpec != "" {
-		f, err := ltl.Parse(*ltlSpec)
+		f, err := ctl.ParseLTL(*ltlSpec)
 		if err != nil {
 			fatal(err)
 		}
@@ -248,6 +252,13 @@ func main() {
 		}
 		ch := mc.New(p.S)
 		holds, tr, err := p.Check(ch)
+		if err == nil && tr != nil {
+			if verr := core.ValidatePath(p.S, tr); verr != nil {
+				err = fmt.Errorf("counterexample failed validation: %w", verr)
+			} else if rerr := p.ReplayCounterexample(tr); rerr != nil {
+				err = fmt.Errorf("counterexample failed replay: %w", rerr)
+			}
+		}
 		if err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			exitCode = 2
@@ -259,10 +270,6 @@ func main() {
 		} else {
 			fmt.Println("is false")
 			exitCode = 1
-			if err := p.ReplayCounterexample(tr); err != nil {
-				fmt.Fprintf(os.Stderr, "warning: counterexample replay failed: %v\n", err)
-				exitCode = 2
-			}
 			fmt.Println("-- as demonstrated by the following fair execution sequence:")
 			printTrace(p.Compiled, tr, *delta)
 		}

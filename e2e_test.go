@@ -84,6 +84,32 @@ func TestE2ESmvCLI(t *testing.T) {
 			t.Fatalf("want exit 2, got %v", err)
 		}
 	})
+
+	// A formula over the parser's size cap: nested <-> of depth 30.
+	big := "x"
+	for i := 0; i < 30; i++ {
+		big = "(" + big + " <-> x)"
+	}
+	t.Run("oversized SPEC exits 2", func(t *testing.T) {
+		tmp := filepath.Join(t.TempDir(), "big.smv")
+		src := "MODULE main\nVAR x : boolean;\nSPEC " + big + "\n"
+		if err := os.WriteFile(tmp, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, tmp).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "formula too large") {
+			t.Fatalf("want exit 2 and the size error, got %v\n%s", err, out)
+		}
+	})
+
+	t.Run("oversized -ltl exits 2", func(t *testing.T) {
+		out, err := exec.Command(bin, "-ltl", big, "models/counter.smv").CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "formula too large") {
+			t.Fatalf("want exit 2 and the size error, got %v\n%s", err, out)
+		}
+	})
 }
 
 // TestE2EArbiterBinary runs the case-study binary end to end.

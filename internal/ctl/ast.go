@@ -1,7 +1,11 @@
-// Package ctl defines the abstract syntax of the branching-time temporal
-// logic CTL used by the model checker (Section 3 of the paper), a parser
-// for it, and the rewriting of universal path quantifiers into the
-// existential basis {EX, EU, EG} that the symbolic algorithms operate on.
+// Package ctl is the formula layer of the checker: one abstract syntax,
+// one lexer and one parser for the branching-time logic CTL (Section 3
+// of the paper), the linear-time logic LTL checked through the tableau
+// product (Section 8) and the CTL* fragment of Section 7, plus the
+// rewriting of universal path quantifiers into the existential basis
+// {EX, EU, EG} that the symbolic algorithms operate on. CTL is the
+// fragment where a path quantifier heads every temporal operator, LTL
+// the fragment with no quantifier; each logic has its own parse entry.
 package ctl
 
 import (
@@ -14,8 +18,11 @@ import (
 type Kind int
 
 // Formula node kinds. The first group is propositional, the second the
-// existential temporal basis, the third the universal abbreviations that
-// Existential rewrites away, and the last the derived operators.
+// existential temporal basis, the third the universal and derived
+// abbreviations that Existential rewrites away, and the last the LTL
+// path operators, which no CTL formula holds: X (next), U (until), R
+// (release), W (weak until) and the abbreviations G (globally) and F
+// (finally).
 const (
 	KTrue Kind = iota
 	KFalse
@@ -37,6 +44,13 @@ const (
 	KAG
 	KEF
 	KAF
+
+	KX
+	KU // L U R
+	KR // L R R: R holds up to and including the first L∧R point, or forever
+	KW // L W R: L U R, or L forever
+	KG
+	KF
 )
 
 func (k Kind) String() string {
@@ -77,13 +91,25 @@ func (k Kind) String() string {
 		return "EF"
 	case KAF:
 		return "AF"
+	case KX:
+		return "X"
+	case KU:
+		return "U"
+	case KR:
+		return "R"
+	case KW:
+		return "W"
+	case KG:
+		return "G"
+	case KF:
+		return "F"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
-// Formula is a CTL formula node. Formulas are immutable after
-// construction; helpers below build them.
+// Formula is a formula node of any of the three logics. Formulas are
+// immutable after construction; helpers below build them.
 type Formula struct {
 	Kind  Kind
 	Name  string // KAtom, KEq, KNeq: variable name
@@ -148,6 +174,25 @@ func AG(f *Formula) *Formula { return &Formula{Kind: KAG, L: f} }
 // AF: along every path f eventually holds.
 func AF(f *Formula) *Formula { return &Formula{Kind: KAF, L: f} }
 
+// X: f holds at the next position of the path.
+func X(f *Formula) *Formula { return &Formula{Kind: KX, L: f} }
+
+// U: l holds until r does, and r eventually does.
+func U(l, r *Formula) *Formula { return &Formula{Kind: KU, L: l, R: r} }
+
+// R: r holds up to and including the first position where l also holds,
+// or forever if l never does (the dual of U).
+func R(l, r *Formula) *Formula { return &Formula{Kind: KR, L: l, R: r} }
+
+// W: l holds until r does, or l holds forever (weak until).
+func W(l, r *Formula) *Formula { return &Formula{Kind: KW, L: l, R: r} }
+
+// G: f holds at every position of the path.
+func G(f *Formula) *Formula { return &Formula{Kind: KG, L: f} }
+
+// F: f holds at some position of the path.
+func F(f *Formula) *Formula { return &Formula{Kind: KF, L: f} }
+
 // AndN folds And over fs; True when empty.
 func AndN(fs ...*Formula) *Formula {
 	if len(fs) == 0 {
@@ -172,7 +217,8 @@ func OrN(fs ...*Formula) *Formula {
 	return out
 }
 
-// precedence for printing: higher binds tighter.
+// precedence for printing: higher binds tighter. The binary path
+// operators sit between & and the unary operators, matching the parser.
 func (f *Formula) prec() int {
 	switch f.Kind {
 	case KIff:
@@ -183,14 +229,17 @@ func (f *Formula) prec() int {
 		return 3
 	case KAnd:
 		return 4
-	case KNot, KEX, KEG, KAX, KAG, KEF, KAF:
+	case KU, KR, KW:
 		return 5
-	default:
+	case KNot, KEX, KEG, KAX, KAG, KEF, KAF, KX, KG, KF:
 		return 6
+	default:
+		return 7
 	}
 }
 
-// String renders f in the concrete syntax accepted by Parse.
+// String renders f in the concrete syntax its parse entry (Parse or
+// ParseLTL) accepts.
 func (f *Formula) String() string {
 	var sb strings.Builder
 	f.write(&sb, 0)
@@ -208,7 +257,17 @@ func (f *Formula) write(sb *strings.Builder, outer int) {
 	case KFalse:
 		sb.WriteString("false")
 	case KAtom:
-		sb.WriteString(f.Name)
+		// An atom literally named X, G or F would be re-read as a prefix
+		// operator when followed by a formula; parentheses keep String()
+		// round-trippable.
+		switch f.Name {
+		case "X", "G", "F":
+			sb.WriteByte('(')
+			sb.WriteString(f.Name)
+			sb.WriteByte(')')
+		default:
+			sb.WriteString(f.Name)
+		}
 	case KEq:
 		fmt.Fprintf(sb, "%s = %s", f.Name, f.Value)
 	case KNeq:
@@ -232,10 +291,16 @@ func (f *Formula) write(sb *strings.Builder, outer int) {
 		f.L.write(sb, p+1)
 		sb.WriteString(" <-> ")
 		f.R.write(sb, p+1)
-	case KEX, KEG, KAX, KAG, KEF, KAF:
+	case KEX, KEG, KAX, KAG, KEF, KAF, KX, KG, KF:
 		sb.WriteString(f.Kind.String())
 		sb.WriteByte(' ')
 		f.L.write(sb, p)
+	case KU, KR, KW:
+		f.L.write(sb, p+1)
+		sb.WriteByte(' ')
+		sb.WriteString(f.Kind.String())
+		sb.WriteByte(' ')
+		f.R.write(sb, p) // right associative
 	case KEU:
 		sb.WriteString("E [")
 		f.L.write(sb, 0)
@@ -301,9 +366,24 @@ func IsPropositional(f *Formula) bool {
 	if f == nil {
 		return true
 	}
-	switch f.Kind {
-	case KEX, KEU, KEG, KAX, KAU, KAG, KEF, KAF:
+	if f.Kind >= KEX { // every kind from KEX on is temporal
 		return false
 	}
 	return IsPropositional(f.L) && IsPropositional(f.R)
+}
+
+// IsCTL reports whether f holds no LTL path operator, that is whether
+// a path quantifier heads every temporal operator.
+func IsCTL(f *Formula) bool { return pathOp(f) == nil }
+
+// pathOp returns the first LTL path operator (the kinds from KX on) of
+// f in preorder, or nil.
+func pathOp(f *Formula) *Formula {
+	if f == nil || f.Kind >= KX {
+		return f
+	}
+	if g := pathOp(f.L); g != nil {
+		return g
+	}
+	return pathOp(f.R)
 }

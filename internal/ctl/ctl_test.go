@@ -1,6 +1,8 @@
 package ctl
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -188,5 +190,57 @@ func TestSizeAndEqual(t *testing.T) {
 	}
 	if Equal(f, MustParse("EX (p | q)")) {
 		t.Fatal("Equal false positive")
+	}
+}
+
+// nestedIff is ((p <-> q0) <-> q1) … nested depth times: each level
+// doubles the expanded size.
+func nestedIff(depth int) string {
+	s := "p"
+	for i := 0; i < depth; i++ {
+		s = fmt.Sprintf("(%s <-> q%d)", s, i)
+	}
+	return s
+}
+
+func TestFormulaSizeCap(t *testing.T) {
+	au := "p"
+	for i := 0; i < 8; i++ {
+		au = "A [p U " + au + "]"
+	}
+	over := []struct {
+		name  string
+		parse func(string) (*Formula, error)
+		src   string
+	}{
+		{"CTL nested <-> depth 30", Parse, nestedIff(30)},
+		{"LTL nested <-> depth 30", ParseLTL, nestedIff(30)},
+		{"nested A [p U …] depth 8", Parse, au},
+		{"EX chain above the cap", Parse, strings.Repeat("EX ", MaxFormulaSize) + "p"},
+		{"X chain above the cap", ParseLTL, strings.Repeat("X ", MaxFormulaSize) + "p"},
+		{"negations nested 100000 deep", Parse, strings.Repeat("!", 100000) + "p"},
+		{"W nested depth 12", ParseLTL, strings.Repeat("p W (", 12) + "q" + strings.Repeat(")", 12)},
+		{"path formula", ParsePath, "G F (" + nestedIff(12) + ")"},
+	}
+	for _, c := range over {
+		_, err := c.parse(c.src)
+		var tooLarge *TooLargeError
+		if !errors.As(err, &tooLarge) {
+			t.Errorf("%s: got %v, want *TooLargeError", c.name, err)
+		}
+	}
+	// The bound is exact: EX^n p expands to n+1 nodes.
+	if _, err := Parse(strings.Repeat("EX ", MaxFormulaSize-1) + "p"); err != nil {
+		t.Fatalf("EX chain at the cap: %v", err)
+	}
+	if f := MustParse(nestedIff(7)); expandedSize(f) != 8<<7-7 {
+		t.Fatalf("nested <-> of depth 7 expands to %d nodes, want %d", expandedSize(f), 8<<7-7)
+	}
+	// For CTL the count is the tree size of Existential's result.
+	for _, src := range []string{"AG !(a0 & a1) & A [p U q]", "AX p -> AF (q <-> EF r)", nestedIff(5)} {
+		f := MustParse(src)
+		if got, want := expandedSize(f), Size(Existential(f)); got != want {
+			t.Errorf("%s: expandedSize %d, Existential's tree has %d nodes", src, got, want)
+		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"unicode"
 )
 
-// token kinds for the CTL formula lexer.
+// token kinds for the formula lexer. Operator words (EX, AG, E, A, U, X,
+// G, …) lex as plain identifiers; the parser gives them meaning by
+// position and by logic.
 type tokKind int
 
 const (
@@ -38,7 +40,7 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer tokenizes a formula string.
+// lexer tokenizes a formula string of any of the three logics.
 type lexer struct {
 	src  []rune
 	pos  int

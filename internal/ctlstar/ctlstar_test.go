@@ -56,6 +56,26 @@ func TestParseAndPrint(t *testing.T) {
 	}
 }
 
+// TestParseReadsTreeShape: clauses are the conjuncts and terms the
+// disjuncts of one parsed path formula, however they are parenthesized.
+func TestParseReadsTreeShape(t *testing.T) {
+	for src, want := range map[string]string{
+		"E (G F p | F (G q)) & GF r":  "E (GF (p) | FG (q)) & (GF (r))",
+		"(GF p) & ((GF q) & (GF r))":  "E (GF (p)) & (GF (q)) & (GF (r))",
+		"E(FG EX q | (GF E [p U q]))": "E (FG (EX q) | GF (E [p U q]))",
+	} {
+		f, err := Parse(src)
+		if err != nil || f.String() != want {
+			t.Errorf("Parse(%q) = %v, %v; want %s", src, f, err, want)
+		}
+	}
+	for _, src := range []string{"GF p -> q", "GF (p U q)", "GF p | FG q & GF r", "GFp", "E [p U q]"} {
+		if f, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", src, f)
+		}
+	}
+}
+
 func TestGFHolds(t *testing.T) {
 	s, sc := setup(gfFgModel())
 	// E GF p: cycle 0<->1 visits p infinitely often.

@@ -11,51 +11,31 @@ import (
 //
 //	E (GF p | FG q) & (GF (r & s)) & ...
 //
-// Each clause is parenthesized; terms are separated by '|'; a term is
-// 'GF' or 'FG' followed by a CTL state formula (parenthesize compound
-// arguments). The leading 'E' is optional.
+// The text after an optional leading 'E' is one CTL* path formula of
+// the shared grammar (ctl.ParsePath): its conjuncts are the clauses and
+// the disjuncts of a clause its terms. A term is GF or FG over a CTL
+// state formula; GF and FG bind tighter than the connectives, so
+// parenthesize compound arguments.
 func Parse(src string) (Formula, error) {
 	s := strings.TrimSpace(src)
 	if strings.HasPrefix(s, "E ") || strings.HasPrefix(s, "E(") {
-		s = strings.TrimSpace(s[1:])
+		s = s[1:]
 	}
-	clauseSrcs, err := splitTop(s, '&')
+	pf, err := ctl.ParsePath(s)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ctlstar: %w", err)
 	}
 	var f Formula
-	for _, cs := range clauseSrcs {
-		cs = strings.TrimSpace(cs)
-		cs = stripOuterParens(cs)
-		termSrcs, err := splitTop(cs, '|')
-		if err != nil {
-			return nil, err
-		}
+	for _, c := range operands(pf, ctl.KAnd, nil) {
 		var cl Clause
-		for _, ts := range termSrcs {
-			ts = strings.TrimSpace(ts)
-			var gf bool
-			switch {
-			case strings.HasPrefix(ts, "GF"):
-				gf = true
-			case strings.HasPrefix(ts, "FG"):
-				gf = false
-			default:
-				return nil, fmt.Errorf("ctlstar: term %q must start with GF or FG", ts)
-			}
-			arg, err := ctl.Parse(strings.TrimSpace(ts[2:]))
+		for _, t := range operands(c, ctl.KOr, nil) {
+			term, err := termOf(t)
 			if err != nil {
-				return nil, fmt.Errorf("ctlstar: term %q: %w", ts, err)
+				return nil, err
 			}
-			cl = append(cl, Term{GF: gf, Arg: arg})
-		}
-		if len(cl) == 0 {
-			return nil, fmt.Errorf("ctlstar: empty clause in %q", src)
+			cl = append(cl, term)
 		}
 		f = append(f, cl)
-	}
-	if len(f) == 0 {
-		return nil, fmt.Errorf("ctlstar: empty formula")
 	}
 	return f, nil
 }
@@ -69,51 +49,24 @@ func MustParse(src string) Formula {
 	return f
 }
 
-// splitTop splits src on sep occurring at parenthesis depth 0.
-func splitTop(src string, sep byte) ([]string, error) {
-	var out []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '(', '[':
-			depth++
-		case ')', ']':
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("ctlstar: unbalanced parentheses in %q", src)
-			}
-		default:
-			if depth == 0 && src[i] == sep {
-				out = append(out, src[start:i])
-				start = i + 1
-			}
-		}
+// operands appends to out, left to right, the operands of the tree of
+// kind-k nodes rooted at f.
+func operands(f *ctl.Formula, k ctl.Kind, out []*ctl.Formula) []*ctl.Formula {
+	if f.Kind != k {
+		return append(out, f)
 	}
-	if depth != 0 {
-		return nil, fmt.Errorf("ctlstar: unbalanced parentheses in %q", src)
-	}
-	out = append(out, src[start:])
-	return out, nil
+	return operands(f.R, k, operands(f.L, k, out))
 }
 
-// stripOuterParens removes one pair of enclosing parentheses if they
-// wrap the entire string.
-func stripOuterParens(s string) string {
-	if len(s) < 2 || s[0] != '(' || s[len(s)-1] != ')' {
-		return s
+// termOf reads G F p as the term GF p and F G q as FG q.
+func termOf(f *ctl.Formula) (Term, error) {
+	gf := f.Kind == ctl.KG && f.L.Kind == ctl.KF
+	if !gf && (f.Kind != ctl.KF || f.L.Kind != ctl.KG) {
+		return Term{}, fmt.Errorf("ctlstar: term %s is not GF or FG of a state formula", f)
 	}
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 && i != len(s)-1 {
-				return s
-			}
-		}
+	arg := f.L.L
+	if !ctl.IsCTL(arg) {
+		return Term{}, fmt.Errorf("ctlstar: term %s: %s is not a CTL state formula", f, arg)
 	}
-	return strings.TrimSpace(s[1 : len(s)-1])
+	return Term{GF: gf, Arg: arg}, nil
 }

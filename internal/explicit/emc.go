@@ -21,6 +21,34 @@ func hasValueLabel(labels map[string]bool, name string) bool {
 	return false
 }
 
+// LabelAtom evaluates a literal (KAtom, KEq or KNeq) of either logic at
+// a state of an explicit structure. Explicit structures label booleans
+// by name and finite-domain values as "name=value"; booleans may be
+// compared against 0/1/true/false. That fallback must not fire for a
+// finite-domain variable (one carrying some "name=value" label at this
+// state), else "x = 0" misreads as "!x" whenever x != 0.
+func LabelAtom(e *kripke.Explicit, s int, lit *ctl.Formula) (bool, error) {
+	switch lit.Kind {
+	case ctl.KAtom:
+		return e.Labels[s][lit.Name], nil
+	case ctl.KEq, ctl.KNeq:
+		v := e.Labels[s][lit.Name+"="+lit.Value]
+		if !v && !hasValueLabel(e.Labels[s], lit.Name) {
+			switch lit.Value {
+			case "1", "true", "TRUE":
+				v = e.Labels[s][lit.Name]
+			case "0", "false", "FALSE":
+				v = !e.Labels[s][lit.Name]
+			}
+		}
+		if lit.Kind == ctl.KNeq {
+			v = !v
+		}
+		return v, nil
+	}
+	return false, fmt.Errorf("explicit: non-literal %s in atom position", lit)
+}
+
 // Checker evaluates CTL formulas over an explicit structure by graph
 // traversal, linear in the size of the graph and the length of the
 // formula. Fairness constraints on the structure restrict the path
@@ -70,30 +98,12 @@ func (c *Checker) checkBasis(f *ctl.Formula) ([]bool, error) {
 		return all(true), nil
 	case ctl.KFalse:
 		return all(false), nil
-	case ctl.KAtom:
+	case ctl.KAtom, ctl.KEq, ctl.KNeq:
 		out := make([]bool, n)
-		for s := 0; s < n; s++ {
-			out[s] = c.E.Labels[s][f.Name]
-		}
-		return out, nil
-	case ctl.KEq, ctl.KNeq:
-		// Explicit structures label atoms "name=value"; booleans compare
-		// against 0/1/true/false. The boolean fallback must not fire for a
-		// finite-domain variable (one carrying some "name=value" label at
-		// this state), else "x = 0" misreads as "!x" whenever x != 0.
-		out := make([]bool, n)
-		for s := 0; s < n; s++ {
-			v := c.E.Labels[s][f.Name+"="+f.Value]
-			if !v && !hasValueLabel(c.E.Labels[s], f.Name) {
-				switch f.Value {
-				case "1", "true", "TRUE":
-					v = c.E.Labels[s][f.Name]
-				case "0", "false", "FALSE":
-					v = !c.E.Labels[s][f.Name]
-				}
-			}
-			if f.Kind == ctl.KNeq {
-				v = !v
+		for s := range out {
+			v, err := LabelAtom(c.E, s, f)
+			if err != nil {
+				return nil, err
 			}
 			out[s] = v
 		}

@@ -3,6 +3,7 @@ package explicit
 import (
 	"fmt"
 
+	"repro/internal/ctl"
 	"repro/internal/kripke"
 	"repro/internal/ltl"
 )
@@ -17,9 +18,9 @@ import (
 
 // EvalLasso evaluates an arbitrary LTL formula (not necessarily in NNF)
 // on the infinite path induced by a lasso of n positions whose position
-// n-1 loops back to cycleStart. atom evaluates a literal (ltl.KAtom,
+// n-1 loops back to cycleStart. atom evaluates a literal (ctl.KAtom,
 // KEq, KNeq) at a position. It returns the truth value at position 0.
-func EvalLasso(f *ltl.Formula, n, cycleStart int, atom func(pos int, lit *ltl.Formula) (bool, error)) (bool, error) {
+func EvalLasso(f *ctl.Formula, n, cycleStart int, atom func(pos int, lit *ctl.Formula) (bool, error)) (bool, error) {
 	if n <= 0 || cycleStart < 0 || cycleStart >= n {
 		return false, fmt.Errorf("explicit: malformed lasso shape n=%d cycleStart=%d", n, cycleStart)
 	}
@@ -36,7 +37,7 @@ func EvalLasso(f *ltl.Formula, n, cycleStart int, atom func(pos int, lit *ltl.Fo
 	return vals[0], nil
 }
 
-func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Formula) (bool, error)) ([]bool, error) {
+func evalLasso(f *ctl.Formula, n int, next func(int) int, atom func(int, *ctl.Formula) (bool, error)) ([]bool, error) {
 	fill := func(v bool) []bool {
 		out := make([]bool, n)
 		for i := range out {
@@ -80,11 +81,11 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 	}
 
 	switch f.Kind {
-	case ltl.KTrue:
+	case ctl.KTrue:
 		return fill(true), nil
-	case ltl.KFalse:
+	case ctl.KFalse:
 		return fill(false), nil
-	case ltl.KAtom, ltl.KEq, ltl.KNeq:
+	case ctl.KAtom, ctl.KEq, ctl.KNeq:
 		out := make([]bool, n)
 		for i := range out {
 			v, err := atom(i, f)
@@ -94,7 +95,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 			out[i] = v
 		}
 		return out, nil
-	case ltl.KNot:
+	case ctl.KNot:
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -103,15 +104,15 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 			l[i] = !l[i]
 		}
 		return l, nil
-	case ltl.KAnd:
+	case ctl.KAnd:
 		return binop(func(a, b bool) bool { return a && b })
-	case ltl.KOr:
+	case ctl.KOr:
 		return binop(func(a, b bool) bool { return a || b })
-	case ltl.KImp:
+	case ctl.KImp:
 		return binop(func(a, b bool) bool { return !a || b })
-	case ltl.KIff:
+	case ctl.KIff:
 		return binop(func(a, b bool) bool { return a == b })
-	case ltl.KX:
+	case ctl.KX:
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -121,7 +122,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 			out[i] = l[next(i)]
 		}
 		return out, nil
-	case ltl.KU: // least fixpoint of  r ∨ (l ∧ X self)
+	case ctl.KU: // least fixpoint of  r ∨ (l ∧ X self)
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -133,7 +134,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 		return fix(false, func(out []bool, i int) bool {
 			return r[i] || (l[i] && out[next(i)])
 		}), nil
-	case ltl.KW: // greatest fixpoint of the same functional as U
+	case ctl.KW: // greatest fixpoint of the same functional as U
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -145,7 +146,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 		return fix(true, func(out []bool, i int) bool {
 			return r[i] || (l[i] && out[next(i)])
 		}), nil
-	case ltl.KR: // greatest fixpoint of  r ∧ (l ∨ X self)
+	case ctl.KR: // greatest fixpoint of  r ∧ (l ∨ X self)
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -157,7 +158,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 		return fix(true, func(out []bool, i int) bool {
 			return r[i] && (l[i] || out[next(i)])
 		}), nil
-	case ltl.KG:
+	case ctl.KG:
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -165,7 +166,7 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 		return fix(true, func(out []bool, i int) bool {
 			return l[i] && out[next(i)]
 		}), nil
-	case ltl.KF:
+	case ctl.KF:
 		l, err := evalLasso(f.L, n, next, atom)
 		if err != nil {
 			return nil, err
@@ -176,32 +177,6 @@ func evalLasso(f *ltl.Formula, n int, next func(int) int, atom func(int, *ltl.Fo
 	default:
 		return nil, fmt.Errorf("explicit: EvalLasso: unexpected kind %v", f.Kind)
 	}
-}
-
-// LabelAtom evaluates an LTL literal at a state of an explicit
-// structure, using the same label conventions as the CTL checker:
-// booleans are labeled by name, finite-domain values as "name=value",
-// and booleans may be compared against 0/1/true/false.
-func LabelAtom(e *kripke.Explicit, s int, lit *ltl.Formula) (bool, error) {
-	switch lit.Kind {
-	case ltl.KAtom:
-		return e.Labels[s][lit.Name], nil
-	case ltl.KEq, ltl.KNeq:
-		v := e.Labels[s][lit.Name+"="+lit.Value]
-		if !v && !hasValueLabel(e.Labels[s], lit.Name) {
-			switch lit.Value {
-			case "1", "true", "TRUE":
-				v = e.Labels[s][lit.Name]
-			case "0", "false", "FALSE":
-				v = !e.Labels[s][lit.Name]
-			}
-		}
-		if lit.Kind == ltl.KNeq {
-			v = !v
-		}
-		return v, nil
-	}
-	return false, fmt.Errorf("explicit: non-literal %s in atom position", lit)
 }
 
 // maxProductStates bounds the explicit product construction; the oracle
@@ -219,7 +194,7 @@ const maxProductStates = 1 << 22
 // product state (w_i = expansion_i evaluated at the successor), so the
 // product has exactly one edge (u,w(u′,v′)) → (u′,v′) per model edge
 // u→u′ and successor decoration v′ — no constraint filtering needed.
-func CheckLTL(e *kripke.Explicit, spec *ltl.Formula) (holds bool, cex *Lasso, err error) {
+func CheckLTL(e *kripke.Explicit, spec *ctl.Formula) (holds bool, cex *Lasso, err error) {
 	t := ltl.Translate(spec)
 	k := len(t.Elem)
 	if k > 20 || e.N<<k > maxProductStates || e.N<<k <= 0 {
@@ -233,7 +208,7 @@ func CheckLTL(e *kripke.Explicit, spec *ltl.Formula) (holds bool, cex *Lasso, er
 			Not:   func(b bool) bool { return !b },
 			And:   func(a, b bool) bool { return a && b },
 			Or:    func(a, b bool) bool { return a || b },
-			Atom:  func(lit *ltl.Formula) (bool, error) { return LabelAtom(e, u, lit) },
+			Atom:  func(lit *ctl.Formula) (bool, error) { return LabelAtom(e, u, lit) },
 			Elem:  func(i int) bool { return w>>i&1 == 1 },
 		}
 	}

@@ -3,14 +3,14 @@ package explicit
 import (
 	"testing"
 
+	"repro/internal/ctl"
 	"repro/internal/kripke"
-	"repro/internal/ltl"
 )
 
 // lassoAtom evaluates atoms against a per-position truth assignment.
-func lassoAtom(rows []map[string]bool) func(int, *ltl.Formula) (bool, error) {
-	return func(pos int, lit *ltl.Formula) (bool, error) {
-		if lit.Kind != ltl.KAtom {
+func lassoAtom(rows []map[string]bool) func(int, *ctl.Formula) (bool, error) {
+	return func(pos int, lit *ctl.Formula) (bool, error) {
+		if lit.Kind != ctl.KAtom {
 			return false, nil
 		}
 		return rows[pos][lit.Name], nil
@@ -52,7 +52,7 @@ func TestEvalLasso(t *testing.T) {
 		{"p <-> q", false},
 	}
 	for _, c := range cases {
-		got, err := EvalLasso(ltl.MustParse(c.f), len(rows), 1, atom)
+		got, err := EvalLasso(ctl.MustParseLTL(c.f), len(rows), 1, atom)
 		if err != nil {
 			t.Fatalf("%s: %v", c.f, err)
 		}
@@ -63,11 +63,11 @@ func TestEvalLasso(t *testing.T) {
 }
 
 func TestEvalLassoShapeErrors(t *testing.T) {
-	atom := func(int, *ltl.Formula) (bool, error) { return true, nil }
-	if _, err := EvalLasso(ltl.MustParse("p"), 0, 0, atom); err == nil {
+	atom := func(int, *ctl.Formula) (bool, error) { return true, nil }
+	if _, err := EvalLasso(ctl.MustParseLTL("p"), 0, 0, atom); err == nil {
 		t.Error("empty lasso should error")
 	}
-	if _, err := EvalLasso(ltl.MustParse("p"), 2, 2, atom); err == nil {
+	if _, err := EvalLasso(ctl.MustParseLTL("p"), 2, 2, atom); err == nil {
 		t.Error("cycle start past the end should error")
 	}
 }
@@ -106,7 +106,7 @@ func TestCheckLTLVerdicts(t *testing.T) {
 		{"false", false},
 	}
 	for _, c := range cases {
-		holds, cex, err := CheckLTL(e, ltl.MustParse(c.f))
+		holds, cex, err := CheckLTL(e, ctl.MustParseLTL(c.f))
 		if err != nil {
 			t.Fatalf("%s: %v", c.f, err)
 		}
@@ -146,7 +146,7 @@ func TestCheckLTLRangeVarAtoms(t *testing.T) {
 		{"G n != 1", false},
 	}
 	for _, c := range cases {
-		holds, cex, err := CheckLTL(e, ltl.MustParse(c.f))
+		holds, cex, err := CheckLTL(e, ctl.MustParseLTL(c.f))
 		if err != nil {
 			t.Fatalf("%s: %v", c.f, err)
 		}
@@ -169,7 +169,7 @@ func TestCheckLTLFairness(t *testing.T) {
 	e.Label(1, "p")
 	e.AddInit(0)
 
-	holds, _, err := CheckLTL(e, ltl.MustParse("F p"))
+	holds, _, err := CheckLTL(e, ctl.MustParseLTL("F p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCheckLTLFairness(t *testing.T) {
 		{"F G p", true},
 		{"G p", false}, // the initial state itself lacks p
 	} {
-		holds, cex, err := CheckLTL(e, ltl.MustParse(c.f))
+		holds, cex, err := CheckLTL(e, ctl.MustParseLTL(c.f))
 		if err != nil {
 			t.Fatalf("%s: %v", c.f, err)
 		}
@@ -211,8 +211,8 @@ func replayCounterexample(t *testing.T, e *kripke.Explicit, f string, cex *Lasso
 	if err := New(e).ValidateLasso(cex, all); err != nil {
 		t.Fatalf("%s: counterexample is not a fair lasso of the model: %v", f, err)
 	}
-	holds, err := EvalLasso(ltl.MustParse(f), len(cex.States), cex.CycleStart,
-		func(pos int, lit *ltl.Formula) (bool, error) {
+	holds, err := EvalLasso(ctl.MustParseLTL(f), len(cex.States), cex.CycleStart,
+		func(pos int, lit *ctl.Formula) (bool, error) {
 			return LabelAtom(e, cex.States[pos], lit)
 		})
 	if err != nil {

@@ -1,6 +1,10 @@
 package ltl
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/ctl"
+)
 
 func TestParseString(t *testing.T) {
 	cases := []struct {
@@ -32,43 +36,43 @@ func TestParseString(t *testing.T) {
 		{"(G) U q", "(G) U q"}, // atom literally named G
 	}
 	for _, c := range cases {
-		f, err := Parse(c.in)
+		f, err := ctl.ParseLTL(c.in)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", c.in, err)
+			t.Fatalf("ctl.ParseLTL(%q): %v", c.in, err)
 		}
 		if got := f.String(); got != c.want {
-			t.Errorf("Parse(%q).String() = %q, want %q", c.in, got, c.want)
+			t.Errorf("ctl.ParseLTL(%q).String() = %q, want %q", c.in, got, c.want)
 		}
 		// Round trip: parse of the printed form must be structurally equal.
-		g, err := Parse(f.String())
+		g, err := ctl.ParseLTL(f.String())
 		if err != nil {
 			t.Fatalf("reparse of %q: %v", f.String(), err)
 		}
-		if !Equal(f, g) {
+		if !ctl.Equal(f, g) {
 			t.Errorf("round trip of %q changed the formula: %q", c.in, g)
 		}
 	}
 }
 
 func TestParseAssociativity(t *testing.T) {
-	f := MustParse("p U q U r")
-	if f.Kind != KU || f.R.Kind != KU {
+	f := ctl.MustParseLTL("p U q U r")
+	if f.Kind != ctl.KU || f.R.Kind != ctl.KU {
 		t.Fatalf("p U q U r should be right associative, got %s with root L=%s R=%s", f, f.L, f.R)
 	}
-	f = MustParse("p U q & r")
-	if f.Kind != KAnd || f.L.Kind != KU {
+	f = ctl.MustParseLTL("p U q & r")
+	if f.Kind != ctl.KAnd || f.L.Kind != ctl.KU {
 		t.Fatalf("p U q & r should parse as (p U q) & r, got kind %v", f.Kind)
 	}
-	f = MustParse("G p U q")
-	if f.Kind != KU || f.L.Kind != KG {
+	f = ctl.MustParseLTL("G p U q")
+	if f.Kind != ctl.KU || f.L.Kind != ctl.KG {
 		t.Fatalf("G p U q should parse as (G p) U q, got %s", f)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
 	for _, src := range []string{"", "p U", "(p", "p &", "p = ", "p ->", "p q", "p <- q"} {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
+		if _, err := ctl.ParseLTL(src); err == nil {
+			t.Errorf("ctl.ParseLTL(%q) should fail", src)
 		}
 	}
 }
@@ -95,7 +99,7 @@ func TestNNF(t *testing.T) {
 		{"!true", "false"},
 	}
 	for _, c := range cases {
-		got := NNF(MustParse(c.in)).String()
+		got := NNF(ctl.MustParseLTL(c.in)).String()
 		if got != c.want {
 			t.Errorf("NNF(%s) = %s, want %s", c.in, got, c.want)
 		}
@@ -106,7 +110,7 @@ func TestTranslateElems(t *testing.T) {
 	// ¬(G (send -> F ack)) = F (send ∧ G ¬ack)
 	//                      = true U (send & (false R !ack))
 	// Elementary: the U node and the R node.
-	tab := Translate(MustParse("G (send -> F ack)"))
+	tab := Translate(ctl.MustParseLTL("G (send -> F ack)"))
 	if len(tab.Elem) != 2 {
 		t.Fatalf("expected 2 elementary subformulas, got %d: %v", len(tab.Elem), tab.Elem)
 	}
@@ -114,7 +118,7 @@ func TestTranslateElems(t *testing.T) {
 		t.Fatalf("expected 1 fairness term, got %d", tab.NumFair())
 	}
 	// Duplicated subformulas share one variable.
-	tab = Translate(MustParse("!(F p & F p)"))
+	tab = Translate(ctl.MustParseLTL("!(F p & F p)"))
 	if len(tab.Elem) != 1 {
 		t.Fatalf("duplicate F p should collapse to 1 elem, got %d", len(tab.Elem))
 	}
@@ -124,8 +128,8 @@ func TestSatBoolAlgebra(t *testing.T) {
 	// ψ = NNF(¬spec) with spec = G p is true U !p. In a state where
 	// p=true, sat(ψ) should equal the promise variable; with p=false it
 	// is true outright.
-	tab := Translate(MustParse("G p"))
-	if len(tab.Elem) != 1 || tab.Elem[0].Kind != KU {
+	tab := Translate(ctl.MustParseLTL("G p"))
+	if len(tab.Elem) != 1 || tab.Elem[0].Kind != ctl.KU {
 		t.Fatalf("unexpected tableau %v", tab.Elem)
 	}
 	alg := func(p, v bool) Algebra[bool] {
@@ -134,7 +138,7 @@ func TestSatBoolAlgebra(t *testing.T) {
 			Not:  func(b bool) bool { return !b },
 			And:  func(a, b bool) bool { return a && b },
 			Or:   func(a, b bool) bool { return a || b },
-			Atom: func(f *Formula) (bool, error) { return p, nil },
+			Atom: func(f *ctl.Formula) (bool, error) { return p, nil },
 			Elem: func(int) bool { return v },
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/ctl"
 	"repro/internal/explicit"
 	"repro/internal/kripke"
 	"repro/internal/ltl"
@@ -35,19 +36,19 @@ func shippedLTLSpecShapes() []string {
 			if !ok {
 				continue
 			}
-			f, err := ltl.Parse(strings.TrimSpace(rest))
+			f, err := ctl.ParseLTL(strings.TrimSpace(rest))
 			if err != nil {
 				continue
 			}
 			n := 0
-			var rename func(g *ltl.Formula)
-			rename = func(g *ltl.Formula) {
+			var rename func(g *ctl.Formula)
+			rename = func(g *ctl.Formula) {
 				if g == nil {
 					return
 				}
 				switch g.Kind {
-				case ltl.KAtom, ltl.KEq, ltl.KNeq:
-					g.Kind = ltl.KAtom
+				case ctl.KAtom, ctl.KEq, ctl.KNeq:
+					g.Kind = ctl.KAtom
 					g.Value = ""
 					g.Name = "p"
 					if n%2 == 1 {
@@ -70,7 +71,7 @@ func shippedLTLSpecShapes() []string {
 // and, on violation, extracts a fair lasso through the ring-walk
 // generator, validates it against the product, and replays its model
 // projection against LTL semantics. It returns the verdict.
-func checkSymbolic(t *testing.T, e *kripke.Explicit, spec *ltl.Formula) bool {
+func checkSymbolic(t *testing.T, e *kripke.Explicit, spec *ctl.Formula) bool {
 	t.Helper()
 	prod, err := ltl.ProductFromExplicit(e, spec)
 	if err != nil {
@@ -101,7 +102,7 @@ func checkSymbolic(t *testing.T, e *kripke.Explicit, spec *ltl.Formula) bool {
 	// Replay the model projection of the lasso against LTL semantics:
 	// the induced path must falsify the specification.
 	holds, err := explicit.EvalLasso(spec, len(tr.States), tr.CycleStart,
-		func(pos int, lit *ltl.Formula) (bool, error) {
+		func(pos int, lit *ctl.Formula) (bool, error) {
 			u := kripke.StateIndex(tr.States[pos][:prod.ModelLen])
 			return explicit.LabelAtom(e, u, lit)
 		})
@@ -117,7 +118,7 @@ func checkSymbolic(t *testing.T, e *kripke.Explicit, spec *ltl.Formula) bool {
 func crossCheck(t *testing.T, e *kripke.Explicit, specs []string) {
 	t.Helper()
 	for _, src := range specs {
-		spec := ltl.MustParse(src)
+		spec := ctl.MustParseLTL(src)
 		expHolds, expCex, err := explicit.CheckLTL(e, spec)
 		if err != nil {
 			t.Fatalf("%s: explicit: %v", src, err)
@@ -129,7 +130,7 @@ func crossCheck(t *testing.T, e *kripke.Explicit, specs []string) {
 		if !expHolds && expCex != nil {
 			// The explicit counterexample must itself falsify the spec.
 			holds, err := explicit.EvalLasso(spec, len(expCex.States), expCex.CycleStart,
-				func(pos int, lit *ltl.Formula) (bool, error) {
+				func(pos int, lit *ctl.Formula) (bool, error) {
 					return explicit.LabelAtom(e, expCex.States[pos], lit)
 				})
 			if err != nil {
@@ -174,18 +175,18 @@ func TestProductVsExplicitRandom(t *testing.T) {
 // hasComparison reports whether f contains =/!= literals; the fuzz
 // differential skips them because the explicit label conventions only
 // align with the symbolic atom resolution for plain boolean atoms.
-func hasComparison(f *ltl.Formula) bool {
+func hasComparison(f *ctl.Formula) bool {
 	if f == nil {
 		return false
 	}
-	if f.Kind == ltl.KEq || f.Kind == ltl.KNeq {
+	if f.Kind == ctl.KEq || f.Kind == ctl.KNeq {
 		return true
 	}
 	return hasComparison(f.L) || hasComparison(f.R)
 }
 
-func onlyKnownAtoms(f *ltl.Formula, known map[string]bool) bool {
-	for _, a := range ltl.Atoms(f) {
+func onlyKnownAtoms(f *ctl.Formula, known map[string]bool) bool {
+	for _, a := range ctl.Atoms(f) {
 		if !known[a] {
 			return false
 		}
@@ -193,10 +194,51 @@ func onlyKnownAtoms(f *ltl.Formula, known map[string]bool) bool {
 	return true
 }
 
+// isNNF reports whether f is in the normal form NNF promises: only
+// {true, false, literal, ∧, ∨, X, U, R}, with ! applied to atoms only.
+func isNNF(f *ctl.Formula) bool {
+	if f == nil {
+		return true
+	}
+	switch f.Kind {
+	case ctl.KTrue, ctl.KFalse, ctl.KAtom, ctl.KEq, ctl.KNeq:
+		return true
+	case ctl.KNot:
+		switch f.L.Kind {
+		case ctl.KAtom, ctl.KEq, ctl.KNeq:
+			return true
+		}
+		return false
+	case ctl.KAnd, ctl.KOr, ctl.KX, ctl.KU, ctl.KR:
+		return isNNF(f.L) && isNNF(f.R)
+	}
+	return false
+}
+
+// checkNNF asserts that the NNF of spec is well formed and idempotent,
+// and that its tableau builds with only temporal elementary
+// subformulas.
+func checkNNF(t *testing.T, src string, spec *ctl.Formula) {
+	t.Helper()
+	n := ltl.NNF(spec)
+	if !isNNF(n) {
+		t.Fatalf("NNF(%q) = %q is not in normal form", src, n)
+	}
+	if !ctl.Equal(n, ltl.NNF(n)) {
+		t.Fatalf("NNF is not idempotent on %q", src)
+	}
+	for _, e := range ltl.Translate(spec).Elem {
+		if e.Kind != ctl.KX && e.Kind != ctl.KU && e.Kind != ctl.KR {
+			t.Fatalf("non-temporal elementary subformula %q", e)
+		}
+	}
+}
+
 // FuzzLTLTranslate drives the full differential: a random small model
 // and a fuzzed specification are checked by the explicit product oracle
 // and by the symbolic tableau product; verdicts must agree and every
-// symbolic counterexample lasso must replay to false.
+// symbolic counterexample lasso must replay to false. Every formula
+// that parses also has its NNF and tableau checked first.
 func FuzzLTLTranslate(f *testing.F) {
 	for _, s := range crossSpecs {
 		f.Add(int64(1), uint8(5), s)
@@ -211,11 +253,14 @@ func FuzzLTLTranslate(f *testing.F) {
 	}
 	known := map[string]bool{"p": true, "q": true}
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, src string) {
-		spec, err := ltl.Parse(src)
+		spec, err := ctl.ParseLTL(src)
 		if err != nil {
 			t.Skip()
 		}
-		if hasComparison(spec) || !onlyKnownAtoms(spec, known) || ltl.Size(spec) > 24 {
+		if ctl.Size(spec) <= 200 {
+			checkNNF(t, src, spec)
+		}
+		if hasComparison(spec) || !onlyKnownAtoms(spec, known) || ctl.Size(spec) > 24 {
 			t.Skip()
 		}
 		tab := ltl.Translate(spec)

@@ -20,43 +20,6 @@ type Attached struct {
 	FairNames []string
 }
 
-// BDDAlgebra returns the tableau evaluation algebra over BDDs for a
-// structure: atoms resolve through atom (nil defaults to AtomResolver),
-// and elementary index i reads the current-state copy of state variable
-// elemVars[i].
-func BDDAlgebra(s *kripke.Symbolic, elemVars []int, atom func(*Formula) (bdd.Ref, error)) Algebra[bdd.Ref] {
-	if atom == nil {
-		atom = AtomResolver(s)
-	}
-	m := s.M
-	return Algebra[bdd.Ref]{
-		True:  bdd.True,
-		False: bdd.False,
-		Not:   m.Not,
-		And:   m.And,
-		Or:    m.Or,
-		Atom:  atom,
-		Elem:  func(i int) bdd.Ref { return m.Var(s.Vars[elemVars[i]].Cur) },
-	}
-}
-
-// AtomResolver maps LTL literals to state sets through the structure's
-// registered atomic propositions (the same resolution CTL specs use, so
-// both logics read identical labelings).
-func AtomResolver(s *kripke.Symbolic) func(*Formula) (bdd.Ref, error) {
-	return func(f *Formula) (bdd.Ref, error) {
-		switch f.Kind {
-		case KAtom:
-			return s.AtomSet(ctl.Atom(f.Name))
-		case KEq:
-			return s.AtomSet(ctl.Eq(f.Name, f.Value))
-		case KNeq:
-			return s.AtomSet(ctl.Neq(f.Name, f.Value))
-		}
-		return bdd.False, fmt.Errorf("ltl: non-literal %s in atom position", f)
-	}
-}
-
 // Attach builds the symbolic tableau of t over the structure s, whose
 // state variables elemVars[i] have been reserved for the elementary
 // subformulas. Each cluster constrains one promise variable against the
@@ -70,13 +33,23 @@ func AtomResolver(s *kripke.Symbolic) func(*Formula) (bdd.Ref, error) {
 // relation itself. The product is deliberately not total: states whose
 // promises are unsatisfiable dead-end, and the fair-EG fixpoint prunes
 // them because they have no infinite continuation.
-func Attach(t *Tableau, s *kripke.Symbolic, elemVars []int, atom func(*Formula) (bdd.Ref, error)) (*Attached, error) {
+func Attach(t *Tableau, s *kripke.Symbolic, elemVars []int) (*Attached, error) {
 	if len(elemVars) != len(t.Elem) {
 		return nil, fmt.Errorf("ltl: %d tableau variables reserved for %d elementary subformulas",
 			len(elemVars), len(t.Elem))
 	}
 	m := s.M
-	alg := BDDAlgebra(s, elemVars, atom)
+	alg := Algebra[bdd.Ref]{
+		True:  bdd.True,
+		False: bdd.False,
+		Not:   m.Not,
+		And:   m.And,
+		Or:    m.Or,
+		// Literals resolve as CTL atoms do, so both logics read
+		// identical labelings (DEFINEs included).
+		Atom: s.AtomSet,
+		Elem: func(i int) bdd.Ref { return m.Var(s.Vars[elemVars[i]].Cur) },
+	}
 
 	a := &Attached{}
 	accept, err := Sat(t, t.Formula, alg)
@@ -120,7 +93,7 @@ type ExplicitProduct struct {
 // one tableau variable _ltl{i} per elementary subformula of ¬spec, and
 // installs the tableau clusters and fairness constraints alongside the
 // model's.
-func ProductFromExplicit(e *kripke.Explicit, spec *Formula) (*ExplicitProduct, error) {
+func ProductFromExplicit(e *kripke.Explicit, spec *ctl.Formula) (*ExplicitProduct, error) {
 	t := Translate(spec)
 	extra := make([]string, len(t.Elem))
 	for i := range extra {
@@ -132,7 +105,7 @@ func ProductFromExplicit(e *kripke.Explicit, spec *Formula) (*ExplicitProduct, e
 	for i := range elemVars {
 		elemVars[i] = nbits + i
 	}
-	a, err := Attach(t, b.S, elemVars, nil)
+	a, err := Attach(t, b.S, elemVars)
 	if err != nil {
 		return nil, err
 	}

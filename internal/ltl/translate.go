@@ -1,6 +1,19 @@
+// Package ltl checks linear temporal logic formulas (G/F/X/U/R/W over
+// propositional atoms, parsed by ctl.ParseLTL) through the tableau
+// translation of a formula into a generalized Büchi automaton
+// represented symbolically: one fresh state variable per elementary
+// temporal subformula, a transition constraint per variable, and a
+// fairness constraint per until-obligation. Checking M ⊨ φ then reduces
+// to emptiness of the fair product M × A_¬φ, which the paper's fair-EG
+// machinery (Section 5) decides and whose counterexamples the ring-walk
+// generator (Section 6) extracts as fair lassos.
 package ltl
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/ctl"
+)
 
 // This file implements the symbolic tableau construction for LTL
 // (Clarke–Grumberg–Hamaguchi style). To check M ⊨ φ we build the
@@ -40,77 +53,77 @@ import "fmt"
 //
 // and negation is pushed through the dualities ¬(g U h) = ¬g R ¬h,
 // ¬(g R h) = ¬g U ¬h, ¬X g = X ¬g.
-func nnf(f *Formula, neg bool) *Formula {
+func nnf(f *ctl.Formula, neg bool) *ctl.Formula {
 	switch f.Kind {
-	case KTrue:
+	case ctl.KTrue:
 		if neg {
-			return False()
+			return ctl.False()
 		}
-		return True()
-	case KFalse:
+		return ctl.True()
+	case ctl.KFalse:
 		if neg {
-			return True()
+			return ctl.True()
 		}
-		return False()
-	case KAtom:
+		return ctl.False()
+	case ctl.KAtom:
 		if neg {
-			return Not(f)
-		}
-		return f
-	case KEq:
-		if neg {
-			return Neq(f.Name, f.Value)
+			return ctl.Not(f)
 		}
 		return f
-	case KNeq:
+	case ctl.KEq:
 		if neg {
-			return Eq(f.Name, f.Value)
+			return ctl.Neq(f.Name, f.Value)
 		}
 		return f
-	case KNot:
+	case ctl.KNeq:
+		if neg {
+			return ctl.Eq(f.Name, f.Value)
+		}
+		return f
+	case ctl.KNot:
 		return nnf(f.L, !neg)
-	case KAnd:
+	case ctl.KAnd:
 		if neg {
-			return Or(nnf(f.L, true), nnf(f.R, true))
+			return ctl.Or(nnf(f.L, true), nnf(f.R, true))
 		}
-		return And(nnf(f.L, false), nnf(f.R, false))
-	case KOr:
+		return ctl.And(nnf(f.L, false), nnf(f.R, false))
+	case ctl.KOr:
 		if neg {
-			return And(nnf(f.L, true), nnf(f.R, true))
+			return ctl.And(nnf(f.L, true), nnf(f.R, true))
 		}
-		return Or(nnf(f.L, false), nnf(f.R, false))
-	case KImp:
-		return nnf(Or(Not(f.L), f.R), neg)
-	case KIff:
+		return ctl.Or(nnf(f.L, false), nnf(f.R, false))
+	case ctl.KImp:
+		return nnf(ctl.Or(ctl.Not(f.L), f.R), neg)
+	case ctl.KIff:
 		// (L ∧ R) ∨ (¬L ∧ ¬R); negation handled by the Or/And cases.
-		return nnf(Or(And(f.L, f.R), And(Not(f.L), Not(f.R))), neg)
-	case KX:
-		return X(nnf(f.L, neg))
-	case KU:
+		return nnf(ctl.Or(ctl.And(f.L, f.R), ctl.And(ctl.Not(f.L), ctl.Not(f.R))), neg)
+	case ctl.KX:
+		return ctl.X(nnf(f.L, neg))
+	case ctl.KU:
 		if neg {
-			return R(nnf(f.L, true), nnf(f.R, true))
+			return ctl.R(nnf(f.L, true), nnf(f.R, true))
 		}
-		return U(nnf(f.L, false), nnf(f.R, false))
-	case KR:
+		return ctl.U(nnf(f.L, false), nnf(f.R, false))
+	case ctl.KR:
 		if neg {
-			return U(nnf(f.L, true), nnf(f.R, true))
+			return ctl.U(nnf(f.L, true), nnf(f.R, true))
 		}
-		return R(nnf(f.L, false), nnf(f.R, false))
-	case KW:
+		return ctl.R(nnf(f.L, false), nnf(f.R, false))
+	case ctl.KW:
 		// g W h ≡ h R (g ∨ h): the release form holds g∨h up to and
 		// including the first h, or forever if h never occurs.
-		return nnf(R(f.R, Or(f.L, f.R)), neg)
-	case KG:
-		return nnf(R(False(), f.L), neg)
-	case KF:
-		return nnf(U(True(), f.L), neg)
+		return nnf(ctl.R(f.R, ctl.Or(f.L, f.R)), neg)
+	case ctl.KG:
+		return nnf(ctl.R(ctl.False(), f.L), neg)
+	case ctl.KF:
+		return nnf(ctl.U(ctl.True(), f.L), neg)
 	default:
 		panic(fmt.Sprintf("ltl: nnf: unexpected kind %v", f.Kind))
 	}
 }
 
 // NNF returns f in negation normal form over {literal, ∧, ∨, X, U, R}.
-func NNF(f *Formula) *Formula { return nnf(f, false) }
+func NNF(f *ctl.Formula) *ctl.Formula { return nnf(f, false) }
 
 // Tableau is the symbolic generalized Büchi automaton for the negation
 // of a specification. Formula is NNF(¬spec); Elem lists its elementary
@@ -118,9 +131,9 @@ func NNF(f *Formula) *Formula { return nnf(f, false) }
 // structurally — Elem[i] corresponds to the i-th fresh product state
 // variable.
 type Tableau struct {
-	Spec    *Formula // the original specification φ
-	Formula *Formula // ψ = NNF(¬φ), the path property to search for
-	Elem    []*Formula
+	Spec    *ctl.Formula // the original specification φ
+	Formula *ctl.Formula // ψ = NNF(¬φ), the path property to search for
+	Elem    []*ctl.Formula
 	index   map[string]int
 }
 
@@ -128,7 +141,7 @@ type Tableau struct {
 // subformulas. The resulting Tableau drives both the symbolic product
 // (Attach) and the explicit-state oracle via the generic Sat/
 // ElemExpansion/FairTerms evaluators.
-func Translate(spec *Formula) *Tableau {
+func Translate(spec *ctl.Formula) *Tableau {
 	t := &Tableau{
 		Spec:    spec,
 		Formula: nnf(spec, true),
@@ -138,12 +151,12 @@ func Translate(spec *Formula) *Tableau {
 	return t
 }
 
-func (t *Tableau) collect(f *Formula) {
+func (t *Tableau) collect(f *ctl.Formula) {
 	if f == nil {
 		return
 	}
 	switch f.Kind {
-	case KX, KU, KR:
+	case ctl.KX, ctl.KU, ctl.KR:
 		key := f.String()
 		if _, ok := t.index[key]; !ok {
 			t.index[key] = len(t.Elem)
@@ -156,7 +169,7 @@ func (t *Tableau) collect(f *Formula) {
 
 // ElemIndex returns the product-variable index of elementary formula f,
 // which must be an X/U/R node collected by Translate.
-func (t *Tableau) ElemIndex(f *Formula) int {
+func (t *Tableau) ElemIndex(f *ctl.Formula) int {
 	i, ok := t.index[f.String()]
 	if !ok {
 		panic(fmt.Sprintf("ltl: %s is not an elementary subformula", f))
@@ -169,7 +182,7 @@ func (t *Tableau) ElemIndex(f *Formula) int {
 func (t *Tableau) NumFair() int {
 	n := 0
 	for _, e := range t.Elem {
-		if e.Kind == KU {
+		if e.Kind == ctl.KU {
 			n++
 		}
 	}
@@ -189,7 +202,7 @@ type Algebra[T any] struct {
 	Or    func(T, T) T
 	// Atom evaluates a literal: KAtom, KEq, KNeq, or KNot of one of
 	// those (the formula is in NNF, so negation only wraps literals).
-	Atom func(*Formula) (T, error)
+	Atom func(*ctl.Formula) (T, error)
 	// Elem reads the product state variable for elementary index i in
 	// the current state.
 	Elem func(i int) T
@@ -197,23 +210,23 @@ type Algebra[T any] struct {
 
 // Sat evaluates the present-state characteristic condition sat(f) of a
 // subformula of t.Formula.
-func Sat[T any](t *Tableau, f *Formula, alg Algebra[T]) (T, error) {
+func Sat[T any](t *Tableau, f *ctl.Formula, alg Algebra[T]) (T, error) {
 	var zero T
 	switch f.Kind {
-	case KTrue:
+	case ctl.KTrue:
 		return alg.True, nil
-	case KFalse:
+	case ctl.KFalse:
 		return alg.False, nil
-	case KAtom, KEq, KNeq:
+	case ctl.KAtom, ctl.KEq, ctl.KNeq:
 		return alg.Atom(f)
-	case KNot:
+	case ctl.KNot:
 		// NNF: the operand is a literal.
 		v, err := alg.Atom(f.L)
 		if err != nil {
 			return zero, err
 		}
 		return alg.Not(v), nil
-	case KAnd, KOr:
+	case ctl.KAnd, ctl.KOr:
 		l, err := Sat(t, f.L, alg)
 		if err != nil {
 			return zero, err
@@ -222,13 +235,13 @@ func Sat[T any](t *Tableau, f *Formula, alg Algebra[T]) (T, error) {
 		if err != nil {
 			return zero, err
 		}
-		if f.Kind == KAnd {
+		if f.Kind == ctl.KAnd {
 			return alg.And(l, r), nil
 		}
 		return alg.Or(l, r), nil
-	case KX:
+	case ctl.KX:
 		return alg.Elem(t.ElemIndex(f)), nil
-	case KU:
+	case ctl.KU:
 		// sat(h) ∨ (sat(g) ∧ v)
 		h, err := Sat(t, f.R, alg)
 		if err != nil {
@@ -239,7 +252,7 @@ func Sat[T any](t *Tableau, f *Formula, alg Algebra[T]) (T, error) {
 			return zero, err
 		}
 		return alg.Or(h, alg.And(g, alg.Elem(t.ElemIndex(f)))), nil
-	case KR:
+	case ctl.KR:
 		// sat(h) ∧ (sat(g) ∨ v)
 		h, err := Sat(t, f.R, alg)
 		if err != nil {
@@ -261,7 +274,7 @@ func Sat[T any](t *Tableau, f *Formula, alg Algebra[T]) (T, error) {
 // successor).
 func ElemExpansion[T any](t *Tableau, i int, alg Algebra[T]) (T, error) {
 	e := t.Elem[i]
-	if e.Kind == KX {
+	if e.Kind == ctl.KX {
 		return Sat(t, e.L, alg)
 	}
 	return Sat(t, e, alg)
@@ -270,11 +283,11 @@ func ElemExpansion[T any](t *Tableau, i int, alg Algebra[T]) (T, error) {
 // FairTerms evaluates the generalized-Büchi fairness constraints, one
 // per U node: sat(h) ∨ ¬sat(g U h). Results are paired with the
 // originating formula for naming/diagnostics.
-func FairTerms[T any](t *Tableau, alg Algebra[T]) ([]T, []*Formula, error) {
+func FairTerms[T any](t *Tableau, alg Algebra[T]) ([]T, []*ctl.Formula, error) {
 	var terms []T
-	var nodes []*Formula
+	var nodes []*ctl.Formula
 	for _, e := range t.Elem {
-		if e.Kind != KU {
+		if e.Kind != ctl.KU {
 			continue
 		}
 		h, err := Sat(t, e.R, alg)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ctl"
 	"repro/internal/explicit"
 	"repro/internal/kripke"
-	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/smv"
 )
@@ -309,8 +308,8 @@ type literal struct{ name, value string }
 // comparison) appearing in the module's SPEC and LTLSPEC formulas.
 func specLiterals(m *smv.Module) map[literal]bool {
 	lits := map[literal]bool{}
-	var walkC func(f *ctl.Formula)
-	walkC = func(f *ctl.Formula) {
+	var walk func(f *ctl.Formula)
+	walk = func(f *ctl.Formula) {
 		if f == nil {
 			return
 		}
@@ -320,28 +319,14 @@ func specLiterals(m *smv.Module) map[literal]bool {
 		case ctl.KEq, ctl.KNeq:
 			lits[literal{f.Name, f.Value}] = true
 		}
-		walkC(f.L)
-		walkC(f.R)
-	}
-	var walkL func(f *ltl.Formula)
-	walkL = func(f *ltl.Formula) {
-		if f == nil {
-			return
-		}
-		switch f.Kind {
-		case ltl.KAtom:
-			lits[literal{f.Name, ""}] = true
-		case ltl.KEq, ltl.KNeq:
-			lits[literal{f.Name, f.Value}] = true
-		}
-		walkL(f.L)
-		walkL(f.R)
+		walk(f.L)
+		walk(f.R)
 	}
 	for _, sp := range m.Specs {
-		walkC(sp.Formula)
+		walk(sp.Formula)
 	}
 	for _, sp := range m.LTLSpecs {
-		walkL(sp.Formula)
+		walk(sp.Formula)
 	}
 	return lits
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/ctl"
-	"repro/internal/ltl"
 )
 
 // Module is one parsed MODULE (main or a parameterized submodule).
@@ -115,7 +114,7 @@ type Spec struct {
 // LTLSpec is an LTLSPEC declaration with its source text.
 type LTLSpec struct {
 	Source  string
-	Formula *ltl.Formula
+	Formula *ctl.Formula
 	line    int
 }
 

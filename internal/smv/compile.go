@@ -174,9 +174,13 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 		}
 		c.defines[d.Name] = d
 	}
-	// Tableau variables ride after every model bit so traces and
-	// FormatStateByVars (which walk c.Order/VarInfo.Bits) never see them.
 	if la != nil {
+		// An LTL spec's atoms must name variables or DEFINEs, as a SPEC's do.
+		if err := c.ResolveSpecAtoms(la.tab.Spec); err != nil {
+			return nil, err
+		}
+		// Tableau variables ride after every model bit so traces and
+		// FormatStateByVars (which walk c.Order/VarInfo.Bits) never see them.
 		for i := range la.tab.Elem {
 			name := fmt.Sprintf("_ltl%d", i)
 			for c.Vars[name] != nil || c.defines[name] != nil {
@@ -215,7 +219,7 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 	// The tableau reads atoms through the same resolution SPECs use, so
 	// both logics see identical labelings (DEFINEs included).
 	if la != nil {
-		a, err := ltl.Attach(la.tab, c.S, la.elemVars, nil)
+		a, err := ltl.Attach(la.tab, c.S, la.elemVars)
 		if err != nil {
 			return nil, err
 		}

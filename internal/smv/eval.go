@@ -522,12 +522,12 @@ func (c *Compiled) StateValue(st kripke.State, name string) Value {
 	return info.Values[idx]
 }
 
-// ResolveSpecAtoms verifies that all atoms of a spec formula resolve
-// (returns the first error, if any).
+// ResolveSpecAtoms verifies that every atom of a SPEC or LTLSPEC
+// formula names a variable or DEFINE (returns the first error, if any).
 func (c *Compiled) ResolveSpecAtoms(f *ctl.Formula) error {
 	for _, a := range ctl.Atoms(f) {
 		if c.Vars[a] == nil && c.defines[a] == nil {
-			return fmt.Errorf("smv: SPEC mentions unknown identifier %q", a)
+			return fmt.Errorf("smv: spec mentions unknown identifier %q", a)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/ctl"
 	"repro/internal/explicit"
 	"repro/internal/ltl"
 	"repro/internal/mc"
@@ -34,35 +35,17 @@ type ltlAttachment struct {
 // witness generator for the tableau product).
 type LTLProduct struct {
 	*Compiled
-	Spec     *ltl.Formula
+	Spec     *ctl.Formula
 	Source   string       // original LTLSPEC text
 	Tableau  *ltl.Tableau // tableau of ¬Spec
 	Accept   bdd.Ref      // sat(¬Spec): candidate initial product states
 	ElemVars []int        // indices into S.Vars of the tableau variables
 }
 
-// resolveLTLAtoms verifies that all atoms of an LTL formula name
-// declared variables or DEFINEs of the module.
-func resolveLTLAtoms(m *Module, f *ltl.Formula) error {
-	names := map[string]bool{}
-	for _, vd := range m.Vars {
-		names[vd.Name] = true
-	}
-	for _, d := range m.Defines {
-		names[d.Name] = true
-	}
-	for _, a := range ltl.Atoms(f) {
-		if !names[a] {
-			return fmt.Errorf("smv: LTLSPEC mentions unknown identifier %q", a)
-		}
-	}
-	return nil
-}
-
 // Product compiles c's module in product with the tableau of ¬spec,
 // under c's Config. Each product owns a fresh BDD manager: its tableau
 // variables and fairness sets are per-formula.
-func (c *Compiled) Product(spec *ltl.Formula, source string) (*LTLProduct, error) {
+func (c *Compiled) Product(spec *ctl.Formula, source string) (*LTLProduct, error) {
 	return product(c.Module, spec, source, c.cfg)
 }
 
@@ -71,14 +54,11 @@ func (c *Compiled) Product(spec *ltl.Formula, source string) (*LTLProduct, error
 //
 // Deprecated: use (*Compiled).Product. CompileLTL remains only because
 // perfbench calls it.
-func CompileLTL(m *Module, spec *ltl.Formula, source string) (*LTLProduct, error) {
+func CompileLTL(m *Module, spec *ctl.Formula, source string) (*LTLProduct, error) {
 	return product(m, spec, source, Config{})
 }
 
-func product(m *Module, spec *ltl.Formula, source string, cfg Config) (*LTLProduct, error) {
-	if err := resolveLTLAtoms(m, spec); err != nil {
-		return nil, err
-	}
+func product(m *Module, spec *ctl.Formula, source string, cfg Config) (*LTLProduct, error) {
 	la := &ltlAttachment{tab: ltl.Translate(spec)}
 	c, err := compile(m, la, cfg)
 	if err != nil {
@@ -126,10 +106,9 @@ func (p *LTLProduct) ReplayCounterexample(tr *core.Trace) error {
 	if !tr.IsLasso() {
 		return fmt.Errorf("smv: replay requires a lasso trace")
 	}
-	atom := ltl.AtomResolver(p.S)
 	holds, err := explicit.EvalLasso(p.Spec, len(tr.States), tr.CycleStart,
-		func(pos int, lit *ltl.Formula) (bool, error) {
-			set, err := atom(lit)
+		func(pos int, lit *ctl.Formula) (bool, error) {
+			set, err := p.S.AtomSet(lit)
 			if err != nil {
 				return false, err
 			}
@@ -165,7 +144,7 @@ func (p *LTLProduct) FormatLassoByVars(tr *core.Trace) string {
 // harnesses: build c's product with spec, run the emptiness check,
 // replay any counterexample, and release the checker. The returned
 // trace (if any) remains decodable through the returned product.
-func (c *Compiled) CheckLTLSpec(spec *ltl.Formula, source string) (holds bool, p *LTLProduct, cex *core.Trace, err error) {
+func (c *Compiled) CheckLTLSpec(spec *ctl.Formula, source string) (holds bool, p *LTLProduct, cex *core.Trace, err error) {
 	p, err = c.Product(spec, source)
 	if err != nil {
 		return false, nil, nil, err

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ltl"
+	"repro/internal/ctl"
 	"repro/internal/mc"
 )
 
@@ -22,7 +22,7 @@ func parseOK(t *testing.T, src string) *Module {
 func checkLTL(t *testing.T, src, spec string) (bool, *LTLProduct) {
 	t.Helper()
 	c := compileOK(t, src)
-	f, err := ltl.Parse(spec)
+	f, err := ctl.ParseLTL(spec)
 	if err != nil {
 		t.Fatalf("ltl parse %q: %v", spec, err)
 	}
@@ -64,8 +64,8 @@ LTLSPEC G (x -> X !x)
 	}
 	// Source is the token-joined text; it must reparse to the same
 	// formula.
-	back, err := ltl.Parse(m.LTLSpecs[1].Source)
-	if err != nil || !ltl.Equal(back, m.LTLSpecs[1].Formula) {
+	back, err := ctl.ParseLTL(m.LTLSpecs[1].Source)
+	if err != nil || !ctl.Equal(back, m.LTLSpecs[1].Formula) {
 		t.Errorf("source %q does not reparse to the formula: %v", m.LTLSpecs[1].Source, err)
 	}
 }
@@ -123,7 +123,7 @@ func TestLTLToggleVerdicts(t *testing.T) {
 
 func TestLTLCounterexampleIsLasso(t *testing.T) {
 	c := compileOK(t, toggleSrc)
-	f := ltl.MustParse("F G x")
+	f := ctl.MustParseLTL("F G x")
 	holds, p, cex, err := c.CheckLTLSpec(f, "F G x")
 	if err != nil {
 		t.Fatal(err)
@@ -200,11 +200,11 @@ ASSIGN
 
 func TestLTLUnknownAtom(t *testing.T) {
 	c := compileOK(t, toggleSrc)
-	_, err := c.Product(ltl.MustParse("G y"), "G y")
+	_, err := c.Product(ctl.MustParseLTL("G y"), "G y")
 	if err == nil || !strings.Contains(err.Error(), "unknown identifier") {
 		t.Fatalf("want unknown-identifier error, got %v", err)
 	}
-	if _, err := c.Product(ltl.MustParse("G x"), "G x"); err != nil {
+	if _, err := c.Product(ctl.MustParseLTL("G x"), "G x"); err != nil {
 		t.Fatalf("product rejects declared atom: %v", err)
 	}
 }
@@ -242,7 +242,7 @@ ASSIGN
   init(y) := FALSE; next(y) := x;
 `
 	c := compileOK(t, src)
-	p, err := c.Product(ltl.MustParse("G (x -> F y)"), "")
+	p, err := c.Product(ctl.MustParseLTL("G (x -> F y)"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/ctl"
-	"repro/internal/ltl"
 )
 
 // ParseModule parses SMV source — possibly containing several MODULE
@@ -368,7 +367,7 @@ func (p *parser) specSource() string {
 }
 
 // spec captures the raw CTL formula text until ';' (or a section
-// keyword) and parses it with the ctl parser.
+// keyword) and parses it as CTL.
 func (p *parser) spec() (*Spec, error) {
 	start := p.cur()
 	src := p.specSource()
@@ -382,14 +381,14 @@ func (p *parser) spec() (*Spec, error) {
 	return &Spec{Source: src, Formula: f, line: start.line}, nil
 }
 
-// ltlSpec is spec for LTLSPEC sections, parsed with the ltl parser.
+// ltlSpec is spec for LTLSPEC sections, parsed as LTL.
 func (p *parser) ltlSpec() (*LTLSpec, error) {
 	start := p.cur()
 	src := p.specSource()
 	if src == "" {
 		return nil, errAt(start, "empty LTLSPEC")
 	}
-	f, err := ltl.Parse(src)
+	f, err := ctl.ParseLTL(src)
 	if err != nil {
 		return nil, errAt(start, "LTLSPEC %q: %v", src, err)
 	}

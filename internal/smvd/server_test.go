@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctl"
 	"repro/internal/smv"
 )
 
@@ -183,6 +184,48 @@ func TestHTTPOversizedRangeRejected(t *testing.T) {
 	}
 	if code := post(t, ts, `{"model": `+jsonString(counterModel)+`, "specs": ["AG n = 0"]}`); code != http.StatusOK {
 		t.Fatalf("valid request after the rejected ones: status %d", code)
+	}
+}
+
+// TestHTTPOversizedFormula: a /check that puts a formula over the parser's
+// size cap next to a normal spec answers 200, with the size error as the
+// first verdict and the second spec checked, and the session keeps
+// serving. A model whose SPEC is over the cap gets 422.
+func TestHTTPOversizedFormula(t *testing.T) {
+	sv := newTestServer(t, 8, 0, "")
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	big := "n = 0"
+	for i := 0; i < 30; i++ {
+		big = "(" + big + " <-> tick)"
+	}
+	body, _ := json.Marshal(CheckRequest{Model: counterModel, Specs: []string{big, "AG n = 0"}, LTL: []string{big}})
+	hr, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp CheckResponse
+	err = json.NewDecoder(hr.Body).Decode(&resp)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, decode error %v", hr.StatusCode, err)
+	}
+	want := (&ctl.TooLargeError{}).Error()
+	if len(resp.Verdicts) != 3 || resp.Verdicts[0].Error != want || resp.Verdicts[2].Error != want {
+		t.Fatalf("verdicts %+v, want the size error %q first and last", resp.Verdicts, want)
+	}
+	if v := resp.Verdicts[1]; v.Error != "" || v.Holds || !v.Validated {
+		t.Fatalf("AG n = 0 next to the oversized spec: %+v, want a validated counterexample", v)
+	}
+	if code := post(t, ts, `{"model": `+jsonString(counterModel)+`, "specs": ["AG n = 0"]}`); code != http.StatusOK {
+		t.Fatalf("next request on the session: status %d", code)
+	}
+	if st := sv.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("the next request did not reuse the session: %+v", st)
+	}
+	model := jsonString(counterModel + "SPEC " + big + "\n")
+	if code := post(t, ts, `{"model": `+model+`}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("model with an oversized SPEC: status %d, want 422", code)
 	}
 }
 

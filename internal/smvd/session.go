@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/kripke"
-	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/smv"
 )
@@ -212,7 +211,7 @@ func (s *Session) checkCTL(spec string) SpecVerdict {
 // formula's semantics.
 func (s *Session) checkLTL(spec string) SpecVerdict {
 	v := SpecVerdict{Spec: spec}
-	f, err := ltl.Parse(spec)
+	f, err := ctl.ParseLTL(spec)
 	if err != nil {
 		v.Error = err.Error()
 		return v

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctl"
-	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/smv"
 )
@@ -130,7 +129,7 @@ func TestLTLvsCTLDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("ctl %q: %v", pr.ctlSrc, err)
 							}
-							lf, err := ltl.Parse(pr.ltlSrc)
+							lf, err := ctl.ParseLTL(pr.ltlSrc)
 							if err != nil {
 								t.Fatalf("ltl %q: %v", pr.ltlSrc, err)
 							}
