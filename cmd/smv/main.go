@@ -29,7 +29,10 @@
 //	-simulate N  print a random N-step execution instead of checking
 //	-server URL  send the model to a running smvd instead of checking
 //	             locally (the server's session cache makes repeated
-//	             checks of an unchanged model nearly free)
+//	             checks of an unchanged model nearly free); it prints
+//	             local mode's output plus a closing session line, and
+//	             exits 2 on -simulate, -stats, -delta, -reachable,
+//	             -witness, -compact, -tree or -cache-dir
 //	-cache-dir D warm-start from (and refresh) smvd-format warm records:
 //	             a prior run's variable order, reachable set and fair
 //	             set are restored, skipping those fixpoints
@@ -82,6 +85,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: smv [flags] model.smv")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *server != "" {
+		var refused []string
+		flag.Visit(func(f *flag.Flag) {
+			if localOnly[f.Name] {
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 {
+			fmt.Fprintf(os.Stderr, "smv: -server cannot honour %s\n", strings.Join(refused, ", "))
+			os.Exit(2)
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -189,23 +204,13 @@ func main() {
 	exitCode := 0
 	for _, sp := range compiled.Module.Specs {
 		fmt.Printf("-- specification %s ", sp.Source)
-		if err := compiled.ResolveSpecAtoms(sp.Formula); err != nil {
-			fmt.Printf("ERROR: %v\n", err)
-			exitCode = 2
-			continue
-		}
-		holds, tr, err := gen.CounterexampleInit(sp.Formula)
-		if err == nil && tr != nil {
-			if verr := core.ValidatePath(compiled.S, tr); verr != nil {
-				err = fmt.Errorf("counterexample failed validation: %w", verr)
-			}
-		}
+		v, err := compiled.CheckCTL(gen, sp.Formula)
 		if err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			exitCode = 2
 			continue
 		}
-		if holds {
+		if v.Holds {
 			fmt.Println("is true")
 			if *witness {
 				printWitness(compiled, gen, sp.Formula, *delta)
@@ -213,8 +218,9 @@ func main() {
 			continue
 		}
 		fmt.Println("is false")
-		exitCode = 1
-		if *tree && tr != nil {
+		exitCode = max(exitCode, 1)
+		tr := v.Trace
+		if *tree {
 			start := tr.States[0] // the failing initial state
 			if node, terr := gen.CounterexampleTree(sp.Formula, start); terr == nil {
 				fmt.Println("-- explanation:")
@@ -224,7 +230,7 @@ func main() {
 				continue
 			}
 		}
-		if *compact && tr != nil {
+		if *compact {
 			core.Compact(compiled.S, tr, bdd.True)
 		}
 		fmt.Println("-- as demonstrated by the following execution sequence:")
@@ -244,43 +250,28 @@ func main() {
 	}
 	for _, sp := range ltlSpecs {
 		fmt.Printf("-- LTL specification %s ", sp.Source)
-		p, err := compiled.Product(sp.Formula, sp.Source)
+		v, err := compiled.CheckLTL(sp.Formula, sp.Source)
 		if err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			exitCode = 2
 			continue
 		}
-		ch := mc.New(p.S)
-		holds, tr, err := p.Check(ch)
-		if err == nil && tr != nil {
-			if verr := core.ValidatePath(p.S, tr); verr != nil {
-				err = fmt.Errorf("counterexample failed validation: %w", verr)
-			} else if rerr := p.ReplayCounterexample(tr); rerr != nil {
-				err = fmt.Errorf("counterexample failed replay: %w", rerr)
-			}
-		}
-		if err != nil {
-			fmt.Printf("ERROR: %v\n", err)
-			exitCode = 2
-			ch.Close()
-			continue
-		}
-		if holds {
+		p := v.Product
+		if v.Holds {
 			fmt.Println("is true")
 		} else {
 			fmt.Println("is false")
-			exitCode = 1
+			exitCode = max(exitCode, 1)
 			fmt.Println("-- as demonstrated by the following fair execution sequence:")
-			printTrace(p.Compiled, tr, *delta)
+			printTrace(p.Compiled, v.Trace, *delta)
 		}
 		if *stats {
 			rel := p.S.RelStats()
 			fmt.Printf("-- LTL product: %d tableau variables, %d fairness sets, %d clusters, "+
 				"%d live nodes (peak %d in chains), %d fair-EG outer iterations\n",
 				len(p.ElemVars), len(p.S.Fair), p.S.NumClusters(),
-				p.S.M.NumNodes(), rel.PeakLiveNodes, ch.Stats.FairEGOuter)
+				p.S.M.NumNodes(), rel.PeakLiveNodes, v.FairEGOuter)
 		}
-		ch.Close()
 	}
 
 	if *stats {
@@ -342,6 +333,15 @@ func main() {
 	exit(exitCode)
 }
 
+// localOnly holds the flags -server mode cannot honour: smvd renders
+// every verdict one way and answers only the specs, so it neither
+// simulates nor prints statistics, reachable counts, witnesses, trees,
+// compacted or delta traces, and the warm records it reads are its own.
+var localOnly = map[string]bool{
+	"simulate": true, "stats": true, "delta": true, "reachable": true,
+	"witness": true, "compact": true, "tree": true, "cache-dir": true,
+}
+
 // checkRemote is -server mode: the model and its spec sources go to a
 // running smvd, whose session cache (shared reachable/fair sets,
 // subformula memo, warm-start records) answers repeated checks of an
@@ -381,9 +381,9 @@ func checkRemote(base, src string, module *smv.Module, cfg smv.Config, extraLTL 
 	nCTL := len(req.Specs)
 	code := 0
 	for i, v := range resp.Verdicts {
-		kind := "specification"
+		kind, sequence := "specification", "execution sequence"
 		if i >= nCTL {
-			kind = "LTL specification"
+			kind, sequence = "LTL specification", "fair execution sequence"
 		}
 		fmt.Printf("-- %s %s ", kind, v.Spec)
 		switch {
@@ -394,13 +394,9 @@ func checkRemote(base, src string, module *smv.Module, cfg smv.Config, extraLTL 
 			fmt.Println("is true")
 		default:
 			fmt.Println("is false")
-			if code == 0 {
-				code = 1
-			}
-			if v.Trace != "" {
-				fmt.Println("-- as demonstrated by the following execution sequence:")
-				fmt.Print(v.Trace)
-			}
+			code = max(code, 1)
+			fmt.Printf("-- as demonstrated by the following %s:\n", sequence)
+			fmt.Print(v.Trace)
 		}
 	}
 	warmth := "cold"

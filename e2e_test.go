@@ -1,10 +1,13 @@
 package repro
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -82,6 +85,31 @@ func TestE2ESmvCLI(t *testing.T) {
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {
 			t.Fatalf("want exit 2, got %v", err)
+		}
+	})
+
+	// smvd renders every verdict one way, so -server refuses the flags
+	// that change checking or rendering locally, before any request.
+	t.Run("-server refuses local-only flags", func(t *testing.T) {
+		var requests atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			http.Error(w, "no request expected", http.StatusTeapot)
+		}))
+		defer srv.Close()
+		for _, flags := range [][]string{
+			{"-simulate", "5"}, {"-stats"}, {"-delta"}, {"-reachable"},
+			{"-witness"}, {"-compact"}, {"-tree"}, {"-cache-dir", t.TempDir()},
+		} {
+			args := append(append([]string{"-server", srv.URL}, flags...), "models/mutex.smv")
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-server cannot honour "+flags[0]) {
+				t.Errorf("%v: want exit 2 naming %s, got %v\n%s", flags, flags[0], err, out)
+			}
+		}
+		if n := requests.Load(); n != 0 {
+			t.Errorf("%d requests reached the server", n)
 		}
 	})
 

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/smv"
 )
 
@@ -63,18 +65,22 @@ func main() {
 	fmt.Printf("model compiled: %d state bits, %.0f reachable states\n\n",
 		len(compiled.S.Vars), compiled.S.CountStates(reach))
 
-	results, checker := compiled.CheckAll()
-	for _, r := range results {
-		if r.Err != nil {
-			log.Fatalf("SPEC %s: %v", r.Spec.Source, r.Err)
+	// One checker serves every spec, so subformulas they share are
+	// computed once; each counterexample is validated against the model.
+	checker := mc.New(compiled.S)
+	gen := core.NewGenerator(checker)
+	for _, sp := range compiled.Module.Specs {
+		v, err := compiled.CheckCTL(gen, sp.Formula)
+		if err != nil {
+			log.Fatalf("SPEC %s: %v", sp.Source, err)
 		}
-		if r.Holds {
-			fmt.Printf("-- specification %s is true\n", r.Spec.Source)
+		if v.Holds {
+			fmt.Printf("-- specification %s is true\n", sp.Source)
 			continue
 		}
-		fmt.Printf("-- specification %s is false\n", r.Spec.Source)
+		fmt.Printf("-- specification %s is false\n", sp.Source)
 		fmt.Println("-- as demonstrated by the following execution sequence:")
-		fmt.Print(compiled.TraceString(r.Trace))
+		fmt.Print(compiled.TraceString(v.Trace))
 		fmt.Println()
 	}
 

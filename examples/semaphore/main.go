@@ -70,20 +70,21 @@ func main() {
 	mutex := ctl.MustParse("AG !(p1.in_cs & p2.in_cs)")
 	live := ctl.MustParse("AG (p1.st = entering -> AF p1.in_cs)")
 
-	ok, _, err := gen.CounterexampleInit(mutex)
+	v, err := compiled.CheckCTL(gen, mutex)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mutual exclusion: %v\n", verdict(ok))
+	fmt.Printf("mutual exclusion: %v\n", verdict(v.Holds))
 
-	ok, tr, err := gen.CounterexampleInit(live)
+	v, err = compiled.CheckCTL(gen, live)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("liveness for p1:  %v\n\n", verdict(ok))
-	if ok {
+	fmt.Printf("liveness for p1:  %v\n\n", verdict(v.Holds))
+	if v.Holds {
 		return
 	}
+	tr := v.Trace // validated against the model by CheckCTL
 
 	fmt.Printf("1) raw lasso counterexample (%d states, cycle %d):\n%s\n",
 		tr.Len(), tr.CycleLen(), compiled.TraceString(tr))

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/ctlstar"
 	"repro/internal/mc"
@@ -57,18 +58,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, _ := compiled.CheckAll()
-	for _, r := range results {
-		if r.Err != nil {
-			log.Fatalf("SPEC %s: %v", r.Spec.Source, r.Err)
+	gen := core.NewGenerator(mc.New(compiled.S))
+	for _, sp := range compiled.Module.Specs {
+		v, err := compiled.CheckCTL(gen, sp.Formula)
+		if err != nil {
+			log.Fatalf("SPEC %s: %v", sp.Source, err)
 		}
 		status := "is true"
-		if !r.Holds {
+		if !v.Holds {
 			status = "is false"
 		}
-		fmt.Printf("-- specification %s %s\n", r.Spec.Source, status)
-		if !r.Holds {
-			fmt.Print(compiled.TraceString(r.Trace))
+		fmt.Printf("-- specification %s %s\n", sp.Source, status)
+		if !v.Holds {
+			fmt.Print(compiled.TraceString(v.Trace))
 		}
 	}
 

@@ -71,8 +71,8 @@ func TestGoldenCounterexamples(t *testing.T) {
 }
 
 // renderSmvCounterexamples follows the `smv [-disjunctive] model.smv`
-// path: one checker without a care set for the CTL specs, a fresh
-// product and checker per LTL spec.
+// path: CheckCTL on one checker without a care set for the CTL specs,
+// CheckLTL (a fresh product and checker) per LTL spec.
 func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src string, disjunctive bool) {
 	t.Helper()
 	flags := ""
@@ -88,34 +88,25 @@ func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src stri
 	defer checker.Close()
 	gen := core.NewGenerator(checker)
 	for _, sp := range compiled.Module.Specs {
-		if err := compiled.ResolveSpecAtoms(sp.Formula); err != nil {
-			t.Fatalf("%s: %s: %v", path, sp.Source, err)
-		}
-		holds, tr, err := gen.CounterexampleInit(sp.Formula)
+		v, err := compiled.CheckCTL(gen, sp.Formula)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", path, sp.Source, err)
 		}
-		if holds {
+		if v.Holds {
 			continue
 		}
 		fmt.Fprintf(out, "-- specification %s is false\n%s-- delta\n%s",
-			sp.Source, compiled.TraceString(tr), compiled.DeltaTraceString(tr))
+			sp.Source, compiled.TraceString(v.Trace), compiled.DeltaTraceString(v.Trace))
 	}
 	for _, sp := range compiled.Module.LTLSpecs {
-		p, err := compiled.Product(sp.Formula, sp.Source)
+		v, err := compiled.CheckLTL(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", path, sp.Source, err)
 		}
-		ch := mc.New(p.S)
-		holds, tr, err := p.Check(ch)
-		ch.Close()
-		if err != nil {
-			t.Fatalf("%s: %s: %v", path, sp.Source, err)
-		}
-		if holds {
+		if v.Holds {
 			continue
 		}
-		fmt.Fprintf(out, "-- LTL specification %s is false\n%s", sp.Source, p.TraceString(tr))
+		fmt.Fprintf(out, "-- LTL specification %s is false\n%s", sp.Source, v.Product.TraceString(v.Trace))
 	}
 }
 

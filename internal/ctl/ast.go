@@ -301,22 +301,42 @@ func (f *Formula) write(sb *strings.Builder, outer int) {
 		sb.WriteString(f.Kind.String())
 		sb.WriteByte(' ')
 		f.R.write(sb, p) // right associative
-	case KEU:
-		sb.WriteString("E [")
-		f.L.write(sb, 0)
+	case KEU, KAU:
+		sb.WriteString(f.Kind.String()[:1]) // the quantifier, E or A
+		sb.WriteString(" [")
+		f.L.writeOperand(sb)
 		sb.WriteString(" U ")
-		f.R.write(sb, 0)
-		sb.WriteString("]")
-	case KAU:
-		sb.WriteString("A [")
-		f.L.write(sb, 0)
-		sb.WriteString(" U ")
-		f.R.write(sb, 0)
-		sb.WriteString("]")
+		f.R.writeOperand(sb)
+		sb.WriteByte(']')
 	}
 	if p < outer {
 		sb.WriteByte(')')
 	}
+}
+
+// writeOperand writes an operand of E [ … ] or A [ … ]. At the top level
+// of one the parser does not read U, R or W as operators, so an operand
+// with such a node among its connectives is parenthesized.
+func (f *Formula) writeOperand(sb *strings.Builder) {
+	if !untilOnSpine(f) {
+		f.write(sb, 0)
+		return
+	}
+	sb.WriteByte('(')
+	f.write(sb, 0)
+	sb.WriteByte(')')
+}
+
+// untilOnSpine reports whether a U, R or W node is reachable from f
+// through binary connectives alone.
+func untilOnSpine(f *Formula) bool {
+	switch f.Kind {
+	case KU, KR, KW:
+		return true
+	case KAnd, KOr, KImp, KIff:
+		return untilOnSpine(f.L) || untilOnSpine(f.R)
+	}
+	return false
 }
 
 // Equal reports structural equality.

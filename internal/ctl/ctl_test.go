@@ -56,17 +56,32 @@ func TestParseRoundTrip(t *testing.T) {
 		"AG AF (p <-> q)",
 		"EF (state = granting & EX state = idle)",
 	}
-	for _, s := range srcs {
-		f1, err := Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-		f2, err := Parse(f1.String())
-		if err != nil {
-			t.Fatalf("re-Parse(%q): %v", f1.String(), err)
-		}
-		if !Equal(f1, f2) {
-			t.Errorf("round trip changed %q: %q", s, f2.String())
+	// Path formulas: a U, R or W operand of E [ … ] or A [ … ] must
+	// print parenthesized, at any depth of the operand's connectives.
+	paths := []string{
+		"E [(p U q) U r]",
+		"E [p U (q U r)]",
+		"E [(p R q) U r]",
+		"A [p U (q W r)]",
+		"E [p & (q U r) U s]",
+	}
+	for _, tc := range []struct {
+		parse func(string) (*Formula, error)
+		srcs  []string
+	}{{Parse, srcs}, {ParsePath, paths}} {
+		for _, s := range tc.srcs {
+			f1, err := tc.parse(s)
+			if err != nil {
+				t.Fatalf("parse(%q): %v", s, err)
+			}
+			f2, err := tc.parse(f1.String())
+			if err != nil {
+				t.Errorf("re-parse(%q) of %q: %v", f1.String(), s, err)
+				continue
+			}
+			if !Equal(f1, f2) {
+				t.Errorf("round trip changed %q: %q", s, f2.String())
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package smv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -12,44 +13,76 @@ import (
 	"repro/internal/mc"
 )
 
-// SpecResult is the outcome of checking one SPEC.
-type SpecResult struct {
-	Spec  *Spec
+// Verdict is one spec's outcome from CheckCTL or CheckLTL. The trace of
+// a failing spec has passed every check the call makes; a spec that
+// cannot be checked, or whose trace fails a check, gives an error and
+// no verdict.
+type Verdict struct {
 	Holds bool
-	Trace *core.Trace // counterexample when !Holds (nil if unavailable)
-	Err   error
+	Trace *core.Trace // the counterexample when !Holds
+
+	// LTL only: the product Trace runs over (render it with
+	// Product.TraceString) and the fair-EG outer iterations of its check.
+	Product     *LTLProduct
+	FairEGOuter uint64
 }
 
-// CheckAll model-checks every SPEC of the module, producing
-// counterexamples for failing ones. It also reports basic model
-// statistics through the returned checker.
-func (c *Compiled) CheckAll() ([]SpecResult, *mc.Checker) {
-	checker := mc.New(c.S)
-	gen := core.NewGenerator(checker)
-	var out []SpecResult
-	for _, sp := range c.Module.Specs {
-		res := SpecResult{Spec: sp}
-		if err := c.ResolveSpecAtoms(sp.Formula); err != nil {
-			res.Err = err
-			out = append(out, res)
-			continue
-		}
-		holds, tr, err := gen.CounterexampleInit(sp.Formula)
-		res.Holds = holds
-		res.Trace = tr
-		res.Err = err
-		out = append(out, res)
-	}
-	return out, checker
-}
-
-// CheckSpec checks a single CTL formula against the compiled model.
-func (c *Compiled) CheckSpec(f *ctl.Formula) (bool, *core.Trace, error) {
+// CheckCTL resolves f's atoms and checks it at the initial states with
+// gen, whose checker must run on c.S. A failing spec's counterexample
+// has passed core.ValidatePath.
+func (c *Compiled) CheckCTL(gen *core.Generator, f *ctl.Formula) (Verdict, error) {
 	if err := c.ResolveSpecAtoms(f); err != nil {
-		return false, nil, err
+		return Verdict{}, err
 	}
-	gen := core.NewGenerator(mc.New(c.S))
-	return gen.CounterexampleInit(f)
+	holds, tr, err := gen.CounterexampleInit(f)
+	if err == nil {
+		err = validate(c.S, holds, tr)
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	return Verdict{Holds: holds, Trace: tr}, nil
+}
+
+// CheckLTL decides f, whose spec text is source, as emptiness of c's
+// product with the tableau of ¬f (see Product), on a fresh checker it
+// closes before returning. A failing spec's lasso has passed
+// core.ValidatePath on the product and replays as a path of the model
+// that falsifies f.
+func (c *Compiled) CheckLTL(f *ctl.Formula, source string) (Verdict, error) {
+	p, err := c.Product(f, source)
+	if err != nil {
+		return Verdict{}, err
+	}
+	ch := mc.New(p.S)
+	defer ch.Close()
+	holds, tr, err := p.Check(ch)
+	if err == nil {
+		err = validate(p.S, holds, tr)
+	}
+	if err == nil && tr != nil {
+		if rerr := p.ReplayCounterexample(tr); rerr != nil {
+			err = fmt.Errorf("counterexample failed replay: %w", rerr)
+		}
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	return Verdict{Holds: holds, Trace: tr, Product: p, FairEGOuter: ch.Stats.FairEGOuter}, nil
+}
+
+// validate requires a failing spec's counterexample to be a path of s.
+func validate(s *kripke.Symbolic, holds bool, tr *core.Trace) error {
+	if holds {
+		return nil
+	}
+	if tr == nil {
+		return errors.New("smv: spec is false but no counterexample was produced")
+	}
+	if err := core.ValidatePath(s, tr); err != nil {
+		return fmt.Errorf("counterexample failed validation: %w", err)
+	}
+	return nil
 }
 
 // Simulate performs a random walk of n steps from a random initial

@@ -23,7 +23,7 @@ SPEC AG (c0.changed -> AX !c0.changed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -58,7 +58,7 @@ SPEC EF (p.hi.v)
 	if c.Vars["p.lo.v"] == nil || c.Vars["p.hi.v"] == nil {
 		t.Fatalf("nested instance variables missing: %v", c.Order)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v\n%s", r.Spec.Source, r.Holds, r.Err, c.TraceString(r.Trace))
@@ -89,7 +89,7 @@ SPEC AG (c1.n = 1 -> c1.n != 2)
 	if got := c.S.CountStates(reach); got != 16 {
 		t.Fatalf("chained counters reach %v states, want 16", got)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -115,7 +115,7 @@ SPEC EF (w1.seen & w2.seen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -138,7 +138,7 @@ SPEC AG AF f.b
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Err != nil || !results[0].Holds {
 		t.Fatalf("module fairness not applied: %+v", results[0])
 	}
@@ -159,7 +159,7 @@ SPEC AG (f.y = a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Err != nil || !results[0].Holds {
 		t.Fatalf("next(param) broken: %+v", results[0])
 	}
@@ -209,7 +209,7 @@ SPEC AG (p.st = idle -> AX p.st = busy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Err != nil || !results[0].Holds {
 		t.Fatalf("enum literal handling broken: %+v", results[0])
 	}

@@ -2,7 +2,6 @@ package smv
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bdd"
 	"repro/internal/core"
@@ -121,44 +120,4 @@ func (p *LTLProduct) ReplayCounterexample(tr *core.Trace) error {
 		return fmt.Errorf("smv: counterexample path satisfies %s", p.Spec)
 	}
 	return nil
-}
-
-// FormatLassoByVars renders a product lasso over the declared model
-// variables (tableau bits are internal and hidden), marking the cycle
-// start.
-func (p *LTLProduct) FormatLassoByVars(tr *core.Trace) string {
-	var b strings.Builder
-	for i, st := range tr.States {
-		mark := "  "
-		if i == tr.CycleStart {
-			mark = "↻ "
-		}
-		fmt.Fprintf(&b, "%s%2d: ", mark, i)
-		p.writeStateByVars(&b, st)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CheckLTLSpec is the one-call path used by tests and validation
-// harnesses: build c's product with spec, run the emptiness check,
-// replay any counterexample, and release the checker. The returned
-// trace (if any) remains decodable through the returned product.
-func (c *Compiled) CheckLTLSpec(spec *ctl.Formula, source string) (holds bool, p *LTLProduct, cex *core.Trace, err error) {
-	p, err = c.Product(spec, source)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	ch := mc.New(p.S)
-	defer ch.Close()
-	holds, cex, err = p.Check(ch)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	if cex != nil {
-		if err := p.ReplayCounterexample(cex); err != nil {
-			return false, nil, nil, err
-		}
-	}
-	return holds, p, cex, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ctl"
-	"repro/internal/mc"
 )
 
 func parseOK(t *testing.T, src string) *Module {
@@ -17,8 +16,8 @@ func parseOK(t *testing.T, src string) *Module {
 	return m
 }
 
-// checkLTL runs the one-call path and fails the test on any error
-// (including counterexample replay failures).
+// checkLTL runs CheckLTL and fails the test on any error (including
+// counterexample validation and replay failures).
 func checkLTL(t *testing.T, src, spec string) (bool, *LTLProduct) {
 	t.Helper()
 	c := compileOK(t, src)
@@ -26,11 +25,11 @@ func checkLTL(t *testing.T, src, spec string) (bool, *LTLProduct) {
 	if err != nil {
 		t.Fatalf("ltl parse %q: %v", spec, err)
 	}
-	holds, p, _, err := c.CheckLTLSpec(f, spec)
+	v, err := c.CheckLTL(f, spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
-	return holds, p
+	return v.Holds, v.Product
 }
 
 const toggleSrc = `
@@ -124,26 +123,26 @@ func TestLTLToggleVerdicts(t *testing.T) {
 func TestLTLCounterexampleIsLasso(t *testing.T) {
 	c := compileOK(t, toggleSrc)
 	f := ctl.MustParseLTL("F G x")
-	holds, p, cex, err := c.CheckLTLSpec(f, "F G x")
+	v, err := c.CheckLTL(f, "F G x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if holds {
+	if v.Holds {
 		t.Fatal("F G x should fail on the toggle")
 	}
-	if cex == nil || !cex.IsLasso() {
+	if v.Trace == nil || !v.Trace.IsLasso() {
 		t.Fatal("want a lasso counterexample")
 	}
 	// The rendered trace must decode model variables and hide the
 	// tableau bits.
-	out := p.FormatLassoByVars(cex)
+	out := v.Product.TraceString(v.Trace)
 	if !strings.Contains(out, "x=") {
 		t.Errorf("trace does not decode x:\n%s", out)
 	}
 	if strings.Contains(out, "_ltl") {
 		t.Errorf("trace leaks tableau variables:\n%s", out)
 	}
-	if !strings.Contains(out, "↻") {
+	if !strings.Contains(out, "-- loop starts here --") {
 		t.Errorf("trace does not mark the cycle start:\n%s", out)
 	}
 }
@@ -242,10 +241,14 @@ ASSIGN
   init(y) := FALSE; next(y) := x;
 `
 	c := compileOK(t, src)
-	p, err := c.Product(ctl.MustParseLTL("G (x -> F y)"), "")
+	v, err := c.CheckLTL(ctl.MustParseLTL("G (x -> F y)"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !v.Holds {
+		t.Fatal("G (x -> F y) should hold")
+	}
+	p := v.Product
 	if !p.S.HasClusters() {
 		t.Fatal("product lost the conjunctive partition")
 	}
@@ -255,15 +258,6 @@ ASSIGN
 	}
 	if len(p.S.Fair) == 0 {
 		t.Fatal("product has no generalized-Büchi fairness sets")
-	}
-	ch := mc.New(p.S)
-	defer ch.Close()
-	holds, _, err := p.Check(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !holds {
-		t.Fatal("G (x -> F y) should hold")
 	}
 }
 
@@ -291,28 +285,16 @@ FAIRNESS running
 			t.Fatalf("want 1 LTL spec after flatten, got %d", len(c.Module.LTLSpecs))
 		}
 		sp := c.Module.LTLSpecs[0]
-		p, err := c.Product(sp.Formula, sp.Source)
+		v, err := c.CheckLTL(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.S.NumDisjuncts() == 0 {
+		if p := v.Product; p.S.NumDisjuncts() == 0 {
 			t.Fatal("process product did not emit disjuncts")
-		}
-		if p.S.DisjunctEnabled() != disj {
+		} else if p.S.DisjunctEnabled() != disj {
 			t.Fatalf("product disjunctive image enabled = %v, want the model's %v", p.S.DisjunctEnabled(), disj)
 		}
-		ch := mc.New(p.S)
-		holds, cex, err := p.Check(ch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cex != nil {
-			if err := p.ReplayCounterexample(cex); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ch.Close()
-		verdicts = append(verdicts, holds)
+		verdicts = append(verdicts, v.Holds)
 	}
 	if verdicts[0] != verdicts[1] {
 		t.Fatalf("conjunctive says %v, disjunctive says %v", verdicts[0], verdicts[1])

@@ -42,7 +42,7 @@ func TestShippedModelsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ent.Name(), err)
 		}
-		results, _ := c.CheckAll()
+		results := checkSpecs(c)
 		for _, r := range results {
 			if r.Err != nil {
 				t.Fatalf("%s: SPEC %s: %v", ent.Name(), r.Spec.Source, r.Err)

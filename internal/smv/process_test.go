@@ -26,7 +26,7 @@ SPEC AG (a.n = 0 & b.n = 0 -> AX ((a.n = 1 & b.n = 0) | (a.n = 0 & b.n = 1) | (a
 	if c.Vars[schedulerVar] == nil {
 		t.Fatal("scheduler variable missing")
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v\n%s", r.Spec.Source, r.Holds, r.Err, c.TraceString(r.Trace))
@@ -54,7 +54,7 @@ SPEC AG AF !t1.x
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v\n%s", r.Spec.Source, r.Holds, r.Err, c.TraceString(r.Trace))
@@ -79,7 +79,7 @@ SPEC AG AF t1.x
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Holds {
 		t.Fatal("starvation must be possible without FAIRNESS running")
 	}
@@ -112,7 +112,7 @@ SPEC EF (p.mine & !q.mine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)

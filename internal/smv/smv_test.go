@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/kripke"
+	"repro/internal/mc"
 )
 
 func compileOK(t *testing.T, src string) *Compiled {
@@ -20,6 +22,25 @@ func compileOK(t *testing.T, src string) *Compiled {
 		t.Fatalf("compile: %v", err)
 	}
 	return c
+}
+
+// specRun is one SPEC of a module run through CheckCTL.
+type specRun struct {
+	Spec *Spec
+	Verdict
+	Err error
+}
+
+// checkSpecs runs every SPEC of c's module through CheckCTL on one
+// checker, as cmd/smv does.
+func checkSpecs(c *Compiled) []specRun {
+	gen := core.NewGenerator(mc.New(c.S))
+	out := make([]specRun, len(c.Module.Specs))
+	for i, sp := range c.Module.Specs {
+		v, err := c.CheckCTL(gen, sp.Formula)
+		out[i] = specRun{Spec: sp, Verdict: v, Err: err}
+	}
+	return out
 }
 
 func TestParseErrors(t *testing.T) {
@@ -107,7 +128,7 @@ ASSIGN
 SPEC AG (x -> AX !x)
 SPEC AG AF x
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Spec.Source, r.Err)
@@ -137,7 +158,7 @@ SPEC AG (working -> AX st = done)
 SPEC AG (st = done -> AX st = idle)
 SPEC AG EF st = idle
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v\n%s", r.Spec.Source, r.Holds, r.Err, c.TraceString(r.Trace))
@@ -156,7 +177,7 @@ SPEC AG (n = 7 -> AX n = 0)
 SPEC AG (n = 3 -> AX n = 4)
 SPEC AG AF n = 5
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -183,7 +204,7 @@ SPEC EX st = b
 SPEC EX st = c
 SPEC AX (st = b | st = c)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -203,7 +224,7 @@ SPEC AG (inp = 1 -> AX x)
 SPEC AG (inp = 0 -> AX !x)
 SPEC AG (EX inp | EX !inp)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -221,7 +242,7 @@ INVAR n != 3
 SPEC AG n != 3
 SPEC EF n = 2
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -245,7 +266,7 @@ ASSIGN
 FAIRNESS x
 SPEC AG AF x
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if !results[0].Holds || results[0].Err != nil {
 		t.Fatalf("AG AF x should hold under FAIRNESS x: %+v", results[0])
 	}
@@ -258,7 +279,7 @@ ASSIGN
   next(x) := {TRUE, FALSE};
 SPEC AG AF x
 `)
-	results2, _ := c2.CheckAll()
+	results2 := checkSpecs(c2)
 	if results2[0].Holds {
 		t.Fatal("AG AF x must fail without fairness")
 	}
@@ -279,7 +300,7 @@ ASSIGN
   esac;
 SPEC AG st = ok
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	r := results[0]
 	if r.Holds || r.Trace == nil {
 		t.Fatal("spec must fail with a trace")
@@ -306,7 +327,7 @@ DEFINE small := n < 2;
 SPEC AG (small -> AX AX !small)
 SPEC AG (n = 0 -> small)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -324,7 +345,7 @@ ASSIGN
 DEFINE m := (n + 2) mod 4;
 SPEC AG (n = 0 -> m = 2)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Err != nil || !results[0].Holds {
 		t.Fatalf("valued DEFINE atom: %+v", results[0])
 	}
@@ -369,7 +390,7 @@ MODULE main
 VAR x : boolean;
 SPEC AG ghost
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	if results[0].Err == nil {
 		t.Fatal("unknown SPEC atom must error")
 	}
@@ -437,13 +458,14 @@ MODULE main
 VAR x : boolean;
 ASSIGN init(x) := FALSE; next(x) := TRUE;
 `)
-	holds, _, err := c.CheckSpec(ctl.MustParse("AF x"))
-	if err != nil || !holds {
-		t.Fatalf("AF x: %v %v", holds, err)
+	gen := core.NewGenerator(mc.New(c.S))
+	v, err := c.CheckCTL(gen, ctl.MustParse("AF x"))
+	if err != nil || !v.Holds {
+		t.Fatalf("AF x: %v %v", v.Holds, err)
 	}
-	holds, tr, err := c.CheckSpec(ctl.MustParse("AG !x"))
-	if err != nil || holds || tr == nil {
-		t.Fatalf("AG !x should fail with trace: %v %v %v", holds, tr, err)
+	v, err = c.CheckCTL(gen, ctl.MustParse("AG !x"))
+	if err != nil || v.Holds || v.Trace == nil {
+		t.Fatalf("AG !x should fail with trace: %v %v %v", v.Holds, v.Trace, err)
 	}
 }
 
@@ -467,7 +489,7 @@ SPEC AG (st = idle -> !active)
 SPEC AG (n = 2 -> low)
 SPEC AG (n = 5 -> !low)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)
@@ -487,7 +509,7 @@ SPEC AG EX n = 0
 SPEC AG (n = 3 -> EX n = 3)
 SPEC AG (n = 3 -> !EX n = 6)
 `)
-	results, _ := c.CheckAll()
+	results := checkSpecs(c)
 	for _, r := range results {
 		if r.Err != nil || !r.Holds {
 			t.Fatalf("%s: holds=%v err=%v", r.Spec.Source, r.Holds, r.Err)

@@ -2,6 +2,7 @@ package smvd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bdd"
@@ -173,78 +174,6 @@ func (s *Session) budgetReorder(deadline time.Time) {
 	s.siftBounded = opts.SiftMaxTime > 0
 }
 
-// checkCTL evaluates one CTL spec, producing a validated trace for
-// failures.
-func (s *Session) checkCTL(spec string) SpecVerdict {
-	v := SpecVerdict{Spec: spec}
-	f, err := ctl.Parse(spec)
-	if err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	if err := s.compiled.ResolveSpecAtoms(f); err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	holds, tr, err := s.gen.CounterexampleInit(f)
-	if err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	v.Holds = holds
-	if tr != nil {
-		if err := core.ValidatePath(s.compiled.S, tr); err != nil {
-			v.Error = fmt.Sprintf("counterexample failed validation: %v", err)
-			return v
-		}
-		v.Validated = true
-		v.Trace = s.compiled.TraceString(tr)
-		v.States = len(tr.States)
-	}
-	return v
-}
-
-// checkLTL evaluates one LTL spec by compiling the Büchi tableau
-// product on a fresh manager under the session's config — the product's
-// variables and fairness sets are per-formula, so it cannot share the
-// session manager — and replaying any counterexample against the
-// formula's semantics.
-func (s *Session) checkLTL(spec string) SpecVerdict {
-	v := SpecVerdict{Spec: spec}
-	f, err := ctl.ParseLTL(spec)
-	if err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	p, err := s.compiled.Product(f, spec)
-	if err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	ch := mc.New(p.S)
-	defer ch.Close()
-	holds, tr, err := p.Check(ch)
-	if err != nil {
-		v.Error = err.Error()
-		return v
-	}
-	v.Holds = holds
-	if tr != nil {
-		if err := core.ValidatePath(p.S, tr); err != nil {
-			v.Error = fmt.Sprintf("counterexample failed validation: %v", err)
-			return v
-		}
-		if err := p.ReplayCounterexample(tr); err != nil {
-			v.Error = fmt.Sprintf("counterexample failed replay: %v", err)
-			return v
-		}
-		v.Validated = true
-		v.Trace = p.FormatLassoByVars(tr)
-		v.States = len(tr.States)
-	}
-	return v
-}
-
 // query runs one request against the session. Caller holds the lock.
 // Specs after a deadline expiry are reported as errors rather than
 // silently dropped.
@@ -254,21 +183,47 @@ func (s *Session) query(specs, ltlSpecs []string, deadline time.Time) (wasReady 
 	wasReady = s.ready
 	s.budgetReorder(deadline)
 	s.ensureReady()
-	for _, sp := range specs {
+	for i, spec := range slices.Concat(specs, ltlSpecs) {
 		if expired(deadline) {
-			out = append(out, SpecVerdict{Spec: sp, Error: ErrDeadlineExceeded.Error()})
+			out = append(out, SpecVerdict{Spec: spec, Error: ErrDeadlineExceeded.Error()})
 			continue
 		}
-		out = append(out, s.checkCTL(sp))
-	}
-	for _, sp := range ltlSpecs {
-		if expired(deadline) {
-			out = append(out, SpecVerdict{Spec: sp, Error: ErrDeadlineExceeded.Error()})
-			continue
+		ltl := i >= len(specs)
+		parse := ctl.Parse
+		if ltl {
+			parse = ctl.ParseLTL
 		}
-		out = append(out, s.checkLTL(sp))
+		f, err := parse(spec)
+		var v smv.Verdict
+		switch {
+		case err != nil:
+		case ltl:
+			v, err = s.compiled.CheckLTL(f, spec)
+		default:
+			v, err = s.compiled.CheckCTL(s.gen, f)
+		}
+		out = append(out, s.verdict(spec, v, err))
 	}
 	return wasReady, out
+}
+
+// verdict renders one spec's outcome; a failing spec's trace has been
+// validated (and, for LTL, replayed) by the check that produced it.
+func (s *Session) verdict(spec string, v smv.Verdict, err error) SpecVerdict {
+	if err != nil {
+		return SpecVerdict{Spec: spec, Error: err.Error()}
+	}
+	out := SpecVerdict{Spec: spec, Holds: v.Holds}
+	if v.Trace != nil {
+		on := s.compiled
+		if v.Product != nil {
+			on = v.Product.Compiled
+		}
+		out.Validated = true
+		out.Trace = on.TraceString(v.Trace)
+		out.States = len(v.Trace.States)
+	}
+	return out
 }
 
 // stats snapshots the session counters. Caller holds the lock.

@@ -98,39 +98,20 @@ func warmReferenceRun(t *testing.T, src string, cfg smv.Config) warmRefRun {
 
 	gen := core.NewGenerator(mc.New(c.S))
 	for _, sp := range c.Module.Specs {
-		if err := c.ResolveSpecAtoms(sp.Formula); err != nil {
-			t.Fatalf("%s: %v", sp.Source, err)
-		}
-		holds, tr, err := gen.CounterexampleInit(sp.Formula)
+		v, err := c.CheckCTL(gen, sp.Formula)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Source, err)
 		}
-		if !holds {
-			if err := core.ValidatePath(c.S, tr); err != nil {
-				t.Fatalf("%s: reference trace invalid: %v", sp.Source, err)
-			}
-		}
-		out.holds = append(out.holds, holds)
+		out.holds = append(out.holds, v.Holds)
 		out.specs = append(out.specs, sp.Source)
 	}
 	for _, sp := range c.Module.LTLSpecs {
-		p, err := c.Product(sp.Formula, sp.Source)
+		v, err := c.CheckLTL(sp.Formula, sp.Source)
 		if err != nil {
 			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
 		}
-		ch := mc.New(p.S)
-		holds, tr, err := p.Check(ch)
-		if err != nil {
-			t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
-		}
-		if !holds {
-			if err := p.ReplayCounterexample(tr); err != nil {
-				t.Fatalf("LTLSPEC %s: %v", sp.Source, err)
-			}
-		}
-		out.holds = append(out.holds, holds)
+		out.holds = append(out.holds, v.Holds)
 		out.specs = append(out.specs, sp.Source)
-		ch.Close()
 	}
 	return out
 }
