@@ -98,6 +98,16 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// A malformed -ltl fails before anything is checked, locally or on
+	// a server.
+	var extraLTL *ctl.Formula
+	if *ltlSpec != "" {
+		f, err := ctl.ParseLTL(*ltlSpec)
+		if err != nil {
+			fatal(err)
+		}
+		extraLTL = f
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -241,12 +251,8 @@ func main() {
 	// model with the tableau of the negated formula, on its own BDD
 	// manager under the model's config.
 	ltlSpecs := append([]*smv.LTLSpec(nil), compiled.Module.LTLSpecs...)
-	if *ltlSpec != "" {
-		f, err := ctl.ParseLTL(*ltlSpec)
-		if err != nil {
-			fatal(err)
-		}
-		ltlSpecs = append(ltlSpecs, &smv.LTLSpec{Source: *ltlSpec, Formula: f})
+	if extraLTL != nil {
+		ltlSpecs = append(ltlSpecs, &smv.LTLSpec{Source: *ltlSpec, Formula: extraLTL})
 	}
 	for _, sp := range ltlSpecs {
 		fmt.Printf("-- LTL specification %s ", sp.Source)
@@ -285,8 +291,9 @@ func main() {
 		fmt.Printf("ITE calls:          %d (cache hits %d / lookups %d)\n",
 			m.Stats.ITECalls, m.Stats.CacheHits-m.Stats.AndExistsHits, m.Stats.CacheLookups)
 		rel := compiled.S.RelStats()
-		fmt.Printf("computed cache:     %.1f%% hit rate (%d hits / %d lookups), unique-table load %.2f, complement edges %v\n",
-			100*rel.CacheHitRate(), rel.CacheHits, rel.CacheLookups,
+		fmt.Printf("computed cache:     %.1f%% hit rate (%d hits / %d lookups), %d entries after %d growths, "+
+			"unique-table load %.2f, complement edges %v\n",
+			100*rel.CacheHitRate(), rel.CacheHits, rel.CacheLookups, m.CacheSize(), m.Stats.CacheGrowths,
 			rel.UniqueTableLoad, !m.ComplementEdgesDisabled())
 		fmt.Printf("EU fixpoints:       %d (%d iterations)\n",
 			checker.Stats.EUFixpoints, checker.Stats.EUIterations)

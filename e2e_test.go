@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,6 +44,11 @@ func TestE2ESmvCLI(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "statistics") {
 			t.Fatalf("-stats output missing:\n%s", out)
+		}
+		// counter.smv's manager never outgrows the computed tables'
+		// starting size.
+		if !regexp.MustCompile(`computed cache: .*, 4096 entries after 0 growths, `).Match(out) {
+			t.Fatalf("-stats lacks the computed-table size:\n%s", out)
 		}
 	})
 
@@ -88,15 +95,18 @@ func TestE2ESmvCLI(t *testing.T) {
 		}
 	})
 
+	// A server that counts the requests reaching it; no subtest expects
+	// any.
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no request expected", http.StatusTeapot)
+	}))
+	defer srv.Close()
+
 	// smvd renders every verdict one way, so -server refuses the flags
 	// that change checking or rendering locally, before any request.
 	t.Run("-server refuses local-only flags", func(t *testing.T) {
-		var requests atomic.Int64
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			requests.Add(1)
-			http.Error(w, "no request expected", http.StatusTeapot)
-		}))
-		defer srv.Close()
 		for _, flags := range [][]string{
 			{"-simulate", "5"}, {"-stats"}, {"-delta"}, {"-reachable"},
 			{"-witness"}, {"-compact"}, {"-tree"}, {"-cache-dir", t.TempDir()},
@@ -107,6 +117,33 @@ func TestE2ESmvCLI(t *testing.T) {
 			if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-server cannot honour "+flags[0]) {
 				t.Errorf("%v: want exit 2 naming %s, got %v\n%s", flags, flags[0], err, out)
 			}
+		}
+		if n := requests.Load(); n != 0 {
+			t.Errorf("%d requests reached the server", n)
+		}
+	})
+
+	// A malformed -ltl fails before any spec is checked or sent: the
+	// same error in both modes, and nothing on stdout.
+	t.Run("malformed -ltl exits 2 before checking", func(t *testing.T) {
+		var errs []string
+		for _, args := range [][]string{
+			{"-ltl", "G (", "models/mutex.smv"},
+			{"-server", srv.URL, "-ltl", "G (", "models/mutex.smv"},
+		} {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(bin, args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+				t.Errorf("%v: want exit 2, an error and empty stdout, got %v\nstdout:\n%s\nstderr:\n%s",
+					args, err, &stdout, &stderr)
+			}
+			errs = append(errs, stderr.String())
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("local and -server errors differ:\n%s\n%s", errs[0], errs[1])
 		}
 		if n := requests.Load(); n != 0 {
 			t.Errorf("%d requests reached the server", n)

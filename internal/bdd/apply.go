@@ -141,8 +141,8 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 	}
 
 	m.Stats.CacheLookups++
-	slot := cacheIndex(uint32(f), uint32(g), uint32(h), 0x17e, uint32(len(m.ite)))
-	if e := &m.ite[slot]; e.valid && e.f == f && e.g == g && e.h == h {
+	hash := cacheHash(uint32(f), uint32(g), uint32(h), 0x17e)
+	if e := &m.ite[hash&uint32(len(m.ite)-1)]; e.valid && e.f == f && e.g == g && e.h == h {
 		m.Stats.CacheHits++
 		if neg {
 			return e.res ^ compBit
@@ -167,7 +167,7 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 	high := m.ite3(f1, g1, h1)
 	res := m.mk(top, low, high)
 
-	m.ite[slot] = iteEntry{f: f, g: g, h: h, res: res, valid: true}
+	m.ite[hash&uint32(len(m.ite)-1)] = iteEntry{f: f, g: g, h: h, res: res, valid: true}
 	if neg {
 		return res ^ compBit
 	}

@@ -36,6 +36,7 @@ package bdd
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -132,10 +133,12 @@ type Manager struct {
 	aex   []aexEntry // lazily allocated by AndExists
 
 	// cacheSize is the current entry count of each computed table
-	// (always a power of two). cachePinned is set by SetCacheSize and
-	// stops the automatic arena-proportional growth.
-	cacheSize   int
-	cachePinned bool
+	// (always a power of two). growCachesAt is the allocated-node count
+	// past which mkRaw grows them: cacheSize while they may still grow,
+	// math.MaxInt once SetCacheSize pinned them or they reached
+	// maxAutoCacheSize.
+	cacheSize    int
+	growCachesAt int
 
 	perms []*Permutation // registered variable permutations
 
@@ -174,7 +177,10 @@ type Stats struct {
 	GCRuns       uint64
 	NodesFreed   uint64
 	Reorderings  uint64
-	CacheGrowths uint64 // computed-table resizes (automatic + SetCacheSize)
+	// CacheGrowths counts computed-table resizes: each automatic growth
+	// when the arena outgrows the tables (one or more doublings at
+	// once), and each SetCacheSize.
+	CacheGrowths uint64
 
 	// Relational-product counters: top-level AndExists calls and the
 	// dedicated triple-cache traffic of its recursion. Hit rate here is
@@ -227,14 +233,20 @@ type binEntry struct {
 	res  Ref
 }
 
-// Cache/bucket sizing. The computed tables start at defaultCacheSize
-// entries and, unless pinned with SetCacheSize, grow with the arena up
-// to maxAutoCacheSize: a direct-mapped cache much smaller than the live
-// node count thrashes, and the fixpoint engines re-derive the same
-// subproblems over and over.
+// Table sizing. Each computed table starts at defaultCacheSize entries,
+// small because most managers (a small model, an LTL product, a test)
+// never hold many more nodes than that, and doubles whenever the
+// allocated node count outgrows it, up to maxAutoCacheSize, unless
+// SetCacheSize pinned it: a direct-mapped cache much smaller than the
+// node population thrashes, and the fixpoint engines re-derive the same
+// subproblems over and over. A growth carries every cached entry over.
+// A level's unique subtable starts at initialLevelBuckets, doubles when
+// its chains average more than three nodes, and is rebuilt at the
+// smallest power of two that fits its live nodes by the collection that
+// opens a sift (see collect).
 const (
-	initialLevelBuckets = 1 << 6 // per-level subtable start size
-	defaultCacheSize    = 1 << 16
+	initialLevelBuckets = 1 << 6
+	defaultCacheSize    = 1 << 12
 	maxAutoCacheSize    = 1 << 21
 )
 
@@ -259,12 +271,13 @@ func New(numVars int, opts ...Option) *Manager {
 		panic("bdd: negative variable count")
 	}
 	m := &Manager{
-		ite:         make([]iteEntry, defaultCacheSize),
-		binop:       make([]binEntry, defaultCacheSize),
-		cacheSize:   defaultCacheSize,
-		roots:       make(map[Ref]int),
-		gcThreshold: 1 << 20,
-		reorderOpts: DefaultReorderOptions(),
+		ite:          make([]iteEntry, defaultCacheSize),
+		binop:        make([]binEntry, defaultCacheSize),
+		cacheSize:    defaultCacheSize,
+		growCachesAt: defaultCacheSize,
+		roots:        make(map[Ref]int),
+		gcThreshold:  1 << 20,
+		reorderOpts:  DefaultReorderOptions(),
 	}
 	for _, o := range opts {
 		o(m)
@@ -492,6 +505,9 @@ func (m *Manager) mkRaw(lvl uint32, low, high Ref) Ref {
 	if st.count > len(st.buckets)*3 {
 		m.growSubtable(st)
 	}
+	if m.numAlloc > m.growCachesAt {
+		m.growCaches()
+	}
 	return Ref(idx)
 }
 
@@ -599,14 +615,17 @@ func (m *Manager) clearCaches() {
 	}
 }
 
-// cacheIndex hashes up to four words into a cache slot index.
-func cacheIndex(a, b, c, d uint32, size uint32) uint32 {
+// cacheHash mixes up to four words into the hash a computed-table slot
+// is taken from: slot = hash & (len(table)-1). An operation keeps the
+// hash across its recursion and masks it again at store time, because a
+// growth may have resized the table in between.
+func cacheHash(a, b, c, d uint32) uint32 {
 	x := uint64(a)*0x9e3779b97f4a7c15 + uint64(b)*0xbf58476d1ce4e5b9 +
 		uint64(c)*0x94d049bb133111eb + uint64(d)*0x2545f4914f6cdd1d
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return uint32(x) & (size - 1)
+	return uint32(x)
 }
 
 // CacheSize returns the current entry count of each computed table
@@ -615,9 +634,8 @@ func (m *Manager) CacheSize() int { return m.cacheSize }
 
 // SetCacheSize resizes the computed tables to n entries each and pins
 // them there, disabling the automatic arena-proportional growth. n must
-// be a power of two in [2^10, 2^24]. Resizing discards all cached
-// results (the slot hash depends on the size), which is always safe —
-// the tables are memoization only.
+// be a power of two in [2^10, 2^24]. The cached results whose slots fit
+// in the new size stay (see resized).
 func (m *Manager) SetCacheSize(n int) error {
 	if bits.OnesCount(uint(n)) != 1 {
 		return fmt.Errorf("bdd: cache size %d is not a power of two", n)
@@ -626,34 +644,46 @@ func (m *Manager) SetCacheSize(n int) error {
 		return fmt.Errorf("bdd: cache size %d outside [%d, %d]", n, 1<<10, 1<<24)
 	}
 	m.resizeCaches(n)
-	m.cachePinned = true
+	m.growCachesAt = math.MaxInt
 	return nil
 }
 
-// resizeCaches reallocates the computed tables at n entries.
+// resizeCaches reallocates the computed tables at n entries each.
 func (m *Manager) resizeCaches(n int) {
-	m.cacheSize = n
-	m.ite = make([]iteEntry, n)
-	m.binop = make([]binEntry, n)
+	m.ite = resized(m.ite, n)
+	m.binop = resized(m.binop, n)
 	if m.aex != nil {
-		m.aex = make([]aexEntry, n)
+		m.aex = resized(m.aex, n)
 	}
+	m.cacheSize = n
 	m.Stats.CacheGrowths++
 }
 
-// maybeGrowCaches scales the computed tables with the arena: whenever
-// the live-node count outgrows the cache, the cache doubles (up to
-// maxAutoCacheSize) so the hit rate does not collapse on large models.
-// Called at safe points only (MaybeGC, GC), never mid-recursion.
-func (m *Manager) maybeGrowCaches() {
-	if m.cachePinned || m.cacheSize >= maxAutoCacheSize {
-		return
+// resized returns a computed table of n entries in which each slot holds
+// the entry of the old slot with the same low bits. When the table grows,
+// every cached entry thus stays in the slot its key hashes to, and its
+// copies in the other slots never match a lookup; when it shrinks, the
+// entries whose slots survive stay.
+func resized[E any](t []E, n int) []E {
+	out := make([]E, n)
+	for i := 0; i < n; i += len(t) {
+		copy(out[i:], t)
 	}
-	target := m.cacheSize
-	for target < maxAutoCacheSize && m.numAlloc > target {
-		target *= 2
+	return out
+}
+
+// growCaches doubles the computed tables until they hold an entry per
+// allocated node, or maxAutoCacheSize entries. mkRaw calls it, so a
+// growth can land inside an operation's recursion; the operations store
+// their results under the table length at store time.
+func (m *Manager) growCaches() {
+	n := m.cacheSize
+	for n < maxAutoCacheSize && n < m.numAlloc {
+		n *= 2
 	}
-	if target > m.cacheSize {
-		m.resizeCaches(target)
+	m.resizeCaches(n)
+	m.growCachesAt = n
+	if n >= maxAutoCacheSize {
+		m.growCachesAt = math.MaxInt
 	}
 }

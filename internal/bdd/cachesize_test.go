@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestSetCacheSizeValidation: only powers of two inside the allowed
@@ -44,38 +45,133 @@ func TestSetCacheSizeKeepsResults(t *testing.T) {
 	}
 }
 
-// TestCacheAutoGrowth: a manager whose arena outgrows the default
-// computed-table size doubles the tables at the next safe point, and a
-// pinned manager does not.
+// TestNewCacheSize: a new manager's computed tables start small — three
+// tables of 2^12 entries, AndExists's included, within 256 KiB.
+func TestNewCacheSize(t *testing.T) {
+	m := New(8)
+	m.AndExists(m.Var(0), m.Var(1), m.Cube([]int{1})) // allocates the AndExists table
+	if m.CacheSize() != 1<<12 {
+		t.Fatalf("CacheSize() = %d, want %d", m.CacheSize(), 1<<12)
+	}
+	bytes := len(m.ite)*int(unsafe.Sizeof(iteEntry{})) +
+		len(m.binop)*int(unsafe.Sizeof(binEntry{})) +
+		len(m.aex)*int(unsafe.Sizeof(aexEntry{}))
+	if len(m.aex) != m.CacheSize() || bytes > 256<<10 {
+		t.Fatalf("computed tables: %d AndExists entries, %d bytes; want %d entries within %d bytes",
+			len(m.aex), bytes, m.CacheSize(), 256<<10)
+	}
+}
+
+// TestCacheAutoGrowth: a chain of operations with no safe-point call
+// between them grows the computed tables with the arena, and a pinned
+// manager keeps its size.
 func TestCacheAutoGrowth(t *testing.T) {
 	grow := func(pin bool) *Manager {
 		m := New(64)
 		if pin {
-			if err := m.SetCacheSize(defaultCacheSize); err != nil {
+			if err := m.SetCacheSize(1 << 10); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Build a function family big enough to push the arena past the
-		// default cache size (~65k nodes): disjoint products of xors.
-		acc := False
-		for i := 0; i < 60; i += 2 {
-			acc = m.Or(acc, m.And(m.Xor(m.Var(i), m.Var(i+1)), m.Var((i+7)%64)))
+		for m.NumNodes() <= 1<<17 {
+			m.And(randomDense(m), randomDense(m))
 		}
-		m.Protect(acc)
-		for m.NumNodes() <= defaultCacheSize {
-			acc = m.Or(acc, randomDense(m))
-			m.Protect(acc)
-		}
-		m.MaybeGC()
 		return m
 	}
-	if m := grow(false); m.CacheSize() <= defaultCacheSize {
-		t.Fatalf("auto growth: cache still %d with %d live nodes", m.CacheSize(), m.NumNodes())
-	} else if m.Stats.CacheGrowths == 0 {
+	m := grow(false)
+	if m.CacheSize() < m.NumNodes() {
+		t.Fatalf("auto growth: cache %d entries with %d nodes", m.CacheSize(), m.NumNodes())
+	}
+	if m.Stats.CacheGrowths == 0 {
 		t.Fatal("auto growth: CacheGrowths not counted")
 	}
-	if m := grow(true); m.CacheSize() != defaultCacheSize {
-		t.Fatalf("pinned: cache grew to %d", m.CacheSize())
+	if err := CheckInvariants(m); err != nil {
+		t.Fatal(err)
+	}
+	if m := grow(true); m.CacheSize() != 1<<10 || m.Stats.CacheGrowths != 1 {
+		t.Fatalf("pinned: cache %d entries after %d resizes, want %d after 1", m.CacheSize(), m.Stats.CacheGrowths, 1<<10)
+	}
+}
+
+// TestCacheGrowthKeepsEntries: an Ite computed before a growth is a
+// cache hit after it. Var allocates a node without touching the
+// computed tables, so only the growth itself stands between the two
+// calls.
+func TestCacheGrowthKeepsEntries(t *testing.T) {
+	m := New(defaultCacheSize + 8)
+	r := m.Ite(m.Var(0), m.Var(1), m.Var(2))
+	for v := 3; v < m.NumVars() && m.Stats.CacheGrowths == 0; v++ {
+		m.Var(v)
+	}
+	if m.Stats.CacheGrowths == 0 {
+		t.Fatalf("%d nodes and no table growth", m.NumNodes())
+	}
+	calls, hits, nodes := m.Stats.ITECalls, m.Stats.CacheHits, m.NumNodes()
+	if got := m.Ite(m.Var(0), m.Var(1), m.Var(2)); got != r {
+		t.Fatalf("Ite after growth: got %v want %v", got, r)
+	}
+	if m.Stats.ITECalls != calls+1 || m.Stats.CacheHits != hits+1 || m.NumNodes() != nodes {
+		t.Fatalf("Ite after growth: %d calls, %d hits, %d nodes; want %d, %d, %d",
+			m.Stats.ITECalls, m.Stats.CacheHits, m.NumNodes(), calls+1, hits+1, nodes)
+	}
+}
+
+// modSum builds "Σ w(i)·x_i ≡ 0 (mod p)" over variables 0..n-1
+// bottom-up, one node per level and residue.
+func modSum(m *Manager, n, p int, w func(int) int) Ref {
+	next := make([]Ref, p)
+	for r := range next {
+		next[r] = False
+	}
+	next[0] = True
+	for i := n - 1; i >= 0; i-- {
+		cur := make([]Ref, p)
+		for r := range cur {
+			cur[r] = m.mk(uint32(i), next[r], next[(r+w(i))%p])
+		}
+		next = cur
+	}
+	return next[0]
+}
+
+// TestAndExistsAcrossGrowths: one relational product whose recursion
+// allocates through several table growths computes the same function as
+// on a manager pinned at 2^16 entries, leaves the manager consistent,
+// and stores its own result where a repeat finds it — so the slots
+// stored after a mid-recursion growth are the current ones.
+func TestAndExistsAcrossGrowths(t *testing.T) {
+	const n = 180
+	product := func(m *Manager) Ref {
+		f := modSum(m, n, 7, func(int) int { return 1 })
+		g := modSum(m, n, 11, func(i int) int { return i%10 + 1 })
+		return m.AndExists(f, g, m.Cube([]int{n - 3, n - 1}))
+	}
+	pinned := New(n)
+	if err := pinned.SetCacheSize(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	want := product(pinned)
+
+	m := New(n)
+	f := modSum(m, n, 7, func(int) int { return 1 })
+	g := modSum(m, n, 11, func(i int) int { return i%10 + 1 })
+	cube := m.Cube([]int{n - 3, n - 1})
+	growths := m.Stats.CacheGrowths
+	got := m.AndExists(f, g, cube)
+	if d := m.Stats.CacheGrowths - growths; d < 2 {
+		t.Fatalf("the product crossed %d table growths, want at least 2", d)
+	}
+	if pinned.CopyTo(m, want) != got {
+		t.Fatal("AndExists across growths differs from the pinned manager's result")
+	}
+	if err := CheckInvariants(m); err != nil {
+		t.Fatal(err)
+	}
+	lookups, hits, nodes := m.Stats.AndExistsLookups, m.Stats.AndExistsHits, m.NumNodes()
+	if m.AndExists(f, g, cube) != got || m.Stats.AndExistsLookups != lookups+1 ||
+		m.Stats.AndExistsHits != hits+1 || m.NumNodes() != nodes {
+		t.Fatalf("repeated AndExists: %d lookups, %d hits, %d nodes; want %d, %d, %d",
+			m.Stats.AndExistsLookups, m.Stats.AndExistsHits, m.NumNodes(), lookups+1, hits+1, nodes)
 	}
 }
 

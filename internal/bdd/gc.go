@@ -12,9 +12,22 @@ package bdd
 
 // GC collects every node unreachable from the protected and registered
 // roots and returns the number of nodes freed.
-func (m *Manager) GC() int {
+func (m *Manager) GC() int { return m.collect(false) }
+
+// collect is GC. With fit set it also rebuilds each level's subtable at
+// the smallest power of two that holds the level's live nodes (at least
+// initialLevelBuckets), which SiftNow asks for: every adjacent swap
+// scans its two subtables whole, so a table that garbage once forced
+// wide costs each swap its empty buckets. Other collections keep the
+// sizes, because they run between the steps of a fixpoint whose next
+// step climbs back to about the same peak and would pay each doubling
+// and rehash again.
+func (m *Manager) collect(fit bool) int {
 	m.Stats.GCRuns++
-	// Mark.
+	// Mark, counting each level's live nodes.
+	for l := range m.tables {
+		m.tables[l].count = 0
+	}
 	for r := range m.roots {
 		m.mark(r)
 	}
@@ -25,18 +38,25 @@ func (m *Manager) GC() int {
 			return r
 		})
 	}
-	// Sweep: rebuild the free list and every level's subtable (counts
-	// are recomputed from scratch as live nodes are reinserted).
+	for l := range m.tables {
+		st := &m.tables[l]
+		size := len(st.buckets)
+		if fit {
+			size = initialLevelBuckets
+			for size < st.count {
+				size <<= 1
+			}
+		}
+		if len(st.buckets) == size {
+			clear(st.buckets)
+		} else {
+			st.buckets, st.mask = make([]uint32, size), uint32(size-1)
+		}
+	}
+	// Sweep: rebuild the free list and relink the live nodes.
 	freed := 0
 	m.free = 0
 	m.numFree = 0
-	for l := range m.tables {
-		st := &m.tables[l]
-		for i := range st.buckets {
-			st.buckets[i] = 0
-		}
-		st.count = 0
-	}
 	alive := 1 // the terminal
 	for i := len(m.nodes) - 1; i >= 1; i-- {
 		n := &m.nodes[i]
@@ -46,7 +66,6 @@ func (m *Manager) GC() int {
 			b := hash2(n.low, n.high, st.mask)
 			n.next = st.buckets[b]
 			st.buckets[b] = uint32(i)
-			st.count++
 			alive++
 		} else {
 			if n.lvl != terminalLevel {
@@ -72,7 +91,8 @@ func (m *Manager) GC() int {
 	return freed
 }
 
-// mark sets the mark bit on every node reachable from f.
+// mark sets the mark bit on every node reachable from f and counts each
+// newly marked node in its level's subtable.
 func (m *Manager) mark(f Ref) {
 	f &^= compBit
 	if f == 0 {
@@ -82,6 +102,7 @@ func (m *Manager) mark(f Ref) {
 	if n.lvl&markBit != 0 {
 		return
 	}
+	m.tables[n.lvl].count++
 	n.lvl |= markBit
 	m.mark(n.low)
 	m.mark(n.high)
@@ -91,9 +112,6 @@ func (m *Manager) mark(f Ref) {
 // threshold, returning the number of nodes freed (0 if no collection
 // ran). Callers must ensure every Ref they still need is protected.
 func (m *Manager) MaybeGC() int {
-	// MaybeGC is called at fixpoint safe points; scale the computed
-	// tables with the arena here even when no collection runs.
-	m.maybeGrowCaches()
 	if m.numAlloc <= m.gcThreshold {
 		return 0
 	}

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,68 @@ func TestGCRebuildsCanonicity(t *testing.T) {
 	m.And(m.Var(2), m.Var(3))
 	if len(m.nodes) != n1 {
 		t.Fatal("free list not reused")
+	}
+}
+
+// TestSiftCollectionFitsSubtables: the collection that opens a sift
+// rebuilds every level's subtable at the smallest power of two that
+// holds its live nodes (at least initialLevelBuckets), whatever size the
+// garbage had grown it to, while a plain GC keeps the sizes for the
+// next fixpoint step.
+func TestSiftCollectionFitsSubtables(t *testing.T) {
+	const n = 20
+	m := New(n)
+	modSum(m, n, 997, func(i int) int { return 1 << i % 997 }) // garbage
+	keep := m.Protect(modSum(m, n, 101, func(i int) int { return 3*i + 1 }))
+	sizes := func() []int {
+		out := make([]int, len(m.tables))
+		for l := range m.tables {
+			out[l] = len(m.tables[l].buckets)
+		}
+		return out
+	}
+	grown := sizes()
+	m.GC()
+	if got := sizes(); !slices.Equal(got, grown) {
+		t.Fatalf("GC resized the subtables: %v, want %v", got, grown)
+	}
+	// One block of every variable: the sift has nothing to move, so the
+	// sizes it leaves are its collection's.
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	m.GroupVars(all...)
+	m.SiftNow()
+	if m.Stats.SiftSwaps != 0 {
+		t.Fatalf("the sift swapped %d times", m.Stats.SiftSwaps)
+	}
+	if err := CheckInvariants(m); err != nil {
+		t.Fatal(err)
+	}
+	shrunk, wide := 0, 0
+	for l := range m.tables {
+		st := &m.tables[l]
+		want := initialLevelBuckets
+		for want < st.count {
+			want <<= 1
+		}
+		if len(st.buckets) != want {
+			t.Errorf("level %d: %d buckets for %d live nodes, want %d", l, len(st.buckets), st.count, want)
+		}
+		if want < grown[l] {
+			shrunk++
+		}
+		if want > initialLevelBuckets {
+			wide++
+		}
+	}
+	if shrunk == 0 || wide == 0 {
+		t.Fatalf("%d levels shrank and %d kept more than %d buckets; the test wants both",
+			shrunk, wide, initialLevelBuckets)
+	}
+	if m.Size(keep) != m.NumNodes() {
+		t.Fatalf("kept function has %d nodes, the manager %d", m.Size(keep), m.NumNodes())
 	}
 }
 

@@ -24,8 +24,7 @@ const (
 
 func (m *Manager) binCacheGet(op uint32, f, g Ref) (Ref, bool) {
 	m.Stats.CacheLookups++
-	slot := cacheIndex(op, uint32(f), uint32(g), 0x9d, uint32(len(m.binop)))
-	e := &m.binop[slot]
+	e := &m.binop[cacheHash(op, uint32(f), uint32(g), 0x9d)&uint32(len(m.binop)-1)]
 	if e.op == op && e.f == f && e.g == g {
 		m.Stats.CacheHits++
 		return e.res, true
@@ -34,8 +33,7 @@ func (m *Manager) binCacheGet(op uint32, f, g Ref) (Ref, bool) {
 }
 
 func (m *Manager) binCachePut(op uint32, f, g, res Ref) {
-	slot := cacheIndex(op, uint32(f), uint32(g), 0x9d, uint32(len(m.binop)))
-	m.binop[slot] = binEntry{op: op, f: f, g: g, res: res}
+	m.binop[cacheHash(op, uint32(f), uint32(g), 0x9d)&uint32(len(m.binop)-1)] = binEntry{op: op, f: f, g: g, res: res}
 }
 
 // Cube returns the conjunction of the positive literals of vars, the
@@ -221,9 +219,9 @@ func (m *Manager) andExists(f, g, cube Ref) Ref {
 		lc = m.level(cube)
 	}
 
-	slot := cacheIndex(uint32(f), uint32(g), uint32(cube), 0xae, uint32(len(m.aex)))
+	hash := cacheHash(uint32(f), uint32(g), uint32(cube), 0xae)
 	m.Stats.AndExistsLookups++
-	if e := &m.aex[slot]; e.valid && e.f == f && e.g == g && e.cube == cube {
+	if e := &m.aex[hash&uint32(len(m.aex)-1)]; e.valid && e.f == f && e.g == g && e.cube == cube {
 		m.Stats.CacheHits++
 		m.Stats.AndExistsHits++
 		return e.res
@@ -247,7 +245,7 @@ func (m *Manager) andExists(f, g, cube Ref) Ref {
 		high := m.andExists(f1, g1, cube)
 		res = m.mk(top, low, high)
 	}
-	m.aex[slot] = aexEntry{f: f, g: g, cube: cube, res: res, valid: true}
+	m.aex[hash&uint32(len(m.aex)-1)] = aexEntry{f: f, g: g, cube: cube, res: res, valid: true}
 	return res
 }
 

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -246,8 +247,9 @@ func (m *Manager) validateOrder(order []int) {
 
 // freshForReorder allocates a bare arena for a rebuild under the given
 // order: per-level subtables pre-sized to the mean level population, a
-// small ITE cache for composeVar's out-of-order fallback, and nothing
-// else — the full caches are rebuilt on demand after the commit.
+// small ITE cache for composeVar's out-of-order fallback that never
+// grows, and nothing else — the committing manager keeps its own
+// computed tables.
 func (m *Manager) freshForReorder(order []int) *Manager {
 	per := 1 << 4
 	if len(order) > 0 {
@@ -256,11 +258,12 @@ func (m *Manager) freshForReorder(order []int) *Manager {
 		}
 	}
 	fresh := &Manager{
-		ite:       make([]iteEntry, 1<<14),
-		var2level: make([]int, len(order)),
-		level2var: make([]int, len(order)),
-		tables:    make([]subtable, len(order)),
-		noComp:    m.noComp, // the fresh arena must share the representation
+		ite:          make([]iteEntry, 1<<14),
+		growCachesAt: math.MaxInt,
+		var2level:    make([]int, len(order)),
+		level2var:    make([]int, len(order)),
+		tables:       make([]subtable, len(order)),
+		noComp:       m.noComp, // the fresh arena must share the representation
 	}
 	for l := range fresh.tables {
 		fresh.tables[l] = newSubtable(per)
@@ -397,7 +400,8 @@ func (m *Manager) Sift(roots []Ref) []Ref {
 
 // SiftNow runs converging block-sifting passes of the in-place swap
 // engine until a pass improves by less than minImprove or MaxPasses is
-// reached. Garbage is collected first, so every Ref the caller needs
+// reached. Garbage is collected first, and the unique subtables shrink
+// to the live nodes the swaps will scan, so every Ref the caller needs
 // must be protected or registered.
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
@@ -406,7 +410,7 @@ func (m *Manager) SiftNow() {
 	m.reordering = true
 	defer func() { m.reordering = false }()
 	start := time.Now()
-	m.GC()
+	m.collect(true)
 	before := m.numAlloc
 	opts := m.reorderOpts
 
