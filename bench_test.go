@@ -457,7 +457,7 @@ func BenchmarkTraceCompaction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.Compact(model, tr, bdd.True)
+		core.Compact(model, tr)
 	}
 }
 
@@ -494,7 +494,8 @@ func BenchmarkReorder(b *testing.B) {
 			order[2*v] = v
 			order[2*v+1] = v + 6
 		}
-		m.Reorder(order, []bdd.Ref{f})
+		m.Protect(f)
+		m.Reorder(order)
 	}
 }
 
@@ -908,14 +909,12 @@ func recordImages(t *testing.T, r benchRow, e *benchEntry) {
 }
 
 // boundedBFS runs up to bfsSteps frontier steps from s.Init. The
-// reached and frontier sets are protected and registered, so a sift
-// fired inside Image keeps them and rewrites them in place; both are
-// released, uncollected, on return.
+// reached and frontier sets are protected, so a sift fired inside Image
+// keeps them; both are released, uncollected, on return.
 func boundedBFS(s *kripke.Symbolic) {
 	m := s.M
 	reached := m.Protect(s.Init)
 	frontier := m.Protect(s.Init)
-	id := m.RegisterRefs(&reached, &frontier)
 	for i := 0; i < bfsSteps && frontier != bdd.False; i++ {
 		img := s.Image(frontier)
 		m.Unprotect(frontier)
@@ -924,7 +923,6 @@ func boundedBFS(s *kripke.Symbolic) {
 		reached = m.Protect(m.Or(reached, frontier))
 		m.MaybeGC()
 	}
-	m.Unregister(id)
 	m.Unprotect(frontier)
 	m.Unprotect(reached)
 }

@@ -241,7 +241,7 @@ func main() {
 			}
 		}
 		if *compact {
-			core.Compact(compiled.S, tr, bdd.True)
+			core.Compact(compiled.S, tr)
 		}
 		fmt.Println("-- as demonstrated by the following execution sequence:")
 		printTrace(compiled, tr, *delta)

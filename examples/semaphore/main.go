@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/kripke"
@@ -89,7 +88,7 @@ func main() {
 	fmt.Printf("1) raw lasso counterexample (%d states, cycle %d):\n%s\n",
 		tr.Len(), tr.CycleLen(), compiled.TraceString(tr))
 
-	removed := core.Compact(compiled.S, tr, bdd.True)
+	removed := core.Compact(compiled.S, tr)
 	if err := core.ValidatePath(compiled.S, tr); err != nil {
 		log.Fatalf("compaction broke the trace: %v", err)
 	}

@@ -144,11 +144,11 @@ type Manager struct {
 
 	roots map[Ref]int // protected external references
 
-	// Live-root registry (see reorder.go): every registered rewriter is
-	// invoked after a reorder to translate the Refs its owner holds, and
-	// its refs are treated as GC roots.
-	rewriters  []rewriter
-	nextHookID int
+	// Registered root sets (see reorder.go): callbacks that visit the
+	// Refs their owners hold, which collections and swap sessions treat
+	// as roots next to the protected ones.
+	rootSets    []rootSet
+	nextRootsID int
 
 	groups [][]int // variable blocks that sift as one unit (GroupVars)
 
@@ -190,9 +190,11 @@ type Stats struct {
 	AndExistsHits    uint64
 
 	// Dynamic-reordering counters (see reorder.go and swap.go).
-	// Reorderings counts committed order changes: every arena rebuild
-	// (explicit Reorder and a sift's group normalization) plus every
-	// sift event that ends on a different order than it started.
+	// Reorderings counts committed order changes: every Reorder (order
+	// adoption in LoadNamed included) and sift group normalization that
+	// moves a variable, plus every sift event that ends on a different
+	// order than it started; a call that leaves the order as it was
+	// counts nothing.
 	// AutoReorders counts growth-triggered sift events. SiftTrials
 	// counts candidate block positions evaluated, SiftSwaps the
 	// adjacent-level swaps executed, SiftAborts the block walks cut

@@ -338,7 +338,9 @@ func TestSingleStateHelpersMatchReference(t *testing.T) {
 	m := New(n)
 	for trial := 0; trial < 300; trial++ {
 		f, _ := randPair(r, m, n, 5)
-		f = m.Reorder(r.Perm(n), []Ref{f})[0]
+		m.Protect(f)
+		m.Reorder(r.Perm(n))
+		m.Unprotect(f) // no collection runs before the next Reorder
 		vars := r.Perm(n)[:1+r.Intn(n)]
 		got := m.PickOne(f, vars)
 		if a := m.AnySat(f); a == nil {

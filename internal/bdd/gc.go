@@ -1,11 +1,13 @@
 package bdd
 
 // Mark-and-sweep garbage collection. Live nodes are those reachable from
-// the protected roots (see Protect) or from a registered rewriter's refs
-// (see OnReorder/RegisterRefs). Collection never moves nodes, so
-// protected and registered Refs stay valid; all other Refs obtained
-// before a collection must be considered invalid afterwards. The
-// operation caches are cleared because they may mention freed nodes.
+// the protected roots (see Protect) or from the refs of a registered
+// root set (see RegisterRoots/RegisterRefs). Collection never moves
+// nodes, so protected and registered Refs stay valid; all other Refs
+// obtained before a collection must be considered invalid afterwards.
+// Every order change starts with a collection (see moveTo and SiftNow),
+// so the same roots are all an order change keeps. The operation caches
+// are cleared because they may mention freed nodes.
 //
 // Complement bits live on edges, not nodes: marking strips the bit and
 // walks the shared node, so protecting f keeps ¬f alive and vice versa.
@@ -28,16 +30,7 @@ func (m *Manager) collect(fit bool) int {
 	for l := range m.tables {
 		m.tables[l].count = 0
 	}
-	for r := range m.roots {
-		m.mark(r)
-	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
-			m.checkRef(r)
-			m.mark(r)
-			return r
-		})
-	}
+	m.visitRoots(m.mark)
 	for l := range m.tables {
 		st := &m.tables[l]
 		size := len(st.buckets)

@@ -218,9 +218,10 @@ func TestReorderPreservesSemantics(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		m := New(n)
 		f, ref := randPair(r, m, n, 4)
+		m.Protect(f)
 		order := r.Perm(n)
-		roots := m.Reorder(order, []Ref{f})
-		checkAgainstTT(t, m, roots[0], ref, "after reorder")
+		m.Reorder(order)
+		checkAgainstTT(t, m, f, ref, "after reorder")
 		if err := CheckInvariants(m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -234,10 +235,13 @@ func TestReorderPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestReorderTranslatesProtectedRoots: a protected root stays protected
+// across a reorder and still denotes its function after a further
+// collection.
 func TestReorderTranslatesProtectedRoots(t *testing.T) {
 	m := New(4)
 	f := m.Protect(m.Xor(m.Var(0), m.Var(3)))
-	roots := m.Reorder([]int{3, 2, 1, 0}, []Ref{f})
+	m.Reorder([]int{3, 2, 1, 0})
 	if m.ProtectedCount() != 1 {
 		t.Fatal("protected root lost in reorder")
 	}
@@ -245,8 +249,8 @@ func TestReorderTranslatesProtectedRoots(t *testing.T) {
 	if err := CheckInvariants(m); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Eval(roots[0], []bool{true, false, false, false}) {
-		t.Fatal("translated root wrong after reorder+GC")
+	if !m.Eval(f, []bool{true, false, false, false}) {
+		t.Fatal("protected root wrong after reorder+GC")
 	}
 }
 
@@ -260,8 +264,9 @@ func TestSiftReducesInterleavingBlowup(t *testing.T) {
 		m.Eq(m.Var(2), m.Var(5)),
 	)
 	before := m.Size(f)
-	roots := m.Sift([]Ref{f})
-	after := m.Size(roots[0])
+	m.Protect(f)
+	m.SiftNow()
+	after := m.Size(f)
 	if err := CheckInvariants(m); err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +278,11 @@ func TestSiftReducesInterleavingBlowup(t *testing.T) {
 	}
 	// semantics preserved
 	env := []bool{true, false, true, true, false, true}
-	if !m.Eval(roots[0], env) {
+	if !m.Eval(f, env) {
 		t.Fatal("sift broke semantics")
 	}
 	env[3] = false
-	if m.Eval(roots[0], env) {
+	if m.Eval(f, env) {
 		t.Fatal("sift broke semantics (negative case)")
 	}
 }

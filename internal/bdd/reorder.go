@@ -2,7 +2,6 @@ package bdd
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -10,30 +9,29 @@ import (
 
 // Variable reordering.
 //
-// Two mechanisms change the variable order:
+// One engine changes the variable order: the in-place adjacent-level
+// swap of swap.go. Sifting (SiftNow, EnableAutoReorder) tries block
+// placements by runs of swaps; Reorder(order) — explicit calls, order
+// adoption in LoadNamed, and the group normalization that opens each
+// sift — bubbles every variable to its target level by swaps. A swap
+// rewrites only the nodes at the two swapped levels and keeps every
+// node at its arena index, so a Ref never moves: every Ref that
+// survives the collection an order change starts with keeps its value
+// and denotes the same function afterwards.
 //
-//   - Sifting (SiftNow, EnableAutoReorder) runs the in-place engine of
-//     swap.go: every placement trial is a run of adjacent-level swaps,
-//     each touching only the nodes at the two swapped levels and
-//     preserving every other Ref bit-for-bit.
+// What an order change needs from the manager's clients is therefore
+// only its roots. Every order change starts with a collection, which
+// frees each node no root reaches, and the swaps' liveness refcounts
+// count the same roots. The roots are the protected refs (Protect) and
+// the refs of registered root sets: RegisterRoots takes a callback that
+// visits the refs its owner holds, RegisterRefs plain pointers (a
+// fixpoint's locals across its safe points). Refs held in neither place
+// must not be used across a collection or an order change.
 //
-//   - reorderTo translates every root it must preserve into a fresh
-//     arena under a given order and swaps the arena in, renumbering
-//     every Ref. It serves explicit Reorder(order) calls (order
-//     adoption in LoadNamed among them) and the group-adjacency
-//     normalization that opens each sift. A rebuild is O(arena). Since
-//     order and roots fix a canonical arena, it is also the oracle the
-//     swap engine's tests compare node counts against.
-//
-// What makes reordering *dynamic* (usable mid-computation rather than
-// only offline) is the live-root registry: long-lived holders of Refs —
-// symbolic structures, checkers, saved witness rings — register a
-// rewriter callback (OnReorder) or plain pointers (RegisterRefs), and
-// every committed reorder rewrites their Refs in place (after an
-// in-place sift the translation is the identity — the hook still fires
-// so downstream caches invalidate on the same schedule). Registered
-// refs are also treated as GC roots, so a registered local survives
-// both a collection and a reorder.
+// Computed tables follow the collection: a collection that frees a node
+// and the first swap of an order change clear them, since a freed slot
+// may be reused under a cached result; an order change that runs no
+// swap after a collection that frees nothing keeps them warm.
 //
 // Sifting moves one block at a time: each GroupVars block (typically a
 // current/next state-variable pair) travels as a unit, tried at every
@@ -42,51 +40,62 @@ import (
 // stops in that direction and returns to the best position.
 //
 // Automatic reordering is growth-triggered: ReorderIfNeeded — called at
-// safe points where every needed Ref is registered or protected — sifts
+// safe points where every needed Ref is protected or registered — sifts
 // when the live-node count exceeds GrowthTrigger times the post-last-sift
 // size.
 
-// rewriter is one registered reorder hook. The callback must be
-// deterministic: it is invoked twice per reorder (first to collect the
-// refs it holds, then to commit the translated values), and both
-// invocations must visit the same refs.
-type rewriter struct {
+// rootSet is one registered root callback (see RegisterRoots).
+type rootSet struct {
 	id int
-	fn func(translate func(Ref) Ref)
+	fn func(visit func(Ref))
 }
 
-// OnReorder registers a rewriter callback and returns an id for
-// Unregister. After every committed reorder the callback is invoked with
-// a translation function and must pass every Ref its owner retains
-// through it, storing the results back. The refs the callback visits are
-// also marked during garbage collection, so they need no separate
-// Protect. The callback must not invoke manager operations.
-func (m *Manager) OnReorder(fn func(translate func(Ref) Ref)) int {
-	m.nextHookID++
-	m.rewriters = append(m.rewriters, rewriter{id: m.nextHookID, fn: fn})
-	return m.nextHookID
+// RegisterRoots registers a root callback and returns an id for
+// Unregister. Every collection, and every swap session of an order
+// change, invokes it with a visitor that the callback must pass every
+// Ref its owner retains: those refs are GC roots as protected refs are.
+// A ref never moves, so there is nothing to write back. The callback
+// must not invoke manager operations.
+func (m *Manager) RegisterRoots(fn func(visit func(Ref))) int {
+	m.nextRootsID++
+	m.rootSets = append(m.rootSets, rootSet{id: m.nextRootsID, fn: fn})
+	return m.nextRootsID
 }
 
-// RegisterRefs registers plain Ref pointers: after every reorder each
-// *p is rewritten in place, and the referenced nodes survive GC. Returns
-// an id for Unregister. Typical use is protecting a fixpoint loop's
-// local variables across safe points.
+// RegisterRefs registers plain Ref pointers as roots: the nodes each *p
+// names when a collection or an order change runs survive it. Returns
+// an id for Unregister. Typical use is keeping a fixpoint loop's local
+// variables alive across safe points.
 func (m *Manager) RegisterRefs(ps ...*Ref) int {
-	return m.OnReorder(func(translate func(Ref) Ref) {
+	return m.RegisterRoots(func(visit func(Ref)) {
 		for _, p := range ps {
-			*p = translate(*p)
+			visit(*p)
 		}
 	})
 }
 
-// Unregister removes a rewriter previously installed with OnReorder or
-// RegisterRefs. Unknown ids are ignored.
+// Unregister removes a root set previously installed with RegisterRoots
+// or RegisterRefs. Unknown ids are ignored.
 func (m *Manager) Unregister(id int) {
-	for i, rw := range m.rewriters {
-		if rw.id == id {
-			m.rewriters = append(m.rewriters[:i], m.rewriters[i+1:]...)
+	for i, rs := range m.rootSets {
+		if rs.id == id {
+			m.rootSets = append(m.rootSets[:i], m.rootSets[i+1:]...)
 			return
 		}
+	}
+}
+
+// visitRoots passes every root to visit: each protected ref once, then
+// the refs of every registered root set.
+func (m *Manager) visitRoots(visit func(Ref)) {
+	for r := range m.roots {
+		visit(r)
+	}
+	for _, rs := range m.rootSets {
+		rs.fn(func(r Ref) {
+			m.checkRef(r)
+			visit(r)
+		})
 	}
 }
 
@@ -169,7 +178,9 @@ func (o *ReorderOptions) fillDefaults() {
 
 // EnableAutoReorder turns on growth-triggered sifting. A nil opts uses
 // DefaultReorderOptions; zero fields of a non-nil opts are filled with
-// the defaults (MaxBlocks and Window keep 0 = unlimited).
+// the defaults (MaxBlocks and Window keep 0 = unlimited). Turning it on
+// takes the current allocated-node count as the growth baseline; while
+// it is already on, a call replaces the options and keeps the baseline.
 func (m *Manager) EnableAutoReorder(opts *ReorderOptions) {
 	o := DefaultReorderOptions()
 	if opts != nil {
@@ -177,11 +188,13 @@ func (m *Manager) EnableAutoReorder(opts *ReorderOptions) {
 		o.fillDefaults()
 	}
 	m.reorderOpts = o
-	m.autoReorder = true
-	m.lastSiftSize = m.numAlloc
-	if m.lastSiftSize < 1 {
-		m.lastSiftSize = 1
+	if m.autoReorder {
+		// Re-arming changes the policy only: growth is still measured
+		// from the size the last sift left.
+		return
 	}
+	m.autoReorder = true
+	m.lastSiftSize = max(m.numAlloc, 1)
 }
 
 // DisableAutoReorder turns growth-triggered sifting off.
@@ -218,18 +231,15 @@ func (m *Manager) ReorderIfNeeded() bool {
 	return true
 }
 
-// Reorder rebuilds the manager under the new variable order (order[i] is
-// the variable to be placed at level i) and returns the given roots
-// translated, in the same positions. Protected roots and every ref held
-// by a registered rewriter are translated as well; any other Ref is
-// invalidated. Registered Permutations remain valid because they are
-// expressed over variable indices, not levels.
-func (m *Manager) Reorder(order []int, roots []Ref) []Ref {
+// Reorder moves the manager to the given variable order (order[i] is
+// the variable to be placed at level i) by adjacent-level swaps. Garbage
+// is collected first, so every Ref the caller needs must be protected
+// or registered; those keep their values and functions. Registered
+// Permutations remain valid because they are expressed over variable
+// indices, not levels.
+func (m *Manager) Reorder(order []int) {
 	m.validateOrder(order)
-	for _, r := range roots {
-		m.checkRef(r)
-	}
-	return m.reorderTo(order, roots)
+	m.moveTo(order)
 }
 
 func (m *Manager) validateOrder(order []int) {
@@ -245,164 +255,33 @@ func (m *Manager) validateOrder(order []int) {
 	}
 }
 
-// freshForReorder allocates a bare arena for a rebuild under the given
-// order: per-level subtables pre-sized to the mean level population, a
-// small ITE cache for composeVar's out-of-order fallback that never
-// grows, and nothing else — the committing manager keeps its own
-// computed tables.
-func (m *Manager) freshForReorder(order []int) *Manager {
-	per := 1 << 4
-	if len(order) > 0 {
-		for per*len(order)*2 < m.numAlloc {
-			per <<= 1
-		}
+// moveTo is Reorder without the validation, and SiftNow's group
+// normalization: a collection that fits the unique subtables to the
+// live nodes, as a sift's does, then one swap session that bubbles each
+// variable up to its target level, top level first. That takes one swap
+// per pair of variables the two orders rank differently, the fewest
+// adjacent swaps that reach order. Stats.Reorderings counts the call
+// only when the order changes.
+func (m *Manager) moveTo(order []int) {
+	m.collect(true)
+	if slices.Equal(order, m.level2var) {
+		return
 	}
-	fresh := &Manager{
-		ite:          make([]iteEntry, 1<<14),
-		growCachesAt: math.MaxInt,
-		var2level:    make([]int, len(order)),
-		level2var:    make([]int, len(order)),
-		tables:       make([]subtable, len(order)),
-		noComp:       m.noComp, // the fresh arena must share the representation
-	}
-	for l := range fresh.tables {
-		fresh.tables[l] = newSubtable(per)
-	}
-	fresh.nodes = make([]node, 1, m.numAlloc+1)
-	fresh.nodes[0] = node{lvl: terminalLevel, low: False, high: False}
-	fresh.numAlloc = 1
-	copy(fresh.level2var, order)
+	m.beginSwapSession()
 	for l, v := range order {
-		fresh.var2level[v] = l
-	}
-	return fresh
-}
-
-// reorderTo rebuilds the arena under order, behind Reorder and the
-// group normalization of SiftNow. It runs in three phases:
-//
-//  1. collect: every root the rebuild must preserve — extra, the
-//     protected roots, and each registered rewriter's refs (gathered by
-//     invoking the rewriter with an identity collector);
-//  2. translate: rebuild the collected roots in a fresh arena;
-//  3. commit: swap the arena in, remap the protected-root table, clear
-//     the operation caches, and invoke every rewriter with the memoized
-//     translation so clients see the new Refs.
-func (m *Manager) reorderTo(order []int, extra []Ref) []Ref {
-	// Phase 1: collect.
-	collected := make([]Ref, 0, len(extra)+len(m.roots))
-	collected = append(collected, extra...)
-	for r := range m.roots {
-		collected = append(collected, r)
-	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
-			m.checkRef(r)
-			collected = append(collected, r)
-			return r
-		})
-	}
-	// The protected roots come out of a map in random order, and the
-	// order of translation fixes the fresh arena's node numbering.
-	// Sorting makes the numbering, and every computed-table hit pattern
-	// after it, the same from run to run.
-	slices.Sort(collected)
-
-	// Phase 2: translate.
-	fresh := m.freshForReorder(order)
-	// memo maps old plain ref -> new plain ref (0 = untranslated). The
-	// sign splits off before the lookup and is re-applied to the result:
-	// translating preserves the function, and a plain canonical ref
-	// denotes a function that is false on the all-false assignment, so
-	// the translation of a plain non-terminal ref is always plain and
-	// non-zero — the 0 sentinel stays unambiguous.
-	memo := make([]Ref, len(m.nodes))
-	var translate func(Ref) Ref
-	translate = func(f Ref) Ref {
-		if IsTerminal(f) {
-			return f
+		for k := m.var2level[v]; k > l; k-- {
+			m.swapLevels(k - 1)
 		}
-		s := f & compBit
-		fp := f ^ s
-		if r := memo[fp]; r != 0 {
-			return r ^ s
-		}
-		n := m.nodes[fp]
-		low := translate(n.low)
-		high := translate(n.high)
-		v := m.level2var[n.lvl&^markBit]
-		res := fresh.composeVar(v, low, high)
-		memo[fp] = res
-		return res ^ s
 	}
-	for _, r := range collected {
-		translate(r)
-	}
-
-	// Phase 3: commit.
-	lookup := func(r Ref) Ref {
-		if IsTerminal(r) {
-			return r
-		}
-		s := r & compBit
-		rp := r ^ s
-		if int(rp) >= len(memo) || memo[rp] == 0 {
-			panic("bdd: reorder rewriter returned a ref it did not collect")
-		}
-		return memo[rp] ^ s
-	}
-	out := make([]Ref, len(extra))
-	for i, r := range extra {
-		out[i] = lookup(r)
-	}
-	newRoots := make(map[Ref]int, len(m.roots))
-	for r, c := range m.roots {
-		newRoots[lookup(r)] += c
-	}
-	m.nodes = fresh.nodes
-	m.tables = fresh.tables
-	m.free = fresh.free
-	m.numFree = fresh.numFree
-	m.numAlloc = fresh.numAlloc
-	m.var2level = fresh.var2level
-	m.level2var = fresh.level2var
-	m.roots = newRoots
-	m.clearCaches()
-	for _, rw := range m.rewriters {
-		rw.fn(lookup)
-	}
+	m.endSwapSession()
 	m.Stats.Reorderings++
-	return out
-}
-
-// Sift runs a full sifting pass over the manager and returns the given
-// roots translated to the new order. The roots are registered for the
-// duration, so — unlike the pre-registry implementation — every other
-// protected or registered Ref is rewritten too instead of dangling.
-// Unprotected, unregistered Refs are invalidated (a collection runs
-// first).
-func (m *Manager) Sift(roots []Ref) []Ref {
-	out := append([]Ref(nil), roots...)
-	if m.NumVars() <= 1 {
-		return out
-	}
-	if len(out) > 0 {
-		id := m.OnReorder(func(translate func(Ref) Ref) {
-			for i := range out {
-				out[i] = translate(out[i])
-			}
-		})
-		defer m.Unregister(id)
-	}
-	m.SiftNow()
-	return out
 }
 
 // SiftNow runs converging block-sifting passes of the in-place swap
 // engine until a pass improves by less than minImprove or MaxPasses is
 // reached. Garbage is collected first, and the unique subtables shrink
 // to the live nodes the swaps will scan, so every Ref the caller needs
-// must be protected or registered.
+// must be protected or registered; those keep their values.
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
 		return
@@ -410,15 +289,12 @@ func (m *Manager) SiftNow() {
 	m.reordering = true
 	defer func() { m.reordering = false }()
 	start := time.Now()
-	m.collect(true)
+	// Normalize: force every group's variables adjacent so blocks are
+	// contiguous level ranges from here on. moveTo collects first, also
+	// when the groups already are adjacent.
+	m.moveTo(flattenBlocks(m.blockOrder()))
 	before := m.numAlloc
 	opts := m.reorderOpts
-
-	// Normalize: force every group's variables adjacent so blocks are
-	// contiguous level ranges from here on.
-	if norm := flattenBlocks(m.blockOrder()); !slices.Equal(norm, m.level2var) {
-		m.reorderTo(norm, nil)
-	}
 	m.siftInPlace(&opts)
 	m.lastSiftSize = m.numAlloc
 	m.Stats.ReorderTime += time.Since(start)

@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 )
 
 // Dynamic-reordering correctness suite. The central property: after any
-// sequence of operations, auto-sift events and explicit sifts, every
-// ref registered with the reorder registry still denotes the same
-// boolean function, verified pointwise against an independently
-// maintained truth table over all 2^n assignments.
+// sequence of operations, auto-sift events, explicit sifts and
+// reorders, every protected or registered ref keeps its value and still
+// denotes the same boolean function, verified pointwise against an
+// independently maintained truth table over all 2^n assignments.
 
 // bitTable is an explicit truth table over n <= 12 variables: bit a of
 // the table (assignment a, bit v of a = variable v) is the function's
@@ -110,9 +111,9 @@ func TestAutoReorderPreservesRegisteredRoots(t *testing.T) {
 
 		roots := make([]Ref, 0, rootsPerTrial)
 		tables := make([]bitTable, 0, rootsPerTrial)
-		id := m.OnReorder(func(translate func(Ref) Ref) {
-			for i := range roots {
-				roots[i] = translate(roots[i])
+		id := m.RegisterRoots(func(visit func(Ref)) {
+			for _, f := range roots {
+				visit(f)
 			}
 		})
 
@@ -151,43 +152,43 @@ func TestAutoReorderPreservesRegisteredRoots(t *testing.T) {
 	}
 }
 
-// TestSiftRewritesRegisteredRefs is the regression test for the
-// dangling-ref bug of the pre-registry Sift: a Ref held by a client but
-// not passed in the roots slice was silently invalidated by the rebuild.
-// With the live-root registry, registered refs are rewritten in place.
-func TestSiftRewritesRegisteredRefs(t *testing.T) {
+// TestSiftKeepsRegisteredRefs is the regression test for the
+// dangling-ref bug of the pre-registry sift: a Ref held by a client but
+// not passed to the sift as a root was silently invalidated. A
+// registered ref is a root, and a sift moves no Ref, so it comes out
+// with the same value and function.
+func TestSiftKeepsRegisteredRefs(t *testing.T) {
 	m := New(6)
-	// f is the interleaving blowup Sift reorders; g is held by a
-	// "different client" and only registered, not passed to Sift.
-	f := m.AndN(
+	// f is the interleaving blowup the sift reorders; g is held by a
+	// "different client" and only registered.
+	f := m.Protect(m.AndN(
 		m.Eq(m.Var(0), m.Var(3)),
 		m.Eq(m.Var(1), m.Var(4)),
 		m.Eq(m.Var(2), m.Var(5)),
-	)
+	))
 	g := m.Xor(m.Var(0), m.Var(5))
 	gBefore := g
 	id := m.RegisterRefs(&g)
 	defer m.Unregister(id)
 
-	roots := m.Sift([]Ref{f})
+	m.SiftNow()
 	if m.Stats.Reorderings == 0 {
 		t.Fatal("sift committed no reorder; blowup case should move variables")
 	}
 	if err := CheckInvariants(m); err != nil {
 		t.Fatal(err)
 	}
-	// The registered ref was rewritten and still denotes x0 xor x5.
+	if g != gBefore {
+		t.Fatalf("registered ref moved in the sift: %d -> %d", gBefore, g)
+	}
 	for a := 0; a < 1<<6; a++ {
 		env := envFor(6, a)
 		if m.Eval(g, env) != (env[0] != env[5]) {
 			t.Fatalf("registered ref wrong after sift at assignment %b", a)
 		}
-		if m.Eval(roots[0], env) != ((env[0] == env[3]) && (env[1] == env[4]) && (env[2] == env[5])) {
+		if m.Eval(f, env) != ((env[0] == env[3]) && (env[1] == env[4]) && (env[2] == env[5])) {
 			t.Fatalf("sifted root wrong at assignment %b", a)
 		}
-	}
-	if g == gBefore {
-		t.Log("ref unchanged by reorder (same index under both orders); semantic check above still binds")
 	}
 }
 
@@ -316,29 +317,24 @@ func TestReorderStatsAccounting(t *testing.T) {
 // FuzzSift: arbitrary truth tables over 6 variables, optional pair
 // grouping, one auto plus one explicit sift; roots must survive
 // semantically, the manager structurally, and the arena must match a
-// second manager Reordered to the sifted order.
+// rebuild of the roots under the sifted order.
 func FuzzSift(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafe), uint64(0x0123456789ab), true)
 	f.Add(uint64(0), uint64(^uint64(0)), false)
 	f.Add(uint64(0xaaaaaaaaaaaaaaaa), uint64(0x5555555555555555), true)
 	f.Fuzz(func(t *testing.T, bitsA, bitsB uint64, group bool) {
 		const n = 6
-		// seed builds and registers a, b and ¬(a ∧ b) in m.
-		seed := func(m *Manager) []Ref {
-			if group {
-				for v := 0; v < n; v += 2 {
-					m.GroupVars(v, v+1)
-				}
-			}
-			a := fromTruthTable(m, n, bitsA)
-			b := fromTruthTable(m, n, bitsB)
-			roots := []Ref{a, b, m.Not(m.And(a, b))}
-			m.RegisterRefs(&roots[0], &roots[1], &roots[2])
-			return roots
-		}
 		m := New(n)
+		if group {
+			for v := 0; v < n; v += 2 {
+				m.GroupVars(v, v+1)
+			}
+		}
 		m.EnableAutoReorder(&ReorderOptions{GrowthTrigger: 1.01, MinNodes: 1})
-		roots := seed(m)
+		a := fromTruthTable(m, n, bitsA)
+		b := fromTruthTable(m, n, bitsB)
+		roots := []Ref{a, b, m.Not(m.And(a, b))}
+		m.RegisterRefs(&roots[0], &roots[1], &roots[2])
 		m.ReorderIfNeeded()
 		m.SiftNow()
 		if err := CheckInvariants(m); err != nil {
@@ -358,16 +354,16 @@ func FuzzSift(f *testing.F) {
 				t.Fatalf("root c wrong at %b", asg)
 			}
 		}
-		oracle := New(n)
-		requireReorderOracle(t, m, roots, oracle, seed(oracle))
+		requireReorderOracle(t, m, roots)
 	})
 }
 
 // TestReorderNumberingIsDeterministic: two managers built by the same
 // operations and reordered to the same order hold the same node array.
-// The protected roots live in a map, so a rebuild that translated them
-// in iteration order would number the fresh arena differently on every
-// run, and every computed-table lookup counter would move with it.
+// The protected roots live in a map, so an order change that visited
+// them in iteration order to place nodes would number the arena
+// differently on every run, and every computed-table lookup counter
+// would move with it.
 func TestReorderNumberingIsDeterministic(t *testing.T) {
 	const n = 10
 	build := func() *Manager {
@@ -381,10 +377,191 @@ func TestReorderNumberingIsDeterministic(t *testing.T) {
 	}
 	order := rand.New(rand.NewSource(8)).Perm(n)
 	a, b := build(), build()
-	a.Reorder(order, nil)
-	b.Reorder(order, nil)
+	a.Reorder(order)
+	b.Reorder(order)
 	if !slices.Equal(a.nodes, b.nodes) {
 		t.Fatalf("identical managers reordered to one order numbered their nodes differently (%d vs %d nodes)",
 			a.NumNodes(), b.NumNodes())
+	}
+}
+
+// TestReorderKeepsRefs: an order change moves no Ref. After a Reorder
+// to a random order, every protected and every registered ref has its
+// old value and still denotes its function.
+func TestReorderKeepsRefs(t *testing.T) {
+	const n = 8
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		m := New(n)
+		roots := make([]Ref, 6)
+		tables := make([]bitTable, len(roots))
+		for i := range roots {
+			roots[i], tables[i] = randTracked(r, m, n, 4)
+		}
+		for _, f := range roots[:3] {
+			m.Protect(f)
+		}
+		m.RegisterRefs(&roots[3], &roots[4], &roots[5])
+		before := slices.Clone(roots)
+		order := r.Perm(n)
+		m.Reorder(order)
+		if !slices.Equal(m.Order(), order) {
+			t.Fatalf("trial %d: order %v, want %v", trial, m.Order(), order)
+		}
+		if err := CheckInvariants(m); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(roots, before) {
+			t.Fatalf("trial %d: refs moved: %v -> %v", trial, before, roots)
+		}
+		for i, f := range roots {
+			checkRootTable(t, m, f, tables[i], "after reorder")
+		}
+	}
+}
+
+// TestSiftNormalizationKeepsRefs: a Reorder that splits current/next
+// pairs leaves the next sift to make every group adjacent again before
+// it sifts. That normalization, too, moves no Ref.
+func TestSiftNormalizationKeepsRefs(t *testing.T) {
+	const n = 8
+	r := rand.New(rand.NewSource(31))
+	m := New(n)
+	for v := 0; v < n; v += 2 {
+		m.GroupVars(v, v+1)
+	}
+	roots := make([]Ref, 4)
+	tables := make([]bitTable, len(roots))
+	for i := range roots {
+		roots[i], tables[i] = randTracked(r, m, n, 4)
+	}
+	m.RegisterRefs(&roots[0], &roots[1], &roots[2], &roots[3])
+	// Split the pairs (0, 1) and (4, 5).
+	m.Reorder([]int{0, 2, 3, 5, 6, 7, 4, 1})
+	before := slices.Clone(roots)
+	reorderings := m.Stats.Reorderings
+	m.SiftNow()
+	if m.Stats.Reorderings == reorderings {
+		t.Fatal("the sift left the split pairs in place")
+	}
+	if err := CheckInvariants(m); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v += 2 {
+		if d := m.LevelOf(v+1) - m.LevelOf(v); d != 1 && d != -1 {
+			t.Fatalf("group (%d,%d) not adjacent after the sift: order %v", v, v+1, m.Order())
+		}
+	}
+	if !slices.Equal(roots, before) {
+		t.Fatalf("registered refs moved: %v -> %v", before, roots)
+	}
+	for i, f := range roots {
+		checkRootTable(t, m, f, tables[i], "after sift")
+	}
+}
+
+// TestReenableKeepsGrowthBaseline: calling EnableAutoReorder again while
+// automatic reordering is on (smvd re-arms it on every request, with a
+// sift time bound when the request has a deadline) changes the options,
+// not the size the growth trigger measures from.
+func TestReenableKeepsGrowthBaseline(t *testing.T) {
+	const n = 64
+	m := New(n)
+	m.EnableAutoReorder(&ReorderOptions{MinNodes: 1})
+	for v := 0; v+1 < n; v += 2 {
+		m.Protect(m.Xor(m.Var(v), m.Var(v+1)))
+	}
+	m.SiftNow()
+	base := m.NumNodes()
+	// grow adds unprotected conjunctions of variable pairs, a few nodes
+	// at a time, until the allocated count reaches target.
+	pairs := 0
+	grow := func(target int) {
+		for m.NumNodes() < target {
+			m.And(m.Var(pairs%n), m.Var((pairs/n+pairs+1)%n))
+			pairs++
+		}
+	}
+	grow(base * 3 / 2)
+	if m.ReorderIfNeeded() {
+		t.Fatal("the trigger fired at 1.5 times the post-sift size")
+	}
+	m.EnableAutoReorder(&ReorderOptions{MinNodes: 1, SiftMaxTime: time.Minute})
+	grow(base*2 + 1)
+	if got := m.NumNodes(); got >= base*3 {
+		t.Fatalf("grew to %d nodes, past 3 times the post-sift size %d", got, base)
+	}
+	if !m.ReorderIfNeeded() {
+		t.Fatalf("no sift at %d nodes, past twice the post-sift size %d: re-arming moved the baseline",
+			m.NumNodes(), base)
+	}
+}
+
+// FuzzReorder: arbitrary truth tables over 6 variables, optional pair
+// grouping, and a target order drawn from the input — with grouping, an
+// order that keeps every pair adjacent, as the orders a grouped manager
+// saves for LoadNamed do. After the Reorder the invariants hold, the
+// roots keep their values and functions, and the arena matches a
+// rebuild of the roots under the target order.
+func FuzzReorder(f *testing.F) {
+	f.Add(uint64(0xdeadbeefcafe), uint64(0x0123456789ab), uint64(5), true)
+	f.Add(uint64(0), uint64(^uint64(0)), uint64(0), false)
+	f.Add(uint64(0xaaaaaaaaaaaaaaaa), uint64(0x5555555555555555), uint64(719), true)
+	f.Add(uint64(0x8000000000000001), uint64(0x00ff00ff00ff00ff), uint64(1<<40+3), false)
+	f.Fuzz(func(t *testing.T, bitsA, bitsB, orderBits uint64, group bool) {
+		const n = 6
+		m := New(n)
+		order := make([]int, n)
+		if group {
+			pairs := []int{0, 1, 2}
+			permute(pairs, &orderBits)
+			for i, p := range pairs {
+				m.GroupVars(2*p, 2*p+1)
+				order[2*i], order[2*i+1] = 2*p, 2*p+1
+				if orderBits&1 == 1 {
+					order[2*i], order[2*i+1] = 2*p+1, 2*p
+				}
+				orderBits >>= 1
+			}
+		} else {
+			for v := range order {
+				order[v] = v
+			}
+			permute(order, &orderBits)
+		}
+		a := fromTruthTable(m, n, bitsA)
+		b := fromTruthTable(m, n, bitsB)
+		roots := []Ref{m.Protect(a), b, m.Not(m.And(a, b))}
+		m.RegisterRefs(&roots[1], &roots[2])
+		before := slices.Clone(roots)
+		m.Reorder(order)
+		if !slices.Equal(m.Order(), order) {
+			t.Fatalf("order %v, want %v", m.Order(), order)
+		}
+		if err := CheckInvariants(m); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(roots, before) {
+			t.Fatalf("roots moved: %v -> %v", before, roots)
+		}
+		for asg := 0; asg < 1<<n; asg++ {
+			env := envFor(n, asg)
+			va := bitsA>>asg&1 == 1
+			vb := bitsB>>asg&1 == 1
+			if m.Eval(roots[0], env) != va || m.Eval(roots[1], env) != vb || m.Eval(roots[2], env) != !(va && vb) {
+				t.Fatalf("a root changed its function at %b", asg)
+			}
+		}
+		requireReorderOracle(t, m, roots)
+	})
+}
+
+// permute shuffles p in place by Fisher–Yates, taking each swap index
+// as the next mixed-radix digit of *bits.
+func permute(p []int, bits *uint64) {
+	for i := len(p) - 1; i > 0; i-- {
+		j := int(*bits % uint64(i+1))
+		*bits /= uint64(i + 1)
+		p[i], p[j] = p[j], p[i]
 	}
 }

@@ -13,9 +13,9 @@ package bdd
 // canonical in the target manager even if its arena layout differs.
 //
 // Because the saved variable order travels with the file, a reader can
-// also adopt it — reordering the target manager to the saved (sifted)
-// order before decoding — so a restarted process pays the
-// dynamic-reordering work of a model once, ever.
+// also adopt it — moving the target manager to the saved (sifted) order
+// by adjacent-level swaps before decoding — so a restarted process pays
+// the dynamic-reordering work of a model once, ever.
 
 import (
 	"bufio"
@@ -117,7 +117,9 @@ func writeU32To(bw *bufio.Writer, x uint32) {
 // the warm-start path: the sifted order computed by a previous process
 // is restored instead of being re-derived by dynamic reordering.
 // Adoption requires the saved order to cover exactly the manager's
-// variables.
+// variables, and it collects garbage as Reorder does, even when the
+// manager already is in the saved order: every Ref the caller needs
+// afterwards must be protected or registered.
 func (m *Manager) LoadNamed(r io.Reader, adoptOrder bool) ([]NamedRoot, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(serialMagic))
@@ -229,7 +231,8 @@ func (m *Manager) LoadNamed(r io.Reader, adoptOrder bool) ([]NamedRoot, error) {
 
 // adoptSavedOrder reorders the manager to the saved level-to-variable
 // map. It refuses partial orders: adoption only makes sense when the
-// file was written by a manager over the same variable set.
+// file was written by a manager over the same variable set. The checks
+// are Reorder's, returned as errors instead of panics.
 func (m *Manager) adoptSavedOrder(savedLevel2Var []int) error {
 	if len(savedLevel2Var) != m.NumVars() {
 		return fmt.Errorf("bdd: cannot adopt saved order over %d variables into a manager with %d",
@@ -242,7 +245,7 @@ func (m *Manager) adoptSavedOrder(savedLevel2Var []int) error {
 		}
 		seen[v] = true
 	}
-	m.Reorder(savedLevel2Var, nil)
+	m.moveTo(savedLevel2Var)
 	return nil
 }
 

@@ -74,7 +74,7 @@ func TestSaveLoadAcrossDifferentOrder(t *testing.T) {
 	// target manager with a scrambled order
 	m2 := New(n)
 	order := r.Perm(n)
-	m2.Reorder(order, nil)
+	m2.Reorder(order)
 	roots := loadRoots(t, m2, data)
 	checkAgainstTT(t, m2, roots[0], ref, "loaded under different order")
 }
@@ -213,8 +213,7 @@ func TestLoadNamedAdoptOrder(t *testing.T) {
 		f, ref := randPair(r, m, n, 4)
 		m.Protect(f)
 		order := r.Perm(n)
-		rs := m.Reorder(order, []Ref{f})
-		f = rs[0]
+		m.Reorder(order)
 		var buf bytes.Buffer
 		if err := m.SaveNamed(&buf, []NamedRoot{{Name: "reach", Ref: f}}); err != nil {
 			t.Fatal(err)
@@ -248,8 +247,7 @@ func TestLoadNamedAdoptOrderPostSift(t *testing.T) {
 		f = m.And(f, m.Xor(m.Var(i), m.Var(i+1)))
 	}
 	m.Protect(f)
-	rs := m.Sift([]Ref{f})
-	f = rs[0]
+	m.SiftNow()
 	var buf bytes.Buffer
 	if err := m.SaveNamed(&buf, []NamedRoot{{Name: "fair", Ref: f}}); err != nil {
 		t.Fatal(err)
@@ -267,6 +265,60 @@ func TestLoadNamedAdoptOrderPostSift(t *testing.T) {
 	}
 	if m2.Size(roots[0].Ref) != m.Size(f) {
 		t.Fatalf("post-sift sizes differ: got %d want %d", m2.Size(roots[0].Ref), m.Size(f))
+	}
+}
+
+// TestLoadNamedAdoptSameOrder: adopting the order a manager already has
+// (every warm start of a model whose record it wrote itself) runs no
+// swap, counts no reordering and moves no protected Ref; it collects
+// garbage as a plain GC would, so the load that follows leaves the
+// manager exactly as a GC and a load without adoption do.
+func TestLoadNamedAdoptSameOrder(t *testing.T) {
+	const n = 8
+	r := rand.New(rand.NewSource(23))
+	order := r.Perm(n)
+	src := NewWithOrder(order)
+	f, _ := randTracked(r, src, n, 5)
+	data := saveRoots(t, src, f)
+
+	// build fills a manager in the saved order with protected sets and
+	// as much garbage, the same way every time.
+	build := func() (*Manager, []Ref, []bitTable) {
+		m := NewWithOrder(order)
+		rr := rand.New(rand.NewSource(29))
+		var kept []Ref
+		var tables []bitTable
+		for i := 0; i < 6; i++ {
+			g, tt := randTracked(rr, m, n, 4)
+			if i%2 == 0 {
+				kept = append(kept, m.Protect(g))
+				tables = append(tables, tt)
+			}
+		}
+		return m, kept, tables
+	}
+	m, kept, tables := build()
+	before := m.Stats
+	if _, err := m.LoadNamed(bytes.NewReader(data), true); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.SiftSwaps != before.SiftSwaps {
+		t.Fatalf("adopting the current order ran %d swaps", m.Stats.SiftSwaps-before.SiftSwaps)
+	}
+	if m.Stats.Reorderings != before.Reorderings {
+		t.Fatal("adopting the current order counted a reordering")
+	}
+	for i, g := range kept {
+		checkRootTable(t, m, g, tables[i], "protected ref after adoption")
+	}
+
+	twin, _, _ := build()
+	twin.GC()
+	if _, err := twin.LoadNamed(bytes.NewReader(data), false); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.NumNodes(), twin.NumNodes(); got != want {
+		t.Fatalf("load with adoption leaves %d nodes, a GC and a plain load %d", got, want)
 	}
 }
 

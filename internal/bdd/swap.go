@@ -7,16 +7,17 @@ import (
 )
 
 // In-place adjacent-level swap: the O(two levels) reordering primitive,
-// and the sifting engine built on it (siftInPlace), which is all
-// SiftNow runs after its group normalization.
+// and the only way the variable order changes. Sifting runs it from
+// siftInPlace; Reorder and a sift's group normalization run it from
+// moveTo (reorder.go).
 //
 // Exchanging the variables at levels l and l+1 rewrites only the nodes
 // stored in those two levels' subtables. Every node keeps its arena
 // index, so every Ref held anywhere — other levels, protected roots,
-// registered rewriters, plain locals — stays valid across the swap with
-// its denotation unchanged. That is what makes a sift trial cheap: no
-// arena rebuild, no root rewriting, just local surgery plus an exact
-// update of the per-level live counts.
+// registered root sets, plain locals — stays valid across the swap with
+// its denotation unchanged. That is what makes an order change cheap:
+// local surgery on two levels plus an exact update of the per-level
+// live counts, with nothing for the holders of Refs to rewrite.
 //
 // Write X for the variable at level l and Y for the one at l+1 before
 // the swap. For an upper node n = (X; f0, f1):
@@ -54,19 +55,18 @@ import (
 // cofactors and mk's normalization does the rest. Session refcounts are
 // indexed by plain node, since f and ¬f are one node.
 //
-// Liveness during a sift is tracked by a session-scoped refcount array
-// (siftState): in-edges of live nodes plus one per protected root and
-// per rewriter-held ref. Counts can transiently reach zero and be
-// revived within a swap (an inner mk may reuse the structure), so frees
-// are deferred to a dead-candidate stack drained at the end of each
-// swap.
+// Liveness during a swap session is tracked by a session-scoped
+// refcount array (siftState): in-edges of live nodes plus one per
+// protected root and per ref of a registered root set. Counts can
+// transiently reach zero and be revived within a swap (an inner mk may
+// reuse the structure), so frees are deferred to a dead-candidate stack
+// drained at the end of each swap.
 
-// siftState is the bookkeeping of one in-place sift session.
+// siftState is the bookkeeping of one swap session.
 type siftState struct {
-	rc            []int32  // per-node refcount: in-edges + roots + rewriter refs
+	rc            []int32  // per-node refcount: in-edges + protected and registered roots
 	zero          []uint32 // dead candidates: nodes whose refcount hit zero
 	upper, lower  []uint32 // detachLevel scratch
-	swaps         uint64   // swaps executed this session
 	cachesCleared bool     // op caches dropped (lazily, at the first swap)
 	timedOut      bool     // SiftMaxTime expired
 }
@@ -94,8 +94,9 @@ func (st *siftState) drop(f Ref) {
 }
 
 // beginSwapSession builds the refcounts the swaps need. It must run
-// right after a GC (every live node reachable, free slots identifiable
-// by their terminalLevel sentinel), which SiftNow guarantees.
+// right after a collection (every live node reachable, free slots
+// identifiable by their terminalLevel sentinel), which moveTo and
+// SiftNow guarantee.
 func (m *Manager) beginSwapSession() {
 	st := &siftState{rc: make([]int32, len(m.nodes))}
 	for i := 1; i < len(m.nodes); i++ {
@@ -106,16 +107,7 @@ func (m *Manager) beginSwapSession() {
 		st.bump(n.low)
 		st.bump(n.high)
 	}
-	for r := range m.roots {
-		st.bump(r)
-	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
-			m.checkRef(r)
-			st.bump(r)
-			return r
-		})
-	}
+	m.visitRoots(st.bump)
 	m.sift = st
 }
 
@@ -199,7 +191,6 @@ func (m *Manager) swapLevels(l int) {
 		st.cachesCleared = true
 	}
 	m.Stats.SiftSwaps++
-	st.swaps++
 
 	lvlU, lvlL := uint32(l), uint32(l+1)
 	st.upper = m.detachLevel(l, st.upper[:0])
@@ -299,21 +290,12 @@ func (m *Manager) siftInPlace(opts *ReorderOptions) {
 			break
 		}
 	}
-	swapped := m.sift.swaps > 0
 	if m.sift.timedOut {
 		m.Stats.SiftTimeouts++
 	}
 	m.endSwapSession()
 	if !slices.Equal(startOrder, m.level2var) {
 		m.Stats.Reorderings++
-	}
-	if swapped {
-		// Refs survived the swaps untranslated, but the hook contract
-		// is that rewriters fire after every committed sift — clients
-		// key their own cache invalidation off that signal.
-		for _, rw := range m.rewriters {
-			rw.fn(func(r Ref) Ref { return r })
-		}
 	}
 }
 

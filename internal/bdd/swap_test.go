@@ -8,7 +8,7 @@ import (
 
 // Tests for the in-place adjacent-level swap engine (swap.go): the swap
 // primitive against a truth-table oracle with invariants checked after
-// every swap, sifting against an explicit Reorder to the order it
+// every swap, sifting against a rebuild of its roots under the order it
 // settles on, Ref stability outside a swapped pair, the lazy
 // cache-invalidation granularity, and the SiftMaxTime budget.
 
@@ -134,60 +134,58 @@ func TestSwapRefStability(t *testing.T) {
 	}
 }
 
-// TestSiftMatchesReorderOracle seeds two managers identically, sifts
-// one in place and Reorders the other to the order the sift settled on.
-// Order and roots fix a canonical arena, so the two must hold the same
-// functions in the same number of nodes: a swap that leaks an orphaned
-// node or frees a live one breaks the count even when every root still
-// evaluates correctly.
+// TestSiftMatchesReorderOracle sifts a manager in place and rebuilds
+// its roots under the order the sift settled on. Order and roots fix a
+// canonical arena, so the two must hold the same functions in the same
+// number of nodes: a swap that leaks an orphaned node or frees a live
+// one breaks the count even when every root still evaluates correctly.
 func TestSiftMatchesReorderOracle(t *testing.T) {
 	const n = 6
 	for seed := int64(0); seed < 15; seed++ {
-		var mgrs [2]*Manager
-		var roots [2][]Ref
-		var tables []bitTable
-		for e := range mgrs {
-			r := rand.New(rand.NewSource(1000 + seed)) // same stream for both managers
-			m := New(n)
-			if seed%2 == 0 {
-				m.GroupVars(0, 1)
-				m.GroupVars(2, 3)
-			}
-			tables = tables[:0]
-			for i := 0; i < 4; i++ {
-				f, tt := randTracked(r, m, n, 4)
-				roots[e] = append(roots[e], f)
-				tables = append(tables, tt)
-			}
-			m.RegisterRefs(&roots[e][0], &roots[e][1], &roots[e][2], &roots[e][3])
-			mgrs[e] = m
+		r := rand.New(rand.NewSource(1000 + seed))
+		m := New(n)
+		if seed%2 == 0 {
+			m.GroupVars(0, 1)
+			m.GroupVars(2, 3)
 		}
-		sifted, oracle := mgrs[0], mgrs[1]
-		sifted.EnableAutoReorder(&ReorderOptions{MinNodes: 1})
-		sifted.SiftNow()
-		if err := CheckInvariants(sifted); err != nil {
+		var roots []Ref
+		var tables []bitTable
+		for i := 0; i < 4; i++ {
+			f, tt := randTracked(r, m, n, 4)
+			roots = append(roots, f)
+			tables = append(tables, tt)
+		}
+		m.RegisterRefs(&roots[0], &roots[1], &roots[2], &roots[3])
+		m.EnableAutoReorder(&ReorderOptions{MinNodes: 1})
+		m.SiftNow()
+		if err := CheckInvariants(m); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for i, f := range roots[0] {
-			checkRootTable(t, sifted, f, tables[i], "after sift")
+		for i, f := range roots {
+			checkRootTable(t, m, f, tables[i], "after sift")
 		}
-		if sifted.Stats.SiftSwaps == 0 && sifted.Stats.SiftTrials > 0 {
+		if m.Stats.SiftSwaps == 0 && m.Stats.SiftTrials > 0 {
 			t.Fatalf("seed %d: sift ran %d trials without a single swap",
-				seed, sifted.Stats.SiftTrials)
+				seed, m.Stats.SiftTrials)
 		}
-		requireReorderOracle(t, sifted, roots[0], oracle, roots[1])
+		requireReorderOracle(t, m, roots)
 	}
 }
 
-// requireReorderOracle reorders oracle — a manager seeded like m, with
-// oracleRoots its copies of roots and nothing else live — to m's order
-// and requires the same functions in the same number of live nodes.
-// The oracle alone is collected afterwards: composeVar's out-of-order
-// fallback can leave garbage in a rebuilt arena, while a sift must
-// leave none in m.
-func requireReorderOracle(t *testing.T, m *Manager, roots []Ref, oracle *Manager, oracleRoots []Ref) {
+// requireReorderOracle rebuilds roots, which must be all m holds live,
+// in an oracle manager created in m's order: SaveNamed, then LoadNamed
+// into NewWithOrder(m.Order()), which builds every node through ITE
+// and the unique table without a single swap. It requires the same
+// functions in the same number of live nodes. The oracle alone is
+// collected after the load, whose ITE calls leave garbage behind; an
+// order change must leave none in m.
+func requireReorderOracle(t *testing.T, m *Manager, roots []Ref) {
 	t.Helper()
-	oracle.Reorder(m.Order(), nil)
+	oracle := NewWithOrder(m.Order())
+	oracleRoots := loadRoots(t, oracle, saveRoots(t, m, roots...))
+	for _, f := range oracleRoots {
+		oracle.Protect(f)
+	}
 	oracle.GC()
 	if err := CheckInvariants(oracle); err != nil {
 		t.Fatalf("reorder oracle: %v", err)
@@ -202,7 +200,7 @@ func requireReorderOracle(t *testing.T, m *Manager, roots []Ref, oracle *Manager
 		}
 	}
 	if got, want := m.NumNodes(), oracle.NumNodes(); got != want {
-		t.Fatalf("sifted manager holds %d live nodes, the reorder oracle %d under the same order", got, want)
+		t.Fatalf("manager holds %d live nodes, the reorder oracle %d under the same order", got, want)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestCopyToNonIdentityOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	m := New(6)
 	f := m.Protect(randomFunc(r, m))
-	f = m.Reorder([]int{3, 1, 5, 0, 4, 2}, []Ref{f})[0]
+	m.Reorder([]int{3, 1, 5, 0, 4, 2})
 	scratch := NewWithOrder(m.Order())
 	g := m.CopyTo(scratch, f)
 	env := make([]bool, 6)

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 
-	"repro/internal/bdd"
 	"repro/internal/kripke"
 )
 
@@ -21,8 +20,6 @@ import (
 // detours left by restarts.
 
 // Compact shortens tr in place subject to:
-//   - every state of the trace satisfies inv (pass bdd.True when the
-//     trace is a plain reachability witness);
 //   - after compaction the cycle still visits every fairness constraint
 //     of the structure (checked only when the trace is a lasso);
 //   - states carrying a demonstration obligation — the annotated
@@ -31,7 +28,7 @@ import (
 //     the very state that violates the property).
 //
 // It returns the number of states removed.
-func Compact(s *kripke.Symbolic, tr *Trace, inv bdd.Ref) int {
+func Compact(s *kripke.Symbolic, tr *Trace) int {
 	removed := 0
 	for {
 		n := compactOnce(s, tr)

@@ -36,7 +36,7 @@ func TestCompactPrefixShortcut(t *testing.T) {
 	for _, idx := range []int{0, 1, 2, 3} {
 		tr.States = append(tr.States, stateOf(s, idx))
 	}
-	removed := Compact(s, tr, bdd.True)
+	removed := Compact(s, tr)
 	if removed != 2 {
 		t.Fatalf("removed %d states, want 2\n%s", removed, tr)
 	}
@@ -67,7 +67,7 @@ func TestCompactCyclePreservesFairness(t *testing.T) {
 	if err := ValidateEG(s, tr, bdd.True); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	removed := Compact(s, tr, bdd.True)
+	removed := Compact(s, tr)
 	if removed != 0 {
 		t.Fatalf("compaction removed %d states and broke fairness:\n%s", removed, tr)
 	}
@@ -91,7 +91,7 @@ func TestCompactCycleShortcutTaken(t *testing.T) {
 	for _, idx := range []int{0, 1, 2} {
 		tr.States = append(tr.States, stateOf(s, idx))
 	}
-	removed := Compact(s, tr, bdd.True)
+	removed := Compact(s, tr)
 	if removed != 1 {
 		t.Fatalf("removed %d, want 1\n%s", removed, tr)
 	}
@@ -115,7 +115,7 @@ func TestCompactTailTrim(t *testing.T) {
 	for _, idx := range []int{0, 1, 2} {
 		tr.States = append(tr.States, stateOf(s, idx))
 	}
-	removed := Compact(s, tr, bdd.True)
+	removed := Compact(s, tr)
 	if removed != 1 {
 		t.Fatalf("removed %d, want 1 (tail trim)\n%s", removed, tr)
 	}
@@ -144,7 +144,7 @@ func TestCompactRandomStillValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := tr.Len()
-		removed := Compact(s, tr, bdd.True)
+		removed := Compact(s, tr)
 		totalRemoved += removed
 		if tr.Len() != before-removed {
 			t.Fatalf("length bookkeeping off: %d -> %d (removed %d)", before, tr.Len(), removed)
@@ -165,7 +165,7 @@ func TestCompactArbiterCounterexample(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tr.Len()
-	removed := Compact(s, tr, bdd.True)
+	removed := Compact(s, tr)
 	if err := ValidatePath(s, tr); err != nil {
 		t.Fatalf("invalid after compaction: %v", err)
 	}

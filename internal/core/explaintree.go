@@ -118,9 +118,6 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 		if err != nil {
 			return nil, err
 		}
-		// A reorder during f.R's fixpoints invalidates the local copy of
-		// lset; the memoized entry was rewritten, so re-fetch it.
-		lset, _ = g.C.Check(f.L)
 		tr, err := g.WitnessEU(lset, rset, from, false)
 		if err != nil {
 			return nil, err

@@ -215,9 +215,6 @@ func (gen *Generator) explain(f *ctl.Formula, from kripke.State) (*Trace, error)
 		if err != nil {
 			return nil, err
 		}
-		// A reorder during f.R's fixpoints invalidates the local copy of
-		// lset; the memoized entry was rewritten, so re-fetch it.
-		lset, _ = gen.C.Check(f.L)
 		tr, err := gen.WitnessEU(lset, rset, from, false)
 		if err != nil {
 			return nil, err

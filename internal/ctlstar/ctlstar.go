@@ -122,8 +122,10 @@ func (sc *Checker) compile(f Formula) ([][]bddTerm, error) {
 // clause satisfies one of the variants.
 func (sc *Checker) CheckEL(f Formula) (bdd.Ref, error) {
 	// The procedure holds compiled term sets and fixpoint iterates as
-	// plain locals and works through unregistered WithFairness views;
-	// dynamic reordering is paused for its duration.
+	// plain locals and works through WithFairness views whose sets are
+	// neither protected nor registered. The collection that opens every
+	// sift would free them, so dynamic reordering is paused for its
+	// duration.
 	resume := sc.C.S.M.PauseAutoReorder()
 	defer resume()
 	clauses, err := sc.compile(f)
@@ -226,7 +228,7 @@ func (sc *Checker) CheckSplit(f Formula) (bdd.Ref, error) {
 }
 
 func (sc *Checker) checkSplitFind(f Formula, from kripke.State) (bdd.Ref, *Split, error) {
-	// See CheckEL: compiled sets and split results are unregistered.
+	// See CheckEL: compiled sets and split results are unrooted.
 	resume := sc.C.S.M.PauseAutoReorder()
 	defer resume()
 	clauses, err := sc.compile(f)
@@ -310,8 +312,8 @@ func (sc *Checker) Check(f Formula) (bdd.Ref, error) { return sc.CheckEL(f) }
 // preferring splits in clause-term order.
 func (sc *Checker) Witness(f Formula, from kripke.State) (*core.Trace, error) {
 	s := sc.C.S
-	// See CheckEL: the split's sets and the view checkers below are not
-	// registered with the reorder registry.
+	// See CheckEL: the split's sets and the view checkers below are
+	// neither protected nor registered.
 	resume := s.M.PauseAutoReorder()
 	defer resume()
 	_, split, err := sc.checkSplitFind(f, from)

@@ -501,7 +501,7 @@ func E10Compaction() *Report {
 		return r
 	}
 	before := tr.Len()
-	removed := core.Compact(model, tr, bdd.True)
+	removed := core.Compact(model, tr)
 	if err := core.ValidatePath(model, tr); err != nil {
 		r.Err = fmt.Errorf("compacted trace invalid: %w", err)
 		return r
@@ -525,7 +525,7 @@ func E10Compaction() *Report {
 			return r
 		}
 		sumBefore += w.Len()
-		core.Compact(s, w, bdd.True)
+		core.Compact(s, w)
 		if err := core.ValidateEG(s, w, bdd.True); err != nil {
 			r.Err = err
 			return r

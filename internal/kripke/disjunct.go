@@ -247,10 +247,9 @@ func (s *Symbolic) reachableDisjunct() (bdd.Ref, int) {
 	k := len(d.comps)
 	reached := m.Protect(s.Init)
 	fed := make([]bdd.Ref, k) // zero value bdd.False
-	id := m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		reached = translate(reached)
-		for i := range fed {
-			fed[i] = translate(fed[i])
+	id := m.RegisterRoots(func(visit func(bdd.Ref)) {
+		for _, f := range fed {
+			visit(f)
 		}
 	})
 	rounds := 0

@@ -351,8 +351,8 @@ func (s *Symbolic) NumClusters() int {
 
 // preimagePart computes EX to over the cluster schedule with early
 // quantification. The accumulator is registered so the per-step reorder
-// safe point can fire mid-chain: the structure's hook rewrites the
-// clusters and cubes, the registration rewrites acc.
+// safe point can fire mid-chain: the clusters and cubes are protected,
+// and the registration keeps acc.
 func (s *Symbolic) preimagePart(to bdd.Ref) bdd.Ref {
 	m := s.M
 	p := s.part

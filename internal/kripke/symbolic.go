@@ -76,10 +76,10 @@ type Symbolic struct {
 	hasSuccValid bool
 
 	// Reachable-state cache (opt-in, EnableReachableCache): the fixpoint
-	// result is kept — protected and reorder-safe — and returned by every
-	// later Reachable call. This is the session-reuse path of a
-	// long-running checking service, and SetReachable is its warm-start
-	// entry: a set restored from disk replaces the fixpoint entirely.
+	// result is kept, protected, and returned by every later Reachable
+	// call. This is the session-reuse path of a long-running checking
+	// service, and SetReachable is its warm-start entry: a set restored
+	// from disk replaces the fixpoint entirely.
 	reach        bdd.Ref
 	reachIters   int
 	reachValid   bool
@@ -111,57 +111,7 @@ func NewSymbolic(names []string, opts ...bdd.Option) *Symbolic {
 		m.GroupVars(2*i, 2*i+1)
 	}
 	s.finishVars()
-	m.OnReorder(s.rewriteRefs)
 	return s
-}
-
-// rewriteRefs is the structure's reorder hook: every long-lived Ref the
-// structure holds — initial states, invariant, fairness sets, atoms,
-// quantification cubes, the monolithic relation, and the partition's
-// clusters and schedule cubes — is rewritten in place after a reorder.
-func (s *Symbolic) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
-	s.Init = translate(s.Init)
-	s.Invar = translate(s.Invar)
-	if s.transValid {
-		s.trans = translate(s.trans)
-	}
-	for i := range s.Fair {
-		s.Fair[i] = translate(s.Fair[i])
-	}
-	for k, v := range s.atoms {
-		s.atoms[k] = translate(v)
-	}
-	s.curCube = translate(s.curCube)
-	s.nextCube = translate(s.nextCube)
-	if s.hasSuccValid {
-		s.hasSucc = translate(s.hasSucc)
-	}
-	if s.reachValid {
-		s.reach = translate(s.reach)
-	}
-	if p := s.part; p != nil {
-		for i := range p.clusters {
-			p.clusters[i] = translate(p.clusters[i])
-		}
-		for i := range p.pre.cubes {
-			p.pre.cubes[i] = translate(p.pre.cubes[i])
-		}
-		p.pre.free = translate(p.pre.free)
-		for i := range p.img.cubes {
-			p.img.cubes[i] = translate(p.img.cubes[i])
-		}
-		p.img.free = translate(p.img.free)
-	}
-	if d := s.disj; d != nil {
-		for i := range d.comps {
-			c := &d.comps[i]
-			c.rel = translate(c.rel)
-			c.imgCube = translate(c.imgCube)
-			c.imgFree = translate(c.imgFree)
-			c.preCube = translate(c.preCube)
-			c.preFree = translate(c.preFree)
-		}
-	}
 }
 
 // finishVars (re)computes the cubes and renaming permutations; called
@@ -437,7 +387,6 @@ func (s *Symbolic) reachableCompute() (bdd.Ref, int) {
 	m := s.M
 	reached := m.Protect(s.Init)
 	frontier := m.Protect(s.Init)
-	id := m.RegisterRefs(&reached, &frontier)
 	iters := 0
 	for frontier != bdd.False {
 		iters++
@@ -449,7 +398,6 @@ func (s *Symbolic) reachableCompute() (bdd.Ref, int) {
 		reached = m.Protect(m.Or(reached, frontier))
 		m.MaybeGC()
 	}
-	m.Unregister(id)
 	m.Unprotect(frontier)
 	m.Unprotect(reached)
 	return reached, iters
@@ -608,10 +556,10 @@ func (s *Symbolic) AddFairness(name string, set bdd.Ref) {
 // constraints differ. Used by the CTL* fragment checker (Section 7),
 // which turns GF-terms into fairness constraints on the fly.
 //
-// A view is not registered with the reorder registry: its copied Refs do
-// not survive a dynamic reorder. Callers must pause automatic reordering
-// (bdd.Manager.PauseAutoReorder) for the view's lifetime, as the CTL*
-// checker does.
+// A view's fairness sets are neither protected nor registered: the
+// collection that opens every sift would free them. Callers must pause
+// automatic reordering (bdd.Manager.PauseAutoReorder) for the view's
+// lifetime, as the CTL* checker does.
 func (s *Symbolic) WithFairness(sets []bdd.Ref, names []string) *Symbolic {
 	view := *s
 	view.Fair = append([]bdd.Ref(nil), sets...)

@@ -74,12 +74,10 @@ type Checker struct {
 	// keyed by (f, g), and FairEG's confirming-round rings, keyed by f.
 	// Like the manager's computed tables they hold plain refs, neither
 	// protected nor registered, and are dropped when the manager's
-	// collection-and-reorder epoch moves past ringEpoch (see syncRings).
+	// collection count moves past ringEpoch (see syncRings).
 	euRings   map[euKey]euPrefix
 	egRings   map[bdd.Ref]*Rings
 	ringEpoch uint64
-
-	hook int // reorder-registry id (see rewriteRefs)
 }
 
 // euKey identifies the ring sequence of E[f U g].
@@ -92,37 +90,18 @@ type euPrefix struct {
 	done  bool
 }
 
-// New creates a checker for the structure. The checker registers with
-// the manager's reorder registry so its memoized satisfaction sets, the
-// fair set and the care set survive dynamic reordering; call Close to
-// release the registration and the protections when discarding a
-// checker before its manager.
+// New creates a checker for the structure. Every set the checker keeps
+// across calls — the subformula memo, the EG seeds, the fair set and
+// the care set — is protected, so collections and dynamic reordering
+// keep it; call Close to drop the protections when discarding a checker
+// before its manager.
 func New(s *kripke.Symbolic) *Checker {
-	c := &Checker{S: s, care: bdd.True, memo: map[string]bdd.Ref{}, egSets: map[bdd.Ref]bdd.Ref{}}
-	c.hook = s.M.OnReorder(c.rewriteRefs)
-	return c
+	return &Checker{S: s, care: bdd.True, memo: map[string]bdd.Ref{}, egSets: map[bdd.Ref]bdd.Ref{}}
 }
 
-// rewriteRefs is the checker's reorder hook.
-func (c *Checker) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
-	for k, v := range c.memo {
-		c.memo[k] = translate(v)
-	}
-	egSets := make(map[bdd.Ref]bdd.Ref, len(c.egSets))
-	for f, eg := range c.egSets {
-		egSets[translate(f)] = translate(eg)
-	}
-	c.egSets = egSets
-	if c.haveFair {
-		c.fairSet = translate(c.fairSet)
-	}
-	c.care = translate(c.care)
-}
-
-// Close unregisters the checker from the reorder registry and drops its
-// protections. The checker must not be used afterwards.
+// Close drops the checker's protections. The checker must not be used
+// afterwards.
 func (c *Checker) Close() {
-	c.S.M.Unregister(c.hook)
 	c.dropFixpoints()
 	if c.care != bdd.True {
 		c.S.M.Unprotect(c.care)
@@ -151,13 +130,15 @@ func (c *Checker) dropFixpoints() {
 	}
 }
 
-// syncRings drops the witness ring caches if a collection or reorder
-// has run since they were filled, then makes sure they exist. Those are
-// the only events after which an unprotected ref may stop denoting the
-// node it named, so within one epoch a cached ring is the very BDD a
-// recomputation returns: the unique table still holds its node.
+// syncRings drops the witness ring caches if a collection has run since
+// they were filled, then makes sure they exist. Collections and the
+// swaps of an order change are the only events after which an
+// unprotected ref may stop denoting the node it named, and every order
+// change starts with a collection, so within one epoch a cached ring
+// is the very BDD a recomputation returns: the unique table still holds
+// its node.
 func (c *Checker) syncRings() {
-	if e := c.S.M.Stats.GCRuns + c.S.M.Stats.Reorderings; e != c.ringEpoch || c.euRings == nil {
+	if e := c.S.M.Stats.GCRuns; e != c.ringEpoch || c.euRings == nil {
 		c.euRings = map[euKey]euPrefix{}
 		c.egRings = map[bdd.Ref]*Rings{}
 		c.ringEpoch = e
@@ -271,13 +252,10 @@ func (c *Checker) EUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]b
 		return cached.rings, false
 	}
 	// Extending the prefix hits reorder safe points, and WitnessEU calls
-	// in before it pauses reordering. The prefix is registered inside
-	// euApprox and the key here, so both survive any collection or sift
-	// the extension triggers and are valid in whatever epoch it ends.
-	m := c.S.M
-	id := m.RegisterRefs(&f, &g)
+	// in before it pauses reordering. euApprox registers f and the rings,
+	// g among them as the first, so the key and the prefix survive any
+	// collection or sift the extension triggers.
 	_, rings, stopped := c.euApprox(f, g, cached.rings, true, stop)
-	m.Unregister(id)
 	c.syncRings()
 	c.euRings[euKey{f, g}] = euPrefix{rings: rings, done: !stopped}
 	return rings, stopped
@@ -304,15 +282,15 @@ func (c *Checker) euApprox(f, g bdd.Ref, prefix []bdd.Ref, keepRings bool, stop 
 		}
 	}
 	// The loop's refs are registered so the per-iteration reorder safe
-	// point (and any reorder inside EX's cluster chain) rewrites them.
-	// The returned rings are only guaranteed until the caller's next
-	// safe point: callers keeping them across one register them (FairEG
-	// does) or pause reordering (the witness generator does).
-	id := m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		f = translate(f)
-		q = translate(q)
-		for i := range rings {
-			rings[i] = translate(rings[i])
+	// point (and any collection or sift inside EX's cluster chain) keeps
+	// them. The returned rings are only guaranteed until the caller's
+	// next safe point: callers keeping them across one register them
+	// (FairEG does) or pause reordering (the witness generator does).
+	id := m.RegisterRoots(func(visit func(bdd.Ref)) {
+		visit(f)
+		visit(q)
+		for _, r := range rings {
+			visit(r)
 		}
 	})
 	defer m.Unregister(id)
@@ -424,9 +402,6 @@ func (c *Checker) checkBasis(f *ctl.Formula) (bdd.Ref, error) {
 		if err != nil {
 			return bdd.False, err
 		}
-		// A reorder during f.R's fixpoints invalidates the local copy of
-		// l; the memoized entry was rewritten, so re-fetch it.
-		l, _ = c.checkBasis(f.L)
 		if f.Kind == ctl.KAnd {
 			res = m.And(l, r)
 		} else {
@@ -447,22 +422,17 @@ func (c *Checker) checkBasis(f *ctl.Formula) (bdd.Ref, error) {
 		if err != nil {
 			return bdd.False, err
 		}
-		l, _ = c.checkBasis(f.L) // see KAnd: refresh after f.R's fixpoints
 		res = c.FairEU(l, r)
 	case ctl.KEG:
 		l, err := c.checkBasis(f.L)
 		if err != nil {
 			return bdd.False, err
 		}
-		// l is registered across the fixpoint: a reorder inside it
-		// would leave the local copy stale for holdEG.
-		id := m.RegisterRefs(&l)
 		if len(c.S.Fair) == 0 {
 			res = c.EG(l)
 		} else {
 			res = c.fairEGSet(l)
 		}
-		m.Unregister(id)
 		c.holdEG(l, res)
 	default:
 		return bdd.False, fmt.Errorf("mc: formula not in existential basis: %s", f)

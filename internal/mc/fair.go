@@ -27,16 +27,16 @@ type Rings struct {
 	PerFair [][]bdd.Ref // PerFair[k] = rings for fairness constraint k
 }
 
-// register installs the rings' reorder hook and returns its id. PerFair
-// may still grow afterwards; the hook reads the current slices on every
-// invocation.
+// register makes the rings GC roots and returns the registration id.
+// PerFair may still grow afterwards; the callback reads the current
+// slices on every invocation.
 func (r *Rings) register(m *bdd.Manager) int {
-	return m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		r.F = translate(r.F)
-		r.Result = translate(r.Result)
+	return m.RegisterRoots(func(visit func(bdd.Ref)) {
+		visit(r.F)
+		visit(r.Result)
 		for _, rs := range r.PerFair {
-			for i := range rs {
-				rs[i] = translate(rs[i])
+			for _, q := range rs {
+				visit(q)
 			}
 		}
 	})
@@ -63,11 +63,11 @@ func (c *Checker) FairEG(f bdd.Ref) (bdd.Ref, *Rings) {
 		c.Stats.RingReuses++
 		return r.Result, r
 	}
-	// The rings stay registered while fairEG computes them, so they are
-	// valid in whatever epoch it ends in; rings.F is f in that epoch.
+	// The rings stay registered while fairEG computes them, so they
+	// survive the collections and sifts it triggers.
 	res, rings := c.fairEG(f, c.egSeed(f), true)
 	c.syncRings()
-	c.egRings[rings.F] = rings
+	c.egRings[f] = rings
 	return res, rings
 }
 
@@ -107,10 +107,7 @@ func (c *Checker) fairEGSet(f bdd.Ref) bdd.Ref {
 // its inner least fixpoints and the confirming round's are returned.
 func (c *Checker) fairEG(f, z bdd.Ref, keepRings bool) (bdd.Ref, *Rings) {
 	m := c.S.M
-	// c.S.Fair aliases the structure's slice, whose elements the
-	// structure's reorder hook rewrites in place — reading fair[k] inside
-	// the loops always sees current refs.
-	fair := c.S.Fair
+	fair := c.S.Fair // protected by the structure
 	nFair := len(fair)
 	useTrue := nFair == 0
 	if useTrue {

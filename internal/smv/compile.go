@@ -332,10 +332,6 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 			c.S.AddFairness(la.attached.FairNames[i], set)
 		}
 	}
-	// The DEFINE memo holds raw refs that spec-atom resolution and later
-	// evaluation read; register them so dynamic reordering rewrites them
-	// in place (the structure's own hook covers everything else).
-	mgr.OnReorder(c.rewriteRefs)
 	if cfg.Reorder {
 		mgr.EnableAutoReorder(nil)
 	}
@@ -379,21 +375,6 @@ func (c *Compiled) emitDisjuncts(transClusters []bdd.Ref) error {
 	}
 	c.S.SetDisjuncts(comps, names)
 	return nil
-}
-
-// rewriteRefs is the compiled model's reorder hook.
-func (c *Compiled) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
-	seen := map[*result]bool{}
-	for _, r := range c.defMemo {
-		if r == nil || seen[r] {
-			continue
-		}
-		seen[r] = true
-		r.b = translate(r.b)
-		for i := range r.cases {
-			r.cases[i].cond = translate(r.cases[i].cond)
-		}
-	}
 }
 
 func bitsFor(n int) int {

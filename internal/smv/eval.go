@@ -119,6 +119,15 @@ func (c *Compiled) evalIdent(x *Ident, allowNext bool) (*result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Spec-atom resolution and later evaluation read the memo long
+		// after the compile, across collections and sifts.
+		m := c.S.M
+		if r.isBool {
+			m.Protect(r.b)
+		}
+		for _, vc := range r.cases {
+			m.Protect(vc.cond)
+		}
 		c.defMemo[x.Name] = r
 		return r, nil
 	}
@@ -434,8 +443,9 @@ func (c *Compiled) registerAtoms() error {
 	for _, d := range c.Module.Defines {
 		name := d.Name
 		// DEFINEs act as boolean atoms and as eq-atoms when valued.
-		// Evaluate through the memo (evalIdent) so the eq-atom closure
-		// below aliases the case slice the reorder hook rewrites in place.
+		// Evaluate through the memo (evalIdent), whose refs are
+		// protected, so the eq-atom closure below can keep the case
+		// slice.
 		r, err := c.evalIdent(&Ident{Name: name}, false)
 		if err != nil {
 			return err

@@ -71,8 +71,8 @@ func product(m *Module, spec *ctl.Formula, source string, cfg Config) (*LTLProdu
 		Accept:   la.attached.Accept,
 		ElemVars: la.elemVars,
 	}
-	// Accept must survive GC and follow dynamic reordering.
-	c.S.M.RegisterRefs(&p.Accept)
+	// Accept must survive collections and sifts.
+	c.S.M.Protect(p.Accept)
 	return p, nil
 }
 

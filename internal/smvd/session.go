@@ -34,8 +34,6 @@ type Session struct {
 	reachIters int
 	reachCount float64
 
-	siftBounded bool // a deadline left a SiftMaxTime in the sift options
-
 	queries   uint64
 	createdAt time.Time
 	lastUsed  time.Time
@@ -154,8 +152,7 @@ func expired(deadline time.Time) bool {
 // budgetReorder maps the remaining request budget onto the sifting
 // engine's own time bound, so a reorder triggered mid-query cannot
 // consume the whole deadline. A request without a deadline lifts the
-// bound an earlier request set; while no bound is set, it leaves the
-// options, and so the growth baseline, alone.
+// bound an earlier request set. Re-arming keeps the growth baseline.
 func (s *Session) budgetReorder(deadline time.Time) {
 	if !s.Cfg.Reorder {
 		return
@@ -167,11 +164,8 @@ func (s *Session) budgetReorder(deadline time.Time) {
 			return
 		}
 		opts.SiftMaxTime = remaining / 4
-	} else if !s.siftBounded {
-		return
 	}
 	s.compiled.S.M.EnableAutoReorder(&opts)
-	s.siftBounded = opts.SiftMaxTime > 0
 }
 
 // query runs one request against the session. Caller holds the lock.
