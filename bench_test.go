@@ -956,7 +956,7 @@ func recordTransBuild(t *testing.T, r benchRow, e *benchEntry) {
 	if aborted > 0 {
 		e.Completed = false
 		e.Note = fmt.Sprintf("monolithic Trans BDD aborted at cluster %d/%d: node budget %d exceeded; partial conjunction already %d nodes",
-			aborted, p.NumClusters(), transNodeBudget, m.Size(acc))
+			aborted, s.NumClusters(), transNodeBudget, m.Size(acc))
 	} else {
 		e.TransNodes = m.Size(acc)
 	}

@@ -1,7 +1,8 @@
 // Command benchgate compares a freshly recorded BENCH_engine.json
-// against the committed baseline and fails (exit 1) when any entry
-// breaks the rule of a metric it carries. It is the quality gate behind
-// the CI bench-smoke job.
+// against a baseline recording and fails (exit 1) when any entry breaks
+// the rule of a metric it carries. It is the quality gate behind the CI
+// bench-smoke job, whose baseline is the tested commit's first parent
+// recorded on the same runner.
 //
 // Usage:
 //
@@ -103,7 +104,7 @@ func load(path string) ([]entry, error) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "", "committed baseline BENCH_engine.json")
+	baselinePath := flag.String("baseline", "", "baseline BENCH_engine.json (the parent, recorded on the same host)")
 	currentPath := flag.String("current", "", "freshly recorded BENCH_engine.json")
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {

@@ -106,9 +106,10 @@ func FuzzComplement(f *testing.F) {
 					push(m.AndExists(ms[i], ms[j], m.Cube([]int{v})),
 						ref.AndExists(rs[i], rs[j], ref.Cube([]int{v})))
 				}
-			case 12: // Constrain (skip the empty care set)
-				if i, j := pick(arg), pick(arg+1); i >= 0 && ms[j] != False {
-					push(m.Constrain(ms[i], ms[j]), ref.Constrain(rs[i], rs[j]))
+			case 12: // RestrictCube by one literal
+				if i := pick(arg); i >= 0 {
+					v, pos := arg%n, arg/n%2 == 0
+					push(m.RestrictCube(ms[i], m.Lit(v, pos)), ref.RestrictCube(rs[i], ref.Lit(v, pos)))
 				}
 			case 13: // GC both arenas
 				m.GC()

@@ -3,7 +3,6 @@ package bdd
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -180,38 +179,6 @@ func TestPermutationInterleaved(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	m := New(3)
-	// f = x0 xor x1 ; substitute x1 := x2 & x0
-	f := m.Xor(m.Var(0), m.Var(1))
-	g := m.And(m.Var(2), m.Var(0))
-	got := m.Compose(f, 1, g)
-	want := m.Xor(m.Var(0), g)
-	if got != want {
-		t.Fatal("Compose wrong")
-	}
-}
-
-func TestVectorCompose(t *testing.T) {
-	m := New(4)
-	f := m.Or(m.Var(0), m.Var(1))
-	got := m.VectorCompose(f, map[int]Ref{
-		0: m.Var(2),
-		1: m.Var(3),
-	})
-	want := m.Or(m.Var(2), m.Var(3))
-	if got != want {
-		t.Fatal("VectorCompose wrong")
-	}
-	// simultaneous swap: x0:=x1, x1:=x0
-	h := m.And(m.Var(0), m.NVar(1))
-	got = m.VectorCompose(h, map[int]Ref{0: m.Var(1), 1: m.Var(0)})
-	want = m.And(m.Var(1), m.NVar(0))
-	if got != want {
-		t.Fatal("simultaneous VectorCompose wrong")
-	}
-}
-
 func TestReorderPreservesSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	const n = 5
@@ -284,21 +251,6 @@ func TestSiftReducesInterleavingBlowup(t *testing.T) {
 	env[3] = false
 	if m.Eval(f, env) {
 		t.Fatal("sift broke semantics (negative case)")
-	}
-}
-
-func TestToDot(t *testing.T) {
-	m := New(2)
-	f := m.And(m.Var(0), m.Var(1))
-	var sb strings.Builder
-	if err := m.ToDot(&sb, f, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph", `label="a"`, `label="b"`, "style=dashed"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
 	}
 }
 

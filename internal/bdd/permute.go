@@ -77,76 +77,3 @@ func (m *Manager) composeVar(w int, low, high Ref) Ref {
 	}
 	return m.ite3(m.Var(w), high, low)
 }
-
-// Compose substitutes the function g for variable v in f (functional
-// composition f[v := g]).
-func (m *Manager) Compose(f Ref, v int, g Ref) Ref {
-	m.checkRef(f)
-	m.checkRef(g)
-	cache := make(map[Ref]Ref)
-	lvl := uint32(m.var2level[v])
-	var rec func(Ref) Ref
-	rec = func(u Ref) Ref {
-		if IsTerminal(u) || m.level(u) > lvl {
-			return u
-		}
-		s := u & compBit
-		up := u ^ s
-		if r, ok := cache[up]; ok {
-			return r ^ s
-		}
-		n := m.nodes[up]
-		var res Ref
-		if n.lvl&^markBit == lvl {
-			res = m.ite3(g, n.high, n.low)
-		} else {
-			low := rec(n.low)
-			high := rec(n.high)
-			res = m.composeVar(m.level2var[n.lvl&^markBit], low, high)
-		}
-		cache[up] = res
-		return res ^ s
-	}
-	return rec(f)
-}
-
-// VectorCompose substitutes subst[v] (when non-negative... see note) —
-// here represented as a map from variable to replacement function —
-// simultaneously into f.
-func (m *Manager) VectorCompose(f Ref, subst map[int]Ref) Ref {
-	m.checkRef(f)
-	if len(subst) == 0 {
-		return f
-	}
-	maxLvl := uint32(0)
-	for v := range subst {
-		if l := uint32(m.var2level[v]); l > maxLvl {
-			maxLvl = l
-		}
-	}
-	cache := make(map[Ref]Ref)
-	var rec func(Ref) Ref
-	rec = func(u Ref) Ref {
-		if IsTerminal(u) || m.level(u) > maxLvl {
-			return u
-		}
-		s := u & compBit
-		up := u ^ s
-		if r, ok := cache[up]; ok {
-			return r ^ s
-		}
-		n := m.nodes[up]
-		low := rec(n.low)
-		high := rec(n.high)
-		v := m.level2var[n.lvl&^markBit]
-		var res Ref
-		if g, ok := subst[v]; ok {
-			res = m.ite3(g, high, low)
-		} else {
-			res = m.composeVar(v, low, high)
-		}
-		cache[up] = res
-		return res ^ s
-	}
-	return rec(f)
-}

@@ -18,8 +18,6 @@ const (
 	opExists uint32 = 1 + iota
 	opForAll
 	opRestrict // f restricted by a cube of literals (g = literal cube)
-	opConstrain
-	opPermuteBase // opPermuteBase+k is the k-th registered permutation
 )
 
 func (m *Manager) binCacheGet(op uint32, f, g Ref) (Ref, bool) {

@@ -16,9 +16,8 @@ type Builder struct {
 
 	// clusters collects every ConstrainTrans conjunct; Finish installs
 	// them as a conjunctive partition for early-quantified image
-	// computation (disable with DisablePartition).
-	clusters         []bdd.Ref
-	DisablePartition bool
+	// computation when there are several.
+	clusters []bdd.Ref
 }
 
 // NewBuilder creates a builder over the given state variables. Manager
@@ -121,7 +120,7 @@ func (b *Builder) Invariant(f bdd.Ref) {
 // builder must not be used afterwards.
 func (b *Builder) Finish() *Symbolic {
 	m := b.S.M
-	if !b.DisablePartition && len(b.clusters) > 1 {
+	if len(b.clusters) > 1 {
 		b.S.SetClusters(b.clusters)
 	} else {
 		rel := b.S.Trans() // explicitly installed relation, or True

@@ -84,7 +84,7 @@ func buildInterleaved(r *rand.Rand, nData, nSched int) *Symbolic {
 
 	s.SetTrans(mono)
 	s.SetClusters(clusters)
-	s.SetDisjuncts(comps, nil)
+	s.SetDisjuncts(comps)
 
 	init := randomStateFunc(r, s, nData+nSched)
 	if init == bdd.False {
@@ -169,6 +169,39 @@ func TestDisjunctReachableAgrees(t *testing.T) {
 	}
 }
 
+// TestReachableCountsOneImagePerRound: on an interleaved model the
+// three shapes of the relation reach the same set, and each counts one
+// image per round it reports.
+func TestReachableCountsOneImagePerRound(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	s := buildInterleaved(r, 5, 2)
+	var want bdd.Ref
+	for i, shape := range []struct {
+		name       string
+		disj, part bool
+	}{
+		{"disjunctive", true, true},
+		{"conjunctive", false, true},
+		{"monolithic", false, false},
+	} {
+		s.EnableDisjunct(shape.disj)
+		s.EnablePartition(shape.part)
+		s.ResetRelStats()
+		reach, iters := s.Reachable()
+		if iters == 0 {
+			t.Fatalf("%s: no rounds from a non-empty initial set", shape.name)
+		}
+		if got := s.RelStats().ImageCalls; got != uint64(iters) {
+			t.Errorf("%s: %d image calls over %d reported iterations", shape.name, got, iters)
+		}
+		if i == 0 {
+			want = s.M.Protect(reach)
+		} else if reach != want {
+			t.Errorf("%s: reachable set differs from the disjunctive one", shape.name)
+		}
+	}
+}
+
 func TestDisjunctPrecedenceAndToggle(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	s := buildInterleaved(r, 3, 1)
@@ -203,7 +236,7 @@ func TestSetDisjunctsRemoval(t *testing.T) {
 	if s.NumDisjuncts() == 0 {
 		t.Fatal("expected disjuncts")
 	}
-	s.SetDisjuncts(nil, nil)
+	s.SetDisjuncts(nil)
 	if s.NumDisjuncts() != 0 || s.Disjunct() != nil {
 		t.Fatal("disjuncts should be removed")
 	}
@@ -220,10 +253,26 @@ func TestDisjunctTransMaterialization(t *testing.T) {
 	x, y := s.Vars[0], s.Vars[1]
 	compA := m.And(m.Var(x.Cur), m.Eq(m.Var(y.Next), m.NVar(y.Cur)))
 	compB := m.And(m.NVar(x.Cur), m.Eq(m.Var(y.Next), m.Var(y.Cur)))
-	s.SetDisjuncts([]bdd.Ref{compA, compB}, []string{"a", "b"})
+	s.SetDisjuncts([]bdd.Ref{compA, compB})
 	want := m.Or(compA, compB)
 	if got := s.Trans(); got != want {
 		t.Fatalf("Trans() = %v, want OR of components %v", got, want)
+	}
+}
+
+// TestRemovingDisjunctsPinsTrans: removing the only partition of a
+// structure whose monolithic relation is still deferred keeps that
+// relation, as removing clusters does.
+func TestRemovingDisjunctsPinsTrans(t *testing.T) {
+	s := NewSymbolic([]string{"x", "y"})
+	m := s.M
+	x, y := s.Vars[0], s.Vars[1]
+	compA := m.And(m.Var(x.Cur), m.Eq(m.Var(y.Next), m.NVar(y.Cur)))
+	compB := m.And(m.NVar(x.Cur), m.Eq(m.Var(y.Next), m.Var(y.Cur)))
+	s.SetDisjuncts([]bdd.Ref{compA, compB})
+	s.SetDisjuncts(nil)
+	if s.Trans() != m.Or(compA, compB) {
+		t.Fatal("Trans() lost the relation of the removed components")
 	}
 }
 
@@ -242,7 +291,7 @@ func TestDisjunctHasEdgePointwise(t *testing.T) {
 	comp1 := m.And(g1, m.And(
 		m.Eq(m.Var(s.Vars[1].Next), m.And(m.Var(s.Vars[0].Cur), m.Var(s.Vars[1].Cur))),
 		m.Eq(m.Var(s.Vars[0].Next), m.Var(s.Vars[0].Cur))))
-	s.SetDisjuncts([]bdd.Ref{comp0, comp1}, nil)
+	s.SetDisjuncts([]bdd.Ref{comp0, comp1})
 	mono := m.Or(comp0, comp1)
 	for trial := 0; trial < 64; trial++ {
 		from := State{r.Intn(2) == 1, r.Intn(2) == 1, r.Intn(2) == 1}

@@ -131,10 +131,10 @@ func TestAffinityMergeDropsTrivialAndSubsetClusters(t *testing.T) {
 func TestScheduleCoversAllQuantificationVars(t *testing.T) {
 	s, _ := buildPartitionedCounter(5)
 	m := s.M
-	p := s.Partition()
-	if p == nil {
+	if s.Partition() == nil {
 		t.Fatal("no partition")
 	}
+	p := s.Partition().parts[0]
 	for _, dir := range []struct {
 		name  string
 		sched schedule
@@ -231,7 +231,7 @@ func TestRelStatsAccumulate(t *testing.T) {
 	s.ResetRelStats()
 	s.Preimage(bdd.True)
 	rs = s.RelStats()
-	if rs.PreimageCalls != 1 || rs.ClusterSteps != 0 {
+	if rs.PreimageCalls != 1 || rs.ClusterSteps != 1 {
 		t.Fatalf("monolithic path stats wrong: %+v", rs)
 	}
 }
@@ -273,10 +273,9 @@ func TestSharedDeadlockComputation(t *testing.T) {
 func TestPartitionedReachableAgrees(t *testing.T) {
 	s, _ := buildPartitionedCounter(6)
 	reachPart, _ := s.Reachable()
-	part := s.part
-	s.part = nil
+	s.EnablePartition(false)
 	reachMono, _ := s.Reachable()
-	s.part = part
+	s.EnablePartition(true)
 	if reachPart != reachMono {
 		t.Fatal("reachability differs between partitioned and monolithic")
 	}

@@ -65,10 +65,15 @@ type Symbolic struct {
 	curVars []int
 	env     []bool
 
-	part     *Partition // optional conjunctive transition partition
-	partOff  bool       // EnablePartition(false): keep it but bypass it
-	disj     *Disjunct  // optional disjunctive transition partition
-	disjOn   bool       // EnableDisjunct(true): use the disjunctive image
+	// The three shapes of R (relation.go): the conjunctive and the
+	// disjunctive partition as installed, and the monolithic relation,
+	// built from Trans() on its first image and dropped by SetTrans.
+	conj     *Relation
+	partOff  bool // EnablePartition(false): keep conj but bypass it
+	disj     *Relation
+	disjOn   bool // EnableDisjunct(true): use disj
+	mono     *Relation
+	kept     *refStack // shared with WithFairness views
 	relStats RelStats
 	stats0   bdd.Stats // manager counters at the last ResetRelStats (cache-rate deltas)
 
@@ -101,7 +106,9 @@ func NewSymbolic(names []string, opts ...bdd.Option) *Symbolic {
 		Invar:      bdd.True,
 		atoms:      map[string]bdd.Ref{},
 		eqAtoms:    map[string]func(string) (bdd.Ref, error){},
+		kept:       &refStack{},
 	}
+	m.RegisterRoots(s.kept.visit)
 	for i, n := range names {
 		s.Vars = append(s.Vars, StateVar{Name: n, Cur: 2 * i, Next: 2*i + 1})
 		s.atoms[n] = m.Protect(m.Var(2 * i))
@@ -239,32 +246,28 @@ func (s *Symbolic) AtomSet(f *ctl.Formula) (bdd.Ref, error) {
 // Trans returns the monolithic transition relation R(v, v′). When the
 // structure was built through a partition — conjunctive clusters or
 // disjunctive components — the monolithic BDD is not constructed up
-// front: the partitioned image computations never need it, and on large
-// models it blows up. It is materialized on first demand and cached,
-// from the clusters when a conjunctive partition exists, otherwise as
-// the union of the disjunctive components.
+// front: the partitioned images never need it, and on large models it
+// blows up. It is materialized on first demand and cached, as the union
+// over the installed partition's parts of each part's conjunction.
 func (s *Symbolic) Trans() bdd.Ref {
 	if !s.transValid {
 		m := s.M
 		var acc bdd.Ref
-		if s.part != nil {
-			acc = m.Protect(bdd.True)
-			for _, c := range s.part.clusters {
-				next := m.Protect(m.And(acc, c))
-				m.Unprotect(acc)
-				acc = next
+		for i, p := range s.factors().parts {
+			conj := m.Protect(bdd.True)
+			for _, c := range p.clusters {
+				next := m.Protect(m.And(conj, c))
+				m.Unprotect(conj)
+				conj = next
 				m.MaybeGC()
 			}
-		} else if s.disj != nil {
-			acc = m.Protect(bdd.False)
-			for i := range s.disj.comps {
-				next := m.Protect(m.Or(acc, s.disj.comps[i].rel))
+			if i > 0 {
+				next := m.Protect(m.Or(acc, conj))
 				m.Unprotect(acc)
-				acc = next
-				m.MaybeGC()
+				m.Unprotect(conj)
+				conj = next
 			}
-		} else {
-			acc = m.Protect(bdd.True)
+			acc = conj
 		}
 		s.trans = acc
 		s.transValid = true
@@ -280,47 +283,23 @@ func (s *Symbolic) SetTrans(f bdd.Ref) {
 	}
 	s.trans = s.M.Protect(f)
 	s.transValid = true
+	s.mono = nil
 }
 
 // Image returns the set of successors of the states in from:
-// { t | ∃s ∈ from : R(s,t) }, expressed over current variables. When a
-// conjunctive partition is installed (SetClusters) the relational
-// product is computed cluster by cluster with early quantification.
+// { t | ∃s ∈ from : R(s,t) }, expressed over current variables,
+// evaluated over the enabled shape of R (see relation.go).
 func (s *Symbolic) Image(from bdd.Ref) bdd.Ref {
 	s.relStats.ImageCalls++
-	if s.DisjunctEnabled() {
-		return s.imageDisjunct(from)
-	}
-	if s.PartitionEnabled() {
-		return s.imagePart(from)
-	}
-	// Registering the argument keeps it valid across Trans(), which may
-	// materialize the monolithic relation (GC) or hit a reorder safe
-	// point.
-	id := s.M.RegisterRefs(&from)
-	trans := s.Trans()
-	s.M.Unregister(id)
-	next := s.M.AndExists(from, trans, s.curCube)
-	s.noteLiveNodes()
-	return s.ToCur(next)
+	r := s.relation(from)
+	return s.ToCur(s.apply(r, from, false))
 }
 
 // Preimage returns EX to: the set of states with some successor in to.
 func (s *Symbolic) Preimage(to bdd.Ref) bdd.Ref {
 	s.relStats.PreimageCalls++
-	if s.DisjunctEnabled() {
-		return s.preimageDisjunct(to)
-	}
-	if s.PartitionEnabled() {
-		return s.preimagePart(to)
-	}
-	id := s.M.RegisterRefs(&to)
-	trans := s.Trans()
-	s.M.Unregister(id)
-	next := s.ToNext(to)
-	res := s.M.AndExists(trans, next, s.nextCube)
-	s.noteLiveNodes()
-	return res
+	r := s.relation(to)
+	return s.apply(r, s.ToNext(to), true)
 }
 
 // hasSuccessors returns ∃v′.Trans — the states with at least one
@@ -337,22 +316,92 @@ func (s *Symbolic) hasSuccessors() bdd.Ref {
 
 // Reachable computes the set of states reachable from Init by a
 // breadth-first least fixpoint, returning the set and the number of
-// frontier iterations. Garbage is collected opportunistically between
-// frontier steps on large models. With the reachable cache enabled the
-// fixpoint runs at most once; repeat calls return the cached set and
-// count as ReachableReuses in RelStats.
+// rounds. Each round feeds every part of the enabled relation the
+// states reached since that part last ran (its window), so states a
+// part finds reach the parts after it in the same round; with one part
+// this is the plain frontier iteration. Every round counts one
+// ImageCalls, and the loop ends after the first round that finds
+// nothing new. Garbage is collected opportunistically between rounds on
+// large models. With the reachable cache enabled the fixpoint runs at
+// most once; repeat calls return the cached set and count as
+// ReachableReuses in RelStats.
 func (s *Symbolic) Reachable() (bdd.Ref, int) {
 	if s.reachValid {
 		s.relStats.ReachableReuses++
 		return s.reach, s.reachIters
 	}
-	reached, iters := s.reachableCompute()
+	m := s.M
+	reached := m.Protect(s.Init)
+	r := s.relation()
+	wins := make([]window, len(r.parts))
+	for i := range wins {
+		wins[i].single = s.Init
+	}
+	id := m.RegisterRoots(func(visit func(bdd.Ref)) {
+		for _, w := range wins {
+			visit(w.single)
+			visit(w.base)
+		}
+	})
+	iters := 0
+	for grew := s.Init != bdd.False; grew; iters++ {
+		s.relStats.ImageCalls++
+		m.ReorderIfNeeded()
+		grew = false
+		for i := range wins {
+			arg := wins[i].single
+			if wins[i].many {
+				arg = m.Diff(reached, wins[i].base)
+			}
+			if arg == bdd.False {
+				continue
+			}
+			img := s.ToCur(s.product(r, i, arg, false))
+			wins[i] = window{}
+			fresh := m.Diff(img, reached)
+			old := reached
+			m.Unprotect(reached)
+			reached = m.Protect(m.Or(reached, fresh))
+			if fresh == bdd.False {
+				continue
+			}
+			grew = true
+			for j := range wins {
+				wins[j].add(m, old, fresh)
+			}
+		}
+		m.MaybeGC()
+	}
+	m.Unregister(id)
+	m.Unprotect(reached)
 	if s.reachCaching {
-		s.reach = s.M.Protect(reached)
+		s.reach = m.Protect(reached)
 		s.reachIters = iters
 		s.reachValid = true
 	}
 	return reached, iters
+}
+
+// window is what Reachable has not fed a part yet: while reached has
+// grown once since the part last ran, the set it gained (single); after
+// that, all of reached outside base, reached as it stood at that run.
+// The one-set case needs no BDD operation; the other costs one Diff
+// when the second set arrives and one when the part runs, however often
+// reached grew.
+type window struct {
+	single, base bdd.Ref
+	many         bool
+}
+
+// add records that reached grew from old by fresh.
+func (w *window) add(m *bdd.Manager, old, fresh bdd.Ref) {
+	switch {
+	case w.many:
+	case w.single == bdd.False:
+		w.single = fresh
+	default:
+		w.base, w.single, w.many = m.Diff(old, w.single), bdd.False, true
+	}
 }
 
 // EnableReachableCache makes the next Reachable result stick for the
@@ -378,29 +427,6 @@ func (s *Symbolic) SetReachable(r bdd.Ref, iters int) {
 // ReachableCached peeks at the cache without computing anything.
 func (s *Symbolic) ReachableCached() (bdd.Ref, int, bool) {
 	return s.reach, s.reachIters, s.reachValid
-}
-
-func (s *Symbolic) reachableCompute() (bdd.Ref, int) {
-	if s.DisjunctEnabled() {
-		return s.reachableDisjunct()
-	}
-	m := s.M
-	reached := m.Protect(s.Init)
-	frontier := m.Protect(s.Init)
-	iters := 0
-	for frontier != bdd.False {
-		iters++
-		m.ReorderIfNeeded()
-		img := s.Image(frontier)
-		m.Unprotect(frontier)
-		frontier = m.Protect(m.Diff(img, reached))
-		m.Unprotect(reached)
-		reached = m.Protect(m.Or(reached, frontier))
-		m.MaybeGC()
-	}
-	m.Unprotect(frontier)
-	m.Unprotect(reached)
-	return reached, iters
 }
 
 // CountStates returns the number of states in the set (over the state
@@ -469,37 +495,11 @@ func (s *Symbolic) HasEdge(from, to State) bool {
 		env[v.Cur] = from[i]
 		env[v.Next] = to[i]
 	}
-	ok := s.evalEdge(env)
+	ok := s.factors().holds(s.M, env)
 	for _, v := range s.Vars {
 		env[v.Next] = false
 	}
 	return ok
-}
-
-// evalEdge evaluates the transition relation under env. With a
-// partition installed it evaluates the factors pointwise — every
-// conjunct must accept the edge, or some disjunct must — so trace
-// validation never forces the monolithic BDD into existence.
-func (s *Symbolic) evalEdge(env []bool) bool {
-	if !s.transValid {
-		if s.part != nil {
-			for _, c := range s.part.clusters {
-				if !s.M.Eval(c, env) {
-					return false
-				}
-			}
-			return true
-		}
-		if s.disj != nil {
-			for i := range s.disj.comps {
-				if s.M.Eval(s.disj.comps[i].rel, env) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return s.M.Eval(s.Trans(), env)
 }
 
 // Successors enumerates the concrete successors of st, up to limit

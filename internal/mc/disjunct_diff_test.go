@@ -88,7 +88,7 @@ func randomInterleavedModel(r *rand.Rand, nData, nSched, nfair int, opts ...bdd.
 	}
 	s.SetTrans(mono)
 	s.SetClusters(clusters)
-	s.SetDisjuncts(comps, nil)
+	s.SetDisjuncts(comps)
 	init := randomFunc(nData + nSched)
 	if init == bdd.False {
 		init = bdd.True

@@ -363,17 +363,15 @@ func (c *Compiled) emitDisjuncts(transClusters []bdd.Ref) error {
 	}
 	mgr := c.S.M
 	comps := make([]bdd.Ref, len(info.Values))
-	names := make([]string, len(info.Values))
-	for idx, v := range info.Values {
+	for idx := range info.Values {
 		guard := c.encodeValue(info, idx, false)
 		comp := guard
 		for _, cl := range transClusters {
 			comp = mgr.And(comp, mgr.RestrictCube(cl, guard))
 		}
 		comps[idx] = comp
-		names[idx] = v.S
 	}
-	c.S.SetDisjuncts(comps, names)
+	c.S.SetDisjuncts(comps)
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 type Cache struct {
 	max        int
 	nodeBudget int
-	disk       *diskCache
+	disk       *DiskStore // nil without a directory
 
 	mu       sync.Mutex
 	sessions map[string]*entry
@@ -59,9 +59,12 @@ func NewCache(max, nodeBudget int, diskDir string) (*Cache, error) {
 	if max < 1 {
 		max = 1
 	}
-	disk, err := newDiskCache(diskDir)
-	if err != nil {
-		return nil, err
+	var disk *DiskStore
+	if diskDir != "" {
+		var err error
+		if disk, err = OpenDiskStore(diskDir); err != nil {
+			return nil, err
+		}
 	}
 	return &Cache{
 		max:        max,

@@ -35,40 +35,47 @@ type diskMeta struct {
 	SavedAt    int64      `json:"saved_at_unix"`
 }
 
-type diskCache struct {
+// DiskStore is the warm-start record store over one directory. A
+// running smvd's Cache writes a session's record on eviction and
+// shutdown and reads it on a miss; single-shot clients like
+// `smv -cache-dir` call Load and Save directly. Both use the same key
+// scheme and file format, so a record written by either warms the
+// other.
+type DiskStore struct {
 	dir string
 }
 
-func newDiskCache(dir string) (*diskCache, error) {
+// OpenDiskStore opens (creating if needed) a warm-start directory.
+func OpenDiskStore(dir string) (*DiskStore, error) {
 	if dir == "" {
-		return nil, nil
+		return nil, fmt.Errorf("smvd: empty cache directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &diskCache{dir: dir}, nil
+	return &DiskStore{dir: dir}, nil
 }
 
-func (d *diskCache) bddPath(key string) string  { return filepath.Join(d.dir, key+".bdd") }
-func (d *diskCache) metaPath(key string) string { return filepath.Join(d.dir, key+".json") }
+func (st *DiskStore) bddPath(key string) string  { return filepath.Join(st.dir, key+".bdd") }
+func (st *DiskStore) metaPath(key string) string { return filepath.Join(st.dir, key+".json") }
 
 // save writes the session's warm-start record. Caller holds the session
 // lock. Sessions that never ran their fixpoints have nothing worth
-// persisting and are skipped silently.
-func (d *diskCache) save(s *Session) error {
-	if d == nil {
+// persisting and are skipped silently, as is everything on a nil store.
+func (st *DiskStore) save(s *Session) error {
+	if st == nil {
 		return nil
 	}
 	reach, fair, iters, ok := s.warmRefs()
 	if !ok {
 		return nil
 	}
-	return d.saveRefs(s.Key, s.Cfg, s.compiled.S.M, reach, fair, iters)
+	return st.Save(s.Key, s.Cfg, s.compiled.S.M, reach, fair, iters)
 }
 
-// saveRefs writes one warm-start record from raw roots.
-func (d *diskCache) saveRefs(key string, cfg smv.Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
-	if err := writeAtomic(d.bddPath(key), func(f *os.File) error {
+// Save writes (or refreshes) the warm-start record for key.
+func (st *DiskStore) Save(key string, cfg smv.Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
+	if err := writeAtomic(st.bddPath(key), func(f *os.File) error {
 		return m.SaveNamed(f, []bdd.NamedRoot{
 			{Name: rootReach, Ref: reach},
 			{Name: rootFair, Ref: fair},
@@ -77,20 +84,21 @@ func (d *diskCache) saveRefs(key string, cfg smv.Config, m *bdd.Manager, reach, 
 		return err
 	}
 	meta := diskMeta{Key: key, Config: cfg, ReachIters: iters, SavedAt: time.Now().Unix()}
-	return writeAtomic(d.metaPath(key), func(f *os.File) error {
+	return writeAtomic(st.metaPath(key), func(f *os.File) error {
 		return json.NewEncoder(f).Encode(&meta)
 	})
 }
 
 // load warm-starts the session from its record, if one exists. Returns
-// whether the session was seeded. Caller holds the session lock (or
-// has exclusivity by construction). A corrupt or mismatched record is
-// reported as an error but leaves the session cold and usable.
-func (d *diskCache) load(s *Session) (bool, error) {
-	if d == nil {
+// whether the session was seeded (never, on a nil store). Caller holds
+// the session lock (or has exclusivity by construction). A corrupt or
+// mismatched record is reported as an error but leaves the session cold
+// and usable.
+func (st *DiskStore) load(s *Session) (bool, error) {
+	if st == nil {
 		return false, nil
 	}
-	reach, fair, iters, ok, err := d.loadRefs(s.Key, s.compiled.S.M)
+	reach, fair, iters, ok, err := st.Load(s.Key, s.compiled.S.M)
 	if err != nil || !ok {
 		return false, err
 	}
@@ -98,10 +106,10 @@ func (d *diskCache) load(s *Session) (bool, error) {
 	return true, nil
 }
 
-// loadRefs restores the record's roots into m, adopting the saved
-// variable order. ok is false (with a nil error) when no record exists.
-func (d *diskCache) loadRefs(key string, m *bdd.Manager) (reach, fair bdd.Ref, iters int, ok bool, err error) {
-	mf, err := os.Open(d.metaPath(key))
+// Load restores the warm-start roots for key into m, adopting the saved
+// variable order. ok is false with a nil error when no record exists.
+func (st *DiskStore) Load(key string, m *bdd.Manager) (reach, fair bdd.Ref, iters int, ok bool, err error) {
+	mf, err := os.Open(st.metaPath(key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, 0, 0, false, nil
 	}
@@ -117,7 +125,7 @@ func (d *diskCache) loadRefs(key string, m *bdd.Manager) (reach, fair bdd.Ref, i
 	if meta.Key != key {
 		return 0, 0, 0, false, fmt.Errorf("smvd: meta record key mismatch for %.12s", key)
 	}
-	bf, err := os.Open(d.bddPath(key))
+	bf, err := os.Open(st.bddPath(key))
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
@@ -142,36 +150,6 @@ func (d *diskCache) loadRefs(key string, m *bdd.Manager) (reach, fair bdd.Ref, i
 		return 0, 0, 0, false, fmt.Errorf("smvd: warm-start record for %.12s missing named roots", key)
 	}
 	return reach, fair, meta.ReachIters, true, nil
-}
-
-// DiskStore is the single-shot face of the warm-start record store, for
-// clients like `smv -cache-dir` that check one model and exit. It uses
-// the same key scheme and file format as a running smvd over the same
-// directory, so the two interoperate: a record written by either warms
-// the other.
-type DiskStore struct{ d *diskCache }
-
-// OpenDiskStore opens (creating if needed) a warm-start directory.
-func OpenDiskStore(dir string) (*DiskStore, error) {
-	d, err := newDiskCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	if d == nil {
-		return nil, fmt.Errorf("smvd: empty cache directory")
-	}
-	return &DiskStore{d: d}, nil
-}
-
-// Load restores the warm-start roots for key into m, adopting the saved
-// variable order. ok is false with a nil error when no record exists.
-func (st *DiskStore) Load(key string, m *bdd.Manager) (reach, fair bdd.Ref, iters int, ok bool, err error) {
-	return st.d.loadRefs(key, m)
-}
-
-// Save writes (or refreshes) the warm-start record for key.
-func (st *DiskStore) Save(key string, cfg smv.Config, m *bdd.Manager, reach, fair bdd.Ref, iters int) error {
-	return st.d.saveRefs(key, cfg, m, reach, fair, iters)
 }
 
 // writeAtomic writes via a temp file in the same directory plus rename.
