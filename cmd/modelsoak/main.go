@@ -1,7 +1,7 @@
 // Command modelsoak runs the randomized model-generator differential
 // harness for an extended period: each seed produces a well-formed SMV
 // program that is compiled through every engine configuration in the
-// lattice (monolithic/partitioned/disjunctive × complement edges on/off
+// lattice (monolithic/partitioned × complement edges on/off
 // × auto-reorder on/off), cross-checked against the explicit-state
 // oracle, and every counterexample trace is replayed.
 // Any divergence is shrunk to a minimal reproducer and written to the

@@ -6,21 +6,22 @@
 // Usage:
 //
 //	smv [-stats] [-delta] [-reachable] [-witness] [-compact] [-tree]
-//	    [-reorder] [-disjunctive] [-ltl "formula"]
+//	    [-reorder] [-ltl "formula"]
 //	    [-simulate N -seed S] model.smv
 //
 // Besides SPEC (CTL) sections the input may contain LTLSPEC sections;
 // each is checked by compiling the model in product with the Büchi
 // tableau of the negated formula and testing fair emptiness. Failing
 // LTL specifications produce a fair lasso (stem + cycle) over the model
-// variables.
+// variables. A model that declares processes is checked through its
+// disjunctive (per-process) image, any other through its conjunctive
+// clusters.
 //
 // Flags:
 //
 //	-stats       print BDD and fixpoint statistics after checking
 //	-ltl F       check LTL formula F in addition to the model's LTLSPECs
 //	-reorder     enable dynamic variable reordering (growth-triggered sifting)
-//	-disjunctive use the disjunctive (per-process) image on interleaved models
 //	-delta       print traces showing only changed variables per state
 //	-reachable   report the number of reachable states first
 //	-witness     for specs that hold and are existential, print a witness
@@ -73,7 +74,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for -simulate")
 	ltlSpec := flag.String("ltl", "", "check an LTL formula in addition to the model's LTLSPEC sections")
 	reorder := flag.Bool("reorder", false, "enable dynamic variable reordering")
-	disjunctive := flag.Bool("disjunctive", false, "use the disjunctive (per-process) image on interleaved models")
 	noComplement := flag.Bool("no-complement", false, "disable complement edges (legacy structural negation)")
 	server := flag.String("server", "", "check via a running smvd at this base URL instead of locally")
 	cacheDir := flag.String("cache-dir", "", "warm-start from (and write) smvd warm records in this directory")
@@ -123,7 +123,6 @@ func main() {
 		fatal(err)
 	}
 	cfg := smv.Config{
-		Disjunctive:  *disjunctive,
 		Reorder:      *reorder,
 		NoComplement: *noComplement,
 	}
@@ -137,9 +136,6 @@ func main() {
 	compiled, err := smv.CompileSource(string(src), cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *disjunctive && compiled.S.NumDisjuncts() == 0 {
-		fmt.Fprintln(os.Stderr, "warning: -disjunctive has no effect: model declares no processes")
 	}
 
 	// Warm start: restore a previous run's variable order and fixpoint
@@ -303,8 +299,7 @@ func main() {
 		fmt.Printf("transition clusters: %d (preimages %d, images %d, cluster steps %d, peak %d nodes in chains)\n",
 			compiled.S.NumClusters(), rel.PreimageCalls, rel.ImageCalls, rel.ClusterSteps, rel.PeakLiveNodes)
 		if n := compiled.S.NumDisjuncts(); n > 0 {
-			fmt.Printf("disjunctive components: %d (enabled %v, disjunct steps %d)\n",
-				n, compiled.S.DisjunctEnabled(), rel.DisjunctSteps)
+			fmt.Printf("disjunctive components: %d (disjunct steps %d)\n", n, rel.DisjunctSteps)
 		}
 		fmt.Printf("checker preimages:  %d (%d cluster steps, %d disjunct steps, AndExists cache hits %d / lookups %d)\n",
 			checker.Stats.PreimageCalls, checker.Stats.ClusterSteps, checker.Stats.DisjunctSteps,

@@ -14,7 +14,7 @@
 // Endpoints:
 //
 //	POST /check    {"model": "...", "specs": ["AG p"], "ltl": ["G F q"],
-//	                "config": {"disjunctive": true}, "deadline_ms": 5000}
+//	                "config": {"reorder": true}, "deadline_ms": 5000}
 //	GET  /statsz   cache hit/miss counters + per-session RelStats
 //	GET  /healthz  liveness probe
 //	     /debug/pprof/  live profiling

@@ -39,6 +39,10 @@ func TestComplementDifferentialModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A process model's partition is its disjunctive one, so its
+		// partitioned mode runs the disjunctive image; its disjunctive
+		// mode repeats that under the retired Config.Disjunctive, which
+		// must change nothing.
 		modes := []string{"partitioned", "monolithic"}
 		if probe.S.NumDisjuncts() > 0 {
 			modes = append(modes, "disjunctive")

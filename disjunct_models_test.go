@@ -57,9 +57,7 @@ func TestDisjunctiveModelsDifferential(t *testing.T) {
 // through the disjunctive image, one through the monolithic relation —
 // and compares everything observable.
 func compareDisjunctiveToMonolithic(t *testing.T, src string, cfg smv.Config) {
-	disCfg := cfg
-	disCfg.Disjunctive = true
-	dis, err := smv.CompileSource(src, disCfg)
+	dis, err := smv.CompileSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

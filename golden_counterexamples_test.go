@@ -20,8 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden counterexample
 // the shipped models produce: each failing SPEC and LTLSPEC of
 // models/*.smv, rendered as `smv` prints it (full and -delta form) and
 // as an smvd session returns it, once cold and once from the session's
-// warm memo. One golden file per engine configuration: the default and
-// -disjunctive. Regenerate with
+// warm memo. Regenerate with
 //
 //	go test -run TestGoldenCounterexamples -update .
 //
@@ -32,55 +31,43 @@ func TestGoldenCounterexamples(t *testing.T) {
 	if err != nil || len(models) == 0 {
 		t.Fatalf("no models: %v", err)
 	}
-	for _, cfg := range []struct {
-		name string
-		smvd smv.Config
-	}{
-		{"default", smv.Config{}},
-		{"disjunctive", smv.Config{Disjunctive: true}},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			var out strings.Builder
-			for _, path := range models {
-				src, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				renderSmvCounterexamples(t, &out, path, string(src), cfg.smvd.Disjunctive)
-				renderSmvdCounterexamples(t, &out, path, string(src), cfg.smvd)
-			}
-			golden := filepath.Join("testdata", "counterexamples-"+cfg.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
+	t.Run("default", func(t *testing.T) {
+		var out strings.Builder
+		for _, path := range models {
+			src, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
+				t.Fatal(err)
 			}
-			if got := out.String(); got != string(want) {
-				t.Errorf("counterexamples differ from %s at %s", golden, firstDiff(got, string(want)))
+			renderSmvCounterexamples(t, &out, path, string(src))
+			renderSmvdCounterexamples(t, &out, path, string(src), smv.Config{})
+		}
+		golden := filepath.Join("testdata", "counterexamples-default.golden")
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if got := out.String(); got != string(want) {
+			t.Errorf("counterexamples differ from %s at %s", golden, firstDiff(got, string(want)))
+		}
+	})
 }
 
-// renderSmvCounterexamples follows the `smv [-disjunctive] model.smv`
-// path: CheckCTL on one checker without a care set for the CTL specs,
-// CheckLTL (a fresh product and checker) per LTL spec.
-func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src string, disjunctive bool) {
+// renderSmvCounterexamples follows the `smv model.smv` path: CheckCTL
+// on one checker without a care set for the CTL specs, CheckLTL (a
+// fresh product and checker) per LTL spec.
+func renderSmvCounterexamples(t *testing.T, out *strings.Builder, path, src string) {
 	t.Helper()
-	flags := ""
-	if disjunctive {
-		flags = " -disjunctive"
-	}
-	fmt.Fprintf(out, "== smv%s %s\n", flags, path)
-	compiled, err := smv.CompileSource(src, smv.Config{Disjunctive: disjunctive})
+	fmt.Fprintf(out, "== smv %s\n", path)
+	compiled, err := smv.CompileSource(src, smv.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

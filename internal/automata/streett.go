@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/explicit"
 )
 
 // Pair is one Streett acceptance pair (U, V): a run r is accepted by the
@@ -285,7 +287,7 @@ func (a *Streett) Accepts(w Word) (bool, error) {
 
 // sccList computes the SCCs of the subgraph as explicit node lists.
 func sccList(succ [][]int, sub []bool) [][]int {
-	comp, ncomp := tarjan(succ, sub)
+	comp, ncomp := explicit.SCC(succ, sub)
 	out := make([][]int, ncomp)
 	for v, c := range comp {
 		if c >= 0 {
@@ -308,78 +310,4 @@ func nontrivial(succ [][]int, comp []int, sub []bool) bool {
 		}
 	}
 	return false
-}
-
-// tarjan is an iterative Tarjan SCC over a subgraph (duplicated from
-// internal/explicit to keep the packages independent).
-func tarjan(succ [][]int, sub []bool) (comp []int, ncomp int) {
-	n := len(succ)
-	comp = make([]int, n)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range comp {
-		comp[i] = -1
-		index[i] = -1
-	}
-	var stack []int
-	next := 0
-	type frame struct{ v, ei int }
-	var dfs []frame
-	for root := 0; root < n; root++ {
-		if !sub[root] || index[root] != -1 {
-			continue
-		}
-		dfs = append(dfs[:0], frame{root, 0})
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			v := f.v
-			advanced := false
-			for f.ei < len(succ[v]) {
-				w := succ[v][f.ei]
-				f.ei++
-				if !sub[w] {
-					continue
-				}
-				if index[w] == -1 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					dfs = append(dfs, frame{w, 0})
-					advanced = true
-					break
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-		}
-	}
-	return comp, ncomp
 }

@@ -59,15 +59,6 @@ const (
 	True  Ref = compBit
 )
 
-// IsComplement reports whether the Ref carries the complement bit. It
-// is a property of the handle, not of the function: the canonical form
-// decides which of f, ¬f is stored plain.
-func IsComplement(f Ref) bool { return f&compBit != 0 }
-
-// Regular returns f with the complement bit cleared: the plain handle
-// of the node f lives on.
-func Regular(f Ref) Ref { return f &^ compBit }
-
 // terminalLevel is the level assigned to the terminal node. It
 // compares greater than every variable level, which lets the recursive
 // operations treat terminals uniformly.
@@ -446,14 +437,6 @@ func (m *Manager) low(f Ref) Ref { return m.nodes[f&^compBit].low ^ (f & compBit
 // high returns the then-cofactor of f with the complement bit pushed
 // through.
 func (m *Manager) high(f Ref) Ref { return m.nodes[f&^compBit].high ^ (f & compBit) }
-
-// Low returns the else-branch (variable false) of f, as a function:
-// complement bits on f propagate to the returned cofactor.
-func (m *Manager) Low(f Ref) Ref { return m.low(f) }
-
-// High returns the then-branch (variable true) of f, with complement
-// bits propagated.
-func (m *Manager) High(f Ref) Ref { return m.high(f) }
 
 // hash2 mixes a node's child pair into a bucket index. The level is not
 // part of the hash: each level has its own table.

@@ -57,8 +57,8 @@ func compareLassos(t *testing.T, what string, s *kripke.Symbolic, gen *core.Gene
 // TestWalkLassoAgainstRings checks the forward walk of unfair EG
 // witnesses against the ring construction on every failing SPEC and
 // LTLSPEC of models/*.smv, hanoi-7, chase-16 and arbiter-8 whose
-// structure has no fairness constraint, under the default and the
-// disjunctive image. A CTL counterexample's EG witness starts at one of
+// structure has no fairness constraint, each under the image its model
+// picks (the process models' disjunctive one included). A CTL counterexample's EG witness starts at one of
 // its states inside the EG set; each such state is tried. An LTL
 // counterexample is the EG true witness from FairEmptiness's start.
 func TestWalkLassoAgainstRings(t *testing.T) {
@@ -85,75 +85,73 @@ func TestWalkLassoAgainstRings(t *testing.T) {
 		model{"chase-16", modelgen.ChaseSource(16)},
 		model{"arbiter-8", arbiter})
 
-	for _, disjunctive := range []bool{false, true} {
-		var ctlStarts, ltlStarts int
-		var closures, fallbacks uint64
-		for _, md := range models {
-			c, err := smv.CompileSource(md.src, smv.Config{Disjunctive: disjunctive})
-			if err != nil {
-				t.Fatalf("%s: %v", md.name, err)
-			}
-			if len(c.S.Fair) == 0 {
-				checker := mc.New(c.S)
-				gen := core.NewGenerator(checker)
-				for _, sp := range c.Module.Specs {
-					if err := c.ResolveSpecAtoms(sp.Formula); err != nil {
-						t.Fatalf("%s: %s: %v", md.name, sp.Source, err)
-					}
-					holds, tr, err := gen.CounterexampleInit(sp.Formula)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", md.name, sp.Source, err)
-					}
-					if holds {
-						continue
-					}
-					for _, eg := range egNodes(ctl.PushNegations(ctl.Existential(ctl.Not(sp.Formula))), nil) {
-						egSet, err := checker.Check(eg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						inner, err := checker.Check(eg.L)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, st := range tr.States {
-							if c.S.Holds(egSet, st) {
-								compareLassos(t, md.name+": "+sp.Source, c.S, gen, inner, egSet, st)
-								ctlStarts++
-							}
-						}
-					}
+	var ctlStarts, ltlStarts int
+	var closures, fallbacks uint64
+	for _, md := range models {
+		c, err := smv.CompileSource(md.src, smv.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", md.name, err)
+		}
+		if len(c.S.Fair) == 0 {
+			checker := mc.New(c.S)
+			gen := core.NewGenerator(checker)
+			for _, sp := range c.Module.Specs {
+				if err := c.ResolveSpecAtoms(sp.Formula); err != nil {
+					t.Fatalf("%s: %s: %v", md.name, sp.Source, err)
 				}
-				closures += gen.Stats.WalkClosures
-				fallbacks += gen.Stats.WalkFallbacks
-				checker.Close()
-			}
-			for _, sp := range c.Module.LTLSpecs {
-				p, err := c.Product(sp.Formula, sp.Source)
+				holds, tr, err := gen.CounterexampleInit(sp.Formula)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", md.name, sp.Source, err)
 				}
-				if len(p.S.Fair) > 0 {
+				if holds {
 					continue
 				}
-				ch := mc.New(p.S)
-				empty, start := ch.FairEmptiness(p.Accept)
-				if !empty {
-					egSet, _ := ch.FairEG(bdd.True)
-					gen := core.NewGenerator(ch)
-					compareLassos(t, md.name+": LTL "+sp.Source, p.S, gen, bdd.True, egSet, start)
-					closures += gen.Stats.WalkClosures
-					ltlStarts++
+				for _, eg := range egNodes(ctl.PushNegations(ctl.Existential(ctl.Not(sp.Formula))), nil) {
+					egSet, err := checker.Check(eg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inner, err := checker.Check(eg.L)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, st := range tr.States {
+						if c.S.Holds(egSet, st) {
+							compareLassos(t, md.name+": "+sp.Source, c.S, gen, inner, egSet, st)
+							ctlStarts++
+						}
+					}
 				}
-				ch.Close()
 			}
+			closures += gen.Stats.WalkClosures
+			fallbacks += gen.Stats.WalkFallbacks
+			checker.Close()
 		}
-		t.Logf("disjunctive=%v: %d CTL and %d LTL starts, %d walk closures, %d fallbacks",
-			disjunctive, ctlStarts, ltlStarts, closures, fallbacks)
-		if ctlStarts == 0 || ltlStarts == 0 || closures == 0 {
-			t.Errorf("disjunctive=%v: %d CTL and %d LTL starts compared with %d walk closures, want all > 0",
-				disjunctive, ctlStarts, ltlStarts, closures)
+		for _, sp := range c.Module.LTLSpecs {
+			p, err := c.Product(sp.Formula, sp.Source)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", md.name, sp.Source, err)
+			}
+			if len(p.S.Fair) > 0 {
+				continue
+			}
+			ch := mc.New(p.S)
+			empty, start := ch.FairEmptiness(p.Accept)
+			if !empty {
+				egSet, _ := ch.FairEG(bdd.True)
+				gen := core.NewGenerator(ch)
+				compareLassos(t, md.name+": LTL "+sp.Source, p.S, gen, bdd.True, egSet, start)
+				closures += gen.Stats.WalkClosures
+				ltlStarts++
+			}
+			ch.Close()
 		}
+	}
+	t.Logf("%d CTL and %d LTL starts, %d walk closures, %d fallbacks",
+		ctlStarts, ltlStarts, closures, fallbacks)
+	if ctlStarts == 0 || ltlStarts == 0 || closures == 0 {
+		t.Errorf("%d CTL and %d LTL starts compared with %d walk closures, want all > 0",
+			ctlStarts, ltlStarts, closures)
 	}
 }
 

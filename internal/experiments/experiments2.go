@@ -447,7 +447,7 @@ func E11PartitionedTrans() *Report {
 			r.Err = err
 			return r
 		}
-		if !model.HasClusters() {
+		if model.NumClusters() == 0 {
 			r.Err = fmt.Errorf("expected clusters on the compiled circuit")
 			return r
 		}

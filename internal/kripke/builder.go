@@ -8,15 +8,16 @@ import (
 
 // Builder constructs a Symbolic structure from named boolean state
 // variables, next-state constraints and initial-state constraints. It is
-// the low-level API used by the circuit compiler and the SMV compiler,
-// and is convenient for hand-built models in tests and examples.
+// the low-level API used by the circuit compiler and FromExplicit, and
+// is convenient for hand-built models in tests and examples. (The SMV
+// compiler builds its structure directly, since it picks the shape of
+// the relation per model.)
 type Builder struct {
 	S     *Symbolic
 	index map[string]int
 
 	// clusters collects every ConstrainTrans conjunct; Finish installs
-	// them as a conjunctive partition for early-quantified image
-	// computation when there are several.
+	// them as the structure's conjunctive partition.
 	clusters []bdd.Ref
 }
 
@@ -62,8 +63,7 @@ func (b *Builder) ConstrainInit(f bdd.Ref) {
 }
 
 // ConstrainTrans conjoins a constraint into the transition relation.
-// The conjunct is collected as a partition cluster; Finish decides
-// whether the monolithic conjunction is built eagerly or deferred.
+// The conjunct is collected as a partition cluster.
 func (b *Builder) ConstrainTrans(f bdd.Ref) {
 	b.clusters = append(b.clusters, f)
 }
@@ -113,22 +113,14 @@ func (b *Builder) Invariant(f bdd.Ref) {
 
 // Finish protects the structure's BDDs, installs the conjunctive
 // transition partition collected from ConstrainTrans calls, and returns
-// the structure. When a partition is installed the monolithic relation
-// stays unmaterialized (Symbolic.Trans builds it on first demand) —
-// on large models the conjunction can be exponentially bigger than any
-// cluster, and the partitioned image computation never touches it. The
-// builder must not be used afterwards.
+// the structure. The monolithic relation stays unmaterialized
+// (Symbolic.Trans builds it on first demand) — on large models the
+// conjunction can be exponentially bigger than any cluster, and the
+// partitioned image computation never touches it. The builder must not
+// be used afterwards.
 func (b *Builder) Finish() *Symbolic {
 	m := b.S.M
-	if len(b.clusters) > 1 {
-		b.S.SetClusters(b.clusters)
-	} else {
-		rel := b.S.Trans() // explicitly installed relation, or True
-		for _, c := range b.clusters {
-			rel = m.And(rel, c)
-		}
-		b.S.SetTrans(rel)
-	}
+	b.S.SetClusters(b.clusters)
 	m.Protect(b.S.Init)
 	m.Protect(b.S.Invar)
 	return b.S

@@ -1,27 +1,35 @@
 package kripke
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bdd"
 )
 
+// interleaved is a random interleaved model: a structure carrying its
+// disjunctive partition, as the SMV compiler installs for a process
+// model, and both partitions of its relation, protected, so a test can
+// install either.
+type interleaved struct {
+	s               *Symbolic
+	clusters, comps []bdd.Ref
+}
+
 // buildInterleaved constructs a random interleaved model over nData
-// data variables and nSched scheduler bits (2^nSched processes) and
-// installs all three transition representations on one structure: the
-// monolithic relation (SetTrans), the conjunctive per-variable clusters
-// (SetClusters) and the per-process disjunctive components
-// (SetDisjuncts). Process p owns the data variables v with
-// v mod 2^nSched == p; in its turn it drives them with random functions
-// of the current state while every other data variable is framed. The
-// scheduler bits themselves are unconstrained (nondeterministic
-// scheduler). By construction
+// data variables and nSched scheduler bits (2^nSched processes). Process
+// p owns the data variables v with v mod 2^nSched == p; in its turn it
+// drives them with random functions of the current state while every
+// other data variable is framed. The scheduler bits themselves are
+// unconstrained (nondeterministic scheduler). The conjunctive partition
+// has one cluster per data variable, the disjunctive one component per
+// process; by construction
 //
 //	⋀_v cluster_v = ⋁_p comp_p
 //
 // since the process guards are mutually exclusive and exhaustive.
-func buildInterleaved(r *rand.Rand, nData, nSched int) *Symbolic {
+func buildInterleaved(r *rand.Rand, nData, nSched int) *interleaved {
 	names := make([]string, nData+nSched)
 	for i := 0; i < nData; i++ {
 		names[i] = "d" + string(rune('0'+i))
@@ -61,37 +69,46 @@ func buildInterleaved(r *rand.Rand, nData, nSched int) *Symbolic {
 		}
 	}
 
-	clusters := make([]bdd.Ref, nData)
+	iv := &interleaved{s: s}
 	for v := 0; v < nData; v++ {
 		cl := bdd.False
 		for p := 0; p < k; p++ {
 			cl = m.Or(cl, m.And(guards[p], m.Eq(m.Var(s.Vars[v].Next), next[v][p])))
 		}
-		clusters[v] = cl
+		iv.clusters = append(iv.clusters, m.Protect(cl))
 	}
-	comps := make([]bdd.Ref, k)
 	for p := 0; p < k; p++ {
 		c := guards[p]
 		for v := 0; v < nData; v++ {
 			c = m.And(c, m.Eq(m.Var(s.Vars[v].Next), next[v][p]))
 		}
-		comps[p] = c
+		iv.comps = append(iv.comps, m.Protect(c))
 	}
-	mono := bdd.True
-	for _, cl := range clusters {
-		mono = m.And(mono, cl)
-	}
-
-	s.SetTrans(mono)
-	s.SetClusters(clusters)
-	s.SetDisjuncts(comps)
+	s.SetDisjuncts(iv.comps)
 
 	init := randomStateFunc(r, s, nData+nSched)
 	if init == bdd.False {
 		init = bdd.True
 	}
 	s.Init = m.Protect(init)
-	return s
+	return iv
+}
+
+// shapes names the three shapes of the relation, in the order the
+// tests switch through them.
+var shapes = []string{"disjunctive", "conjunctive", "monolithic"}
+
+// use switches the structure to one shape of its relation: installs the
+// disjunctive or the conjunctive partition, or bypasses the installed
+// one for the monolithic relation.
+func (iv *interleaved) use(shape string) {
+	switch shape {
+	case "disjunctive":
+		iv.s.SetDisjuncts(iv.comps)
+	case "conjunctive":
+		iv.s.SetClusters(iv.clusters)
+	}
+	iv.s.EnablePartition(shape != "monolithic")
 }
 
 // randomStateFunc builds a random function over the first n current
@@ -119,34 +136,33 @@ func randomStateSet(r *rand.Rand, s *Symbolic) bdd.Ref {
 	return randomStateFunc(r, s, len(s.Vars))
 }
 
-// imageModes computes Image and Preimage of set under all three
-// strategies and fails the test if any pair disagrees.
-func checkImageModes(t *testing.T, s *Symbolic, set bdd.Ref, tag string) {
+// checkImageModes computes Image and Preimage of set under all three
+// shapes and fails the test if any pair disagrees.
+func checkImageModes(t *testing.T, iv *interleaved, set bdd.Ref, tag string) {
 	t.Helper()
-	s.EnableDisjunct(true)
-	imgD, preD := s.Image(set), s.Preimage(set)
-	s.EnableDisjunct(false)
-	imgC, preC := s.Image(set), s.Preimage(set)
-	s.EnablePartition(false)
-	imgM, preM := s.Image(set), s.Preimage(set)
-	s.EnablePartition(true)
-	if imgD != imgM || imgC != imgM {
-		t.Fatalf("%s: Image differs (disj=%v conj=%v mono=%v)", tag, imgD, imgC, imgM)
+	var img, pre [3]bdd.Ref
+	for i, shape := range shapes {
+		iv.use(shape)
+		img[i], pre[i] = iv.s.Image(set), iv.s.Preimage(set)
 	}
-	if preD != preM || preC != preM {
-		t.Fatalf("%s: Preimage differs (disj=%v conj=%v mono=%v)", tag, preD, preC, preM)
+	if img[0] != img[2] || img[1] != img[2] {
+		t.Fatalf("%s: Image differs (disj=%v conj=%v mono=%v)", tag, img[0], img[1], img[2])
+	}
+	if pre[0] != pre[2] || pre[1] != pre[2] {
+		t.Fatalf("%s: Preimage differs (disj=%v conj=%v mono=%v)", tag, pre[0], pre[1], pre[2])
 	}
 }
 
 func TestDisjunctImageMatchesMonolithic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
-		s := buildInterleaved(r, 4, 1+r.Intn(2))
-		if s.NumDisjuncts() == 0 {
+		iv := buildInterleaved(r, 4, 1+r.Intn(2))
+		if iv.s.NumDisjuncts() == 0 {
 			t.Fatal("no disjuncts installed")
 		}
 		for probe := 0; probe < 5; probe++ {
-			checkImageModes(t, s, randomStateSet(r, s), "seq")
+			set := iv.s.M.Protect(randomStateSet(r, iv.s))
+			checkImageModes(t, iv, set, "seq")
 		}
 	}
 }
@@ -154,17 +170,16 @@ func TestDisjunctImageMatchesMonolithic(t *testing.T) {
 func TestDisjunctReachableAgrees(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 10; trial++ {
-		s := buildInterleaved(r, 5, 1+r.Intn(2))
-		s.EnableDisjunct(true)
-		reachD, _ := s.Reachable()
-		s.EnableDisjunct(false)
-		reachC, _ := s.Reachable()
-		s.EnablePartition(false)
-		reachM, _ := s.Reachable()
-		s.EnablePartition(true)
-		if reachD != reachM || reachC != reachM {
+		iv := buildInterleaved(r, 5, 1+r.Intn(2))
+		var reach [3]bdd.Ref
+		for i, shape := range shapes {
+			iv.use(shape)
+			reach[i], _ = iv.s.Reachable()
+			iv.s.M.Protect(reach[i])
+		}
+		if reach[0] != reach[2] || reach[1] != reach[2] {
 			t.Fatalf("trial %d: reachability differs (disj=%v conj=%v mono=%v)",
-				trial, reachD, reachC, reachM)
+				trial, reach[0], reach[1], reach[2])
 		}
 	}
 }
@@ -174,74 +189,78 @@ func TestDisjunctReachableAgrees(t *testing.T) {
 // image per round it reports.
 func TestReachableCountsOneImagePerRound(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
-	s := buildInterleaved(r, 5, 2)
+	iv := buildInterleaved(r, 5, 2)
+	s := iv.s
 	var want bdd.Ref
-	for i, shape := range []struct {
-		name       string
-		disj, part bool
-	}{
-		{"disjunctive", true, true},
-		{"conjunctive", false, true},
-		{"monolithic", false, false},
-	} {
-		s.EnableDisjunct(shape.disj)
-		s.EnablePartition(shape.part)
+	for i, shape := range shapes {
+		iv.use(shape)
 		s.ResetRelStats()
 		reach, iters := s.Reachable()
 		if iters == 0 {
-			t.Fatalf("%s: no rounds from a non-empty initial set", shape.name)
+			t.Fatalf("%s: no rounds from a non-empty initial set", shape)
 		}
 		if got := s.RelStats().ImageCalls; got != uint64(iters) {
-			t.Errorf("%s: %d image calls over %d reported iterations", shape.name, got, iters)
+			t.Errorf("%s: %d image calls over %d reported iterations", shape, got, iters)
 		}
 		if i == 0 {
 			want = s.M.Protect(reach)
 		} else if reach != want {
-			t.Errorf("%s: reachable set differs from the disjunctive one", shape.name)
+			t.Errorf("%s: reachable set differs from the disjunctive one", shape)
 		}
 	}
 }
 
+// TestDisjunctPrecedenceAndToggle: the partition installed last is the
+// one the images run, and EnablePartition(false) bypasses it without
+// discarding it.
 func TestDisjunctPrecedenceAndToggle(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	s := buildInterleaved(r, 3, 1)
-	if s.DisjunctEnabled() {
-		t.Fatal("disjunctive mode must start disabled")
+	iv := buildInterleaved(r, 3, 1)
+	s := iv.s
+	set := s.M.Protect(randomStateSet(r, s))
+	steps := func() uint64 {
+		s.ResetRelStats()
+		s.Image(set)
+		return s.RelStats().DisjunctSteps
 	}
-	if !s.PartitionEnabled() {
-		t.Fatal("conjunctive partition should be active by default")
+	if s.NumDisjuncts() != 2 || s.NumClusters() != 0 || steps() == 0 {
+		t.Fatalf("disjunctive partition not in use: %d disjuncts, %d clusters", s.NumDisjuncts(), s.NumClusters())
 	}
-	s.EnableDisjunct(true)
-	if !s.DisjunctEnabled() {
-		t.Fatal("toggle on failed")
+	s.SetClusters(iv.clusters)
+	if s.NumDisjuncts() != 0 || s.NumClusters() == 0 || steps() != 0 {
+		t.Fatal("SetClusters did not replace the disjunctive partition")
 	}
-	// Disjunct wins over the (still installed) conjunctive partition.
-	set := randomStateSet(r, s)
-	s.ResetRelStats()
-	s.Image(set)
-	if s.RelStats().DisjunctSteps == 0 {
-		t.Fatal("disjunctive image did not run while enabled")
+	s.SetDisjuncts(iv.comps)
+	if s.NumDisjuncts() != 2 || steps() == 0 {
+		t.Fatal("SetDisjuncts did not replace the conjunctive partition")
 	}
-	s.EnableDisjunct(false)
-	s.ResetRelStats()
-	s.Image(set)
-	if s.RelStats().DisjunctSteps != 0 {
-		t.Fatal("disjunctive image ran while disabled")
+	s.EnablePartition(false)
+	if s.NumDisjuncts() != 2 || steps() != 0 {
+		t.Fatal("EnablePartition(false) must bypass the partition, not discard it")
+	}
+	s.EnablePartition(true)
+	if steps() == 0 {
+		t.Fatal("EnablePartition(true) did not restore the partition")
 	}
 }
 
+// TestSetDisjunctsRemoval: removing every component leaves the empty
+// relation: no edge, no successor, nothing reachable beyond Init.
 func TestSetDisjunctsRemoval(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
-	s := buildInterleaved(r, 3, 1)
-	if s.NumDisjuncts() == 0 {
-		t.Fatal("expected disjuncts")
-	}
+	s := buildInterleaved(r, 3, 1).s
 	s.SetDisjuncts(nil)
-	if s.NumDisjuncts() != 0 || s.Disjunct() != nil {
-		t.Fatal("disjuncts should be removed")
+	if s.NumDisjuncts() != 0 || s.NumClusters() != 0 {
+		t.Fatalf("empty partition reports %d disjuncts, %d clusters", s.NumDisjuncts(), s.NumClusters())
 	}
-	if s.DisjunctEnabled() {
-		t.Fatal("removal must disable the disjunctive path")
+	if s.Trans() != bdd.False || s.Image(bdd.True) != bdd.False || s.Preimage(bdd.True) != bdd.False {
+		t.Fatal("a partition of no components must be the empty relation")
+	}
+	if reach, iters := s.Reachable(); reach != s.Init || iters != 1 {
+		t.Fatalf("empty relation reaches %v in %d rounds, want Init in 1", reach, iters)
+	}
+	if s.HasEdge(State{false, false, false, false}, State{false, false, false, false}) {
+		t.Fatal("the empty relation has an edge")
 	}
 }
 
@@ -260,19 +279,41 @@ func TestDisjunctTransMaterialization(t *testing.T) {
 	}
 }
 
-// TestRemovingDisjunctsPinsTrans: removing the only partition of a
-// structure whose monolithic relation is still deferred keeps that
-// relation, as removing clusters does.
-func TestRemovingDisjunctsPinsTrans(t *testing.T) {
+// TestReplacingPartitionRebuildsTrans: installing a partition drops
+// what was computed from the one it replaces, so Trans(), the
+// monolithic image, the deadlock check and the cached reachable set
+// follow the new relation.
+func TestReplacingPartitionRebuildsTrans(t *testing.T) {
 	s := NewSymbolic([]string{"x", "y"})
 	m := s.M
 	x, y := s.Vars[0], s.Vars[1]
-	compA := m.And(m.Var(x.Cur), m.Eq(m.Var(y.Next), m.NVar(y.Cur)))
-	compB := m.And(m.NVar(x.Cur), m.Eq(m.Var(y.Next), m.Var(y.Cur)))
+	compA := m.Protect(m.And(m.Var(x.Cur), m.Eq(m.Var(y.Next), m.NVar(y.Cur))))
+	compB := m.Protect(m.And(m.NVar(x.Cur), m.Eq(m.Var(y.Next), m.Var(y.Cur))))
+	s.Init = m.Protect(m.And(m.NVar(x.Cur), m.NVar(y.Cur)))
+	s.EnableReachableCache()
 	s.SetDisjuncts([]bdd.Ref{compA, compB})
-	s.SetDisjuncts(nil)
 	if s.Trans() != m.Or(compA, compB) {
-		t.Fatal("Trans() lost the relation of the removed components")
+		t.Fatal("Trans() is not the union of the components")
+	}
+	if reach, _ := s.Reachable(); reach != bdd.True || !s.IsTotal() {
+		t.Fatal("the components reach every state, and every state has a successor")
+	}
+	s.EnablePartition(false)
+	if s.Preimage(bdd.True) != bdd.True { // builds the monolithic relation
+		t.Fatal("every state has a successor under the components")
+	}
+	s.SetClusters([]bdd.Ref{compA})
+	if s.Trans() != compA {
+		t.Fatal("Trans() kept the relation of the replaced components")
+	}
+	if s.Preimage(bdd.True) != m.Var(x.Cur) {
+		t.Fatal("the monolithic image kept the relation of the replaced components")
+	}
+	if s.IsTotal() {
+		t.Fatal("the deadlock check kept the relation of the replaced components")
+	}
+	if reach, _ := s.Reachable(); reach != s.Init {
+		t.Fatal("the reachable cache kept the set of the replaced components")
 	}
 }
 
@@ -309,8 +350,7 @@ func TestDisjunctHasEdgePointwise(t *testing.T) {
 
 func TestDisjunctRelStatsTruthful(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
-	s := buildInterleaved(r, 4, 2)
-	s.EnableDisjunct(true)
+	s := buildInterleaved(r, 4, 2).s
 
 	s.ResetRelStats()
 	s.Reachable()
@@ -328,8 +368,7 @@ func TestDisjunctRelStatsTruthful(t *testing.T) {
 
 func TestDisjunctSurvivesReorder(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	s := buildInterleaved(r, 5, 1)
-	s.EnableDisjunct(true)
+	s := buildInterleaved(r, 5, 1).s
 	set := s.M.Protect(randomStateSet(r, s))
 	imgBefore := s.M.Protect(s.Image(set))
 
@@ -352,8 +391,10 @@ func TestDisjunctSurvivesReorder(t *testing.T) {
 	}
 }
 
-// FuzzImageDifferential cross-checks the three image strategies —
-// disjunctive, conjunctive, monolithic — on random interleaved models.
+// FuzzImageDifferential cross-checks the disjunctive and the
+// conjunctive install of one random interleaved model against the
+// monolithic relation (EnablePartition(false)): images, preimages and
+// reachability.
 func FuzzImageDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(1))
 	f.Add(int64(2), uint8(2))
@@ -361,34 +402,19 @@ func FuzzImageDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nSched uint8) {
 		ns := int(nSched)%2 + 1 // 1 or 2 scheduler bits
 		r := rand.New(rand.NewSource(seed))
-		s := buildInterleaved(r, 3+r.Intn(3), ns)
+		iv := buildInterleaved(r, 3+r.Intn(3), ns)
 		for probe := 0; probe < 3; probe++ {
-			set := randomStateSet(r, s)
-			s.EnableDisjunct(true)
-			imgD, preD := s.Image(set), s.Preimage(set)
-			s.EnableDisjunct(false)
-			s.EnablePartition(false)
-			imgM, preM := s.Image(set), s.Preimage(set)
-			s.EnablePartition(true)
-			if imgD != imgM {
-				t.Fatalf("disjunctive Image differs from monolithic (seed=%d)", seed)
-			}
-			if preD != preM {
-				t.Fatalf("disjunctive Preimage differs from monolithic (seed=%d)", seed)
-			}
-			imgC, preC := s.Image(set), s.Preimage(set)
-			if imgC != imgM || preC != preM {
-				t.Fatalf("conjunctive image differs from monolithic (seed=%d)", seed)
-			}
+			set := iv.s.M.Protect(randomStateSet(r, iv.s))
+			checkImageModes(t, iv, set, fmt.Sprintf("seed=%d", seed))
 		}
-		s.EnableDisjunct(true)
-		reachD, _ := s.Reachable()
-		s.EnableDisjunct(false)
-		s.EnablePartition(false)
-		reachM, _ := s.Reachable()
-		s.EnablePartition(true)
-		if reachD != reachM {
-			t.Fatalf("disjunctive reachability differs (seed=%d)", seed)
+		var reach [3]bdd.Ref
+		for i, shape := range shapes {
+			iv.use(shape)
+			reach[i], _ = iv.s.Reachable()
+			iv.s.M.Protect(reach[i])
+		}
+		if reach[0] != reach[2] || reach[1] != reach[2] {
+			t.Fatalf("reachability differs from monolithic (seed=%d)", seed)
 		}
 	})
 }

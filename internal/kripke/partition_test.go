@@ -28,9 +28,6 @@ func buildPartitionedCounter(n int) (*Symbolic, *Builder) {
 
 func TestPartitionInstalledByBuilder(t *testing.T) {
 	s, _ := buildPartitionedCounter(4)
-	if !s.HasClusters() {
-		t.Fatal("builder should install clusters")
-	}
 	if s.NumClusters() != 4 {
 		t.Fatalf("want 4 clusters, got %d", s.NumClusters())
 	}
@@ -79,10 +76,10 @@ func TestPartitionedWithFreeVariables(t *testing.T) {
 	m := b.S.M
 	b.InitValue("x", false)
 	b.NextFunc("x", m.Or(b.Cur("x"), b.Cur("y")))
-	b.ConstrainTrans(bdd.True) // second (trivial) cluster to trigger partitioning
+	b.ConstrainTrans(bdd.True) // trivial cluster, dropped by the affinity pass
 	s := b.Finish()
-	if !s.HasClusters() {
-		t.Skip("partition not installed for single nontrivial cluster")
+	if n := s.NumClusters(); n != 1 {
+		t.Fatalf("want the one nontrivial cluster installed, got %d", n)
 	}
 	set := m.Var(s.Vars[0].Cur) // x = 1
 	pre1 := s.Preimage(set)
@@ -96,14 +93,17 @@ func TestPartitionedWithFreeVariables(t *testing.T) {
 	}
 }
 
+// TestSetClustersRemoval: removing every cluster leaves the relation
+// True: every state steps to every state.
 func TestSetClustersRemoval(t *testing.T) {
 	s, _ := buildPartitionedCounter(3)
-	if !s.HasClusters() {
-		t.Fatal("expected clusters")
-	}
 	s.SetClusters(nil)
-	if s.HasClusters() {
+	if s.NumClusters() != 0 {
 		t.Fatal("clusters should be removed")
+	}
+	one := s.StateCube(State{true, false, true})
+	if s.Trans() != bdd.True || s.Image(one) != bdd.True || s.Preimage(one) != bdd.True {
+		t.Fatal("a partition of no clusters must be the full relation")
 	}
 }
 
@@ -120,9 +120,6 @@ func TestAffinityMergeDropsTrivialAndSubsetClusters(t *testing.T) {
 	// (mentions only cur y): folded into it, not scheduled separately.
 	b.ConstrainTrans(m.Or(b.Cur("y"), m.Not(b.Cur("y"))))
 	s := b.Finish()
-	if !s.HasClusters() {
-		t.Fatal("expected clusters")
-	}
 	if n := s.NumClusters(); n != 2 {
 		t.Fatalf("affinity merge should leave 2 clusters, got %d", n)
 	}
@@ -131,9 +128,6 @@ func TestAffinityMergeDropsTrivialAndSubsetClusters(t *testing.T) {
 func TestScheduleCoversAllQuantificationVars(t *testing.T) {
 	s, _ := buildPartitionedCounter(5)
 	m := s.M
-	if s.Partition() == nil {
-		t.Fatal("no partition")
-	}
 	p := s.Partition().parts[0]
 	for _, dir := range []struct {
 		name  string
@@ -193,19 +187,21 @@ func TestScheduleCoversAllQuantificationVars(t *testing.T) {
 
 func TestEnablePartitionToggle(t *testing.T) {
 	s, _ := buildPartitionedCounter(4)
-	if !s.PartitionEnabled() {
-		t.Fatal("partition should start enabled")
-	}
 	set := s.M.Var(s.Vars[0].Cur)
+	s.ResetRelStats()
 	pre1 := s.Preimage(set)
-	s.EnablePartition(false)
-	if s.PartitionEnabled() {
-		t.Fatal("toggle off failed")
+	if steps := s.RelStats().ClusterSteps; steps != 4 {
+		t.Fatalf("partitioned preimage took %d cluster steps, want 4", steps)
 	}
-	if !s.HasClusters() {
+	s.EnablePartition(false)
+	if s.NumClusters() != 4 {
 		t.Fatal("toggle must not discard the partition")
 	}
+	s.ResetRelStats()
 	pre2 := s.Preimage(set)
+	if steps := s.RelStats().ClusterSteps; steps != 1 {
+		t.Fatalf("monolithic preimage took %d cluster steps, want 1", steps)
+	}
 	s.EnablePartition(true)
 	pre3 := s.Preimage(set)
 	if pre1 != pre2 || pre2 != pre3 {

@@ -14,19 +14,21 @@ import "repro/internal/bdd"
 // which no remaining cluster of the part mentions it (early
 // quantification, Burch/Clarke/Long), and the variables the part never
 // mentions are quantified out of the argument before the chain starts
-// (∃x.(S ∧ T) = (∃x.S) ∧ T when x ∉ sup(T)). The three image modes are
-// three values of the one type:
+// (∃x.(S ∧ T) = (∃x.S) ∧ T when x ∉ sup(T)). The model picks the shape,
+// and a structure holds exactly one installed partition:
 //
 //   - conjunctive (SetClusters): one part holding the clusters of a
 //     synchronous relation;
 //   - disjunctive (SetDisjuncts): one single-cluster part per step
 //     relation Tᵢ of an interleaved model, R = ⋁ᵢ Tᵢ (process i takes a
 //     step, everything it does not drive is framed), so each product
-//     sees only the variables its process mentions;
-//   - monolithic: one part holding Trans() whose one step quantifies
-//     every variable, with nothing quantified first. It is built
-//     without the schedule code below, so it stays an independent
-//     oracle for the other two.
+//     sees only the variables its process mentions.
+//
+// The third shape, monolithic, exists only for Trans() and the
+// EnablePartition(false) oracle: one part holding Trans() whose one step
+// quantifies every variable, with nothing quantified first. It is built
+// without the schedule code below, so it stays an independent oracle
+// for the installed partition.
 //
 // Installing a part schedules each direction greedily (next-state
 // variables for Preimage, current-state variables for Image): repeatedly
@@ -151,25 +153,18 @@ func (s *Symbolic) noteLiveNodes() {
 	}
 }
 
-// SetClusters installs a conjunctive partition of the transition
-// relation as a one-part Relation (the conjunction of the clusters must
-// equal Trans; the builder and the SMV compiler guarantee this).
-// Passing an empty slice removes the partition.
+// SetClusters replaces the installed partition with a conjunctive one:
+// a one-part Relation holding the clusters, whose conjunction is R.
+// With no clusters R is True.
 func (s *Symbolic) SetClusters(clusters []bdd.Ref) {
-	var parts [][]bdd.Ref
-	if clusters = s.affinityMerge(clusters); len(clusters) > 0 {
-		parts = [][]bdd.Ref{clusters}
-	}
-	s.conj = s.install(s.conj, parts)
+	s.install([][]bdd.Ref{s.affinityMerge(clusters)})
 }
 
-// SetDisjuncts installs a disjunctive partition of the transition
-// relation as a Relation of one single-cluster part per component: the
-// union of the components must equal Trans (the SMV compiler guarantees
-// this for process models). Constant-false components are dropped.
-// Passing an empty slice removes the partition. The disjunctive image
-// starts disabled; EnableDisjunct(true) switches Image, Preimage and
-// Reachable over to it.
+// SetDisjuncts replaces the installed partition with a disjunctive one:
+// a Relation of one single-cluster part per component, whose union is
+// R (the SMV compiler builds one per scheduler value of a process
+// model). Constant-false components are dropped; with none left R is
+// empty.
 func (s *Symbolic) SetDisjuncts(comps []bdd.Ref) {
 	var parts [][]bdd.Ref
 	for _, c := range comps {
@@ -177,23 +172,17 @@ func (s *Symbolic) SetDisjuncts(comps []bdd.Ref) {
 			parts = append(parts, []bdd.Ref{c})
 		}
 	}
-	s.disj = s.install(s.disj, parts)
+	s.install(parts)
 }
 
-// install releases old and returns the Relation of the given parts, or
-// nil when there are none, protecting its clusters and cubes. A
-// monolithic relation still deferred is pinned before a partition goes
-// away. One never installed (trans still True) is deferred: Trans()
-// builds it from the partition on first demand. On large models that
-// conjunction is the expensive object the partition exists to avoid, so
-// nothing should pay for it eagerly.
-func (s *Symbolic) install(old *Relation, parts [][]bdd.Ref) *Relation {
+// install replaces the installed partition with the Relation of the
+// given parts, protecting its clusters and cubes and releasing the old
+// one's, and drops what was computed from the old one: the monolithic
+// relation, the states with successors and the reachable set.
+func (s *Symbolic) install(parts [][]bdd.Ref) {
 	m := s.M
-	if len(parts) == 0 && !s.transValid {
-		s.Trans()
-	}
-	if old != nil {
-		for _, p := range old.parts {
+	if s.rel != nil {
+		for _, p := range s.rel.parts {
 			for _, c := range p.clusters {
 				m.Unprotect(c)
 			}
@@ -205,9 +194,19 @@ func (s *Symbolic) install(old *Relation, parts [][]bdd.Ref) *Relation {
 			}
 		}
 	}
-	if len(parts) == 0 {
-		return nil
+	if s.transValid {
+		m.Unprotect(s.trans)
+		s.transValid = false
 	}
+	if s.hasSuccValid {
+		m.Unprotect(s.hasSucc)
+		s.hasSuccValid = false
+	}
+	if s.reachValid {
+		m.Unprotect(s.reach)
+		s.reachValid = false
+	}
+	s.mono = nil
 	r := &Relation{}
 	for _, clusters := range parts {
 		var p part
@@ -218,10 +217,7 @@ func (s *Symbolic) install(old *Relation, parts [][]bdd.Ref) *Relation {
 		p.img = s.buildSchedule(p.clusters, s.curVars)
 		r.parts = append(r.parts, p)
 	}
-	if s.trans == bdd.True {
-		s.transValid = false
-	}
-	return r
+	s.rel = r
 }
 
 // affinityMerge is the pre-scheduling cleanup pass: drop trivially true
@@ -372,50 +368,38 @@ func (s *Symbolic) buildSchedule(clusters []bdd.Ref, qvars []int) schedule {
 	return sc
 }
 
-// EnablePartition toggles use of an installed conjunctive partition
-// without discarding it, so benchmarks and differential tests can flip
-// between the clustered and the monolithic image on the same structure.
+// EnablePartition toggles use of the installed partition without
+// discarding it, so benchmarks and differential tests can flip between
+// the partitioned and the monolithic image on the same structure.
 func (s *Symbolic) EnablePartition(on bool) { s.partOff = !on }
 
-// PartitionEnabled reports whether an installed conjunctive partition
-// is in use (a disjunctive one, when enabled, still takes precedence).
-func (s *Symbolic) PartitionEnabled() bool { return s.conj != nil && !s.partOff }
+// Partition returns the installed partition.
+func (s *Symbolic) Partition() *Relation { return s.rel }
 
-// Partition returns the installed conjunctive partition, or nil.
-func (s *Symbolic) Partition() *Relation { return s.conj }
-
-// HasClusters reports whether a conjunctive partition is installed.
-func (s *Symbolic) HasClusters() bool { return s.conj != nil }
-
-// NumClusters returns the number of installed clusters (0 if none).
+// NumClusters returns the number of clusters of a conjunctive partition
+// (0 for a disjunctive one).
 func (s *Symbolic) NumClusters() int {
-	if s.conj == nil {
+	if len(s.rel.parts) != 1 {
 		return 0
 	}
-	return len(s.conj.parts[0].clusters)
+	return len(s.rel.parts[0].clusters)
 }
 
-// EnableDisjunct toggles use of an installed disjunctive partition.
-// When enabled it takes precedence over a conjunctive partition, so
-// differential tests can flip one structure between all three image
-// shapes (disjunctive, conjunctive, monolithic).
-func (s *Symbolic) EnableDisjunct(on bool) { s.disjOn = on }
-
-// DisjunctEnabled reports whether Image/Preimage currently use the
-// disjunctive partition.
-func (s *Symbolic) DisjunctEnabled() bool { return s.disj != nil && s.disjOn }
-
-// Disjunct returns the installed disjunctive partition, or nil.
-func (s *Symbolic) Disjunct() *Relation { return s.disj }
-
-// NumDisjuncts returns the number of installed disjunctive components
-// (0 if none).
+// NumDisjuncts returns the number of components of a disjunctive
+// partition: its parts, when there are several (0 otherwise).
 func (s *Symbolic) NumDisjuncts() int {
-	if s.disj == nil {
+	if len(s.rel.parts) < 2 {
 		return 0
 	}
-	return len(s.disj.parts)
+	return len(s.rel.parts)
 }
+
+// EnableDisjunct does nothing: a process model's structure always runs
+// its disjunctive partition.
+//
+// Deprecated: the image is a property of the model. EnableDisjunct
+// remains only because perfbench calls it.
+func (s *Symbolic) EnableDisjunct(bool) {}
 
 // SetWorkers does nothing: every image runs sequentially on the one
 // single-threaded manager.
@@ -425,16 +409,13 @@ func (s *Symbolic) NumDisjuncts() int {
 func (s *Symbolic) SetWorkers(int) {}
 
 // relation returns the shape Image, Preimage and Reachable evaluate:
-// the disjunctive partition when enabled, else the conjunctive one
-// unless bypassed, else the monolithic relation. The monolithic shape
-// is built on first use, with the refs in keep kept across Trans(),
-// which may materialize R and collect garbage.
+// the installed partition, or the monolithic relation while it is
+// bypassed. The monolithic shape is built on first use, with the refs
+// in keep kept across Trans(), which may materialize R and collect
+// garbage.
 func (s *Symbolic) relation(keep ...bdd.Ref) *Relation {
-	switch {
-	case s.DisjunctEnabled():
-		return s.disj
-	case s.PartitionEnabled():
-		return s.conj
+	if !s.partOff {
+		return s.rel
 	}
 	if s.mono == nil {
 		k := s.kept
@@ -448,21 +429,6 @@ func (s *Symbolic) relation(keep ...bdd.Ref) *Relation {
 		s.mono = &Relation{parts: []part{{clusters: []bdd.Ref{trans}, pre: all(s.nextCube), img: all(s.curCube)}}}
 	}
 	return s.mono
-}
-
-// factors returns the relation as installed, whichever image is
-// enabled: the conjunctive partition, else the disjunctive one, else
-// the monolithic relation. Trans() builds R from it and HasEdge
-// evaluates it pointwise, so trace validation never forces the
-// monolithic BDD into existence.
-func (s *Symbolic) factors() *Relation {
-	switch {
-	case s.conj != nil:
-		return s.conj
-	case s.disj != nil:
-		return s.disj
-	}
-	return s.relation()
 }
 
 // apply evaluates ⋁ₚ chainₚ(∃freeₚ.arg) over r's parts in one

@@ -34,11 +34,10 @@ type Symbolic struct {
 
 	Init bdd.Ref // S0(v)
 
-	// trans is the monolithic R(v, v′), materialized lazily through
-	// Trans() when the structure carries a conjunctive partition: on
-	// large models the conjunction of the clusters can be exponentially
-	// bigger than any factor, and the partitioned image computation
-	// never needs it.
+	// trans is the monolithic R(v, v′), built from the installed
+	// partition on the first Trans() call: on large models the
+	// conjunction of the clusters can be exponentially bigger than any
+	// factor, and the partitioned image computation never needs it.
 	trans      bdd.Ref
 	transValid bool
 
@@ -58,20 +57,20 @@ type Symbolic struct {
 	toNext   *bdd.Permutation
 	toCur    *bdd.Permutation
 
-	// curVars is CurVars' result, kept for the single-state helpers;
-	// env is Holds' and HasEdge's scratch assignment, indexed by BDD
-	// variable and false everywhere but the current-state entries
-	// between calls.
+	// curVars are the current-state BDD variables, kept for the
+	// single-state helpers; env is Holds' and HasEdge's scratch
+	// assignment, indexed by BDD variable and false everywhere but the
+	// current-state entries between calls.
 	curVars []int
 	env     []bool
 
-	// The three shapes of R (relation.go): the conjunctive and the
-	// disjunctive partition as installed, and the monolithic relation,
-	// built from Trans() on its first image and dropped by SetTrans.
-	conj     *Relation
-	partOff  bool // EnablePartition(false): keep conj but bypass it
-	disj     *Relation
-	disjOn   bool // EnableDisjunct(true): use disj
+	// R as installed (relation.go): a conjunctive partition
+	// (SetClusters) or a disjunctive one (SetDisjuncts), whichever the
+	// model was built with; and the monolithic relation, built from
+	// Trans() on its first image under EnablePartition(false) and
+	// dropped when a partition is installed.
+	rel      *Relation
+	partOff  bool // EnablePartition(false): keep rel but bypass it
 	mono     *Relation
 	kept     *refStack // shared with WithFairness views
 	relStats RelStats
@@ -92,21 +91,20 @@ type Symbolic struct {
 }
 
 // NewSymbolic allocates a symbolic structure with the given state
-// variable names. Transition relation and initial states start as True
-// (callers and builders conjoin constraints in). Manager options (e.g.
+// variable names. Transition relation and initial states start as True:
+// the installed partition is the conjunction of no clusters until
+// SetClusters or SetDisjuncts replaces it. Manager options (e.g.
 // bdd.DisableComplementEdges for the structural-representation oracle)
 // pass through to the underlying bdd.New.
 func NewSymbolic(names []string, opts ...bdd.Option) *Symbolic {
 	m := bdd.New(2*len(names), opts...)
 	s := &Symbolic{
-		M:          m,
-		trans:      bdd.True,
-		transValid: true,
-		Init:       bdd.True,
-		Invar:      bdd.True,
-		atoms:      map[string]bdd.Ref{},
-		eqAtoms:    map[string]func(string) (bdd.Ref, error){},
-		kept:       &refStack{},
+		M:       m,
+		Init:    bdd.True,
+		Invar:   bdd.True,
+		atoms:   map[string]bdd.Ref{},
+		eqAtoms: map[string]func(string) (bdd.Ref, error){},
+		kept:    &refStack{},
 	}
 	m.RegisterRoots(s.kept.visit)
 	for i, n := range names {
@@ -118,6 +116,7 @@ func NewSymbolic(names []string, opts ...bdd.Option) *Symbolic {
 		m.GroupVars(2*i, 2*i+1)
 	}
 	s.finishVars()
+	s.SetClusters(nil)
 	return s
 }
 
@@ -148,9 +147,6 @@ func (s *Symbolic) finishVars() {
 // NumVars returns the number of state variables (not BDD variables).
 func (s *Symbolic) NumVars() int { return len(s.Vars) }
 
-// CurVars returns the BDD variable indices of the current-state copy.
-func (s *Symbolic) CurVars() []int { return append([]int(nil), s.curVars...) }
-
 // NextVars returns the BDD variable indices of the next-state copy.
 func (s *Symbolic) NextVars() []int {
 	out := make([]int, len(s.Vars))
@@ -159,12 +155,6 @@ func (s *Symbolic) NextVars() []int {
 	}
 	return out
 }
-
-// CurCube returns the cube of all current-state variables.
-func (s *Symbolic) CurCube() bdd.Ref { return s.curCube }
-
-// NextCube returns the cube of all next-state variables.
-func (s *Symbolic) NextCube() bdd.Ref { return s.nextCube }
 
 // ToNext renames a current-state set to next-state variables.
 func (s *Symbolic) ToNext(f bdd.Ref) bdd.Ref { return s.toNext.Apply(f) }
@@ -243,17 +233,16 @@ func (s *Symbolic) AtomSet(f *ctl.Formula) (bdd.Ref, error) {
 	return bdd.False, fmt.Errorf("kripke: AtomSet on non-atomic formula %s", f)
 }
 
-// Trans returns the monolithic transition relation R(v, v′). When the
-// structure was built through a partition — conjunctive clusters or
-// disjunctive components — the monolithic BDD is not constructed up
-// front: the partitioned images never need it, and on large models it
-// blows up. It is materialized on first demand and cached, as the union
-// over the installed partition's parts of each part's conjunction.
+// Trans returns the monolithic transition relation R(v, v′): the union
+// over the installed partition's parts of each part's conjunction. It is
+// not constructed up front — the partitioned images never need it, and
+// on large models it blows up — but materialized on first demand and
+// cached until a partition replaces the installed one.
 func (s *Symbolic) Trans() bdd.Ref {
 	if !s.transValid {
 		m := s.M
-		var acc bdd.Ref
-		for i, p := range s.factors().parts {
+		acc := bdd.False
+		for i, p := range s.rel.parts {
 			conj := m.Protect(bdd.True)
 			for _, c := range p.clusters {
 				next := m.Protect(m.And(conj, c))
@@ -275,17 +264,6 @@ func (s *Symbolic) Trans() bdd.Ref {
 	return s.trans
 }
 
-// SetTrans installs f as the monolithic transition relation and
-// protects it from garbage collection.
-func (s *Symbolic) SetTrans(f bdd.Ref) {
-	if s.transValid {
-		s.M.Unprotect(s.trans)
-	}
-	s.trans = s.M.Protect(f)
-	s.transValid = true
-	s.mono = nil
-}
-
 // Image returns the set of successors of the states in from:
 // { t | ∃s ∈ from : R(s,t) }, expressed over current variables,
 // evaluated over the enabled shape of R (see relation.go).
@@ -303,9 +281,9 @@ func (s *Symbolic) Preimage(to bdd.Ref) bdd.Ref {
 }
 
 // hasSuccessors returns ∃v′.Trans — the states with at least one
-// successor — computed once (through the partitioned path when one is
-// installed, since Preimage(true) is exactly this set) and cached for
-// the structure's lifetime. Shared by IsTotal and DeadlockStates.
+// successor — computed once (as Preimage(true), which is exactly this
+// set, so through the installed partition) and cached for the
+// structure's lifetime. Shared by IsTotal and DeadlockStates.
 func (s *Symbolic) hasSuccessors() bdd.Ref {
 	if !s.hasSuccValid {
 		s.hasSucc = s.M.Protect(s.Preimage(bdd.True))
@@ -358,8 +336,10 @@ func (s *Symbolic) Reachable() (bdd.Ref, int) {
 			}
 			img := s.ToCur(s.product(r, i, arg, false))
 			wins[i] = window{}
+			if len(wins) > 1 {
+				wins[i].base = reached
+			}
 			fresh := m.Diff(img, reached)
-			old := reached
 			m.Unprotect(reached)
 			reached = m.Protect(m.Or(reached, fresh))
 			if fresh == bdd.False {
@@ -367,7 +347,7 @@ func (s *Symbolic) Reachable() (bdd.Ref, int) {
 			}
 			grew = true
 			for j := range wins {
-				wins[j].add(m, old, fresh)
+				wins[j].add(fresh)
 			}
 		}
 		m.MaybeGC()
@@ -385,22 +365,21 @@ func (s *Symbolic) Reachable() (bdd.Ref, int) {
 // window is what Reachable has not fed a part yet: while reached has
 // grown once since the part last ran, the set it gained (single); after
 // that, all of reached outside base, reached as it stood at that run.
-// The one-set case needs no BDD operation; the other costs one Diff
-// when the second set arrives and one when the part runs, however often
-// reached grew.
+// The one-set case needs no BDD operation, the other one Diff when the
+// part runs, however often reached grew. A relation of one part only
+// ever sees the one-set case, so it stores no base: its collections
+// must not keep the old reached alive.
 type window struct {
 	single, base bdd.Ref
 	many         bool
 }
 
-// add records that reached grew from old by fresh.
-func (w *window) add(m *bdd.Manager, old, fresh bdd.Ref) {
-	switch {
-	case w.many:
-	case w.single == bdd.False:
+// add records that reached grew by fresh.
+func (w *window) add(fresh bdd.Ref) {
+	if w.single == bdd.False && !w.many {
 		w.single = fresh
-	default:
-		w.base, w.single, w.many = m.Diff(old, w.single), bdd.False, true
+	} else {
+		w.single, w.many = bdd.False, true
 	}
 }
 
@@ -495,7 +474,7 @@ func (s *Symbolic) HasEdge(from, to State) bool {
 		env[v.Cur] = from[i]
 		env[v.Next] = to[i]
 	}
-	ok := s.factors().holds(s.M, env)
+	ok := s.rel.holds(s.M, env)
 	for _, v := range s.Vars {
 		env[v.Next] = false
 	}

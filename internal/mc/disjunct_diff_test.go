@@ -11,18 +11,38 @@ import (
 )
 
 // Differential oracle for the disjunctive transition partition: on
-// random interleaved models carrying all three transition
-// representations, the disjunctive image must be BDD-identical to the
-// monolithic path, and CheckInit must agree verdict-for-verdict and
-// set-for-set (including fair models, so FairEG runs over the
+// random interleaved models, the disjunctive image must be BDD-identical
+// to the monolithic path, and CheckInit must agree verdict-for-verdict
+// and set-for-set (including fair models, so FairEG runs over the
 // disjunctive preimage).
+
+// interleavedModel is a random interleaved model carrying its
+// disjunctive partition, with the per-variable conjunctive clusters of
+// the same relation kept (protected) so the monolithic oracle is built
+// from their conjunction, independently of the components.
+type interleavedModel struct {
+	*kripke.Symbolic
+	clusters, comps []bdd.Ref
+}
+
+// disjunctive installs the per-process components.
+func (s *interleavedModel) disjunctive() {
+	s.SetDisjuncts(s.comps)
+	s.EnablePartition(true)
+}
+
+// monolithic switches to the monolithic relation built from the
+// conjunction of the clusters.
+func (s *interleavedModel) monolithic() {
+	s.SetClusters(s.clusters)
+	s.EnablePartition(false)
+}
 
 // randomInterleavedModel builds a random interleaved model: 2^nSched
 // processes selected by scheduler bits, each driving its own data
-// variables in its turn while the rest are framed. The monolithic
-// relation, the per-variable conjunctive clusters and the per-process
-// disjunctive components are all installed on the one structure.
-func randomInterleavedModel(r *rand.Rand, nData, nSched, nfair int, opts ...bdd.Option) *kripke.Symbolic {
+// variables in its turn while the rest are framed. The structure
+// carries the per-process disjunctive components.
+func randomInterleavedModel(r *rand.Rand, nData, nSched, nfair int, opts ...bdd.Option) *interleavedModel {
 	names := make([]string, nData+nSched)
 	for i := 0; i < nData; i++ {
 		names[i] = fmt.Sprintf("v%d", i)
@@ -80,14 +100,11 @@ func randomInterleavedModel(r *rand.Rand, nData, nSched, nfair int, opts ...bdd.
 			cl = m.Or(cl, m.And(guards[p], step))
 			comps[p] = m.And(comps[p], step)
 		}
-		clusters[v] = cl
+		clusters[v] = m.Protect(cl)
 	}
-	mono := bdd.True
-	for _, cl := range clusters {
-		mono = m.And(mono, cl)
+	for p := range comps {
+		m.Protect(comps[p])
 	}
-	s.SetTrans(mono)
-	s.SetClusters(clusters)
 	s.SetDisjuncts(comps)
 	init := randomFunc(nData + nSched)
 	if init == bdd.False {
@@ -98,7 +115,7 @@ func randomInterleavedModel(r *rand.Rand, nData, nSched, nfair int, opts ...bdd.
 		s.AddFairness(fmt.Sprintf("h%d", f),
 			m.Or(randomFunc(nData), m.Var(s.Vars[r.Intn(len(s.Vars))].Cur)))
 	}
-	return s
+	return &interleavedModel{Symbolic: s, clusters: clusters, comps: comps}
 }
 
 func TestDisjunctPreimageDifferentialOracle(t *testing.T) {
@@ -115,15 +132,13 @@ func testDisjunctPreimage(t *testing.T, opts []bdd.Option) {
 	for trial := 0; trial < 100; trial++ {
 		s := randomInterleavedModel(r, 3+r.Intn(3), 1+r.Intn(2), 0, opts...)
 		for i := 0; i < 4; i++ {
-			set := randomStateSet(r, s)
-			s.EnableDisjunct(true)
+			set := s.M.Protect(randomStateSet(r, s.Symbolic))
+			s.disjunctive()
 			preD := s.Preimage(set)
 			imgD := s.Image(set)
-			s.EnableDisjunct(false)
-			s.EnablePartition(false)
+			s.monolithic()
 			preM := s.Preimage(set)
 			imgM := s.Image(set)
-			s.EnablePartition(true)
 			if preD != preM {
 				t.Fatalf("trial %d: disjunctive Preimage differs from monolithic oracle", trial)
 			}
@@ -151,8 +166,7 @@ func testDisjunctCheckInit(t *testing.T, opts []bdd.Option) {
 		s := randomInterleavedModel(r, 3+r.Intn(2), 1, trial%3, opts...)
 		atoms := s.VarNames()[:2]
 
-		s.EnableDisjunct(true)
-		cd := New(s) // disjunctive checker
+		cd := New(s.Symbolic) // disjunctive checker
 		type probe struct {
 			f       string
 			verdict bool
@@ -173,9 +187,8 @@ func testDisjunctCheckInit(t *testing.T, opts []bdd.Option) {
 			t.Fatalf("trial %d: preimages ran but no disjunct steps counted", trial)
 		}
 
-		s.EnableDisjunct(false)
-		s.EnablePartition(false)
-		cm := New(s) // monolithic checker over the same structure
+		s.monolithic()
+		cm := New(s.Symbolic) // monolithic checker over the same structure
 		for _, want := range probes {
 			f := ctl.MustParse(want.f)
 			ok, set, err := cm.CheckInit(f)
@@ -190,6 +203,5 @@ func testDisjunctCheckInit(t *testing.T, opts []bdd.Option) {
 				t.Fatalf("trial %d: satisfaction set differs on %s", trial, want.f)
 			}
 		}
-		s.EnablePartition(true)
 	}
 }

@@ -111,7 +111,7 @@ func TestPartitionedPreimageDifferentialOracle(t *testing.T) {
 			partitioned := 0
 			for trial := 0; trial < trials; trial++ {
 				s := randomFactoredModel(r, 3+r.Intn(4), trial%3, mode.opts...)
-				if s.HasClusters() {
+				if s.NumClusters() > 1 {
 					partitioned++
 				}
 				for i := 0; i < 4; i++ {

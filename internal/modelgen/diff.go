@@ -15,10 +15,11 @@ import (
 
 // Cell is one point of the configuration lattice: an engine config plus
 // the monolithic image, a test-only oracle that evaluates images over
-// the conjoined relation instead of the cluster partition. Every cell
-// must compute the same reachable set and the same verdict for every
-// specification — they are different evaluation strategies over the
-// same transition relation.
+// the monolithic relation instead of the model's partition (the
+// conjunctive clusters, or a process model's disjunctive components).
+// Every cell must compute the same reachable set and the same verdict
+// for every specification — they are different evaluation strategies
+// over the same transition relation.
 type Cell struct {
 	smv.Config
 	Monolithic bool
@@ -26,11 +27,8 @@ type Cell struct {
 
 func (c Cell) String() string {
 	s := "partitioned"
-	switch {
-	case c.Monolithic:
+	if c.Monolithic {
 		s = "monolithic"
-	case c.Disjunctive:
-		s = "disjunctive"
 	}
 	if c.NoComplement {
 		s += "-comp"
@@ -43,15 +41,10 @@ func (c Cell) String() string {
 	return s
 }
 
-// Cells enumerates the lattice. Disjunctive cells are only meaningful
-// when the compiled model has process disjuncts.
-func Cells(hasDisjuncts bool) []Cell {
-	modes := []Cell{{}, {Monolithic: true}}
-	if hasDisjuncts {
-		modes = append(modes, Cell{Config: smv.Config{Disjunctive: true}})
-	}
+// Cells enumerates the lattice.
+func Cells() []Cell {
 	var out []Cell
-	for _, mode := range modes {
+	for _, mode := range []Cell{{}, {Monolithic: true}} {
 		for _, noComp := range []bool{false, true} {
 			for _, reorder := range []bool{false, true} {
 				cell := mode
@@ -352,11 +345,7 @@ func diverge(where, format string, args ...any) error {
 // the predicate the property test, the fuzz target, the soak binary,
 // and the shrinker all share.
 func CheckModel(src string) error {
-	probe, err := smv.CompileSource(src, smv.Config{})
-	if err != nil {
-		return fmt.Errorf("modelgen: generated model does not compile: %w", err)
-	}
-	cells := Cells(probe.S.NumDisjuncts() > 0)
+	cells := Cells()
 
 	runs := make([]*cellRun, len(cells))
 	for i, cell := range cells {

@@ -9,7 +9,7 @@ import (
 
 // TestModelGenDifferential is the tier-1 property test: 200 generated
 // models, each compiled through the full configuration lattice
-// (monolithic/partitioned/disjunctive × complement on/off × reorder
+// (monolithic/partitioned × complement on/off × reorder
 // on/off) and cross-checked against the explicit-state oracle. Any
 // divergence is shrunk to a minimal reproducer under testdata/ before
 // failing. MODELGEN_SEEDS overrides the count for

@@ -22,9 +22,9 @@ type Module struct {
 	LTLSpecs []*LTLSpec
 
 	// Processes lists the process instance paths of a flattened program
-	// (empty for synchronous models). When non-empty the compiler emits a
-	// disjunctive transition component per scheduler value alongside the
-	// conjunctive clusters.
+	// (empty for synchronous models). When non-empty the compiler
+	// installs a disjunctive partition, one component per scheduler
+	// value, in place of the conjunctive clusters.
 	Processes []string
 }
 
@@ -66,18 +66,6 @@ func (t *Type) String() string {
 		return t.Module + "(...)"
 	default:
 		return fmt.Sprintf("%d..%d", t.Lo, t.Hi)
-	}
-}
-
-// NumValues returns the domain size.
-func (t *Type) NumValues() int {
-	switch t.Kind {
-	case TypeBool:
-		return 2
-	case TypeEnum:
-		return len(t.Enum)
-	default:
-		return t.Hi - t.Lo + 1
 	}
 }
 

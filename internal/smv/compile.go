@@ -77,15 +77,19 @@ type valCase struct {
 	cond bdd.Ref
 }
 
-// Config is the engine configuration a model is compiled under: image
-// mode, reordering and node representation. Verdicts and traces must not
+// Config is the engine configuration a model is compiled under:
+// reordering and node representation. Verdicts and traces must not
 // depend on it — the settings are different evaluation strategies over
 // the same transition relation — but each changes the BDDs a compiled
 // structure holds, so smvd keys sessions and warm-start records by it.
-// The JSON keys are smvd's request and record format.
+// The JSON keys are smvd's request and record format. The image is not
+// a setting: the model picks it (see compile).
 type Config struct {
-	// Disjunctive selects the per-process disjunctive image when the
-	// model declares processes (ignored otherwise).
+	// Disjunctive is ignored: a model that declares processes always
+	// runs its disjunctive partition.
+	//
+	// Deprecated: the image is a property of the model. The field
+	// remains only because perfbench sets it.
 	Disjunctive bool `json:"disjunctive,omitempty"`
 	// Workers is ignored: every structure runs on one single-threaded
 	// manager.
@@ -103,8 +107,8 @@ type Config struct {
 }
 
 // CompileSource parses src and compiles it under cfg. The manager is
-// created with cfg's node representation; reordering and the
-// disjunctive image are switched on once the relation is built.
+// created with cfg's node representation; reordering is switched on
+// once the relation is built.
 func CompileSource(src string, cfg Config) (*Compiled, error) {
 	m, err := ParseModule(src)
 	if err != nil {
@@ -121,11 +125,13 @@ func Compile(m *Module) (*Compiled, error) {
 	return compile(m, nil, Config{})
 }
 
-// compile is the engine behind CompileSource and Product. When la is
-// non-nil it interleaves the tableau product construction (see ltl.go)
-// into the normal compile: the tableau variables are appended after the
-// model's bit allocation, the tableau clusters join the conjunctive
-// partition before the SetClusters/emitDisjuncts decision — so the
+// compile is the engine behind CompileSource and Product. The model
+// picks its relation: a model that declares processes installs its
+// disjunctive partition (emitDisjuncts), any other its conjunctive one.
+// When la is non-nil it interleaves the tableau product construction
+// (see ltl.go) into the normal compile: the tableau variables are
+// appended after the model's bit allocation, the tableau clusters join
+// the model's clusters before the partition is installed — so the
 // product flows through the same early-quantified and Shannon-expanded
 // image paths as the model relation — and the generalized-Büchi sets
 // are appended after the model's FAIRNESS constraints.
@@ -227,7 +233,7 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 	}
 
 	// Assignments. Each next-state assignment and each TRANS section
-	// contributes one cluster to the conjunctive partition: the
+	// contributes one cluster to the model's conjunction: the
 	// per-assignment granularity is what lets SetClusters' affinity pass
 	// schedule early quantification (assignments mention exactly one
 	// next-state variable). The monolithic conjunction is never built
@@ -303,21 +309,12 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 			addCluster(cl)
 		}
 	}
-	if len(transClusters) > 1 {
-		// SetClusters leaves the monolithic relation deferred; the
-		// clusters' conjunction defines it.
-		c.S.SetClusters(transClusters)
-	} else {
-		rel := bdd.True
-		for _, cl := range transClusters {
-			rel = mgr.And(rel, cl)
-		}
-		c.S.SetTrans(rel)
-	}
 	if len(m.Processes) > 0 {
 		if err := c.emitDisjuncts(transClusters); err != nil {
 			return nil, err
 		}
+	} else {
+		c.S.SetClusters(transClusters)
 	}
 
 	for i, e := range m.Fairness {
@@ -335,9 +332,6 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 	if cfg.Reorder {
 		mgr.EnableAutoReorder(nil)
 	}
-	if cfg.Disjunctive && c.S.NumDisjuncts() > 0 {
-		c.S.EnableDisjunct(true)
-	}
 	return c, nil
 }
 
@@ -353,9 +347,8 @@ func compile(m *Module, la *ltlAttachment, cfg Config) (*Compiled, error) {
 // domain-validity invariant cluster zeroes the invalid ones in both
 // forms, so the union equals the conjunction exactly. Under a fixed
 // scheduler value every other process's assignment collapses to its
-// TRUE:v frame, which is what makes each component small. The
-// disjunctive path stays disabled unless Config.Disjunctive is set;
-// installation is cheap — k restricted products.
+// TRUE:v frame, which is what makes each component small. Installation
+// is cheap — k restricted products.
 func (c *Compiled) emitDisjuncts(transClusters []bdd.Ref) error {
 	info := c.Vars[schedulerVar]
 	if info == nil {

@@ -11,7 +11,9 @@ import (
 // TestConfigReachesStructureAndProduct compiles peterson.smv, which has
 // processes and LTLSPECs, under every combination of the three engine
 // settings, and checks that the compiled structure and an LTL product
-// built from it both report each setting.
+// built from it both report the reordering and node-representation
+// settings, and install the model's disjunctive partition whatever the
+// deprecated Disjunctive field says.
 func TestConfigReachesStructureAndProduct(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "models", "peterson.smv"))
 	if err != nil {
@@ -39,11 +41,8 @@ func TestConfigReachesStructureAndProduct(t *testing.T) {
 						c    *Compiled
 					}{{"structure", c}, {"product", p.Compiled}} {
 						s := got.c.S
-						if s.NumDisjuncts() == 0 {
-							t.Fatalf("%s: process model without disjuncts", got.what)
-						}
-						if s.DisjunctEnabled() != disj {
-							t.Errorf("%s: disjunctive image enabled = %v, want %v", got.what, s.DisjunctEnabled(), disj)
+						if n := s.NumDisjuncts(); n != 3 {
+							t.Errorf("%s: %d disjunctive components, want one per scheduler value (3)", got.what, n)
 						}
 						if s.M.AutoReorderEnabled() != reorder {
 							t.Errorf("%s: auto-reorder enabled = %v, want %v", got.what, s.M.AutoReorderEnabled(), reorder)

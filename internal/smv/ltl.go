@@ -22,11 +22,11 @@ type ltlAttachment struct {
 
 // LTLProduct is a module compiled in product with the Büchi tableau of
 // a specification's negation. The underlying Compiled is a normal
-// symbolic structure — its conjunctive partition (and, for process
-// models, its disjunctive partition) simply contains extra clusters for
-// the tableau promise variables, and its fairness constraints include
-// the generalized-Büchi sets — so reordering, partitioned image
-// computation, and disjunctive evaluation all apply unchanged.
+// symbolic structure — its partition (conjunctive, or for process
+// models disjunctive) simply contains extra clusters for the tableau
+// promise variables, and its fairness constraints include the
+// generalized-Büchi sets — so reordering and partitioned image
+// computation apply unchanged.
 //
 // M ⊨ Spec iff the fair product is empty from Init ∧ Accept; a
 // nonempty product yields a fair lasso whose model projection violates

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ctl"
+	"repro/internal/mc"
 )
 
 func parseOK(t *testing.T, src string) *Module {
@@ -249,7 +250,7 @@ ASSIGN
 		t.Fatal("G (x -> F y) should hold")
 	}
 	p := v.Product
-	if !p.S.HasClusters() {
+	if p.S.NumClusters() == 0 {
 		t.Fatal("product lost the conjunctive partition")
 	}
 	if p.S.NumClusters() <= c.S.NumClusters() {
@@ -262,8 +263,8 @@ ASSIGN
 }
 
 func TestLTLProcessProductDisjunctive(t *testing.T) {
-	// An interleaved model checked with the disjunctive partition
-	// enabled must agree with the default conjunctive path.
+	// An interleaved model's product runs its disjunctive partition and
+	// must agree with the product's monolithic relation.
 	src := `
 MODULE main
 VAR p0 : process worker(turn, 0);
@@ -275,31 +276,36 @@ ASSIGN
   next(turn) := case turn = id : 1 - id; TRUE : turn; esac;
 FAIRNESS running
 `
-	var verdicts []bool
-	for _, disj := range []bool{false, true} {
-		c, err := CompileSource(src, Config{Disjunctive: disj})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c.Module.LTLSpecs) != 1 {
-			t.Fatalf("want 1 LTL spec after flatten, got %d", len(c.Module.LTLSpecs))
-		}
-		sp := c.Module.LTLSpecs[0]
-		v, err := c.CheckLTL(sp.Formula, sp.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := v.Product; p.S.NumDisjuncts() == 0 {
-			t.Fatal("process product did not emit disjuncts")
-		} else if p.S.DisjunctEnabled() != disj {
-			t.Fatalf("product disjunctive image enabled = %v, want the model's %v", p.S.DisjunctEnabled(), disj)
-		}
-		verdicts = append(verdicts, v.Holds)
+	c, err := CompileSource(src, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if verdicts[0] != verdicts[1] {
-		t.Fatalf("conjunctive says %v, disjunctive says %v", verdicts[0], verdicts[1])
+	if len(c.Module.LTLSpecs) != 1 {
+		t.Fatalf("want 1 LTL spec after flatten, got %d", len(c.Module.LTLSpecs))
 	}
-	if !verdicts[0] {
+	sp := c.Module.LTLSpecs[0]
+	v, err := c.CheckLTL(sp.Formula, sp.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := v.Product; p.S.NumDisjuncts() == 0 || p.S.RelStats().DisjunctSteps == 0 {
+		t.Fatal("process product did not run its disjuncts")
+	}
+	mono, err := c.Product(sp.Formula, sp.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono.S.EnablePartition(false)
+	ch := mc.New(mono.S)
+	defer ch.Close()
+	holds, _, err := mono.Check(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if holds != v.Holds {
+		t.Fatalf("monolithic says %v, disjunctive says %v", holds, v.Holds)
+	}
+	if !v.Holds {
 		t.Fatal("G (turn = 0 -> F turn = 1) should hold under FAIRNESS running")
 	}
 }

@@ -24,25 +24,25 @@ import (
 // names it.
 type Config = smv.Config
 
-// normalize maps configs that differ only in the retired workers field
-// onto one representative, so a session's config and its warm-start
-// record do not depend on which request built it.
+// normalize maps configs that differ only in the retired disjunctive
+// and workers fields onto one representative, so a session's config and
+// its warm-start record do not depend on which request built it.
 func normalize(cfg smv.Config) smv.Config {
-	return smv.Config{Disjunctive: cfg.Disjunctive, Reorder: cfg.Reorder, NoComplement: cfg.NoComplement}
+	return smv.Config{Reorder: cfg.Reorder, NoComplement: cfg.NoComplement}
 }
 
 // ModelKey is the content hash identifying a session: SHA-256 over the
-// SMV source and the engine configuration. Image mode, reordering and
-// node representation all change the BDDs a session holds, so they are
-// part of the key; the retired workers field is written as the
-// "workers=1" every key was built with while it was live, so existing
+// SMV source and the engine configuration. Reordering and node
+// representation change the BDDs a session holds, so they are part of
+// the key; the retired fields are written as the "disj=false workers=1"
+// every zero-config key was built with while they were live, so those
 // keys and warm-start records stay valid. Any edit to the model text —
 // including comments — yields a new key; specs do not participate,
 // since they arrive with queries, not with the model.
 func ModelKey(src string, cfg smv.Config) string {
 	h := sha256.New()
 	h.Write([]byte(src))
-	fmt.Fprintf(h, "\x00disj=%v workers=1 reorder=%v nocomp=%v",
-		cfg.Disjunctive, cfg.Reorder, cfg.NoComplement)
+	fmt.Fprintf(h, "\x00disj=false workers=1 reorder=%v nocomp=%v",
+		cfg.Reorder, cfg.NoComplement)
 	return hex.EncodeToString(h.Sum(nil))
 }

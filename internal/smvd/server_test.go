@@ -139,6 +139,9 @@ func TestHTTPLockWaitPastDeadline(t *testing.T) {
 	}
 }
 
+// TestHTTPWorkersShareSession: requests that differ from the first only
+// in a retired config field (workers, disjunctive) hit the session built
+// without it.
 func TestHTTPWorkersShareSession(t *testing.T) {
 	sv := newTestServer(t, 8, 0, "")
 	ts := httptest.NewServer(sv.Handler())
@@ -147,11 +150,13 @@ func TestHTTPWorkersShareSession(t *testing.T) {
 	if code := post(t, ts, `{"model": `+model+`, "specs": ["AG AF n = 0"]}`); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if code := post(t, ts, `{"model": `+model+`, "specs": ["AG AF n = 0"], "config": {"workers": 4}}`); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if st := sv.Cache.Stats(); st.Misses != 1 || st.Hits != 1 || st.Sessions != 1 {
-		t.Fatalf(`"workers": 4 did not hit the session built without it: %+v`, st)
+	for i, retired := range []string{`"workers": 4`, `"disjunctive": true`} {
+		if code := post(t, ts, `{"model": `+model+`, "specs": ["AG AF n = 0"], "config": {`+retired+`}}`); code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		if st := sv.Cache.Stats(); st.Misses != 1 || st.Hits != uint64(i+1) || st.Sessions != 1 {
+			t.Fatalf(`%s did not hit the session built without it: %+v`, retired, st)
+		}
 	}
 }
 

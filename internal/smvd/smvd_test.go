@@ -67,13 +67,16 @@ func TestModelKeyDistinguishesSourceAndConfig(t *testing.T) {
 	if ModelKey(counterModel, Config{NoComplement: true}) == base {
 		t.Fatal("representation change did not change the key")
 	}
-	// Workers is ignored: every value shares the key, and that key is
-	// the one sequential configs always had, so existing warm-start
-	// records still match.
+	// Workers and Disjunctive are ignored: every value shares the key,
+	// and that key is the one sequential zero configs always had, so
+	// existing warm-start records still match.
 	for _, w := range []int{0, 1, 4} {
 		if ModelKey(counterModel, Config{Workers: w}) != base {
 			t.Fatalf("workers=%d does not share the key of workers=0", w)
 		}
+	}
+	if ModelKey(counterModel, Config{Disjunctive: true}) != base {
+		t.Fatal("disjunctive=true does not share the zero-config key")
 	}
 	const sequentialKey = "81a088c2a2647da0e76ddb8296e9b435742d49f68fab5b1123cd5848583f2a0f"
 	if base != sequentialKey {

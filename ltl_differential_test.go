@@ -23,7 +23,9 @@ import (
 // The differential harness instantiates the templates with the boolean
 // atoms of every shipped model and demands identical verdicts from the
 // CTL checker and the tableau-product LTL checker, in every image mode
-// (monolithic, partitioned, and — on process models — disjunctive). A
+// (monolithic and partitioned; a process model's partition is its
+// disjunctive one, and its disjunctive mode repeats the partitioned one
+// under the retired Config.Disjunctive, which must change nothing). A
 // divergence means one of the two pipelines is wrong; the pair
 // localizes which fixpoint to suspect.
 

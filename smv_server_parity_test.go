@@ -12,8 +12,8 @@ import (
 )
 
 // TestSmvServerMatchesLocal runs the smv binary on every shipped model
-// locally and with -server against an in-process smvd, under no flag
-// and under -disjunctive. The -server stdout must equal the local one
+// locally and with -server against an in-process smvd. The -server
+// stdout must equal the local one
 // apart from its closing "-- smvd:" session line, and the exit codes
 // must agree: both paths render the verdicts of the same CheckCTL and
 // CheckLTL calls with TraceString.
@@ -32,22 +32,20 @@ func TestSmvServerMatchesLocal(t *testing.T) {
 	if err != nil || len(models) == 0 {
 		t.Fatalf("no models: %v", err)
 	}
-	for _, flags := range [][]string{nil, {"-disjunctive"}} {
-		for _, path := range models {
-			local, localCode := runSmv(t, bin, append(flags, path)...)
-			remote, remoteCode := runSmv(t, bin, append(append([]string{"-server", srv.URL}, flags...), path)...)
-			i := bytes.LastIndex(remote, []byte("-- smvd: "))
-			if i < 0 || bytes.IndexByte(remote[i:], '\n') != len(remote)-i-1 {
-				t.Errorf("%v %s: -server output does not end with the session line:\n%s", flags, path, remote)
-				continue
-			}
-			if remote = remote[:i]; !bytes.Equal(local, remote) {
-				t.Errorf("%v %s: -server stdout differs from local at %s", flags, path,
-					firstDiff(string(remote), string(local)))
-			}
-			if localCode != remoteCode {
-				t.Errorf("%v %s: exit %d with -server, %d locally", flags, path, remoteCode, localCode)
-			}
+	for _, path := range models {
+		local, localCode := runSmv(t, bin, path)
+		remote, remoteCode := runSmv(t, bin, "-server", srv.URL, path)
+		i := bytes.LastIndex(remote, []byte("-- smvd: "))
+		if i < 0 || bytes.IndexByte(remote[i:], '\n') != len(remote)-i-1 {
+			t.Errorf("%s: -server output does not end with the session line:\n%s", path, remote)
+			continue
+		}
+		if remote = remote[:i]; !bytes.Equal(local, remote) {
+			t.Errorf("%s: -server stdout differs from local at %s", path,
+				firstDiff(string(remote), string(local)))
+		}
+		if localCode != remoteCode {
+			t.Errorf("%s: exit %d with -server, %d locally", path, remoteCode, localCode)
 		}
 	}
 }

@@ -60,6 +60,8 @@ func TestWarmStartDifferentialModels(t *testing.T) {
 			{"default", smv.Config{}},
 			{"nocomp", smv.Config{NoComplement: true}},
 		}
+		// A process model always runs its disjunctive partition; the
+		// retired Config.Disjunctive must change nothing.
 		if probe.S.NumDisjuncts() > 0 {
 			cfgs = append(cfgs, struct {
 				name string
