@@ -269,9 +269,13 @@ func main() {
 		}
 		if *stats {
 			rel := p.S.RelStats()
-			fmt.Printf("-- LTL product: %d tableau variables, %d fairness sets, %d clusters, "+
+			parts := fmt.Sprintf("%d clusters", p.S.NumClusters())
+			if n := p.S.NumDisjuncts(); n > 0 {
+				parts = fmt.Sprintf("%d components", n)
+			}
+			fmt.Printf("-- LTL product: %d tableau variables, %d fairness sets, %s, "+
 				"%d live nodes (peak %d in chains), %d fair-EG outer iterations\n",
-				len(p.ElemVars), len(p.S.Fair), p.S.NumClusters(),
+				len(p.ElemVars), len(p.S.Fair), parts,
 				p.S.M.NumNodes(), rel.PeakLiveNodes, v.FairEGOuter)
 		}
 	}

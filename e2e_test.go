@@ -72,6 +72,36 @@ func TestE2ESmvCLI(t *testing.T) {
 		}
 	})
 
+	// An LTL product runs its model's relation: the components of a
+	// process model's disjunctive partition, a conjunctive partition's
+	// clusters otherwise.
+	t.Run("LTL product stats name the partition", func(t *testing.T) {
+		products := func(model string) []string {
+			t.Helper()
+			out, _ := exec.Command(bin, "-stats", model).CombinedOutput()
+			var lines []string
+			for _, line := range strings.Split(string(out), "\n") {
+				if strings.HasPrefix(line, "-- LTL product:") {
+					lines = append(lines, line)
+				}
+			}
+			return lines
+		}
+		peterson := products("models/peterson.smv")
+		if len(peterson) != 6 {
+			t.Fatalf("peterson.smv printed %d LTL product lines, want 6: %q", len(peterson), peterson)
+		}
+		for _, line := range peterson {
+			if !strings.Contains(line, ", 3 components, ") {
+				t.Errorf("peterson.smv product line lacks its 3 components: %s", line)
+			}
+		}
+		abp := products("models/abp.smv")
+		if len(abp) == 0 || !strings.Contains(abp[0], ", 6 clusters, ") {
+			t.Errorf("abp.smv's first product line lacks its 6 clusters: %q", abp)
+		}
+	})
+
 	t.Run("simulate", func(t *testing.T) {
 		out, err := exec.Command(bin, "-simulate", "5", "-delta", "models/cache.smv").CombinedOutput()
 		if err != nil {

@@ -78,11 +78,12 @@ type node struct {
 }
 
 // subtable is the unique table for a single level: an open hash with
-// per-node chaining through node.next. Keeping one table per level is
-// what makes an adjacent-level swap O(nodes at the two levels) — the
-// swap detaches exactly two subtables and never scans the arena — and
-// it gives exact per-level live counts (count) for free, which the
-// sift driver reads instead of walking nodes.
+// per-node chaining through node.next. Keeping one table per level
+// gives exact per-level live counts (count) for free, which the sift
+// driver reads instead of walking nodes, and lets an adjacent-level
+// swap hash into the one level it builds nodes at. Inside a swap
+// session the per-level node lists of swap.go stand in for the chains,
+// which endSwapSession rebuilds; count stays exact throughout.
 type subtable struct {
 	buckets []uint32
 	mask    uint32
@@ -235,8 +236,8 @@ type binEntry struct {
 // subproblems over and over. A growth carries every cached entry over.
 // A level's unique subtable starts at initialLevelBuckets, doubles when
 // its chains average more than three nodes, and is rebuilt at the
-// smallest power of two that fits its live nodes by the collection that
-// opens a sift (see collect).
+// smallest power of two that fits its live nodes when a swap session
+// ends (see endSwapSession).
 const (
 	initialLevelBuckets = 1 << 6
 	defaultCacheSize    = 1 << 12
@@ -514,38 +515,28 @@ func (m *Manager) growSubtable(st *subtable) {
 	}
 }
 
-// insertNode links node i into the subtable of its (already set) level
-// and bumps the level's live count.
-func (m *Manager) insertNode(i uint32) {
+// reset empties st at the smallest power of two that holds live nodes
+// (at least initialLevelBuckets), reusing an array of that size.
+func (st *subtable) reset(live int) {
+	size := initialLevelBuckets
+	for size < live {
+		size <<= 1
+	}
+	if len(st.buckets) == size {
+		clear(st.buckets)
+	} else {
+		st.buckets, st.mask = make([]uint32, size), uint32(size-1)
+	}
+	st.count = 0
+}
+
+// link chains node i into st, the subtable of its level, and counts it.
+func (m *Manager) link(st *subtable, i uint32) {
 	n := &m.nodes[i]
-	st := &m.tables[n.lvl]
 	b := hash2(n.low, n.high, st.mask)
 	n.next = st.buckets[b]
 	st.buckets[b] = i
 	st.count++
-	if st.count > len(st.buckets)*3 {
-		m.growSubtable(st)
-	}
-}
-
-// unlinkNode removes node i from its level's subtable.
-func (m *Manager) unlinkNode(i uint32) {
-	n := &m.nodes[i]
-	st := &m.tables[n.lvl]
-	b := hash2(n.low, n.high, st.mask)
-	if st.buckets[b] == i {
-		st.buckets[b] = n.next
-	} else {
-		j := st.buckets[b]
-		for j != 0 && m.nodes[j].next != i {
-			j = m.nodes[j].next
-		}
-		if j == 0 {
-			panic("bdd: unlinkNode: node not in its level's table")
-		}
-		m.nodes[j].next = n.next
-	}
-	st.count--
 }
 
 // Protect registers f as an external root so that garbage collection

@@ -13,18 +13,12 @@ package bdd
 // walks the shared node, so protecting f keeps ¬f alive and vice versa.
 
 // GC collects every node unreachable from the protected and registered
-// roots and returns the number of nodes freed.
-func (m *Manager) GC() int { return m.collect(false) }
-
-// collect is GC. With fit set it also rebuilds each level's subtable at
-// the smallest power of two that holds the level's live nodes (at least
-// initialLevelBuckets), which SiftNow asks for: every adjacent swap
-// scans its two subtables whole, so a table that garbage once forced
-// wide costs each swap its empty buckets. Other collections keep the
-// sizes, because they run between the steps of a fixpoint whose next
-// step climbs back to about the same peak and would pay each doubling
-// and rehash again.
-func (m *Manager) collect(fit bool) int {
+// roots and returns the number of nodes freed. Each level's subtable
+// keeps its size: collections run between the steps of a fixpoint whose
+// next step climbs back to about the same peak and would pay each
+// doubling and rehash again. An order change fits the subtables to
+// the live nodes when its swap session ends (see endSwapSession).
+func (m *Manager) GC() int {
 	m.Stats.GCRuns++
 	// Mark, counting each level's live nodes.
 	for l := range m.tables {
@@ -32,19 +26,7 @@ func (m *Manager) collect(fit bool) int {
 	}
 	m.visitRoots(m.mark)
 	for l := range m.tables {
-		st := &m.tables[l]
-		size := len(st.buckets)
-		if fit {
-			size = initialLevelBuckets
-			for size < st.count {
-				size <<= 1
-			}
-		}
-		if len(st.buckets) == size {
-			clear(st.buckets)
-		} else {
-			st.buckets, st.mask = make([]uint32, size), uint32(size-1)
-		}
+		clear(m.tables[l].buckets)
 	}
 	// Sweep: rebuild the free list and relink the live nodes.
 	freed := 0

@@ -54,11 +54,12 @@ func TestGCRebuildsCanonicity(t *testing.T) {
 	}
 }
 
-// TestSiftCollectionFitsSubtables: the collection that opens a sift
-// rebuilds every level's subtable at the smallest power of two that
-// holds its live nodes (at least initialLevelBuckets), whatever size the
-// garbage had grown it to, while a plain GC keeps the sizes for the
-// next fixpoint step.
+// TestSiftCollectionFitsSubtables: a plain GC keeps the subtable sizes
+// for the next fixpoint step, while a sift leaves every level's
+// subtable at the smallest power of two that holds its live nodes (at
+// least initialLevelBuckets), whatever size the garbage had grown it
+// to: its swap session rebuilds each subtable from the level's node
+// list when it ends, even when it swapped nothing.
 func TestSiftCollectionFitsSubtables(t *testing.T) {
 	const n = 20
 	m := New(n)
@@ -77,7 +78,8 @@ func TestSiftCollectionFitsSubtables(t *testing.T) {
 		t.Fatalf("GC resized the subtables: %v, want %v", got, grown)
 	}
 	// One block of every variable: the sift has nothing to move, so the
-	// sizes it leaves are its collection's.
+	// sizes it leaves are the session end's over its collection's
+	// nodes.
 	all := make([]int, n)
 	for v := range all {
 		all[v] = v

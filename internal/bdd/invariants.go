@@ -19,7 +19,9 @@ import "fmt"
 //   - no node carries a GC mark bit outside a collection;
 //   - the unique table contains every live node exactly once, in its
 //     own level's subtable in the bucket its child pair hashes to, with
-//     no duplicate triples and exact per-level live counts;
+//     no duplicate triples and exact per-level live counts; inside a
+//     swap session, whose subtables are stale until it ends, the level
+//     lists are held to the same standard instead (checkLevelLists);
 //   - no operation-cache entry (ITE, binary, AndExists, permutation)
 //     mentions a freed or out-of-arena node — in particular there are no
 //     stale entries after a reorder, which clears all caches.
@@ -114,7 +116,12 @@ func CheckInvariants(m *Manager) error {
 	if len(m.tables) != len(m.level2var) {
 		return fmt.Errorf("bdd: %d subtables for %d levels", len(m.tables), len(m.level2var))
 	}
-	type pair struct{ low, high Ref }
+	if m.sift != nil {
+		if err := m.checkLevelLists(onFree); err != nil {
+			return err
+		}
+		return m.checkCaches(onFree)
+	}
 	chained := 0
 	for l := range m.tables {
 		st := &m.tables[l]
@@ -160,7 +167,69 @@ func CheckInvariants(m *Manager) error {
 			chained, m.numAlloc-1)
 	}
 
-	// Operation caches must not mention freed or out-of-arena nodes.
+	return m.checkCaches(onFree)
+}
+
+// pair is a node's child pair, the key of its level's subtable.
+type pair struct{ low, high Ref }
+
+// checkLevelLists checks a swap session's level lists as strictly as
+// CheckInvariants checks the chains outside one: a list entry whose slot
+// is free or holds a node of another level is stale and skipped; every
+// other entry is a live node listed once, at its own level, with no
+// duplicate triple in a level; the per-level counts are exact, and the
+// lists cover every live non-terminal.
+func (m *Manager) checkLevelLists(onFree []bool) error {
+	n := len(m.nodes)
+	if len(m.sift.levels) != len(m.tables) {
+		return fmt.Errorf("bdd: %d level lists for %d levels", len(m.sift.levels), len(m.tables))
+	}
+	listed := make([]bool, n)
+	total := 0
+	for l, list := range m.sift.levels {
+		seen := make(map[pair]uint32, m.tables[l].count)
+		inLevel := 0
+		for _, i := range list {
+			if i == 0 || int(i) >= n {
+				return fmt.Errorf("bdd: level %d lists slot %d outside the arena's nodes", l, i)
+			}
+			nd := m.nodes[i]
+			if onFree[i] || nd.lvl != uint32(l) {
+				continue // stale
+			}
+			if listed[i] {
+				return fmt.Errorf("bdd: node %d listed twice at level %d", i, l)
+			}
+			listed[i] = true
+			tr := pair{nd.low, nd.high}
+			if prev, dup := seen[tr]; dup {
+				return fmt.Errorf("bdd: duplicate triple (lvl %d, %d, %d): nodes %d and %d",
+					l, tr.low, tr.high, prev, i)
+			}
+			seen[tr] = i
+			inLevel++
+		}
+		if inLevel != m.tables[l].count {
+			return fmt.Errorf("bdd: level %d lists %d nodes, count says %d", l, inLevel, m.tables[l].count)
+		}
+		total += inLevel
+	}
+	for i := 1; i < n; i++ {
+		if !onFree[i] && !listed[i] {
+			return fmt.Errorf("bdd: live node %d (lvl %d) is in no level list", i, m.nodes[i].lvl)
+		}
+	}
+	if total != m.numAlloc-1 {
+		return fmt.Errorf("bdd: level lists hold %d nodes, expected %d live non-terminals",
+			total, m.numAlloc-1)
+	}
+	return nil
+}
+
+// checkCaches requires that no operation-cache entry mentions a freed or
+// out-of-arena node.
+func (m *Manager) checkCaches(onFree []bool) error {
+	n := len(m.nodes)
 	liveRef := func(r Ref) bool {
 		p := r &^ compBit
 		return int(p) < n && (p == 0 || !onFree[p])

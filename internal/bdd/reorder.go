@@ -3,7 +3,6 @@ package bdd
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -256,14 +255,14 @@ func (m *Manager) validateOrder(order []int) {
 }
 
 // moveTo is Reorder without the validation, and SiftNow's group
-// normalization: a collection that fits the unique subtables to the
-// live nodes, as a sift's does, then one swap session that bubbles each
+// normalization: a collection, then one swap session that bubbles each
 // variable up to its target level, top level first. That takes one swap
 // per pair of variables the two orders rank differently, the fewest
 // adjacent swaps that reach order. Stats.Reorderings counts the call
-// only when the order changes.
+// only when the order changes; when it is already order, the call just
+// collects.
 func (m *Manager) moveTo(order []int) {
-	m.collect(true)
+	m.GC()
 	if slices.Equal(order, m.level2var) {
 		return
 	}
@@ -279,9 +278,9 @@ func (m *Manager) moveTo(order []int) {
 
 // SiftNow runs converging block-sifting passes of the in-place swap
 // engine until a pass improves by less than minImprove or MaxPasses is
-// reached. Garbage is collected first, and the unique subtables shrink
-// to the live nodes the swaps will scan, so every Ref the caller needs
-// must be protected or registered; those keep their values.
+// reached. Garbage is collected first, so every Ref the caller needs
+// must be protected or registered; those keep their values. The unique
+// subtables end fitted to the live nodes (see endSwapSession).
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
 		return
@@ -292,40 +291,48 @@ func (m *Manager) SiftNow() {
 	// Normalize: force every group's variables adjacent so blocks are
 	// contiguous level ranges from here on. moveTo collects first, also
 	// when the groups already are adjacent.
-	m.moveTo(flattenBlocks(m.blockOrder()))
+	groupOf := m.groupIndex()
+	m.moveTo(flattenBlocks(m.blockOrder(groupOf)))
 	before := m.numAlloc
 	opts := m.reorderOpts
-	m.siftInPlace(&opts)
+	m.siftInPlace(&opts, groupOf)
 	m.lastSiftSize = m.numAlloc
 	m.Stats.ReorderTime += time.Since(start)
 	m.Stats.ReorderSavedNodes += int64(before - m.numAlloc)
 }
 
-// blockOrder returns the sifting blocks in current level order: each
-// group one block (members sorted by level), every ungrouped variable a
-// singleton.
-func (m *Manager) blockOrder() [][]int {
-	groupOf := make(map[int]int)
+// groupIndex maps each variable to the index of its group in m.groups,
+// or -1 when it is ungrouped. A sift computes it once.
+func (m *Manager) groupIndex() []int {
+	groupOf := make([]int, m.NumVars())
+	for v := range groupOf {
+		groupOf[v] = -1
+	}
 	for gi, g := range m.groups {
 		for _, v := range g {
 			groupOf[v] = gi
 		}
 	}
-	emitted := make(map[int]bool)
-	var blocks [][]int
+	return groupOf
+}
+
+// blockOrder returns the sifting blocks in current level order: each
+// group one block (members sorted by level) placed at its top member's
+// level, every ungrouped variable a singleton. groupOf is groupIndex's.
+func (m *Manager) blockOrder(groupOf []int) [][]int {
+	blockOf := make([]int, len(m.groups)) // 1 + index in blocks of each group's block, 0 before it
+	blocks := make([][]int, 0, len(m.level2var))
 	for _, v := range m.level2var {
-		gi, grouped := groupOf[v]
-		if !grouped {
+		switch gi := groupOf[v]; {
+		case gi < 0:
 			blocks = append(blocks, []int{v})
-			continue
+		case blockOf[gi] == 0:
+			blocks = append(blocks, []int{v})
+			blockOf[gi] = len(blocks)
+		default:
+			b := blockOf[gi] - 1
+			blocks[b] = append(blocks[b], v)
 		}
-		if emitted[gi] {
-			continue
-		}
-		emitted[gi] = true
-		g := append([]int(nil), m.groups[gi]...)
-		sort.Slice(g, func(i, j int) bool { return m.var2level[g[i]] < m.var2level[g[j]] })
-		blocks = append(blocks, g)
 	}
 	return blocks
 }

@@ -12,12 +12,12 @@ import (
 // moveTo (reorder.go).
 //
 // Exchanging the variables at levels l and l+1 rewrites only the nodes
-// stored in those two levels' subtables. Every node keeps its arena
-// index, so every Ref held anywhere — other levels, protected roots,
-// registered root sets, plain locals — stays valid across the swap with
-// its denotation unchanged. That is what makes an order change cheap:
-// local surgery on two levels plus an exact update of the per-level
-// live counts, with nothing for the holders of Refs to rewrite.
+// at those two levels. Every node keeps its arena index, so every Ref
+// held anywhere — other levels, protected roots, registered root sets,
+// plain locals — stays valid across the swap with its denotation
+// unchanged. That is what makes an order change cheap: local surgery
+// on two levels plus an exact update of the per-level live counts,
+// with nothing for the holders of Refs to rewrite.
 //
 // Write X for the variable at level l and Y for the one at l+1 before
 // the swap. For an upper node n = (X; f0, f1):
@@ -42,9 +42,9 @@ import (
 // cannot (its children lie below both levels), so their denotations —
 // and hence, by induction over canonical children, their (low, high)
 // pairs at level l — always differ. At level l+1 the inner mk calls
-// land in the same subtable the case-A nodes were inserted into first,
-// so equal X-cofactors are shared rather than duplicated. Case B cannot
-// produce an unreduced node: newLow == newHigh would force f0 == f1.
+// land in a subtable that holds the case-A nodes first, so equal
+// X-cofactors are shared rather than duplicated. Case B cannot produce
+// an unreduced node: newLow == newHigh would force f0 == f1.
 //
 // Complement edges survive the swap through mk itself. An upper node's
 // stored else edge f0 is plain, so its else-cofactor f00 is plain and
@@ -55,20 +55,40 @@ import (
 // cofactors and mk's normalization does the rest. Session refcounts are
 // indexed by plain node, since f and ¬f are one node.
 //
+// A swap session (siftState) keeps its own view of the levels, since
+// the swap needs few lookups: the only mk calls are case B's, all at
+// level l+1. Each level's nodes are kept in a plain list, filled by the
+// arena scan that opens the session, and a swap reads its two levels
+// from their lists and rebuilds both lists from the nodes it keeps. It
+// hashes into level l+1's subtable only when case B occurs, after
+// seeding that subtable with the case-A nodes; a swap without case B
+// relabels nodes and exchanges the two lists. The other subtables are
+// stale for the session, and endSwapSession rebuilds each from its
+// level's list at the fitted size. A list entry counts only while its
+// slot holds a node of that level: the cascade leaves the slots it
+// frees below level l+1 in their levels' lists, and a list is filtered
+// when a swap next reads it, before any mk of that swap can reuse a
+// slot. Since every swap rebuilds the lists of both its levels, no slot
+// is ever listed twice. (The cascade reaches below level l+1 only in a
+// session opened over garbage: a dead Y node's children are the
+// cofactors its case-B parents were rebuilt over, so they stay
+// referenced.)
+//
 // Liveness during a swap session is tracked by a session-scoped
-// refcount array (siftState): in-edges of live nodes plus one per
-// protected root and per ref of a registered root set. Counts can
-// transiently reach zero and be revived within a swap (an inner mk may
-// reuse the structure), so frees are deferred to a dead-candidate stack
-// drained at the end of each swap.
+// refcount array: in-edges of live nodes plus one per protected root
+// and per ref of a registered root set. Counts can transiently reach
+// zero and be revived within a swap (an inner mk may reuse the
+// structure), so frees are deferred to a dead-candidate stack drained
+// at the end of each swap.
 
 // siftState is the bookkeeping of one swap session.
 type siftState struct {
-	rc            []int32  // per-node refcount: in-edges + protected and registered roots
-	zero          []uint32 // dead candidates: nodes whose refcount hit zero
-	upper, lower  []uint32 // detachLevel scratch
-	cachesCleared bool     // op caches dropped (lazily, at the first swap)
-	timedOut      bool     // SiftMaxTime expired
+	rc            []int32    // per-node refcount: in-edges + protected and registered roots
+	zero          []uint32   // dead candidates: nodes whose refcount hit zero
+	levels        [][]uint32 // per-level node lists, stale slots included (see above)
+	caseB         []uint32   // swapLevels scratch
+	cachesCleared bool       // op caches dropped (lazily, at the first swap)
+	timedOut      bool       // SiftMaxTime expired
 }
 
 // bump counts one new reference to f's node (sign-stripped: f and ¬f
@@ -93,17 +113,29 @@ func (st *siftState) drop(f Ref) {
 	}
 }
 
-// beginSwapSession builds the refcounts the swaps need. It must run
-// right after a collection (every live node reachable, free slots
-// identifiable by their terminalLevel sentinel), which moveTo and
-// SiftNow guarantee.
+// beginSwapSession builds the refcounts and the level lists the swaps
+// need in one arena scan (free slots carry the terminalLevel sentinel).
+// moveTo and SiftNow open it right after a collection, so every node
+// starts with a positive count. A node no root reaches would start at
+// zero: a swap that meets it on the lower level frees it, cascading
+// through what only it reaches, and it is otherwise kept.
 func (m *Manager) beginSwapSession() {
-	st := &siftState{rc: make([]int32, len(m.nodes))}
+	st := &siftState{rc: make([]int32, len(m.nodes)), levels: make([][]uint32, len(m.tables))}
+	// One backing array, each level's list at its count's capacity: a
+	// list that later outgrows its share moves out on its own.
+	buf := make([]uint32, m.numAlloc-1)
+	off := 0
+	for l := range st.levels {
+		c := m.tables[l].count
+		st.levels[l] = buf[off : off : off+c]
+		off += c
+	}
 	for i := 1; i < len(m.nodes); i++ {
 		n := &m.nodes[i]
 		if n.lvl == terminalLevel { // free slot
 			continue
 		}
+		st.levels[n.lvl] = append(st.levels[n.lvl], uint32(i))
 		st.bump(n.low)
 		st.bump(n.high)
 	}
@@ -111,11 +143,26 @@ func (m *Manager) beginSwapSession() {
 	m.sift = st
 }
 
-func (m *Manager) endSwapSession() { m.sift = nil }
+// endSwapSession closes the session: every level's subtable is rebuilt
+// from the level's list at the smallest power of two that holds its
+// live nodes (at least initialLevelBuckets), so the subtables leave
+// every order change fitted to the nodes it kept.
+func (m *Manager) endSwapSession() {
+	for l, list := range m.sift.levels {
+		st := &m.tables[l]
+		st.reset(st.count)
+		for _, i := range list {
+			if m.nodes[i].lvl == uint32(l) { // skips stale slots
+				m.link(st, i)
+			}
+		}
+	}
+	m.sift = nil
+}
 
-// swapMk is mk plus refcount upkeep: a freshly created node contributes
-// one in-edge to each child. The caller accounts for its own edge to
-// the returned Ref.
+// swapMk is mk plus session upkeep: a freshly created node contributes
+// one in-edge to each child and joins its level's list. The caller
+// accounts for its own edge to the returned Ref.
 func (m *Manager) swapMk(lvl uint32, low, high Ref) Ref {
 	before := m.numAlloc
 	r := m.mk(lvl, low, high)
@@ -126,26 +173,26 @@ func (m *Manager) swapMk(lvl uint32, low, high Ref) Ref {
 	if m.numAlloc != before {
 		st.bump(low)
 		st.bump(high)
+		st.levels[lvl] = append(st.levels[lvl], uint32(r&^compBit))
 	}
 	return r
 }
 
-// detachLevel empties level l's subtable into buf and returns it. The
-// nodes keep their lvl fields; only the table no longer knows them.
-func (m *Manager) detachLevel(l int, buf []uint32) []uint32 {
-	st := &m.tables[l]
-	for b := range st.buckets {
-		for i := st.buckets[b]; i != 0; i = m.nodes[i].next {
-			buf = append(buf, i)
+// liveAt filters level l's list in place down to the slots that still
+// hold a node of that level and returns it.
+func (m *Manager) liveAt(l int) []uint32 {
+	list := m.sift.levels[l]
+	live := list[:0]
+	for _, i := range list {
+		if m.nodes[i].lvl == uint32(l) {
+			live = append(live, i)
 		}
-		st.buckets[b] = 0
 	}
-	st.count = 0
-	return buf
+	return live
 }
 
-// freeSlot returns node i to the free list. The caller has already
-// removed it from its subtable (or detached the whole level).
+// freeSlot returns node i to the free list. The caller keeps the level
+// counts.
 func (m *Manager) freeSlot(i uint32) {
 	m.nodes[i] = node{lvl: terminalLevel, low: False, high: False, next: m.free}
 	m.free = i
@@ -155,17 +202,18 @@ func (m *Manager) freeSlot(i uint32) {
 }
 
 // reapDead frees every queued dead candidate that was not revived,
-// cascading through children whose counts reach zero in turn.
+// cascading through children whose counts reach zero in turn. A freed
+// node's slot stays in its level's list as a stale entry.
 func (m *Manager) reapDead() {
 	st := m.sift
 	for len(st.zero) > 0 {
 		i := st.zero[len(st.zero)-1]
 		st.zero = st.zero[:len(st.zero)-1]
-		if st.rc[i] != 0 || m.nodes[i].lvl == terminalLevel {
+		n := m.nodes[i]
+		if st.rc[i] != 0 || n.lvl == terminalLevel {
 			continue // revived by an inner mk, or already freed
 		}
-		m.unlinkNode(i)
-		n := m.nodes[i]
+		m.tables[n.lvl].count--
 		m.freeSlot(i)
 		st.drop(n.low)
 		st.drop(n.high)
@@ -192,31 +240,44 @@ func (m *Manager) swapLevels(l int) {
 	}
 	m.Stats.SiftSwaps++
 
+	// Both lists are filtered before any mk below can reuse a slot.
 	lvlU, lvlL := uint32(l), uint32(l+1)
-	st.upper = m.detachLevel(l, st.upper[:0])
-	st.lower = m.detachLevel(l+1, st.lower[:0])
+	upper, lower := m.liveAt(l), m.liveAt(l+1)
 
 	vU, vL := m.level2var[l], m.level2var[l+1]
 	m.level2var[l], m.level2var[l+1] = vL, vU
 	m.var2level[vU], m.var2level[vL] = l+1, l
 
 	// Pass 1 (case A): upper nodes independent of the lower variable
-	// descend to level l+1 unchanged. They go back into that subtable
-	// before pass 2 so the rewritten nodes' X-cofactors share them.
-	caseB := st.upper[:0] // compacts in place behind the read index
-	for _, u := range st.upper {
+	// descend to level l+1 unchanged; they become the front of its new
+	// list, compacted in place behind the read index.
+	caseA, caseB := upper[:0], st.caseB[:0]
+	for _, u := range upper {
 		n := &m.nodes[u]
 		if m.nodes[n.low&^compBit].lvl != lvlL && m.nodes[n.high&^compBit].lvl != lvlL {
 			n.lvl = lvlL
-			m.insertNode(u)
+			caseA = append(caseA, u)
 		} else {
 			caseB = append(caseB, u)
 		}
 	}
+	st.caseB = caseB
+	st.levels[l+1] = caseA
 
 	// Pass 2 (case B): rebuild each remaining upper node over its Y
 	// cofactors. The node keeps its Ref and level; only its children
-	// (and the variable it tests) change.
+	// (and the variable it tests) change. The lower subtable is hashed
+	// afresh over the case-A nodes first so the X-cofactors share them;
+	// swapMk appends the nodes it creates to the lower list. Without
+	// case B nothing is looked up, and the subtable stays stale.
+	if lt := &m.tables[l+1]; len(caseB) == 0 {
+		lt.count = len(caseA)
+	} else {
+		lt.reset(len(caseA) + 2*len(caseB))
+		for _, u := range caseA {
+			m.link(lt, u)
+		}
+	}
 	for _, u := range caseB {
 		n := m.nodes[u] // copy: the arena may grow under swapMk below
 		f0, f1 := n.low, n.high
@@ -241,15 +302,16 @@ func (m *Manager) swapLevels(l int) {
 		st.drop(f1)
 		nd := &m.nodes[u]
 		nd.low, nd.high = newLow, newHigh
-		m.insertNode(u)
 	}
 
 	// Lower pass: still-referenced Y nodes rise to level l keeping
-	// their Refs; dead ones are freed (they were never reinserted).
-	for _, y := range st.lower {
+	// their Refs and join the case-B nodes in its new list; dead ones
+	// are freed.
+	risen := lower[:0]
+	for _, y := range lower {
 		if st.rc[y] > 0 {
 			m.nodes[y].lvl = lvlU
-			m.insertNode(y)
+			risen = append(risen, y)
 		} else {
 			n := m.nodes[y]
 			m.freeSlot(y)
@@ -257,6 +319,8 @@ func (m *Manager) swapLevels(l int) {
 			st.drop(n.high)
 		}
 	}
+	st.levels[l] = append(risen, caseB...)
+	m.tables[l].count = len(st.levels[l])
 	m.reapDead()
 }
 
@@ -274,7 +338,7 @@ func (m *Manager) exchangeAdjacentBlocks(s, w1, w2 int) {
 // siftInPlace is SiftNow's engine: converging passes of block sifting
 // in which every placement trial is a run of in-place swaps. SiftNow
 // has already collected garbage and normalized group adjacency.
-func (m *Manager) siftInPlace(opts *ReorderOptions) {
+func (m *Manager) siftInPlace(opts *ReorderOptions, groupOf []int) {
 	startOrder := append([]int(nil), m.level2var...)
 	var deadline time.Time
 	if opts.SiftMaxTime > 0 {
@@ -285,7 +349,7 @@ func (m *Manager) siftInPlace(opts *ReorderOptions) {
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		m.Stats.SiftPasses++
 		prev := size
-		size = m.sweepBlocks(opts, deadline)
+		size = m.sweepBlocks(opts, groupOf, deadline)
 		if m.sift.timedOut || prev-size < int(minImprove*float64(prev)) {
 			break
 		}
@@ -302,8 +366,8 @@ func (m *Manager) siftInPlace(opts *ReorderOptions) {
 // sweepBlocks is one sift pass: it places the blocks in decreasing order
 // of contribution and returns the resulting live-node count.
 // Contribution is read off the per-level counts, in O(levels).
-func (m *Manager) sweepBlocks(opts *ReorderOptions, deadline time.Time) int {
-	blocks := m.blockOrder()
+func (m *Manager) sweepBlocks(opts *ReorderOptions, groupOf []int, deadline time.Time) int {
+	blocks := m.blockOrder(groupOf)
 	if len(blocks) <= 1 {
 		return m.numAlloc
 	}
@@ -326,7 +390,7 @@ func (m *Manager) sweepBlocks(opts *ReorderOptions, deadline time.Time) int {
 		if contrib[bi] == 0 || m.sift.timedOut {
 			continue
 		}
-		m.placeBlock(blocks[bi][0], opts, deadline)
+		m.placeBlock(blocks[bi][0], opts, groupOf, deadline)
 	}
 	return m.numAlloc
 }
@@ -337,8 +401,8 @@ func (m *Manager) sweepBlocks(opts *ReorderOptions, deadline time.Time) int {
 // at the best position seen. Directions abort early past the growth
 // budget; the timeout is honored between swap runs, but the final walk
 // back to the best position always completes.
-func (m *Manager) placeBlock(lead int, opts *ReorderOptions, deadline time.Time) {
-	cur := m.blockOrder()
+func (m *Manager) placeBlock(lead int, opts *ReorderOptions, groupOf []int, deadline time.Time) {
+	cur := m.blockOrder(groupOf)
 	if len(cur) <= 1 {
 		return
 	}

@@ -22,37 +22,71 @@ func sessionFor(m *Manager, roots []Ref) {
 	m.beginSwapSession()
 }
 
+// TestSwapLevelsPreservesSemantics runs random swaps in one session
+// with the invariants (inside the session, the level lists') and the
+// roots' truth tables checked after every swap, and the reorder
+// oracle's node count once the session has ended and a collection has
+// run. Each seed runs twice: in a session opened after a collection, as
+// every order change opens one, and in one opened over garbage. There
+// a node no root reaches enters at refcount zero; a swap that meets it
+// on the lower level frees it, and the cascade frees the garbage below
+// it, leaving stale slots in deeper levels' lists for later swaps to
+// skip.
 func TestSwapLevelsPreservesSemantics(t *testing.T) {
 	const n = 6
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		m := New(n)
-		roots := make([]Ref, 0, 3)
-		tables := make([]bitTable, 0, 3)
-		for i := 0; i < 3; i++ {
-			f, tt := randTracked(r, m, n, 4)
-			roots = append(roots, f)
-			tables = append(tables, tt)
-		}
-		sessionFor(m, roots)
-		for step := 0; step < 40; step++ {
-			l := r.Intn(n - 1)
-			m.swapLevels(l)
+	stale := 0
+	for _, collected := range []bool{true, false} {
+		for seed := int64(0); seed < 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			m := New(n)
+			roots := make([]Ref, 0, 3)
+			tables := make([]bitTable, 0, 3)
+			for i := 0; i < 3; i++ {
+				f, tt := randTracked(r, m, n, 4)
+				roots = append(roots, f)
+				tables = append(tables, tt)
+			}
+			if collected {
+				sessionFor(m, roots)
+			} else {
+				for _, f := range roots {
+					m.Protect(f)
+				}
+				for i := 0; i < 3; i++ {
+					randTracked(r, m, n, 4) // garbage
+				}
+				m.beginSwapSession()
+			}
+			for step := 0; step < 40; step++ {
+				l := r.Intn(n - 1)
+				m.swapLevels(l)
+				if err := CheckInvariants(m); err != nil {
+					t.Fatalf("collected %v seed %d step %d swap(%d): %v", collected, seed, step, l, err)
+				}
+				for i, f := range roots {
+					checkRootTable(t, m, f, tables[i], "after swap")
+				}
+				for lvl, list := range m.sift.levels {
+					for _, i := range list {
+						if m.nodes[i].lvl != uint32(lvl) {
+							stale++
+						}
+					}
+				}
+			}
+			m.endSwapSession()
 			if err := CheckInvariants(m); err != nil {
-				t.Fatalf("seed %d step %d swap(%d): %v", seed, step, l, err)
+				t.Fatalf("collected %v seed %d after session: %v", collected, seed, err)
 			}
+			m.GC()
 			for i, f := range roots {
-				checkRootTable(t, m, f, tables[i], "after swap")
+				checkRootTable(t, m, f, tables[i], "after session")
 			}
+			requireReorderOracle(t, m, roots)
 		}
-		m.endSwapSession()
-		m.GC()
-		if err := CheckInvariants(m); err != nil {
-			t.Fatalf("seed %d after session: %v", seed, err)
-		}
-		for i, f := range roots {
-			checkRootTable(t, m, f, tables[i], "after session")
-		}
+	}
+	if stale == 0 {
+		t.Fatal("no swap left a stale list entry; the garbage sessions want some")
 	}
 }
 
@@ -326,7 +360,10 @@ func TestLevelCountsAndTopLevels(t *testing.T) {
 }
 
 // FuzzSwap drives random swap sequences against an unswapped reference
-// manager holding the same functions.
+// manager holding the same functions. After the session it requires
+// clean invariants and, through the reorder oracle, exactly the nodes
+// the two roots reach under the order the swaps left: a session whose
+// level lists leak an orphan or drop a live node fails the count.
 func FuzzSwap(f *testing.F) {
 	f.Add(uint16(0xBEEF), uint32(0xCAFEBABE), []byte{0, 1, 2, 3, 2, 1, 0})
 	f.Add(uint16(0x1234), uint32(7), []byte{3, 3, 3, 3})
@@ -351,6 +388,10 @@ func FuzzSwap(f *testing.F) {
 			}
 		}
 		m.endSwapSession()
+		if err := CheckInvariants(m); err != nil {
+			t.Fatal(err)
+		}
+		requireReorderOracle(t, m, []Ref{fa, fb})
 		for a := 0; a < 1<<n; a++ {
 			env := envFor(n, a)
 			if m.Eval(fa, env) != ref.Eval(ra, env) {
