@@ -115,6 +115,10 @@ type Manager struct {
 	var2level []int
 	level2var []int
 
+	// walk is the node list of the last reach walk (Size, Support),
+	// kept as scratch for the next one.
+	walk []uint32
+
 	// varPos is scratch indexed by variable for the single-state
 	// helpers (MintermCube, PickOne): position+1 of the variable in the
 	// caller's list, 0 when absent. It is all zero between calls.

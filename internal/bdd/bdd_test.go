@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -441,6 +442,58 @@ func TestSupport(t *testing.T) {
 	for i := range want {
 		if sup[i] != want[i] {
 			t.Fatalf("Support = %v, want %v", sup, want)
+		}
+	}
+}
+
+// TestSizeAndSupportMatchMapWalk checks the marked walk behind Size and
+// Support against a walk that keeps its own visited map, on random
+// functions (complemented half the time) under a shuffled order, and
+// that the walk leaves no mark behind.
+func TestSizeAndSupportMatchMapWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	m := New(6)
+	m.Reorder(r.Perm(6))
+	for i := 0; i < 300; i++ {
+		bits := r.Uint64()
+		for k := r.Intn(4); k > 0; k-- {
+			bits &= r.Uint64() // sparser functions, smaller supports
+		}
+		f := fromTruthTable(m, 6, bits)
+		if r.Intn(2) == 0 {
+			f = m.Not(f)
+		}
+		seen := map[Ref]bool{}
+		var want []int
+		var walk func(Ref)
+		walk = func(g Ref) {
+			g &^= compBit
+			if seen[g] {
+				return
+			}
+			seen[g] = true
+			if g != 0 {
+				walk(m.nodes[g].low)
+				walk(m.nodes[g].high)
+			}
+		}
+		walk(f)
+		for l, v := range m.level2var {
+			for g := range seen {
+				if g != 0 && m.level(g) == uint32(l) {
+					want = append(want, v)
+					break
+				}
+			}
+		}
+		if got := m.Size(f); got != len(seen) {
+			t.Fatalf("function %d: Size = %d, want %d", i, got, len(seen))
+		}
+		if got := m.Support(f); !slices.Equal(got, want) {
+			t.Fatalf("function %d: Support = %v, want %v", i, got, want)
+		}
+		if err := CheckInvariants(m); err != nil {
+			t.Fatalf("function %d: %v", i, err)
 		}
 	}
 }

@@ -306,24 +306,13 @@ func (m *Manager) restrictCube(f, c Ref) Ref {
 // Support returns the variables f depends on, in increasing level order.
 // f and ¬f share nodes, so the walk is over plain (sign-stripped) refs.
 func (m *Manager) Support(f Ref) []int {
-	seen := make(map[Ref]bool)
-	levels := make(map[uint32]bool)
-	var walk func(Ref)
-	walk = func(g Ref) {
-		g &^= compBit
-		if g == 0 || seen[g] {
-			return
-		}
-		seen[g] = true
-		n := &m.nodes[g]
-		levels[n.lvl&^markBit] = true
-		walk(n.low)
-		walk(n.high)
+	levels := make([]bool, len(m.level2var))
+	for _, i := range m.reach(f) {
+		levels[m.nodes[i].lvl] = true
 	}
-	walk(f)
 	var out []int
-	for l := 0; l < len(m.level2var); l++ {
-		if levels[uint32(l)] {
+	for l, in := range levels {
+		if in {
 			out = append(out, m.level2var[l])
 		}
 	}

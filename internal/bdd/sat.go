@@ -227,21 +227,32 @@ func (m *Manager) existsAll(g Ref) bool { return g != False }
 // the terminal. f and ¬f live on the same nodes, so the walk strips
 // complement bits and Size(f) == Size(Not(f)) by construction.
 func (m *Manager) Size(f Ref) int {
-	seen := make(map[Ref]bool)
-	var walk func(Ref)
-	walk = func(g Ref) {
+	return len(m.reach(f)) + 1
+}
+
+// reach returns the nonterminal nodes reachable from f, each once. The
+// walk marks a node's level with markBit when it first sees the node,
+// uses the list it returns as its queue, and clears every mark before
+// it returns. The list is the manager's scratch, valid until the next
+// walk.
+func (m *Manager) reach(f Ref) []uint32 {
+	list := m.walk[:0]
+	visit := func(g Ref) {
 		g &^= compBit
-		if seen[g] {
-			return
+		if n := &m.nodes[g]; g != 0 && n.lvl&markBit == 0 {
+			n.lvl |= markBit
+			list = append(list, uint32(g))
 		}
-		seen[g] = true
-		if g == 0 {
-			return
-		}
-		n := &m.nodes[g]
-		walk(n.low)
-		walk(n.high)
 	}
-	walk(f)
-	return len(seen)
+	visit(f)
+	for i := 0; i < len(list); i++ {
+		n := &m.nodes[list[i]]
+		visit(n.low)
+		visit(n.high)
+	}
+	for _, i := range list {
+		m.nodes[i].lvl &^= markBit
+	}
+	m.walk = list
+	return list
 }

@@ -299,11 +299,13 @@ func (s *Symbolic) buildSchedule(clusters []bdd.Ref, qvars []int) schedule {
 	for _, v := range qvars {
 		isQ[v] = true
 	}
-	// sup[i]: quantification variables in cluster i; occ[v]: number of
-	// unscheduled clusters mentioning v.
+	// sup[i]: quantification variables in cluster i; size[i]: its node
+	// count; occ[v]: number of unscheduled clusters mentioning v.
 	sup := make([][]int, n)
+	size := make([]int, n)
 	occ := map[int]int{}
 	for i, c := range clusters {
+		size[i] = m.Size(c)
 		for _, v := range m.Support(c) {
 			if isQ[v] {
 				sup[i] = append(sup[i], v)
@@ -330,7 +332,6 @@ func (s *Symbolic) buildSchedule(clusters []bdd.Ref, qvars []int) schedule {
 				}
 				affinity += 1.0 / float64(occ[v])
 			}
-			size := m.Size(clusters[i])
 			better := false
 			switch {
 			case kills != bestKills:
@@ -338,10 +339,10 @@ func (s *Symbolic) buildSchedule(clusters []bdd.Ref, qvars []int) schedule {
 			case affinity != bestAffinity:
 				better = affinity > bestAffinity
 			default:
-				better = size < bestSize
+				better = size[i] < bestSize
 			}
 			if best < 0 || better {
-				best, bestKills, bestAffinity, bestSize = i, kills, affinity, size
+				best, bestKills, bestAffinity, bestSize = i, kills, affinity, size[i]
 			}
 		}
 		scheduled[best] = true

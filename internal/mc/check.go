@@ -1,9 +1,10 @@
 // Package mc implements the symbolic CTL model-checking algorithms of
 // Sections 4 and 5 of the paper: the fixpoint procedures CheckEX,
 // CheckEU and CheckEG, and their fair variants CheckFairEX, CheckFairEU
-// and CheckFairEG. The fair EG procedure additionally saves the
-// approximation sequences ("onion rings") of its inner least fixpoints,
-// which Section 6's witness construction consumes.
+// and CheckFairEG. The fair EU and fair EG procedures additionally
+// save approximation sequences ("onion rings"), EU its own and fair EG
+// those of its inner least fixpoints, which Section 6's witness
+// construction consumes.
 package mc
 
 import (
@@ -212,7 +213,9 @@ func (c *Checker) EX(f bdd.Ref) bdd.Ref {
 }
 
 // EU computes E[f U g] (no fairness) by the least fixpoint
-// lfp Z [ g ∨ (f ∧ EX Z) ].
+// lfp Z [ g ∨ (f ∧ EX Z) ], keeping no rings: the set-only fixpoint for
+// callers whose sets no witness descends (checkBasis goes through
+// FairEU, which keeps them).
 func (c *Checker) EU(f, g bdd.Ref) bdd.Ref {
 	res, _, _ := c.euApprox(f, g, nil, false, nil)
 	return res
@@ -231,7 +234,8 @@ func (c *Checker) EUApprox(f, g bdd.Ref) (bdd.Ref, []bdd.Ref) {
 // for which stop reports true, and returns them with true; when stop
 // never fires it returns all of them and false. A witness walk that
 // descends from the first ring meeting some set needs no ring beyond
-// it, so it can skip the rest of the fixpoint.
+// it, so it can skip the rest of the fixpoint. A nil stop never fires:
+// the call computes the whole sequence, as FairEU does for the check.
 //
 // The rings computed so far are cached until the next collection or
 // reorder: stop runs over the cached prefix first, and the fixpoint
@@ -242,7 +246,7 @@ func (c *Checker) EUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]b
 	c.syncRings()
 	cached := c.euRings[euKey{f, g}]
 	for i, q := range cached.rings {
-		if stop(q) {
+		if stop != nil && stop(q) {
 			c.Stats.RingReuses++
 			return cached.rings[: i+1 : i+1], true
 		}
@@ -251,10 +255,11 @@ func (c *Checker) EUApproxUntil(f, g bdd.Ref, stop func(ring bdd.Ref) bool) ([]b
 		c.Stats.RingReuses++
 		return cached.rings, false
 	}
-	// Extending the prefix hits reorder safe points, and WitnessEU calls
-	// in before it pauses reordering. euApprox registers f and the rings,
-	// g among them as the first, so the key and the prefix survive any
-	// collection or sift the extension triggers.
+	// Extending the prefix hits reorder safe points: the check calls in
+	// from its fixpoints, and WitnessEU before it pauses reordering.
+	// euApprox registers f and the rings, g among them as the first, so
+	// the key and the prefix survive any collection or sift the
+	// extension triggers.
 	_, rings, stopped := c.euApprox(f, g, cached.rings, true, stop)
 	c.syncRings()
 	c.euRings[euKey{f, g}] = euPrefix{rings: rings, done: !stopped}

@@ -201,15 +201,13 @@ func (c *Checker) FairEX(f bdd.Ref) bdd.Ref {
 	return c.EX(c.S.M.And(f, fairSet))
 }
 
-// FairEU computes E[f U g] under fairness.
+// FairEU computes E[f U g] under fairness. It runs the fixpoint through
+// the witness ring cache and returns the last ring, so a witness for
+// the formula just checked descends the check's rings (Section 6)
+// instead of recomputing them, until the next collection drops them.
 func (c *Checker) FairEU(f, g bdd.Ref) bdd.Ref {
-	if len(c.S.Fair) == 0 {
-		return c.EU(f, g)
-	}
-	id := c.S.M.RegisterRefs(&f, &g)
-	fairSet := c.Fair()
-	c.S.M.Unregister(id)
-	return c.EU(f, c.S.M.And(g, fairSet))
+	rings, _ := c.FairEUApproxUntil(f, g, nil)
+	return rings[len(rings)-1]
 }
 
 // FairEUApproxUntil is EUApproxUntil under fairness: the rings of

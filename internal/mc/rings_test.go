@@ -80,6 +80,71 @@ func TestEUApproxUntilIsPrefix(t *testing.T) {
 	}
 }
 
+// TestCheckSavesEURings checks that Check leaves the rings of the
+// E[f U g] it computes in the witness ring cache. After checking a
+// formula containing E[p U q], FairEUApproxUntil(p, q) returns
+// EUApprox's rings of E[p U q ∧ fair] with no fixpoint iteration and
+// one ring reuse. A collection drops the cache: the next call
+// recomputes the same rings, one iteration per ring. Models with and
+// without fairness constraints are covered.
+func TestCheckSavesEURings(t *testing.T) {
+	r := rand.New(rand.NewSource(1995))
+	never := func(bdd.Ref) bool { return false }
+	specs := []string{"E [ p U q ]", "AG (p -> E [ p U q ])", "EX E [ p U q ] | EG p"}
+	var fair, unfair int
+	for trial := 0; trial < 30; trial++ {
+		e := kripke.RandomExplicit(r, 8+r.Intn(8), 1.5, []string{"p", "q"}, trial%2, 0.3)
+		s := kripke.FromExplicit(e)
+		m := s.M
+		c := New(s)
+		spec := specs[trial%len(specs)]
+		c.MustCheck(ctl.MustParse(spec))
+		pset := c.MustCheck(ctl.Atom("p"))
+		qset := c.MustCheck(ctl.Atom("q"))
+		target := qset
+		if len(s.Fair) > 0 {
+			target = m.And(qset, c.Fair())
+			fair++
+		} else {
+			unfair++
+		}
+		ref := New(s)
+		_, want := ref.EUApprox(pset, target)
+		for _, q := range want {
+			m.Protect(q)
+		}
+
+		iters, reuses := c.Stats.EUIterations, c.Stats.RingReuses
+		rings, stopped := c.FairEUApproxUntil(pset, qset, never)
+		if stopped || !equalRefs(rings, want) {
+			t.Fatalf("trial %d, %s: the check's cached rings %v (stopped %v), want EUApprox's %v", trial, spec, rings, stopped, want)
+		}
+		if c.Stats.EUIterations != iters || c.Stats.RingReuses != reuses+1 {
+			t.Fatalf("trial %d, %s: witness rings after the check took %d EU iterations and %d ring reuses, want 0 and 1",
+				trial, spec, c.Stats.EUIterations-iters, c.Stats.RingReuses-reuses)
+		}
+
+		m.GC()
+		iters, reuses = c.Stats.EUIterations, c.Stats.RingReuses
+		rings, _ = c.FairEUApproxUntil(pset, qset, never)
+		if !equalRefs(rings, want) {
+			t.Fatalf("trial %d, %s: rings recomputed after a collection differ from EUApprox's", trial, spec)
+		}
+		if got := c.Stats.EUIterations - iters; got != uint64(len(want)) || c.Stats.RingReuses != reuses {
+			t.Fatalf("trial %d, %s: after a collection the call took %d EU iterations and %d ring reuses, want %d and 0",
+				trial, spec, got, c.Stats.RingReuses-reuses, len(want))
+		}
+		for _, q := range want {
+			m.Unprotect(q)
+		}
+		ref.Close()
+		c.Close()
+	}
+	if fair == 0 || unfair == 0 {
+		t.Fatalf("%d models with fairness constraints and %d without, want both > 0", fair, unfair)
+	}
+}
+
 // TestSeededFairEGMatchesUnseeded checks that a witness FairEG started
 // from the fixpoint a check left in the checker confirms it in exactly
 // one outer round and returns the set and rings an unseeded run

@@ -38,10 +38,10 @@ func TestSiftDecisionsPinned(t *testing.T) {
 		{
 			name:         "hanoi-7",
 			src:          modelgen.HanoiSource(7),
-			autoReorders: 10, passes: 10, trials: 3646, swaps: 23352, aborts: 25,
+			autoReorders: 5, passes: 5, trials: 1699, swaps: 10696, aborts: 31,
 			order: []int{2, 3, 0, 1, 10, 11, 8, 9, 6, 7, 4, 5, 14, 15, 12, 13, 18, 19, 16, 17,
 				22, 23, 20, 21, 26, 27, 24, 25, 30, 31, 28, 29, 32, 33, 34, 35},
-			nodes:  1049,
+			nodes:  15957,
 			traces: []string{"", "f611e8ca30936a4881895e5fac9b47105d2bece139e4806d23c0fea1394f08a5", ""},
 		},
 		{

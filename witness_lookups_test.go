@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/bdd"
@@ -62,5 +63,62 @@ func TestArbiterWitnessLookups(t *testing.T) {
 		failing, witness, check, float64(witness)/float64(check), gen.Stats.WalkClosures, gen.Stats.WalkFallbacks)
 	if witness*20 > check {
 		t.Errorf("witnesses took %d lookups, more than 5%% of the check's %d", witness, check)
+	}
+}
+
+// TestHanoiWitnessReusesCheckRings pins the other half of that claim on
+// the puzzle whose counterexample is an E[f U g] prefix: the check of
+// AG !goal computes E[true U goal] and keeps its rings, so the
+// counterexample CounterexampleInit builds right after it descends
+// them. It runs no EU iteration and takes no more lookups than the
+// check, on the shipped puzzle and on the 7-disc one, both under
+// automatic reordering, as an smvd session checks them.
+func TestHanoiWitnessReusesCheckRings(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"hanoi.smv", ""},
+		{"hanoi-7", modelgen.HanoiSource(7)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src
+			if src == "" {
+				b, err := os.ReadFile("models/" + tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src = string(b)
+			}
+			c, err := smv.CompileSource(src, smv.Config{Reorder: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := c.S.M
+			checker := mc.New(c.S)
+			defer checker.Close()
+			gen := core.NewGenerator(checker)
+			checker.UseReachableCareSet()
+			checker.Fair()
+			f := ctl.MustParse("AG !goal")
+			if err := c.ResolveSpecAtoms(f); err != nil {
+				t.Fatal(err)
+			}
+			before := lookups(m)
+			if _, err := checker.Check(f); err != nil {
+				t.Fatal(err)
+			}
+			checked, iters := lookups(m), checker.Stats.EUIterations
+			ok, tr, err := gen.CounterexampleInit(f)
+			if err != nil || ok || tr == nil {
+				t.Fatalf("holds %v, trace %v, err %v; want a counterexample", ok, tr != nil, err)
+			}
+			check, witness := checked-before, lookups(m)-checked
+			t.Logf("%d witness lookups, %d check lookups (%.4f); %d sift events",
+				witness, check, float64(witness)/float64(check), m.Stats.AutoReorders)
+			if n := checker.Stats.EUIterations - iters; n != 0 {
+				t.Errorf("the counterexample ran %d EU iterations, want 0", n)
+			}
+			if witness > check {
+				t.Errorf("the counterexample took %d lookups, more than the check's %d", witness, check)
+			}
+		})
 	}
 }
