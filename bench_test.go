@@ -582,6 +582,8 @@ type benchEntry struct {
 	WitnessLookups uint64 `json:"witness_lookups,omitempty"`
 
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
+	// The manager's footprint, computed table included (bdd's Bytes),
+	// over its allocated nodes at the end of the row.
 	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
 	WarmSpeedup  float64 `json:"warm_speedup,omitempty"`
 	QPS          float64 `json:"qps,omitempty"`
@@ -879,7 +881,7 @@ func measure(e *benchEntry, s *kripke.Symbolic, st0 bdd.Stats, wall time.Duratio
 	e.ReorderMS = float64((st.ReorderTime - st0.ReorderTime).Microseconds()) / 1000
 	e.NodesSaved = st.ReorderSavedNodes - st0.ReorderSavedNodes
 	e.CacheHitRate = rs.CacheHitRate()
-	e.BytesPerNode = float64(m.ArenaBytes()) / float64(m.NumNodes())
+	e.BytesPerNode = float64(m.Bytes()) / float64(m.NumNodes())
 }
 
 // recordImages runs the reach+ex3 or bfs-10 workload. A monolithic row

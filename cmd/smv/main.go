@@ -286,8 +286,8 @@ func main() {
 		fmt.Printf("state variables:    %d (BDD variables: %d)\n", len(compiled.S.Vars), m.NumVars())
 		fmt.Printf("live BDD nodes:     %d\n", m.NumNodes())
 		// bdd.Stats.CacheHits also counts AndExists hits, whose lookups
-		// are in AndExistsLookups: subtract them to pair ITE-table hits
-		// with ITE-table lookups.
+		// are in AndExistsLookups: subtract them to pair the hits of ITE
+		// and the quantifiers with their lookups.
 		fmt.Printf("ITE calls:          %d (cache hits %d / lookups %d)\n",
 			m.Stats.ITECalls, m.Stats.CacheHits-m.Stats.AndExistsHits, m.Stats.CacheLookups)
 		rel := compiled.S.RelStats()

@@ -2,7 +2,7 @@ package bdd
 
 // This file implements the boolean connectives. Everything reduces to
 // the if-then-else operator ITE(f,g,h) = (f ∧ g) ∨ (¬f ∧ h), memoized in
-// a direct-mapped computed cache. The complexity of each binary
+// the manager's computed table. The complexity of each binary
 // operation is O(|f|·|g|) as stated in Section 2 of the paper.
 //
 // With complement edges, negation is free, which makes every triple
@@ -141,13 +141,13 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 	}
 
 	m.Stats.CacheLookups++
-	hash := cacheHash(uint32(f), uint32(g), uint32(h), 0x17e)
-	if e := &m.ite[hash&uint32(len(m.ite)-1)]; e.valid && e.f == f && e.g == g && e.h == h {
+	hash := cacheHash(opITE, f, g, h)
+	if res, ok := m.cacheLookup(hash, opITE, f, g, h); ok {
 		m.Stats.CacheHits++
 		if neg {
-			return e.res ^ compBit
+			return res ^ compBit
 		}
-		return e.res
+		return res
 	}
 
 	lf, lg, lh := m.level(f), m.level(g), m.level(h)
@@ -167,7 +167,7 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 	high := m.ite3(f1, g1, h1)
 	res := m.mk(top, low, high)
 
-	m.ite[hash&uint32(len(m.ite)-1)] = iteEntry{f: f, g: g, h: h, res: res, valid: true}
+	m.cacheStore(hash, opITE, f, g, h, res)
 	if neg {
 		return res ^ compBit
 	}

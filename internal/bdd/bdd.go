@@ -37,7 +37,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 )
@@ -91,7 +90,7 @@ type subtable struct {
 }
 
 // Manager owns an arena of BDD nodes, the unique table that enforces
-// canonicity, and the operation caches. A Manager is not safe for
+// canonicity, and the computed table. A Manager is not safe for
 // concurrent use.
 type Manager struct {
 	nodes []node
@@ -102,7 +101,7 @@ type Manager struct {
 
 	free     uint32 // head of the free list (0 = empty; the terminal is never freed)
 	numFree  int
-	numAlloc int // live node count including the terminal
+	numAlloc int // allocated nodes including the terminal, garbage included until the next collection
 
 	// noComp disables complement edges (DisableComplementEdges): the
 	// manager then runs the legacy structural representation — negation
@@ -124,16 +123,12 @@ type Manager struct {
 	// caller's list, 0 when absent. It is all zero between calls.
 	varPos []int32
 
-	ite   []iteEntry
-	binop []binEntry
-	aex   []aexEntry // lazily allocated by AndExists
-
-	// cacheSize is the current entry count of each computed table
-	// (always a power of two). growCachesAt is the allocated-node count
-	// past which mkRaw grows them: cacheSize while they may still grow,
-	// math.MaxInt once SetCacheSize pinned them or they reached
-	// maxAutoCacheSize.
-	cacheSize    int
+	// cache is the computed table, one direct-mapped array of a power
+	// of two slots shared by ITE, AndExists, Exists, ForAll and
+	// RestrictCube. growCachesAt is the allocated-node count past which
+	// mkRaw grows it: its length while it may still grow, math.MaxInt
+	// once it reached maxCacheSize.
+	cache        []cacheEntry
 	growCachesAt int
 
 	perms []*Permutation // registered variable permutations
@@ -173,14 +168,15 @@ type Stats struct {
 	GCRuns       uint64
 	NodesFreed   uint64
 	Reorderings  uint64
-	// CacheGrowths counts computed-table resizes: each automatic growth
-	// when the arena outgrows the tables (one or more doublings at
-	// once), and each SetCacheSize.
+	// CacheGrowths counts computed-table growths, one each time the
+	// arena outgrows the table (one or more doublings at once).
 	CacheGrowths uint64
 
 	// Relational-product counters: top-level AndExists calls and the
-	// dedicated triple-cache traffic of its recursion. Hit rate here is
-	// the observability signal for partitioned image computation.
+	// computed-table lookups and hits of its recursion. CacheLookups
+	// leaves these lookups out, while CacheHits counts these hits too.
+	// Hit rate here is the observability signal for partitioned image
+	// computation.
 	AndExistsCalls   uint64
 	AndExistsLookups uint64
 	AndExistsHits    uint64
@@ -219,25 +215,31 @@ type Stats struct {
 	ParallelRetries uint64
 }
 
-type iteEntry struct {
-	f, g, h Ref
+// cacheEntry is one slot of the computed table: the result res of the
+// operation op on the operands a, b and c (False for the two-operand
+// quantifiers). Op 0 marks an empty slot.
+type cacheEntry struct {
+	op      uint32
+	a, b, c Ref
 	res     Ref
-	valid   bool
 }
 
-type binEntry struct {
-	op   uint32
-	f, g Ref
-	res  Ref
-}
+// Operation tags of the computed table.
+const (
+	opITE uint32 = 1 + iota
+	opAndExists
+	opExists
+	opForAll
+	opRestrict // f restricted by a cube of literals (b = literal cube)
+)
 
-// Table sizing. Each computed table starts at defaultCacheSize entries,
+// Table sizing. The computed table starts at defaultCacheSize slots,
 // small because most managers (a small model, an LTL product, a test)
 // never hold many more nodes than that, and doubles whenever the
-// allocated node count outgrows it, up to maxAutoCacheSize, unless
-// SetCacheSize pinned it: a direct-mapped cache much smaller than the
-// node population thrashes, and the fixpoint engines re-derive the same
-// subproblems over and over. A growth carries every cached entry over.
+// allocated node count outgrows it, up to maxCacheSize: a direct-mapped
+// cache much smaller than the node population thrashes, and the
+// fixpoint engines re-derive the same subproblems over and over. A
+// growth carries every cached entry over.
 // A level's unique subtable starts at initialLevelBuckets, doubles when
 // its chains average more than three nodes, and is rebuilt at the
 // smallest power of two that fits its live nodes when a swap session
@@ -245,7 +247,7 @@ type binEntry struct {
 const (
 	initialLevelBuckets = 1 << 6
 	defaultCacheSize    = 1 << 12
-	maxAutoCacheSize    = 1 << 21
+	maxCacheSize        = 1 << 21
 )
 
 // Option configures a Manager at construction time.
@@ -269,9 +271,7 @@ func New(numVars int, opts ...Option) *Manager {
 		panic("bdd: negative variable count")
 	}
 	m := &Manager{
-		ite:          make([]iteEntry, defaultCacheSize),
-		binop:        make([]binEntry, defaultCacheSize),
-		cacheSize:    defaultCacheSize,
+		cache:        make([]cacheEntry, defaultCacheSize),
 		growCachesAt: defaultCacheSize,
 		roots:        make(map[Ref]int),
 		gcThreshold:  1 << 20,
@@ -351,9 +351,10 @@ func (m *Manager) TopLevels(k int) []LevelOccupancy {
 }
 
 // UniqueTableLoadFactor returns the mean occupancy of the unique-table
-// buckets: live non-terminal nodes divided by the total bucket count
-// over all per-level subtables. With chained buckets a load factor near
-// or above 1 means longer probe chains on every mk.
+// buckets: allocated non-terminal nodes, garbage included until the next
+// collection, divided by the total bucket count over all per-level
+// subtables. With chained buckets a load factor near or above 1 means
+// longer probe chains on every mk.
 func (m *Manager) UniqueTableLoadFactor() float64 {
 	buckets := 0
 	for i := range m.tables {
@@ -365,13 +366,16 @@ func (m *Manager) UniqueTableLoadFactor() float64 {
 	return float64(m.numAlloc-1) / float64(buckets)
 }
 
-// ArenaBytes returns the memory footprint of the node arena and the
-// unique-table buckets in bytes (capacity, not just the live nodes).
-// Divided by NumNodes it gives the bytes-per-live-node figure the
-// benchmark recorders track.
-func (m *Manager) ArenaBytes() int {
-	const nodeBytes = 16 // lvl + low + high + next, 4 bytes each
-	b := cap(m.nodes) * nodeBytes
+// Bytes returns the manager's memory footprint in bytes: the node arena
+// (its capacity, not just the allocated nodes), the unique-table buckets
+// and the computed table. Divided by NumNodes it gives the bytes-per-node
+// figure the benchmark recorder tracks.
+func (m *Manager) Bytes() int {
+	const (
+		nodeBytes  = 16 // lvl + low + high + next, 4 bytes each
+		entryBytes = 20 // op + a + b + c + res, 4 bytes each
+	)
+	b := cap(m.nodes)*nodeBytes + len(m.cache)*entryBytes
 	for i := range m.tables {
 		b += len(m.tables[i].buckets) * 4
 	}
@@ -381,7 +385,8 @@ func (m *Manager) ArenaBytes() int {
 // NumVars returns the number of variables managed.
 func (m *Manager) NumVars() int { return len(m.var2level) }
 
-// NumNodes returns the number of live nodes, including the terminal.
+// NumNodes returns the number of allocated nodes, including the terminal:
+// garbage included until the next collection.
 func (m *Manager) NumNodes() int { return m.numAlloc }
 
 // LevelOf returns the current level of variable v.
@@ -568,7 +573,8 @@ func (m *Manager) Unprotect(f Ref) {
 // ProtectedCount returns the number of distinct protected roots.
 func (m *Manager) ProtectedCount() int { return len(m.roots) }
 
-// SetGCThreshold sets the live-node count above which MaybeGC collects.
+// SetGCThreshold sets the allocated-node count (garbage included until
+// the next collection) above which MaybeGC collects.
 func (m *Manager) SetGCThreshold(n int) { m.gcThreshold = n }
 
 // checkRef panics if f is not a plausible node handle for this manager.
@@ -578,92 +584,70 @@ func (m *Manager) checkRef(f Ref) {
 	}
 }
 
-// clearCaches invalidates the operation caches. Required after GC or
-// reordering since cached results may reference freed nodes.
+// clearCaches empties the computed table and the permutation memos.
+// Required after GC or reordering since cached results may reference
+// freed nodes.
 func (m *Manager) clearCaches() {
-	for i := range m.ite {
-		m.ite[i] = iteEntry{}
-	}
-	for i := range m.binop {
-		m.binop[i] = binEntry{}
-	}
-	for i := range m.aex {
-		m.aex[i] = aexEntry{}
-	}
+	clear(m.cache)
 	for _, p := range m.perms {
 		p.cache = nil
 	}
 }
 
-// cacheHash mixes up to four words into the hash a computed-table slot
-// is taken from: slot = hash & (len(table)-1). An operation keeps the
-// hash across its recursion and masks it again at store time, because a
-// growth may have resized the table in between.
-func cacheHash(a, b, c, d uint32) uint32 {
+// cacheHash mixes an operation tag and its operands into the hash a
+// computed-table slot is taken from: slot = hash & (len(m.cache)-1). An
+// operation keeps the hash across its recursion and stores its result
+// through cacheStore, which masks it again, because a growth may have
+// resized the table in between. The tag takes part, so operations on
+// the same operands spread over different slots.
+func cacheHash(op uint32, a, b, c Ref) uint32 {
 	x := uint64(a)*0x9e3779b97f4a7c15 + uint64(b)*0xbf58476d1ce4e5b9 +
-		uint64(c)*0x94d049bb133111eb + uint64(d)*0x2545f4914f6cdd1d
+		uint64(c)*0x94d049bb133111eb + uint64(op)*0x2545f4914f6cdd1d
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	return uint32(x)
 }
 
-// CacheSize returns the current entry count of each computed table
-// (ITE, binary-op and AndExists caches are sized identically).
-func (m *Manager) CacheSize() int { return m.cacheSize }
-
-// SetCacheSize resizes the computed tables to n entries each and pins
-// them there, disabling the automatic arena-proportional growth. n must
-// be a power of two in [2^10, 2^24]. The cached results whose slots fit
-// in the new size stay (see resized).
-func (m *Manager) SetCacheSize(n int) error {
-	if bits.OnesCount(uint(n)) != 1 {
-		return fmt.Errorf("bdd: cache size %d is not a power of two", n)
+// cacheLookup returns the result cached for op on (a, b, c), if the slot
+// of hash holds it.
+func (m *Manager) cacheLookup(hash, op uint32, a, b, c Ref) (Ref, bool) {
+	e := &m.cache[hash&uint32(len(m.cache)-1)]
+	if e.op == op && e.a == a && e.b == b && e.c == c {
+		return e.res, true
 	}
-	if n < 1<<10 || n > 1<<24 {
-		return fmt.Errorf("bdd: cache size %d outside [%d, %d]", n, 1<<10, 1<<24)
-	}
-	m.resizeCaches(n)
-	m.growCachesAt = math.MaxInt
-	return nil
+	return False, false
 }
 
-// resizeCaches reallocates the computed tables at n entries each.
-func (m *Manager) resizeCaches(n int) {
-	m.ite = resized(m.ite, n)
-	m.binop = resized(m.binop, n)
-	if m.aex != nil {
-		m.aex = resized(m.aex, n)
-	}
-	m.cacheSize = n
-	m.Stats.CacheGrowths++
+// cacheStore caches res as the result of op on (a, b, c) in the slot of
+// hash, evicting whatever the slot held.
+func (m *Manager) cacheStore(hash, op uint32, a, b, c, res Ref) {
+	m.cache[hash&uint32(len(m.cache)-1)] = cacheEntry{op: op, a: a, b: b, c: c, res: res}
 }
 
-// resized returns a computed table of n entries in which each slot holds
-// the entry of the old slot with the same low bits. When the table grows,
-// every cached entry thus stays in the slot its key hashes to, and its
-// copies in the other slots never match a lookup; when it shrinks, the
-// entries whose slots survive stay.
-func resized[E any](t []E, n int) []E {
-	out := make([]E, n)
-	for i := 0; i < n; i += len(t) {
-		copy(out[i:], t)
-	}
-	return out
-}
+// CacheSize returns the computed table's slot count.
+func (m *Manager) CacheSize() int { return len(m.cache) }
 
-// growCaches doubles the computed tables until they hold an entry per
-// allocated node, or maxAutoCacheSize entries. mkRaw calls it, so a
-// growth can land inside an operation's recursion; the operations store
-// their results under the table length at store time.
+// growCaches doubles the computed table until it holds a slot per
+// allocated node, or maxCacheSize slots. Each slot of the new table
+// holds the entry of the old slot with the same low bits, so every
+// cached entry stays in the slot its key hashes to, and its copies in
+// the other slots never match a lookup. mkRaw calls it, so a growth can
+// land inside an operation's recursion; the operations store their
+// results under the table length at store time.
 func (m *Manager) growCaches() {
-	n := m.cacheSize
-	for n < maxAutoCacheSize && n < m.numAlloc {
+	n := len(m.cache)
+	for n < maxCacheSize && n < m.numAlloc {
 		n *= 2
 	}
-	m.resizeCaches(n)
+	t := make([]cacheEntry, n)
+	for i := 0; i < n; i += len(m.cache) {
+		copy(t[i:], m.cache)
+	}
+	m.cache = t
+	m.Stats.CacheGrowths++
 	m.growCachesAt = n
-	if n >= maxAutoCacheSize {
+	if n >= maxCacheSize {
 		m.growCachesAt = math.MaxInt
 	}
 }

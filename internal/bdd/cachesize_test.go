@@ -1,86 +1,45 @@
 package bdd
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 )
 
-// TestSetCacheSizeValidation: only powers of two inside the allowed
-// band are accepted, and accepted sizes are observable.
-func TestSetCacheSizeValidation(t *testing.T) {
-	m := New(4)
-	for _, bad := range []int{0, -1, 3, 1000, 1 << 9, 1<<24 + 1, 1 << 25, (1 << 16) + 1} {
-		if err := m.SetCacheSize(bad); err == nil {
-			t.Errorf("SetCacheSize(%d): want error, got nil", bad)
-		}
-	}
-	for _, good := range []int{1 << 10, 1 << 12, 1 << 16, 1 << 20} {
-		if err := m.SetCacheSize(good); err != nil {
-			t.Fatalf("SetCacheSize(%d): %v", good, err)
-		}
-		if m.CacheSize() != good {
-			t.Fatalf("CacheSize() = %d, want %d", m.CacheSize(), good)
-		}
-		if len(m.ite) != good || len(m.binop) != good {
-			t.Fatalf("cache slices not resized: ite %d binop %d want %d", len(m.ite), len(m.binop), good)
-		}
-	}
+// pinCache gives m an empty computed table of n slots (a power of two)
+// that never grows.
+func pinCache(m *Manager, n int) {
+	m.cache = make([]cacheEntry, n)
+	m.growCachesAt = math.MaxInt
 }
 
-// TestSetCacheSizeKeepsResults: operations after a resize still compute
-// correct canonical results (the caches are memoization only).
-func TestSetCacheSizeKeepsResults(t *testing.T) {
-	m := New(6)
-	f := m.And(m.Var(0), m.Or(m.Var(1), m.NVar(2)))
-	g := m.Xor(m.Var(3), m.Var(4))
-	want := m.And(f, g)
-	if err := m.SetCacheSize(1 << 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.And(f, g); got != want {
-		t.Fatalf("And after resize: got %v want %v", got, want)
-	}
-	if got := m.Not(m.Or(m.Not(f), m.Not(g))); got != want {
-		t.Fatalf("De Morgan after resize: got %v want %v", got, want)
-	}
-}
-
-// TestNewCacheSize: a new manager's computed tables start small — three
-// tables of 2^12 entries, AndExists's included, within 256 KiB.
+// TestNewCacheSize: a new manager's computed table starts small, and
+// ITE, AndExists and Exists all run in it: one table of 2^12 slots of
+// 20 bytes, within 80 KiB.
 func TestNewCacheSize(t *testing.T) {
 	m := New(8)
-	m.AndExists(m.Var(0), m.Var(1), m.Cube([]int{1})) // allocates the AndExists table
+	m.AndExists(m.Var(0), m.Var(1), m.Cube([]int{1}))
+	m.Exists(m.And(m.Var(2), m.Var(3)), m.Cube([]int{3}))
 	if m.CacheSize() != 1<<12 {
 		t.Fatalf("CacheSize() = %d, want %d", m.CacheSize(), 1<<12)
 	}
-	bytes := len(m.ite)*int(unsafe.Sizeof(iteEntry{})) +
-		len(m.binop)*int(unsafe.Sizeof(binEntry{})) +
-		len(m.aex)*int(unsafe.Sizeof(aexEntry{}))
-	if len(m.aex) != m.CacheSize() || bytes > 256<<10 {
-		t.Fatalf("computed tables: %d AndExists entries, %d bytes; want %d entries within %d bytes",
-			len(m.aex), bytes, m.CacheSize(), 256<<10)
+	if size := unsafe.Sizeof(cacheEntry{}); size != 20 {
+		t.Fatalf("computed-table entry takes %d bytes, want 20", size)
+	}
+	if bytes := len(m.cache) * int(unsafe.Sizeof(cacheEntry{})); bytes > 80<<10 {
+		t.Fatalf("computed table: %d bytes, want at most %d", bytes, 80<<10)
 	}
 }
 
 // TestCacheAutoGrowth: a chain of operations with no safe-point call
-// between them grows the computed tables with the arena, and a pinned
-// manager keeps its size.
+// between them grows the computed table with the arena.
 func TestCacheAutoGrowth(t *testing.T) {
-	grow := func(pin bool) *Manager {
-		m := New(64)
-		if pin {
-			if err := m.SetCacheSize(1 << 10); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for m.NumNodes() <= 1<<17 {
-			m.And(randomDense(m), randomDense(m))
-		}
-		return m
+	m := New(64)
+	for m.NumNodes() <= 1<<17 {
+		m.And(randomDense(m), randomDense(m))
 	}
-	m := grow(false)
 	if m.CacheSize() < m.NumNodes() {
-		t.Fatalf("auto growth: cache %d entries with %d nodes", m.CacheSize(), m.NumNodes())
+		t.Fatalf("auto growth: cache %d slots with %d nodes", m.CacheSize(), m.NumNodes())
 	}
 	if m.Stats.CacheGrowths == 0 {
 		t.Fatal("auto growth: CacheGrowths not counted")
@@ -88,14 +47,11 @@ func TestCacheAutoGrowth(t *testing.T) {
 	if err := CheckInvariants(m); err != nil {
 		t.Fatal(err)
 	}
-	if m := grow(true); m.CacheSize() != 1<<10 || m.Stats.CacheGrowths != 1 {
-		t.Fatalf("pinned: cache %d entries after %d resizes, want %d after 1", m.CacheSize(), m.Stats.CacheGrowths, 1<<10)
-	}
 }
 
 // TestCacheGrowthKeepsEntries: an Ite computed before a growth is a
 // cache hit after it. Var allocates a node without touching the
-// computed tables, so only the growth itself stands between the two
+// computed table, so only the growth itself stands between the two
 // calls.
 func TestCacheGrowthKeepsEntries(t *testing.T) {
 	m := New(defaultCacheSize + 8)
@@ -136,9 +92,9 @@ func modSum(m *Manager, n, p int, w func(int) int) Ref {
 
 // TestAndExistsAcrossGrowths: one relational product whose recursion
 // allocates through several table growths computes the same function as
-// on a manager pinned at 2^16 entries, leaves the manager consistent,
-// and stores its own result where a repeat finds it — so the slots
-// stored after a mid-recursion growth are the current ones.
+// on a manager pinned at 2^16 slots, leaves the manager consistent, and
+// stores its own result where a repeat finds it — so the slots stored
+// after a mid-recursion growth are the current ones.
 func TestAndExistsAcrossGrowths(t *testing.T) {
 	const n = 180
 	product := func(m *Manager) Ref {
@@ -147,9 +103,7 @@ func TestAndExistsAcrossGrowths(t *testing.T) {
 		return m.AndExists(f, g, m.Cube([]int{n - 3, n - 1}))
 	}
 	pinned := New(n)
-	if err := pinned.SetCacheSize(1 << 16); err != nil {
-		t.Fatal(err)
-	}
+	pinCache(pinned, 1<<16)
 	want := product(pinned)
 
 	m := New(n)

@@ -32,18 +32,27 @@ func TestNotNoAlloc(t *testing.T) {
 // function: identical Eval on every assignment, identical SatCount,
 // and clean invariants (including the else-edge canonical form) on
 // both arenas. The byte stream is a little stack machine: the low
-// nibble selects the operation, the high nibble its argument.
+// nibble selects the operation, the high nibble its argument. The
+// complement-edge manager's computed table is pinned at 16 slots, so
+// ITE, AndExists, Exists, ForAll and RestrictCube results keep evicting
+// one another from shared slots, while the reference keeps its default
+// table.
 func FuzzComplement(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x06, 0x05, 0x27, 0x3a})
 	f.Add([]byte{0x03, 0x04, 0x09, 0x05, 0x05})
 	f.Add([]byte{0x00, 0x12, 0x08, 0x4b, 0x0c, 0x1d})
 	f.Add([]byte{})
+	// ForAll, then Exists over the same variable of a function whose
+	// entries share slots: a key compare without the op tag returns one
+	// quantifier's result for the other.
+	f.Add([]byte("A778Z0002\x8f\x8a"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 5
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		m := New(n)
+		pinCache(m, 16)
 		ref := New(n, DisableComplementEdges())
 
 		// Parallel stacks of protected roots. Entries are pushed
@@ -122,6 +131,11 @@ func FuzzComplement(f *testing.F) {
 				ref.beginSwapSession()
 				ref.swapLevels(lvl)
 				ref.endSwapSession()
+			case 15: // ForAll over one variable
+				if i := pick(arg); i >= 0 {
+					v := arg % n
+					push(m.ForAll(ms[i], m.Cube([]int{v})), ref.ForAll(rs[i], ref.Cube([]int{v})))
+				}
 			}
 		}
 

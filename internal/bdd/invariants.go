@@ -22,9 +22,9 @@ import "fmt"
 //     no duplicate triples and exact per-level live counts; inside a
 //     swap session, whose subtables are stale until it ends, the level
 //     lists are held to the same standard instead (checkLevelLists);
-//   - no operation-cache entry (ITE, binary, AndExists, permutation)
-//     mentions a freed or out-of-arena node — in particular there are no
-//     stale entries after a reorder, which clears all caches.
+//   - no computed-table or permutation-memo entry mentions a freed or
+//     out-of-arena node — in particular there are no stale entries after
+//     a reorder, which clears them all.
 func CheckInvariants(m *Manager) error {
 	n := len(m.nodes)
 	if n < 1 {
@@ -226,39 +226,21 @@ func (m *Manager) checkLevelLists(onFree []bool) error {
 	return nil
 }
 
-// checkCaches requires that no operation-cache entry mentions a freed or
-// out-of-arena node.
+// checkCaches requires that no computed-table or permutation-memo entry
+// mentions a freed or out-of-arena node.
 func (m *Manager) checkCaches(onFree []bool) error {
 	n := len(m.nodes)
 	liveRef := func(r Ref) bool {
 		p := r &^ compBit
 		return int(p) < n && (p == 0 || !onFree[p])
 	}
-	for i := range m.ite {
-		e := &m.ite[i]
-		if !e.valid {
-			continue
-		}
-		if !liveRef(e.f) || !liveRef(e.g) || !liveRef(e.h) || !liveRef(e.res) {
-			return fmt.Errorf("bdd: stale ITE cache entry %d (%d,%d,%d)->%d", i, e.f, e.g, e.h, e.res)
-		}
-	}
-	for i := range m.binop {
-		e := &m.binop[i]
+	for i := range m.cache {
+		e := &m.cache[i]
 		if e.op == 0 {
 			continue
 		}
-		if !liveRef(e.f) || !liveRef(e.g) || !liveRef(e.res) {
-			return fmt.Errorf("bdd: stale binary cache entry %d (op %d: %d,%d)->%d", i, e.op, e.f, e.g, e.res)
-		}
-	}
-	for i := range m.aex {
-		e := &m.aex[i]
-		if !e.valid {
-			continue
-		}
-		if !liveRef(e.f) || !liveRef(e.g) || !liveRef(e.cube) || !liveRef(e.res) {
-			return fmt.Errorf("bdd: stale AndExists cache entry %d (%d,%d,%d)->%d", i, e.f, e.g, e.cube, e.res)
+		if !liveRef(e.a) || !liveRef(e.b) || !liveRef(e.c) || !liveRef(e.res) {
+			return fmt.Errorf("bdd: stale computed-table entry %d (op %d: %d,%d,%d)->%d", i, e.op, e.a, e.b, e.c, e.res)
 		}
 	}
 	for pi, p := range m.perms {

@@ -9,29 +9,20 @@ package bdd
 //
 // All traversals here go through the sign-aware cofactor helpers: a
 // complemented argument ref pushes its complement bit onto the cofactors
-// rather than being materialized, and the computed caches key on the
+// rather than being materialized, and the computed table keys on the
 // signed refs, so ∃v.f and ∃v.¬f occupy distinct cache lines (they are
 // distinct functions — quantification does not commute with negation).
 
-// Operation tags for the binary computed cache.
-const (
-	opExists uint32 = 1 + iota
-	opForAll
-	opRestrict // f restricted by a cube of literals (g = literal cube)
-)
-
-func (m *Manager) binCacheGet(op uint32, f, g Ref) (Ref, bool) {
+// binCacheGet looks up the two-operand operation op on (f, g) in the
+// computed table and returns the hash its result is stored under.
+func (m *Manager) binCacheGet(op uint32, f, g Ref) (Ref, uint32, bool) {
 	m.Stats.CacheLookups++
-	e := &m.binop[cacheHash(op, uint32(f), uint32(g), 0x9d)&uint32(len(m.binop)-1)]
-	if e.op == op && e.f == f && e.g == g {
+	hash := cacheHash(op, f, g, False)
+	if res, ok := m.cacheLookup(hash, op, f, g, False); ok {
 		m.Stats.CacheHits++
-		return e.res, true
+		return res, hash, true
 	}
-	return False, false
-}
-
-func (m *Manager) binCachePut(op uint32, f, g, res Ref) {
-	m.binop[cacheHash(op, uint32(f), uint32(g), 0x9d)&uint32(len(m.binop)-1)] = binEntry{op: op, f: f, g: g, res: res}
+	return False, hash, false
 }
 
 // Cube returns the conjunction of the positive literals of vars, the
@@ -91,11 +82,11 @@ func (m *Manager) exists(f, cube Ref) Ref {
 		}
 		lc = m.level(cube)
 	}
-	if res, ok := m.binCacheGet(opExists, f, cube); ok {
+	res, hash, ok := m.binCacheGet(opExists, f, cube)
+	if ok {
 		return res
 	}
 	f0, f1 := m.low(f), m.high(f)
-	var res Ref
 	if lf == lc {
 		// Quantify this variable: f|v=0 ∨ f|v=1.
 		low := m.exists(f0, m.high(cube))
@@ -110,7 +101,7 @@ func (m *Manager) exists(f, cube Ref) Ref {
 		high := m.exists(f1, cube)
 		res = m.mk(lf, low, high)
 	}
-	m.binCachePut(opExists, f, cube, res)
+	m.cacheStore(hash, opExists, f, cube, False, res)
 	return res
 }
 
@@ -134,11 +125,11 @@ func (m *Manager) forall(f, cube Ref) Ref {
 		}
 		lc = m.level(cube)
 	}
-	if res, ok := m.binCacheGet(opForAll, f, cube); ok {
+	res, hash, ok := m.binCacheGet(opForAll, f, cube)
+	if ok {
 		return res
 	}
 	f0, f1 := m.low(f), m.high(f)
-	var res Ref
 	if lf == lc {
 		low := m.forall(f0, m.high(cube))
 		if low == False {
@@ -152,15 +143,8 @@ func (m *Manager) forall(f, cube Ref) Ref {
 		high := m.forall(f1, cube)
 		res = m.mk(lf, low, high)
 	}
-	m.binCachePut(opForAll, f, cube, res)
+	m.cacheStore(hash, opForAll, f, cube, False, res)
 	return res
-}
-
-// aexEntry caches AndExists triples.
-type aexEntry struct {
-	f, g, cube Ref
-	res        Ref
-	valid      bool
 }
 
 // AndExists computes ∃ cube . (f ∧ g) without materializing f ∧ g — the
@@ -171,9 +155,6 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	m.checkRef(g)
 	m.checkRef(cube)
 	m.Stats.AndExistsCalls++
-	if m.aex == nil {
-		m.aex = make([]aexEntry, m.cacheSize)
-	}
 	return m.andExists(f, g, cube)
 }
 
@@ -217,12 +198,12 @@ func (m *Manager) andExists(f, g, cube Ref) Ref {
 		lc = m.level(cube)
 	}
 
-	hash := cacheHash(uint32(f), uint32(g), uint32(cube), 0xae)
+	hash := cacheHash(opAndExists, f, g, cube)
 	m.Stats.AndExistsLookups++
-	if e := &m.aex[hash&uint32(len(m.aex)-1)]; e.valid && e.f == f && e.g == g && e.cube == cube {
+	if res, ok := m.cacheLookup(hash, opAndExists, f, g, cube); ok {
 		m.Stats.CacheHits++
 		m.Stats.AndExistsHits++
-		return e.res
+		return res
 	}
 
 	f0, f1 := m.cofactors(f, lf, top)
@@ -243,7 +224,7 @@ func (m *Manager) andExists(f, g, cube Ref) Ref {
 		high := m.andExists(f1, g1, cube)
 		res = m.mk(top, low, high)
 	}
-	m.aex[hash&uint32(len(m.aex)-1)] = aexEntry{f: f, g: g, cube: cube, res: res, valid: true}
+	m.cacheStore(hash, opAndExists, f, g, cube, res)
 	return res
 }
 
@@ -284,10 +265,10 @@ func (m *Manager) restrictCube(f, c Ref) Ref {
 		}
 		lc = m.level(c)
 	}
-	if res, ok := m.binCacheGet(opRestrict, f, c); ok {
+	res, hash, ok := m.binCacheGet(opRestrict, f, c)
+	if ok {
 		return res
 	}
-	var res Ref
 	if lf == lc {
 		if m.low(c) == False { // positive literal: take high branch
 			res = m.restrictCube(m.high(f), m.high(c))
@@ -299,7 +280,7 @@ func (m *Manager) restrictCube(f, c Ref) Ref {
 		high := m.restrictCube(m.high(f), c)
 		res = m.mk(lf, low, high)
 	}
-	m.binCachePut(opRestrict, f, c, res)
+	m.cacheStore(hash, opRestrict, f, c, False, res)
 	return res
 }
 

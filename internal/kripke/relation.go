@@ -112,9 +112,10 @@ type RelStats struct {
 	// Computed-cache traffic of the underlying manager accumulated since
 	// the last ResetRelStats, and the unique-table load factor sampled
 	// when RelStats() is called. CacheLookups and CacheHits both cover
-	// every computed table — ITE, binary and AndExists — so CacheHits
-	// never exceeds CacheLookups. (bdd.Stats keeps AndExists lookups
-	// apart, in AndExistsLookups; RelStats adds them back.) Together
+	// every operation of the manager's one computed table — ITE,
+	// AndExists and the quantifiers — so CacheHits never exceeds
+	// CacheLookups. (bdd.Stats keeps AndExists lookups apart, in
+	// AndExistsLookups; RelStats adds them back.) Together
 	// they make the normalization win of complement edges visible
 	// without a profiler: higher hit rate, same load, fewer nodes.
 	CacheLookups    uint64

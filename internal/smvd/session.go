@@ -59,7 +59,7 @@ type SessionStats struct {
 	ReachIters      int     `json:"reach_iters"`
 	ReachableStates float64 `json:"reachable_states"`
 	LiveNodes       int     `json:"live_nodes"`
-	CacheSize       int     `json:"cache_size"`
+	CacheSize       int     `json:"cache_size"` // slots of the session manager's computed table
 	MemoHits        uint64  `json:"memo_hits"`
 	RingReuses      uint64  `json:"ring_reuses"`
 	WalkClosures    uint64  `json:"walk_closures"`
