@@ -35,8 +35,9 @@
 //	             exits 2 on -simulate, -stats, -delta, -reachable,
 //	             -witness, -compact, -tree or -cache-dir
 //	-cache-dir D warm-start from (and refresh) smvd-format warm records:
-//	             a prior run's variable order, reachable set and fair
-//	             set are restored, skipping those fixpoints
+//	             a prior run's variable order, reachable and fair sets,
+//	             subformula results and onion rings are restored, so
+//	             the specs it checked need no fixpoint
 //	-cpuprofile F / -memprofile F
 //	             write pprof profiles of the run
 package main
@@ -138,12 +139,15 @@ func main() {
 		fatal(err)
 	}
 
-	// Warm start: restore a previous run's variable order and fixpoint
-	// results from the shared smvd record store, if a record exists.
+	checker := mc.New(compiled.S)
+	gen := core.NewGenerator(checker)
+
+	// Warm start: restore a previous run's variable order, fixpoint
+	// results and checker state from the shared smvd record store, as an
+	// smvd session does on a cache miss.
 	var store *smvd.DiskStore
 	var modelKey string
-	var warmReach, warmFair bdd.Ref
-	var warmIters int
+	var restored smvd.Restored
 	warm := false
 	if *cacheDir != "" {
 		store, err = smvd.OpenDiskStore(*cacheDir)
@@ -151,14 +155,10 @@ func main() {
 			fatal(err)
 		}
 		modelKey = smvd.ModelKey(string(src), cfg)
-		warmReach, warmFair, warmIters, warm, err = store.Load(modelKey, compiled.S.M)
+		compiled.S.EnableReachableCache()
+		restored, warm, err = store.WarmStart(modelKey, compiled, checker)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "warning: warm-start load failed: %v\n", err)
-			warm = false
-		}
-		compiled.S.EnableReachableCache()
-		if warm {
-			compiled.S.SetReachable(warmReach, warmIters)
 		}
 	}
 
@@ -191,21 +191,12 @@ func main() {
 		exit(0)
 	}
 
-	checker := mc.New(compiled.S)
-	gen := core.NewGenerator(checker)
-	if store != nil {
-		if warm {
-			// SetCareSet clears the checker's fair cache, so the seed must
-			// come after it — same order as an smvd warm start.
-			checker.SetCareSet(warmReach)
-			checker.SeedFair(warmFair)
-		} else {
-			// Run the fixpoints now so a record can be written on exit; the
-			// care-set restriction matches what a warmed run would use, so
-			// cold and warm runs check identically.
-			checker.UseReachableCareSet()
-			checker.Fair()
-		}
+	if store != nil && !warm {
+		// Run the fixpoints now so a record can be written on exit; the
+		// care-set restriction matches what a warmed run uses, so cold
+		// and warm runs check identically.
+		checker.UseReachableCareSet()
+		checker.Fair()
 	}
 	exitCode := 0
 	for _, sp := range compiled.Module.Specs {
@@ -326,14 +317,18 @@ func main() {
 		}
 		fmt.Printf("checker reorders:   %d (%v during fixpoints)\n",
 			checker.Stats.Reorders, checker.Stats.ReorderTime)
-	}
-	if store != nil && !warm {
-		if reach, iters, ok := compiled.S.ReachableCached(); ok {
-			if fair, okFair := checker.CachedFair(); okFair {
-				if err := store.Save(modelKey, cfg, compiled.S.M, reach, fair, iters); err != nil {
-					fmt.Fprintf(os.Stderr, "warning: warm-record save failed: %v\n", err)
-				}
+		if store != nil {
+			source := "cold"
+			if warm {
+				source = "disk"
 			}
+			fmt.Printf("warm start:         %s (%d restored sets, %d restored rings)\n",
+				source, restored.Sets, restored.Rings)
+		}
+	}
+	if store != nil {
+		if err := store.SaveWarm(modelKey, cfg, compiled, checker); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: warm-record save failed: %v\n", err)
 		}
 	}
 	exit(exitCode)

@@ -125,6 +125,52 @@ func TestE2ESmvCLI(t *testing.T) {
 		}
 	})
 
+	// A -cache-dir run writes a record holding the check's sets and
+	// rings; the next run restores them, prints the same bytes and runs
+	// no EU fixpoint.
+	t.Run("-cache-dir warm run repeats the cold one", func(t *testing.T) {
+		models, err := filepath.Glob("models/*.smv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(args ...string) (string, int) {
+			t.Helper()
+			var stdout bytes.Buffer
+			cmd := exec.Command(bin, args...)
+			cmd.Stdout = &stdout
+			err := cmd.Run()
+			code := 0
+			if ee, ok := err.(*exec.ExitError); ok {
+				code = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			return stdout.String(), code
+		}
+		eu := regexp.MustCompile(`(?m)^EU fixpoints: +0 \(0 iterations\)$`)
+		restored := regexp.MustCompile(`(?m)^warm start: +disk \([1-9][0-9]* restored sets, [1-9][0-9]* restored rings\)$`)
+		failing := 0
+		for _, model := range models {
+			dir := t.TempDir()
+			cold, code := run("-cache-dir", dir, model)
+			if code != 1 {
+				continue // no failing spec
+			}
+			failing++
+			warm, warmCode := run("-cache-dir", dir, model)
+			if warm != cold || warmCode != code {
+				t.Errorf("%s: warm run (exit %d) prints\n%s\ncold run (exit %d) printed\n%s", model, warmCode, warm, code, cold)
+			}
+			stats, _ := run("-stats", "-cache-dir", dir, model)
+			if !eu.MatchString(stats) || !restored.MatchString(stats) {
+				t.Errorf("%s: warm -stats lacks a 0-iteration EU line or restored counts:\n%s", model, stats)
+			}
+		}
+		if failing == 0 {
+			t.Fatal("no shipped model has a failing spec")
+		}
+	})
+
 	// A server that counts the requests reaching it; no subtest expects
 	// any.
 	var requests atomic.Int64

@@ -31,9 +31,9 @@ const serialMagic = "GOBDD3\n"
 // including files of the retired v1 and v2 formats.
 var errBadMagic = errors.New("bdd: bad magic (not a saved BDD)")
 
-// maxSavedNameLen bounds the name records of a file; anything longer is
-// a corrupt record, not a legitimate root name.
-const maxSavedNameLen = 1 << 12
+// MaxSavedNameLen bounds the name records of a file in bytes: SaveNamed
+// refuses a longer name, and LoadNamed reads one as a corrupt record.
+const MaxSavedNameLen = 1 << 12
 
 // NamedRoot pairs a root BDD with a symbolic name, for warm-start
 // records where the loader must know which root is which (e.g. the
@@ -63,7 +63,7 @@ func (m *Manager) SaveNamed(w io.Writer, roots []NamedRoot) error {
 		order = append(order, f)
 	}
 	for _, r := range roots {
-		if len(r.Name) > maxSavedNameLen {
+		if len(r.Name) > MaxSavedNameLen {
 			return fmt.Errorf("bdd: root name %q too long to save", r.Name[:32]+"...")
 		}
 		m.checkRef(r.Ref)
@@ -209,7 +209,7 @@ func (m *Manager) LoadNamed(r io.Reader, adoptOrder bool) ([]NamedRoot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nameLen > maxSavedNameLen {
+		if nameLen > MaxSavedNameLen {
 			return nil, errors.New("bdd: corrupt name record")
 		}
 		name := make([]byte, nameLen)

@@ -190,8 +190,8 @@ func TestLoadV3CorruptRecords(t *testing.T) {
 		data []byte
 	}{
 		{"huge name length", u32at(base, l.nameLens[0], 0xFFFFFFF0)},
-		{"name length over bound", u32at(base, l.nameLens[0], maxSavedNameLen+1)},
-		{"name longer than stream", u32at(base, l.nameLens[0], maxSavedNameLen)},
+		{"name length over bound", u32at(base, l.nameLens[0], MaxSavedNameLen+1)},
+		{"name longer than stream", u32at(base, l.nameLens[0], MaxSavedNameLen)},
 		{"root edge out of range", u32at(base, l.rootEdges[0], 500<<1)},
 		{"huge root count, truncated trailer", u32at(base, l.rootCount, 0xFFFFFFF0)},
 	}

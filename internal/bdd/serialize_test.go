@@ -327,7 +327,7 @@ func TestLoadNamedAdoptSameOrder(t *testing.T) {
 func TestSaveNamedRejectsHugeName(t *testing.T) {
 	m := New(2)
 	var buf bytes.Buffer
-	err := m.SaveNamed(&buf, []NamedRoot{{Name: strings.Repeat("x", maxSavedNameLen+1), Ref: True}})
+	err := m.SaveNamed(&buf, []NamedRoot{{Name: strings.Repeat("x", MaxSavedNameLen+1), Ref: True}})
 	if err == nil {
 		t.Fatal("oversized name saved without error")
 	}

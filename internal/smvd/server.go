@@ -178,10 +178,10 @@ func (sv *Server) check(req *CheckRequest, deadline time.Time) (*CheckResponse, 
 var errSessionBroken = errors.New("smvd: session discarded")
 
 // query runs req on sess under the session lock and returns the
-// response with the manager's live-node count. A panic comes back as an
-// error wrapping ErrQueryPanicked, and the session is marked broken,
-// which stops its warm-start record from being written, and dropped
-// from the cache.
+// response with the manager's live-node count (see Session.liveNodes).
+// A panic comes back as an error wrapping ErrQueryPanicked, and the
+// session is marked broken, which stops its warm-start record from
+// being written, and dropped from the cache.
 func (sv *Server) query(sess *Session, req *CheckRequest, deadline time.Time) (resp *CheckResponse, live int, err error) {
 	if err := sess.lock(deadline); err != nil {
 		return nil, 0, err
@@ -208,7 +208,7 @@ func (sv *Server) query(sess *Session, req *CheckRequest, deadline time.Time) (r
 	if wasReady {
 		resp.WarmSource = sess.warmSource
 	}
-	return resp, sess.liveNodes(), nil
+	return resp, sess.liveNodes(sv.Cache.nodeBudget), nil
 }
 
 func (sv *Server) handleCheck(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -84,8 +85,14 @@ func TestPanickingQueryReleasesSession(t *testing.T) {
 	if n := sv.requestErrors.Load(); n != 1 {
 		t.Fatalf("request_errors = %d, want 1", n)
 	}
-	if _, _, _, ok := broken.warmRefs(); ok {
-		t.Fatal("broken session still offers a warm-start record")
+	broken.mu <- struct{}{}
+	err := sv.Cache.disk.save(broken)
+	broken.unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(sv.Cache.disk.metaPath(broken.Key)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("broken session wrote a warm-start record: %v", err)
 	}
 	if cachedSession(t, sv.Cache, counterModel, smv.Config{}) == broken {
 		t.Fatal("broken session still cached")

@@ -28,9 +28,10 @@ type Session struct {
 	checker  *mc.Checker
 	gen      *core.Generator
 
-	ready      bool   // reachable + fair sets populated
-	broken     bool   // a query panicked: never query or save again
-	warmSource string // "" (cold), "disk" (restored from a v3 record)
+	ready      bool     // reachable + fair sets populated
+	broken     bool     // a query panicked: never query or save again
+	warmSource string   // "" (cold), "disk" (restored from a v3 record)
+	restored   Restored // the checker state a disk warm start put back
 	reachIters int
 	reachCount float64
 
@@ -56,6 +57,8 @@ type SessionStats struct {
 	Queries         uint64  `json:"queries"`
 	Ready           bool    `json:"ready"`
 	WarmSource      string  `json:"warm_source,omitempty"`
+	RestoredSets    int     `json:"restored_sets"`  // memo entries and EG seeds read from the record
+	RestoredRings   int     `json:"restored_rings"` // onion rings read from the record
 	ReachIters      int     `json:"reach_iters"`
 	ReachableStates float64 `json:"reachable_states"`
 	LiveNodes       int     `json:"live_nodes"`
@@ -114,21 +117,6 @@ func (s *Session) lock(deadline time.Time) error {
 
 func (s *Session) unlock() { <-s.mu }
 
-// warmStart seeds the session's fixpoint results from a disk record:
-// the reachable set becomes the care set and the fair set is installed
-// directly, so the first query skips both fixpoints. Caller holds the
-// session lock (or exclusivity by construction).
-func (s *Session) warmStart(reach, fair bdd.Ref, iters int) {
-	s.compiled.S.SetReachable(reach, iters)
-	s.checker.SetCareSet(reach)
-	// SetCareSet clears the fair cache, so the seed must come after it.
-	s.checker.SeedFair(fair)
-	s.reachIters = iters
-	s.reachCount = s.compiled.S.CountStates(reach)
-	s.ready = true
-	s.warmSource = "disk"
-}
-
 // ensureReady runs the session's one-time fixpoints: reachable states
 // (installed as the care set) and the fair-state set. Later queries —
 // and later calls here — reuse both.
@@ -136,9 +124,15 @@ func (s *Session) ensureReady() {
 	if s.ready {
 		return
 	}
-	reach := s.checker.UseReachableCareSet()
+	s.checker.UseReachableCareSet()
 	s.checker.Fair()
-	_, iters, _ := s.compiled.S.ReachableCached()
+	s.markReady()
+}
+
+// markReady records the reachable set's counts once the reachable and
+// fair sets exist, computed or restored from disk.
+func (s *Session) markReady() {
+	reach, iters, _ := s.compiled.S.ReachableCached()
 	s.reachIters = iters
 	s.reachCount = s.compiled.S.CountStates(reach)
 	s.ready = true
@@ -228,6 +222,8 @@ func (s *Session) stats() SessionStats {
 		Queries:         s.queries,
 		Ready:           s.ready,
 		WarmSource:      s.warmSource,
+		RestoredSets:    s.restored.Sets,
+		RestoredRings:   s.restored.Rings,
 		ReachIters:      s.reachIters,
 		ReachableStates: s.reachCount,
 		LiveNodes:       s.compiled.S.M.NumNodes(),
@@ -242,23 +238,15 @@ func (s *Session) stats() SessionStats {
 	}
 }
 
-// liveNodes reports the manager's live-node count. Caller holds the
-// lock.
-func (s *Session) liveNodes() int { return s.compiled.S.M.NumNodes() }
-
-// warmRefs returns the roots a warm-start record needs, if the session
-// has them and no query broke it. Caller holds the lock.
-func (s *Session) warmRefs() (reach, fair bdd.Ref, iters int, ok bool) {
-	if !s.ready || s.broken {
-		return 0, 0, 0, false
+// liveNodes reports the manager's node count for the node budget.
+// The count includes garbage until the next collection, so a count over
+// budget is taken again after collecting: garbage alone never evicts a
+// session. Everything the session keeps across queries is protected;
+// the collection drops the witness ring caches. Caller holds the lock.
+func (s *Session) liveNodes(budget int) int {
+	m := s.compiled.S.M
+	if budget > 0 && m.NumNodes() > budget {
+		m.GC()
 	}
-	reach, iters, ok = s.compiled.S.ReachableCached()
-	if !ok {
-		return 0, 0, 0, false
-	}
-	fair, okFair := s.checker.CachedFair()
-	if !okFair {
-		return 0, 0, 0, false
-	}
-	return reach, fair, iters, true
+	return m.NumNodes()
 }

@@ -3,6 +3,7 @@ package smvd
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 const counterModel = `
@@ -228,6 +229,35 @@ func TestNodeBudgetEviction(t *testing.T) {
 	}
 	if st := sv.Cache.Stats(); st.EvictionsBudget != 1 || st.Sessions != 0 {
 		t.Fatalf("evictionsBudget=%d sessions=%d, want 1/0", st.EvictionsBudget, st.Sessions)
+	}
+}
+
+// TestNodeBudgetIgnoresGarbage: a session over the node budget only
+// through garbage stays cached, since the budget check collects before
+// it evicts.
+func TestNodeBudgetIgnoresGarbage(t *testing.T) {
+	req := &CheckRequest{Model: counterModel, Specs: []string{"AG AF n = 0", "EG !(n = 5)"}}
+	probe := newTestServer(t, 8, 0, "")
+	checkOK(t, probe, req)
+	sess := cachedSession(t, probe.Cache, counterModel, Config{})
+	if err := sess.lock(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	m := sess.compiled.S.M
+	counted := m.NumNodes()
+	m.GC()
+	live := m.NumNodes()
+	sess.unlock()
+	if counted <= live+1 {
+		t.Fatalf("the query left no garbage: %d nodes counted, %d live", counted, live)
+	}
+
+	sv := newTestServer(t, 8, (counted+live)/2, "")
+	if r := checkOK(t, sv, req); r.Evicted {
+		t.Fatalf("evicted at a budget of %d with %d nodes counted and %d live", (counted+live)/2, counted, live)
+	}
+	if st := sv.Cache.Stats(); st.EvictionsBudget != 0 || st.Sessions != 1 {
+		t.Fatalf("evictionsBudget=%d sessions=%d, want 0/1", st.EvictionsBudget, st.Sessions)
 	}
 }
 

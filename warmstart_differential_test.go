@@ -22,11 +22,14 @@ import (
 //	           sets + subformula memo)
 //	warm       first query after a simulated restart, seeded from the
 //	           on-disk serialize-v3 record (adopted variable order,
-//	           restored reachable and fair sets)
+//	           restored reachable and fair sets, subformula memo, EG
+//	           seeds and onion rings)
 //
 // — and all four must agree on reachable-state counts, CTL and LTL
 // verdicts spec by spec, and every failing spec must carry a trace that
-// validated against the model structure that produced it.
+// validated against the model structure that produced it. The warm
+// query must render the cold query's trace text: the record carries
+// the very sets and rings the cold session walked.
 
 func TestWarmStartDifferentialModels(t *testing.T) {
 	entries, err := os.ReadDir("models")
@@ -196,5 +199,10 @@ func compareWarmPaths(t *testing.T, src string, module *smv.Module, cfg smv.Conf
 	checkAgainstReference(t, "cold", ref, cold)
 	checkAgainstReference(t, "hot", ref, hot)
 	checkAgainstReference(t, "warm", ref, warm)
+	for i, v := range warm.Verdicts {
+		if want := cold.Verdicts[i].Trace; v.Trace != want {
+			t.Errorf("%q: disk-warm trace\n%s\ndiffers from the cold one\n%s", v.Spec, v.Trace, want)
+		}
+	}
 	return len(ref.holds)
 }
