@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ctl"
 	"repro/internal/mc"
 	"repro/internal/smv"
 	"repro/internal/smvd"
@@ -20,7 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden counterexample
 // the shipped models produce: each failing SPEC and LTLSPEC of
 // models/*.smv, rendered as `smv` prints it (full and -delta form) and
 // as an smvd session returns it, once cold and once from the session's
-// warm memo. Regenerate with
+// warm memo. Its explanations subtest pins what `smv -tree -witness`
+// prints: the explanation tree of each failing CTL spec and the witness
+// of each holding EX, EU, EG or EF spec. Regenerate with
 //
 //	go test -run TestGoldenCounterexamples -update .
 //
@@ -41,24 +44,84 @@ func TestGoldenCounterexamples(t *testing.T) {
 			renderSmvCounterexamples(t, &out, path, string(src))
 			renderSmvdCounterexamples(t, &out, path, string(src), smv.Config{})
 		}
-		golden := filepath.Join("testdata", "counterexamples-default.golden")
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		if got := out.String(); got != string(want) {
-			t.Errorf("counterexamples differ from %s at %s", golden, firstDiff(got, string(want)))
-		}
+		compareGolden(t, "counterexamples-default.golden", out.String())
 	})
+	t.Run("explanations", func(t *testing.T) {
+		var out strings.Builder
+		for _, path := range models {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renderSmvExplanations(t, &out, path, string(src))
+		}
+		compareGolden(t, "explanations-default.golden", out.String())
+	})
+}
+
+// compareGolden checks got against testdata/<name>, or rewrites the
+// file under -update.
+func compareGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s at %s", golden, firstDiff(got, string(want)))
+	}
+}
+
+// renderSmvExplanations follows `smv -tree -witness model.smv` on one
+// checker: a failing CTL spec prints CounterexampleTree from its
+// counterexample's first state, a holding spec headed by EX, EU, EG or
+// EF prints its Witness from the first initial state PickState finds.
+func renderSmvExplanations(t *testing.T, out *strings.Builder, path, src string) {
+	t.Helper()
+	fmt.Fprintf(out, "== smv -tree -witness %s\n", path)
+	compiled, err := smv.CompileSource(src, smv.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checker := mc.New(compiled.S)
+	defer checker.Close()
+	gen := core.NewGenerator(checker)
+	for _, sp := range compiled.Module.Specs {
+		v, err := compiled.CheckCTL(gen, sp.Formula)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", path, sp.Source, err)
+		}
+		if !v.Holds {
+			node, err := gen.CounterexampleTree(sp.Formula, v.Trace.States[0])
+			if err != nil {
+				t.Fatalf("%s: %s: tree: %v", path, sp.Source, err)
+			}
+			fmt.Fprintf(out, "-- specification %s is false\n-- explanation:\n%s",
+				sp.Source, node.Render(compiled.FormatStateByVars))
+			continue
+		}
+		switch sp.Formula.Kind {
+		case ctl.KEX, ctl.KEU, ctl.KEG, ctl.KEF:
+		default:
+			continue
+		}
+		tr, err := gen.Witness(sp.Formula, compiled.S.PickState(compiled.S.Init))
+		if err != nil {
+			t.Fatalf("%s: %s: witness: %v", path, sp.Source, err)
+		}
+		fmt.Fprintf(out, "-- specification %s is true\n-- witness execution sequence:\n%s",
+			sp.Source, compiled.TraceString(tr))
+	}
 }
 
 // renderSmvCounterexamples follows the `smv model.smv` path: CheckCTL
