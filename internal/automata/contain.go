@@ -99,8 +99,6 @@ func NewProduct(k, kp *Streett) (*Product, error) {
 				e.Label(i, fmt.Sprintf("Vs%d", pj))
 			}
 		}
-		// per-spec-state atom, used by Muller containment
-		e.Label(i, fmt.Sprintf("Sq%d", ps.Sp))
 	}
 	e.MakeTotal() // complete automata make this a no-op
 	p.Sym = kripke.FromExplicit(e)
@@ -124,11 +122,6 @@ func NewProduct(k, kp *Streett) (*Product, error) {
 			if !names[n] {
 				p.Sym.RegisterAtom(n, bdd.False)
 			}
-		}
-	}
-	for q := 0; q < kp.NumState; q++ {
-		if n := fmt.Sprintf("Sq%d", q); !names[n] {
-			p.Sym.RegisterAtom(n, bdd.False)
 		}
 	}
 	return p, nil

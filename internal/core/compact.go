@@ -98,7 +98,7 @@ func shortcutRange(s *kripke.Symbolic, tr *Trace, lo, hi int, pin []bool) int {
 				continue
 			}
 			cut := j - i - 1
-			tr.splice(i+1, j)
+			tr.remove(i+1, j)
 			return cut
 		}
 	}
@@ -121,7 +121,7 @@ func shortcutCycle(s *kripke.Symbolic, tr *Trace, pin []bool) int {
 			if !cycleCoversWithout(s, tr, i+1, j) {
 				continue
 			}
-			tr.splice(i+1, j)
+			tr.remove(i+1, j)
 			return j - i - 1
 		}
 	}
@@ -138,7 +138,7 @@ func shortcutCycle(s *kripke.Symbolic, tr *Trace, pin []bool) int {
 			continue
 		}
 		cut := n - 1 - last
-		tr.splice(last+1, n)
+		tr.remove(last+1, n)
 		return cut
 	}
 	return 0
@@ -165,10 +165,10 @@ func cycleCoversWithout(s *kripke.Symbolic, tr *Trace, cutLo, cutHi int) bool {
 	return true
 }
 
-// splice removes states [lo, hi) from the trace, fixing up CycleStart,
+// remove drops states [lo, hi) from the trace, fixing up CycleStart,
 // FairHits and Notes. Indices with lo <= idx < hi are dropped; larger
 // indices shift left.
-func (t *Trace) splice(lo, hi int) {
+func (t *Trace) remove(lo, hi int) {
 	cut := hi - lo
 	t.States = append(t.States[:lo], t.States[hi:]...)
 	if t.CycleStart >= hi {

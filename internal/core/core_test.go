@@ -155,7 +155,7 @@ func TestWitnessEUFinite(t *testing.T) {
 	e.AddInit(0)
 	s, g := setup(e)
 	goal, _ := s.AtomSet(ctl.Atom("goal"))
-	tr, err := g.WitnessEU(bdd.True, goal, stateOf(s, 0), false)
+	tr, err := g.WitnessEU(bdd.True, goal, stateOf(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestWitnessEUMinimality(t *testing.T) {
 	e.AddInit(0)
 	s, g := setup(e)
 	goal, _ := s.AtomSet(ctl.Atom("goal"))
-	tr, err := g.WitnessEU(bdd.True, goal, stateOf(s, 0), false)
+	tr, err := g.WitnessEU(bdd.True, goal, stateOf(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,53 +192,17 @@ func TestWitnessEUMinimality(t *testing.T) {
 	}
 }
 
-func TestWitnessEUExtendedToFairLasso(t *testing.T) {
-	// goal at 1; from 1, fair cycle 1->2->1 with h at 2.
-	e := kripke.NewExplicit(3)
-	e.AddEdge(0, 1)
-	e.AddEdge(1, 2)
-	e.AddEdge(2, 1)
-	e.Label(1, "goal")
-	e.AddInit(0)
-	e.AddFairSet("h", []bool{false, false, true})
-	s, g := setup(e)
-	goal, _ := s.AtomSet(ctl.Atom("goal"))
-	tr, err := g.WitnessEU(bdd.True, goal, stateOf(s, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.IsLasso() {
-		t.Fatal("extended witness must be a lasso")
-	}
-	if err := ValidateFairLasso(s, tr); err != nil {
-		t.Fatalf("fair lasso invalid: %v\n%s", err, tr)
-	}
-	if !s.Holds(goal, tr.States[1]) {
-		t.Fatal("goal state missing from extended witness")
-	}
-}
-
 func TestWitnessEX(t *testing.T) {
 	e := figure1Model()
 	s, g := setup(e)
 	// EX of "being at state 1" from state 0
 	target := s.StateCube(stateOf(s, 1))
-	tr, err := g.WitnessEX(target, stateOf(s, 0), false)
+	tr, err := g.WitnessEX(target, stateOf(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateEX(s, tr, target); err != nil {
 		t.Fatalf("invalid EX witness: %v", err)
-	}
-	tr2, err := g.WitnessEX(target, stateOf(s, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.IsLasso() {
-		t.Fatal("extended EX witness must be a lasso")
-	}
-	if err := ValidateFairLasso(s, tr2); err != nil {
-		t.Fatalf("extended EX witness invalid: %v", err)
 	}
 }
 
@@ -247,7 +211,7 @@ func TestWitnessEXNotSatisfied(t *testing.T) {
 	s, g := setup(e)
 	// no edge 0 -> 2
 	target := s.StateCube(stateOf(s, 2))
-	if _, err := g.WitnessEX(target, stateOf(s, 0), false); err != ErrNotSatisfied {
+	if _, err := g.WitnessEX(target, stateOf(s, 0)); err != ErrNotSatisfied {
 		t.Fatalf("want ErrNotSatisfied, got %v", err)
 	}
 }
@@ -459,7 +423,7 @@ func TestRandomEGWithInvariant(t *testing.T) {
 	}
 }
 
-// TestRandomEUWitnesses stresses EU witnesses with fair extension.
+// TestRandomEUWitnesses stresses EU witnesses.
 func TestRandomEUWitnesses(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
@@ -471,18 +435,12 @@ func TestRandomEUWitnesses(t *testing.T) {
 		euSet := g.C.FairEU(pset, qset)
 		reach, _ := s.Reachable()
 		for _, st := range s.EnumStates(s.M.And(reach, euSet), 4) {
-			extend := len(s.Fair) > 0
-			tr, err := g.WitnessEU(pset, qset, st, extend)
+			tr, err := g.WitnessEU(pset, qset, st)
 			if err != nil {
 				t.Fatalf("trial %d: WitnessEU: %v", trial, err)
 			}
 			if err := ValidateEU(s, tr, pset, qset); err != nil {
 				t.Fatalf("trial %d: invalid EU: %v\n%s", trial, err, tr)
-			}
-			if extend {
-				if err := ValidateFairLasso(s, tr); err != nil {
-					t.Fatalf("trial %d: invalid fair tail: %v\n%s", trial, err, tr)
-				}
 			}
 		}
 	}

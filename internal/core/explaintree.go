@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ctl"
@@ -14,7 +15,9 @@ import (
 // keeps the logical structure: each node demonstrates one (sub)formula
 // at one state, path evidence hangs off the node that needs it, and
 // boolean structure becomes child nodes. Rendered, it reads as an
-// indented argument rather than a flat state dump.
+// indented argument rather than a flat state dump. The linear trace is
+// the tree's spine: one recursion (explain) builds both, so the two
+// cannot disagree.
 
 // ExplainNode is one step of the argument: Formula holds at State.
 type ExplainNode struct {
@@ -26,6 +29,12 @@ type ExplainNode struct {
 	Evidence *Trace
 	// Children are the sub-obligations, each anchored at its own state.
 	Children []*ExplainNode
+	// Spine is the child the linear trace follows, nil where the trace
+	// ends: the temporal conjunct of an And (else the left one), the
+	// disjunct that holds, or the obligation at the end of an EX or EU
+	// path. It sits at Evidence's last state, or at State when the node
+	// has no evidence.
+	Spine *ExplainNode
 	// Comment carries set-level justifications (e.g. negated temporal
 	// operators, which no finite path can demonstrate).
 	Comment string
@@ -44,7 +53,7 @@ func (g *Generator) ExplainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 	if !g.C.S.Holds(set, from) {
 		return nil, ErrNotSatisfied
 	}
-	return g.explainTree(basis, from)
+	return g.explain(basis, from)
 }
 
 // CounterexampleTree is ExplainTree for the negation of a property that
@@ -53,7 +62,11 @@ func (g *Generator) CounterexampleTree(f *ctl.Formula, from kripke.State) (*Expl
 	return g.ExplainTree(ctl.Not(f), from)
 }
 
-func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode, error) {
+// explain builds the tree for a basis formula known to hold at from.
+// The spine is built first, so a branch off it (the second temporal
+// conjunct, an EU's temporal left operand, an EG's temporal body) walks
+// only after every witness the linear trace needs.
+func (g *Generator) explain(f *ctl.Formula, from kripke.State) (*ExplainNode, error) {
 	s := g.C.S
 	node := &ExplainNode{Formula: f, State: from}
 	switch f.Kind {
@@ -62,21 +75,24 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 	case ctl.KFalse:
 		return nil, ErrNotSatisfied
 	case ctl.KNot:
-		node.Comment = "holds by set membership (no path can demonstrate a negated temporal fact)"
-		if ctl.IsPropositional(f.L) {
-			node.Comment = ""
+		if !ctl.IsPropositional(f.L) {
+			node.Comment = "holds by set membership (no path can demonstrate a negated temporal fact)"
 		}
 		return node, nil
 	case ctl.KAnd:
-		l, err := g.explainTree(f.L, from)
+		l, err := g.explain(f.L, from)
 		if err != nil {
 			return nil, err
 		}
-		r, err := g.explainTree(f.R, from)
+		r, err := g.explain(f.R, from)
 		if err != nil {
 			return nil, err
 		}
-		node.Children = append(node.Children, l, r)
+		node.Children = []*ExplainNode{l, r}
+		node.Spine = l
+		if ctl.IsPropositional(f.L) && !ctl.IsPropositional(f.R) {
+			node.Spine = r
+		}
 		return node, nil
 	case ctl.KOr:
 		lset, err := g.C.Check(f.L)
@@ -87,28 +103,18 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 		if s.Holds(lset, from) {
 			pick = f.L
 		}
-		child, err := g.explainTree(pick, from)
-		if err != nil {
-			return nil, err
-		}
-		node.Children = append(node.Children, child)
-		return node, nil
+		return node.follow(g.explain(pick, from))
 	case ctl.KEX:
 		inner, err := g.C.Check(f.L)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := g.WitnessEX(inner, from, false)
+		tr, err := g.WitnessEX(inner, from)
 		if err != nil {
 			return nil, err
 		}
 		node.Evidence = tr
-		child, err := g.explainTree(f.L, tr.Last())
-		if err != nil {
-			return nil, err
-		}
-		node.Children = append(node.Children, child)
-		return node, nil
+		return node.follow(g.explain(f.L, tr.Last()))
 	case ctl.KEU:
 		lset, err := g.C.Check(f.L)
 		if err != nil {
@@ -118,21 +124,18 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 		if err != nil {
 			return nil, err
 		}
-		tr, err := g.WitnessEU(lset, rset, from, false)
+		tr, err := g.WitnessEU(lset, rset, from)
 		if err != nil {
 			return nil, err
 		}
 		node.Evidence = tr
-		// the target obligation at the end of the path
-		child, err := g.explainTree(f.R, tr.Last())
-		if err != nil {
+		if _, err := node.follow(g.explain(f.R, tr.Last())); err != nil {
 			return nil, err
 		}
-		node.Children = append(node.Children, child)
 		// the left obligation along the way, expanded only when it has
 		// structure worth showing
 		if !ctl.IsPropositional(f.L) && tr.Len() > 1 {
-			mid, err := g.explainTree(f.L, tr.States[0])
+			mid, err := g.explain(f.L, tr.States[0])
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +154,7 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 		}
 		node.Evidence = tr
 		if !ctl.IsPropositional(f.L) {
-			child, err := g.explainTree(f.L, tr.States[tr.CycleStart])
+			child, err := g.explain(f.L, tr.States[tr.CycleStart])
 			if err != nil {
 				return nil, err
 			}
@@ -160,8 +163,49 @@ func (g *Generator) explainTree(f *ctl.Formula, from kripke.State) (*ExplainNode
 		}
 		return node, nil
 	default:
-		return nil, fmt.Errorf("core: explainTree on non-basis formula %s", f)
+		return nil, fmt.Errorf("core: explain on non-basis formula %s", f)
 	}
+}
+
+// follow makes child n's spine, unless err is set.
+func (n *ExplainNode) follow(child *ExplainNode, err error) (*ExplainNode, error) {
+	if err != nil {
+		return nil, err
+	}
+	n.Children = append(n.Children, child)
+	n.Spine = child
+	return n, nil
+}
+
+// spineTrace flattens the spine below n into the linear trace Witness
+// returns: n's evidence, or n's state when it has none, with the spine
+// child's trace spliced on at the evidence's last state. A
+// propositional end obligation of an EX or EU path is only noted there;
+// an And notes itself, and a leaf its formula. The spine's evidence is
+// extended in place, so the tree is not used afterwards.
+func (n *ExplainNode) spineTrace(s *kripke.Symbolic) *Trace {
+	c := n.Spine
+	if n.Evidence == nil {
+		if c == nil {
+			tr := newTrace(s, n.State)
+			tr.note(0, n.Formula.String())
+			return tr
+		}
+		tr := c.spineTrace(s)
+		if n.Formula.Kind == ctl.KAnd {
+			tr.note(0, n.Formula.String())
+		}
+		return tr
+	}
+	tr := n.Evidence
+	switch {
+	case c == nil:
+	case ctl.IsPropositional(c.Formula):
+		tr.note(len(tr.States)-1, c.Formula.String())
+	default:
+		tr.splice(c.spineTrace(s))
+	}
+	return tr
 }
 
 // Render writes the tree as indented text; states print through the
@@ -206,9 +250,12 @@ func (n *ExplainNode) Size() int {
 }
 
 // Validate checks the tree's evidence paths against the model and the
-// anchoring invariants (children anchored on their parent's evidence
-// where applicable).
+// anchoring invariants: evidence starts at its node's state, the spine
+// child sits at the evidence's last state (at the node's own state when
+// it has none), and every other child sits on a state of the evidence
+// (at the node's own state when it has none).
 func (n *ExplainNode) Validate(s *kripke.Symbolic) error {
+	anchors := []kripke.State{n.State}
 	if n.Evidence != nil {
 		if err := ValidatePath(s, n.Evidence); err != nil {
 			return fmt.Errorf("evidence of %s: %w", n.Formula, err)
@@ -216,11 +263,24 @@ func (n *ExplainNode) Validate(s *kripke.Symbolic) error {
 		if !sameState(n.Evidence.First(), n.State) {
 			return fmt.Errorf("evidence of %s does not start at the node's state", n.Formula)
 		}
+		anchors = n.Evidence.States
 	}
+	spineSeen := n.Spine == nil
 	for _, c := range n.Children {
+		if c == n.Spine {
+			spineSeen = true
+			if !sameState(c.State, anchors[len(anchors)-1]) {
+				return fmt.Errorf("%s: spine child %s does not sit at the end of the evidence", n.Formula, c.Formula)
+			}
+		} else if !slices.ContainsFunc(anchors, func(st kripke.State) bool { return sameState(st, c.State) }) {
+			return fmt.Errorf("%s: child %s does not sit on the evidence", n.Formula, c.Formula)
+		}
 		if err := c.Validate(s); err != nil {
 			return err
 		}
+	}
+	if !spineSeen {
+		return fmt.Errorf("%s: spine is not one of the children", n.Formula)
 	}
 	return nil
 }

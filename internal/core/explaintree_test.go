@@ -199,3 +199,108 @@ func TestExplainTreeRandomValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateAnchorsChildren moves children of a valid tree off their
+// anchors: the EX target to the first state of its evidence, the
+// conjunct the trace does not follow to another state, and the spine to
+// a node outside the children.
+func TestValidateAnchorsChildren(t *testing.T) {
+	e := kripke.NewExplicit(3)
+	e.AddEdge(0, 1)
+	e.AddEdge(1, 2)
+	e.AddEdge(2, 2)
+	e.Label(0, "p")
+	e.Label(1, "q")
+	e.AddInit(0)
+	s, g := setup(e)
+	n, err := g.ExplainTree(ctl.MustParse("p & EX q"), stateOf(s, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Validate(s); err != nil {
+		t.Fatal(err)
+	}
+	ex := n.Spine
+	if ex == nil || ex.Formula.Kind != ctl.KEX || ex.Spine == nil {
+		t.Fatalf("the trace should follow EX q to its target:\n%s", n.Render(s.FormatState))
+	}
+	target := ex.Spine
+	target.State = ex.Evidence.First()
+	if err := n.Validate(s); err == nil {
+		t.Fatal("an EX target moved to the evidence's first state validated")
+	}
+	target.State = ex.Evidence.Last()
+
+	p := n.Children[0]
+	p.State = stateOf(s, 1)
+	if err := n.Validate(s); err == nil {
+		t.Fatal("a conjunct moved off its node's state validated")
+	}
+	p.State = stateOf(s, 0)
+
+	n.Spine = &ExplainNode{Formula: ex.Formula, State: ex.State}
+	if err := n.Validate(s); err == nil {
+		t.Fatal("a spine outside the children validated")
+	}
+}
+
+// TestWitnessIsTreeSpine checks that the linear trace walks the
+// explanation tree's spine: each spine node's evidence appears in the
+// trace, starting where the previous one ended.
+func TestWitnessIsTreeSpine(t *testing.T) {
+	r := rand.New(rand.NewSource(707))
+	formulas := []string{
+		"EF (p & EX q)",
+		"EX p & EG q",
+		"E [EX p U q]",
+		"EG (p | EX p)",
+		"!AG (p -> AF q)",
+		"EX (p | q) | EF EG p",
+	}
+	for trial := 0; trial < 20; trial++ {
+		e := kripke.RandomExplicit(r, 8+r.Intn(8), 2, []string{"p", "q"}, trial%2, 0.3)
+		s := kripke.FromExplicit(e)
+		g := NewGenerator(mc.New(s))
+		reach, _ := s.Reachable()
+		for _, src := range formulas {
+			f := ctl.MustParse(src)
+			set, err := g.C.Check(ctl.PushNegations(ctl.Existential(f)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range s.EnumStates(s.M.And(reach, set), 3) {
+				tr, err := g.Witness(f, st)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, src, err)
+				}
+				n, err := g.ExplainTree(f, st)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, src, err)
+				}
+				at := 0
+				for x := n; x != nil; x = x.Spine {
+					if !sameState(x.State, tr.States[at]) {
+						t.Fatalf("trial %d %s: spine node %s is not at trace state %d\n%s",
+							trial, src, x.Formula, at, tr)
+					}
+					if x.Evidence == nil {
+						continue
+					}
+					for i, est := range x.Evidence.States {
+						if at+i >= tr.Len() || !sameState(est, tr.States[at+i]) {
+							t.Fatalf("trial %d %s: evidence of %s leaves the trace at %d\n%s",
+								trial, src, x.Formula, at+i, tr)
+						}
+					}
+					if x.Evidence.IsLasso() && tr.CycleStart != at+x.Evidence.CycleStart {
+						t.Fatalf("trial %d %s: cycle of %s not the trace's", trial, src, x.Formula)
+					}
+					at += x.Evidence.Len() - 1
+				}
+				if at != tr.Len()-1 {
+					t.Fatalf("trial %d %s: spine ends at %d, trace at %d", trial, src, at, tr.Len()-1)
+				}
+			}
+		}
+	}
+}

@@ -124,8 +124,7 @@ func (g *Generator) WitnessEG(f bdd.Ref, from kripke.State) (*Trace, error) {
 // construction, when walkBudget images pass without a closing edge.
 func (g *Generator) walkLasso(egf bdd.Ref, from kripke.State) *Trace {
 	s := g.C.S
-	tr := &Trace{S: s, CycleStart: -1, FairHits: map[int]int{}}
-	tr.States = append(tr.States, from)
+	tr := newTrace(s, from)
 	for {
 		succs := g.image(tr.Last())
 		for i, st := range tr.States {
@@ -158,8 +157,7 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 	m := s.M
 	f := rings.F
 
-	tr := &Trace{S: s, CycleStart: -1, FairHits: map[int]int{}}
-	tr.States = append(tr.States, from)
+	tr := newTrace(s, from)
 	nFair := len(rings.PerFair)
 
 	restarts := 0

@@ -10,7 +10,7 @@
 // the cycle, restarting further down the DAG of strongly connected
 // components when the cycle cannot be closed (Figures 1 and 2 of the
 // paper). Witnesses for E[f U g] and EX f reduce to finite ring walks
-// optionally extended to fair lassos.
+// that end in a state beginning a fair path.
 package core
 
 import (
@@ -39,6 +39,11 @@ type Trace struct {
 	// Notes carries per-state annotations (e.g. which subformula a state
 	// demonstrates); indexed like States, entries may be empty.
 	Notes []string
+}
+
+// newTrace returns the finite trace through the given states.
+func newTrace(s *kripke.Symbolic, states ...kripke.State) *Trace {
+	return &Trace{S: s, States: states, CycleStart: -1, FairHits: map[int]int{}}
 }
 
 // Len returns the total number of states (prefix + cycle).
@@ -71,15 +76,35 @@ func (t *Trace) First() kripke.State { return t.States[0] }
 // Last returns the last listed state.
 func (t *Trace) Last() kripke.State { return t.States[len(t.States)-1] }
 
-// note sets the annotation for state index i, growing Notes as needed.
+// note sets the annotation for state index i, growing Notes to the
+// trace's length in one step.
 func (t *Trace) note(i int, msg string) {
-	for len(t.Notes) < len(t.States) {
-		t.Notes = append(t.Notes, "")
+	if n := len(t.States); len(t.Notes) < n {
+		t.Notes = append(t.Notes, make([]string, n-len(t.Notes))...)
 	}
 	if t.Notes[i] != "" && msg != "" {
 		t.Notes[i] += "; " + msg
 	} else if msg != "" {
 		t.Notes[i] = msg
+	}
+}
+
+// splice appends tail, which starts at t's last state, to t: tail's
+// later states, its cycle, its fair hits and its notes move to t's
+// indices.
+func (t *Trace) splice(tail *Trace) {
+	base := len(t.States) - 1
+	t.States = append(t.States, tail.States[1:]...)
+	if tail.CycleStart >= 0 {
+		t.CycleStart = base + tail.CycleStart
+	}
+	for h, idx := range tail.FairHits {
+		t.FairHits[h] = base + idx
+	}
+	for i, n := range tail.Notes {
+		if n != "" {
+			t.note(base+i, n)
+		}
 	}
 }
 

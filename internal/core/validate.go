@@ -80,8 +80,7 @@ func ValidateEG(s *kripke.Symbolic, tr *Trace, f bdd.Ref) error {
 
 // ValidateEU checks that tr's finite prefix demonstrates E[f U g]: every
 // state before the first g-state satisfies f and some state satisfies g.
-// For extended (lasso) witnesses only the finite prefix up to the g-state
-// is examined here; pair with ValidateEG(s, tr, True) for the fair tail.
+// States after the first g-state are not examined.
 func ValidateEU(s *kripke.Symbolic, tr *Trace, f, g bdd.Ref) error {
 	if err := ValidatePath(s, tr); err != nil {
 		return err
@@ -113,7 +112,7 @@ func ValidateEX(s *kripke.Symbolic, tr *Trace, f bdd.Ref) error {
 }
 
 // ValidateFairLasso checks that a lasso's cycle satisfies every fairness
-// constraint of the structure (used for extended EU/EX witnesses).
+// constraint of the structure.
 func ValidateFairLasso(s *kripke.Symbolic, tr *Trace) error {
 	return ValidateEG(s, tr, bdd.True)
 }

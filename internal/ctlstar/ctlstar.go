@@ -333,7 +333,7 @@ func (sc *Checker) Witness(f Formula, from kripke.State) (*core.Trace, error) {
 	plain := mc.New(s.WithFairness(nil, nil))
 	defer plain.Close()
 	pgen := core.NewGenerator(plain)
-	prefix, err := pgen.WitnessEU(bdd.True, eg, from, false)
+	prefix, err := pgen.WitnessEU(bdd.True, eg, from)
 	if err != nil {
 		return nil, fmt.Errorf("ctlstar: prefix: %w", err)
 	}
